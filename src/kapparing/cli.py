@@ -340,8 +340,8 @@ def cmd_verify(args) -> tuple[dict, int]:
         "command": "verify",
         "suite": args.suite,
         "bounds": {
-            "identities": identity_bounds.__dict__,
-            "ring": {**ring_bounds.__dict__, "genus_lifts": list(ring_bounds.genus_lifts)},
+            "identities": identity_bounds.as_dict(),
+            "ring": {**ring_bounds.as_dict(), "genus_lifts": list(ring_bounds.genus_lifts)},
         },
         "reports": rows,
         "counts": {"total": len(rows), "failed": failed},
@@ -357,7 +357,7 @@ def cmd_reconcile(args) -> tuple[dict, int]:
     summary = summarize_reconcile(rows)
     report = {
         "command": "reconcile",
-        "bounds": {**ring_bounds.__dict__, "genus_lifts": list(ring_bounds.genus_lifts)},
+        "bounds": {**ring_bounds.as_dict(), "genus_lifts": list(ring_bounds.genus_lifts)},
         "cases": rows,
         "summary": summary,
     }

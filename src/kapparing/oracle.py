@@ -18,12 +18,12 @@ tree per sequence for inspection.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .numbers import multinomial
 from .partitions import Multiset, SetPartition, block_sums, ground_size, multiset, set_partitions
+from .records import Record
 
 DimensionSequence = Multiset
 
@@ -42,8 +42,7 @@ class RankDeficientPairingError(RuntimeError):
         self.rank = rank
 
 
-@dataclass(frozen=True)
-class StableTree:
+class StableTree(Record):
     """A marked tree of genus-zero components.
 
     ``markings[v]`` lists the marked points carried by vertex v (labels
@@ -51,10 +50,11 @@ class StableTree:
     vertex has degree + markings >= 3.
     """
 
+    __slots__ = ("edges", "markings")
     edges: tuple[tuple[int, int], ...]
     markings: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def _check(self):
         nv = len(self.markings)
         degree = [0] * nv
         for u, v in self.edges:

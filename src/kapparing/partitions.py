@@ -12,6 +12,14 @@ Conventions:
   indices, blocks are ordered by their minimum element, and together they
   partition ``{0..k-1}``.  The empty tuple is the unique partition of the
   empty set.
+
+The public helpers validate their input.  The coefficient loops in
+:mod:`kapparing.ring` work on partitions they built in canonical form
+themselves, so they use two trusted forms instead, which validate and
+canonicalise nothing: ``_refinement_choices`` hands out a refinement as one
+local partition per block, which already says which fine blocks lie in which
+coarse block, and ``_partitions_of_size`` serves those local partitions from
+a per-size table.
 """
 
 from __future__ import annotations
@@ -163,17 +171,45 @@ def refinements(p: SetPartition) -> Iterator[SetPartition]:
     """All q with q <= p, in a deterministic order.
 
     Built blockwise: a refinement of p is an independent partition of each
-    p-block.
+    p-block, taken in the order p lists its blocks.  p is validated once;
+    each refinement is assembled in canonical form.
     """
-    per_block = []
-    for blk in p:
-        local = [
-            tuple(tuple(blk[i] for i in sub) for sub in lp)
-            for lp in set_partitions(len(blk))
-        ]
-        per_block.append(local)
-    for combo in itertools.product(*per_block):
-        yield canonical_partition(itertools.chain.from_iterable(combo))
+    blocks = [tuple(blk) for blk in p]
+    canonical_partition(blocks)
+    for choice in itertools.product(*_refinement_choices(blocks)):
+        # sub-blocks are sorted and disjoint, so tuple order is order by minimum
+        yield tuple(sorted(itertools.chain.from_iterable(choice)))
+
+
+# Every set partition of a small block, shared by all refinement loops.
+# Larger blocks are enumerated per call: the 21,147 partitions of 9 elements
+# take about 6.5 MB, which the table would hold for the life of the process.
+_TABLE_MAX_SIZE = 8
+_PARTITIONS_BY_SIZE: dict[int, tuple[SetPartition, ...]] = {}
+
+
+def _partitions_of_size(m: int) -> tuple[SetPartition, ...]:
+    """Every set partition of {0..m-1} in ``set_partitions`` order (trusted m >= 0)."""
+    table = _PARTITIONS_BY_SIZE.get(m)
+    if table is None:
+        table = tuple(set_partitions(m))
+        if m <= _TABLE_MAX_SIZE:
+            _PARTITIONS_BY_SIZE[m] = table
+    return table
+
+
+def _refinement_choices(p: SetPartition) -> list[list[SetPartition]]:
+    """For each block of p, every partition of that block, in p's indices.
+
+    A refinement q <= p is one choice per block, so the product of these
+    lists enumerates every q, and each choice already groups q's blocks by
+    the p-block that holds them.  Sub-blocks are sorted tuples.  p is
+    trusted to be a valid partition.
+    """
+    return [
+        [tuple(tuple(sorted(blk[i] for i in sub)) for sub in local) for local in _partitions_of_size(len(blk))]
+        for blk in p
+    ]
 
 
 def blocks_within(fine: SetPartition, coarse: SetPartition) -> tuple[int, ...]:

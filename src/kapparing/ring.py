@@ -33,25 +33,23 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 from .numbers import alt_binomial_partial_sum, binomial, factorial, format_rational, multinomial
 from .partitions import (
+    _PARTITIONS_BY_SIZE,
     Multiset,
     SetPartition,
-    block_sum_vector,
+    _partitions_of_size,
+    _refinement_choices,
     block_sums,
-    block_values,
-    blocks_within,
     canonical_partition,
     ground_size,
-    induced_partition,
     multiset,
-    refinements,
     set_partitions,
 )
+from .records import Record
 
 METHODS = ("recursive", "ck", "closed")
 TRUNCATION_VARIANTS = ("partial_sum", "single_binomial")
@@ -155,8 +153,7 @@ class PsiPoly(_Combination):
     """
 
 
-@dataclass(frozen=True)
-class ModuliContext:
+class ModuliContext(Record):
     """Genus and marking data fixing the expansion's degree budget.
 
     Any genus-g computation reduces to genus zero with n + 2g markings, so the
@@ -164,10 +161,11 @@ class ModuliContext:
     dimension n + 2g - 3.
     """
 
+    __slots__ = ("genus", "markings")
     genus: int
     markings: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.genus < 0 or self.markings < 0:
             raise ValueError("genus and markings must be nonnegative")
 
@@ -184,20 +182,28 @@ class ModuliContext:
         return self.reduced_markings - sum(a) - 2
 
 
-# Memo caches for the two scalar coefficient families.  Bounded so a long
-# sweep cannot grow them without limit; lookups falling past the bound are
-# simply recomputed.  dict operations are atomic under the GIL and values are
-# deterministic, so concurrent warm-up is harmless.
+# Memo caches for the two scalar coefficient families and for the split
+# weights built from them.  Bounded so a long sweep cannot grow them without
+# limit; lookups falling past the bound are simply recomputed.  dict
+# operations are atomic under the GIL and values are deterministic, so
+# concurrent warm-up is harmless.  Keys are canonical monomials, so the
+# internal loops, which build their keys canonical, look them up without
+# validating again.  Only the socle and correction caches are snapshotted
+# for the ``--cache`` file; split weights are cheap to rebuild from them.
 COEFF_CACHE_LIMIT = 1_000_000
 _SOCLE_CACHE: dict[Multiset, Fraction] = {}
 _CORRECTION_CACHE: dict[Multiset, Fraction] = {}
+_SPLIT_WEIGHT_CACHE: dict[tuple[Multiset, int], Fraction] = {}
 _CACHE_LOCK = threading.Lock()
 
 
 def clear_coeff_caches() -> None:
+    """Empty every memo table of the expansion, down to the partition table."""
     with _CACHE_LOCK:
         _SOCLE_CACHE.clear()
         _CORRECTION_CACHE.clear()
+        _SPLIT_WEIGHT_CACHE.clear()
+        _PARTITIONS_BY_SIZE.clear()
 
 
 def snapshot_coeff_caches() -> dict[str, dict[Multiset, Fraction]]:
@@ -229,14 +235,18 @@ def socle_coeff(a: Iterable[int]) -> Fraction:
 
     The empty multiset gives 1.
     """
-    a = kappa_monomial(a)
+    return _socle(kappa_monomial(a))
+
+
+def _socle(a: KappaMonomial) -> Fraction:
+    """socle_coeff of a monomial already in canonical form."""
     cached = _SOCLE_CACHE.get(a)
     if cached is not None:
         return cached
     total = 0
     for p in set_partitions(len(a)):
         sign = -1 if (len(a) + len(p)) % 2 else 1
-        total += sign * multinomial(s + 1 for s in block_sum_vector(p, a))
+        total += sign * multinomial(sum(a[i] for i in blk) + 1 for blk in p)
     value = Fraction(total)
     if len(_SOCLE_CACHE) < COEFF_CACHE_LIMIT:
         _SOCLE_CACHE[a] = value
@@ -256,7 +266,11 @@ def correction_coeff(a: Iterable[int]) -> Fraction:
     Single entries give 1; the empty multiset gives 1 by the empty-product
     convention.
     """
-    a = kappa_monomial(a)
+    return _correction(kappa_monomial(a))
+
+
+def _correction(a: KappaMonomial) -> Fraction:
+    """correction_coeff of a monomial already in canonical form."""
     if not a:
         return Fraction(1)
     cached = _CORRECTION_CACHE.get(a)
@@ -273,14 +287,6 @@ def correction_coeff(a: Iterable[int]) -> Fraction:
     if len(_CORRECTION_CACHE) < COEFF_CACHE_LIMIT:
         _CORRECTION_CACHE[a] = value
     return value
-
-
-def socle_of_partition(p: SetPartition, a: Multiset) -> Fraction:
-    """Product of socle coefficients over the blocks of p."""
-    result = Fraction(1)
-    for j in range(len(p)):
-        result *= socle_coeff(block_values(p, a, j))
-    return result
 
 
 def faber_expand(q: Iterable[int]) -> KappaPoly:
@@ -330,10 +336,33 @@ def split_weight(a: Iterable[int], k: int) -> Fraction:
     a = kappa_monomial(a)
     if not 1 <= k <= len(a):
         raise ValueError(f"need 1 <= k <= {len(a)}, got k={k}")
+    return _split_weight(a, k)
+
+
+def _split_weight(a: KappaMonomial, k: int) -> Fraction:
+    """split_weight of a canonical monomial and a valid k, memoised by (a, k)."""
+    cached = _SPLIT_WEIGHT_CACHE.get((a, k))
+    if cached is not None:
+        return cached
     total = Fraction(0)
     for q in set_partitions(len(a), blocks=k):
-        total += socle_of_partition(q, a) * correction_coeff(block_sums(q, a))
+        total += _group_weight(q, a)
+    if len(_SPLIT_WEIGHT_CACHE) < COEFF_CACHE_LIMIT:
+        _SPLIT_WEIGHT_CACHE[(a, k)] = total
     return total
+
+
+def _group_weight(blocks: Iterable[tuple[int, ...]], a: KappaMonomial) -> Fraction:
+    """Product of the blocks' socle coefficients times the correction
+    coefficient of their block sums; blocks are ascending index tuples."""
+    weight = Fraction(1)
+    sums = []
+    for blk in blocks:
+        # a is sorted and blk ascending, so the values are a canonical key
+        values = tuple(a[i] for i in blk)
+        weight *= _socle(values)
+        sums.append(sum(values))
+    return weight * _correction(tuple(sorted(sums)))
 
 
 def _truncation_factor(variant: str, len_t: int, len_r: int, d: int) -> int:
@@ -358,22 +387,23 @@ def _validate_basis_inputs(p: SetPartition, a: Multiset, d: int) -> SetPartition
 
 def _coeff_recursive(p: SetPartition, a: Multiset, d: int) -> Fraction:
     total = Fraction(0)
-    for q in refinements(p):
-        if len(q) > d:
+    # q <= p as one local partition per p-block; each local partition is
+    # the group of q-blocks that one correction factor regroups
+    for q in itertools.product(*_refinement_choices(p)):
+        if sum(map(len, q)) > d:
             continue
-        weight = socle_of_partition(q, a)
-        sums = block_sum_vector(q, a)
-        for group in induced_partition(p, q):
-            weight *= correction_coeff(multiset(sums[j] for j in group))
+        weight = Fraction(1)
+        for local in q:
+            weight *= _group_weight(local, a)
         total += weight
     return total
 
 
 def _coeff_ck(p: SetPartition, a: Multiset, d: int) -> Fraction:
     per_block = []
-    for j in range(len(p)):
-        values = block_values(p, a, j)
-        per_block.append([split_weight(values, k) for k in range(1, len(values) + 1)])
+    for blk in p:
+        values = tuple(a[i] for i in blk)
+        per_block.append([_split_weight(values, k) for k in range(1, len(values) + 1)])
     total = Fraction(0)
     for ks in itertools.product(*(range(1, len(w) + 1) for w in per_block)):
         if sum(ks) > d:
@@ -386,26 +416,54 @@ def _coeff_ck(p: SetPartition, a: Multiset, d: int) -> Fraction:
 
 
 def _coeff_closed(p: SetPartition, a: Multiset, d: int, truncation: str) -> Fraction:
+    """The sum over chains t <= r <= p of
+
+        (-1)**(k + len(t) + len(r)) * trunc(len(t), len(r))
+            * prod over p-blocks of (r-blocks inside - 1)!
+            * prod over r-blocks of (sum + t-blocks inside)!
+            / prod over t-blocks of (sum + 1)!
+
+    Within one r-block the shifted t-block sums add up to the r-block's sum
+    plus its t-block count, so each r-block's factorial over its t-blocks'
+    factorials is a multinomial and every term is an integer.  r is chosen
+    blockwise in p and t blockwise in r; each local partition of an r-block
+    enters only through its (block count, multinomial), computed once per
+    distinct r-block value tuple.
+    """
     k = len(a)
-    total = Fraction(0)
-    for r in refinements(p):
+    truncs: dict[int, list[int]] = {}
+    local_terms: dict[Multiset, list[tuple[int, int]]] = {}
+    total = 0
+    for r in itertools.product(*_refinement_choices(p)):
+        len_r = sum(map(len, r))
+        trunc = truncs.get(len_r)
+        if trunc is None:
+            # signed factor by len(t); a refinement of r has at least len(r) blocks
+            trunc = truncs[len_r] = [0] * len_r + [
+                (-1) ** (k + len_t + len_r) * _truncation_factor(truncation, len_t, len_r, d)
+                for len_t in range(len_r, k + 1)
+            ]
         factor_p = 1
-        for count in blocks_within(r, p):
-            factor_p *= factorial(count - 1)
-        r_sums = block_sum_vector(r, a)
-        for t in refinements(r):
-            trunc = _truncation_factor(truncation, len(t), len(r), d)
-            if trunc == 0:
-                continue
-            denom = 1
-            for blk in t:
-                denom *= factorial(sum(a[i] for i in blk) + 1)
-            factor_r = 1
-            for j, count in enumerate(blocks_within(t, r)):
-                factor_r *= factorial(r_sums[j] + count)
-            sign = -1 if (k + len(t) + len(r)) % 2 else 1
-            total += Fraction(sign * factor_r * factor_p * trunc, denom)
-    return total
+        per_r_block = []
+        for local in r:
+            factor_p *= factorial(len(local) - 1)
+            for blk in local:
+                values = tuple(a[i] for i in blk)
+                terms = local_terms.get(values)
+                if terms is None:
+                    terms = local_terms[values] = [
+                        (len(sub), multinomial(sum(values[i] for i in b) + 1 for b in sub))
+                        for sub in _partitions_of_size(len(values))
+                    ]
+                per_r_block.append(terms)
+        for t in itertools.product(*per_r_block):
+            len_t = 0
+            term = factor_p
+            for count, weight in t:
+                len_t += count
+                term *= weight
+            total += trunc[len_t] * term
+    return Fraction(total)
 
 
 def basis_coeff(

@@ -8,7 +8,6 @@ to processes without changing the output.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -16,7 +15,9 @@ from .identities import SweepBounds, check_identity, identity_sweep_cases
 from .numbers import format_rational
 from .oracle import integrate_kappa_top, pair_kappa_stratum, solve_coeffs_by_pairing
 from .partitions import Multiset, block_sums, index_multisets, multiset, set_partitions
+from .records import Record
 from .ring import (
+    METHODS,
     TRUNCATION_VARIANTS,
     KappaPoly,
     basis_coeff,
@@ -27,15 +28,16 @@ from .ring import (
 )
 
 
-@dataclass(frozen=True)
-class RingSweepBounds:
+class RingSweepBounds(Record):
     """Grid for the coefficient cross-method sweep."""
 
-    max_len: int = 4
-    max_sum: int = 6
-    max_entry: int = 4
-    max_budget: int = 4
-    genus_lifts: tuple[int, ...] = (1, 2)
+    _defaults = {"max_len": 4, "max_sum": 6, "max_entry": 4, "max_budget": 4, "genus_lifts": (1, 2)}
+    __slots__ = tuple(_defaults)
+    max_len: int
+    max_sum: int
+    max_entry: int
+    max_budget: int
+    genus_lifts: tuple[int, ...]
 
 
 def ring_sweep_cases(bounds: RingSweepBounds = RingSweepBounds()) -> list[tuple[Multiset, int]]:
@@ -52,33 +54,45 @@ def check_methods_agree(a: Iterable[int], d: int) -> dict:
 
     Compares recursive/ck/closed per basis partition, then aggregates equal
     block-sum monomials and compares against the coefficients recovered from
-    stratum pairings alone (and against kappa_product itself).
+    stratum pairings alone (and against kappa_product itself).  A failing
+    row also lists the values that disagree: ``method_mismatches`` per basis
+    partition and ``monomial_mismatches`` per monomial.
     """
     a = multiset(a)
     n = sum(a) + d + 2
     aggregated: dict[Multiset, Fraction] = {}
-    methods_ok = True
+    method_mismatches = []
     for p in set_partitions(len(a)):
         if len(p) > d:
             continue
-        values = {
-            method: basis_coeff(p, a, d, method=method)
-            for method in ("recursive", "ck", "closed")
-        }
+        values = {method: basis_coeff(p, a, d, method=method) for method in METHODS}
         if len(set(values.values())) != 1:
-            methods_ok = False
+            method_mismatches.append(
+                {"partition": [list(blk) for blk in p], **{m: format_rational(v) for m, v in values.items()}}
+            )
         key = block_sums(p, a)
         aggregated[key] = aggregated.get(key, Fraction(0)) + values["closed"]
     solved = solve_coeffs_by_pairing(a, n)
-    pairing_ok = all(aggregated.get(mu, Fraction(0)) == coeff for mu, coeff in solved.items())
-    pairing_ok = pairing_ok and all(
-        solved.get(mu, Fraction(0)) == coeff for mu, coeff in aggregated.items()
-    )
     poly = kappa_product(a, 0, n)
-    product_ok = all(poly.coefficient(mu) == coeff for mu, coeff in solved.items()) and all(
-        solved.get(mu, Fraction(0)) == coeff for mu, coeff in poly.terms.items()
-    )
-    return {
+    pairing_ok = product_ok = True
+    monomial_mismatches = []
+    for mu in sorted(set(aggregated) | set(solved) | set(poly.terms), key=lambda m: (-len(m), m)):
+        paired = solved.get(mu, Fraction(0))
+        summed = aggregated.get(mu, Fraction(0))
+        product = poly.coefficient(mu)
+        pairing_ok = pairing_ok and summed == paired
+        product_ok = product_ok and product == paired
+        if not summed == paired == product:
+            monomial_mismatches.append(
+                {
+                    "monomial": list(mu),
+                    "aggregated": format_rational(summed),
+                    "pairing": format_rational(paired),
+                    "product": format_rational(product),
+                }
+            )
+    methods_ok = not method_mismatches
+    row = {
         "check": "method_agreement",
         "a": list(a),
         "d": d,
@@ -88,6 +102,11 @@ def check_methods_agree(a: Iterable[int], d: int) -> dict:
         "product_agrees": product_ok,
         "pass": methods_ok and pairing_ok and product_ok,
     }
+    if method_mismatches:
+        row["method_mismatches"] = method_mismatches
+    if monomial_mismatches:
+        row["monomial_mismatches"] = monomial_mismatches
+    return row
 
 
 def check_genus_lift(a: Iterable[int], d: int, genus: int) -> dict:

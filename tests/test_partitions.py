@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -207,6 +210,35 @@ def test_refinements_enumerates_exactly_the_lower_set():
         for p in set_partitions(k):
             below = {q for q in set_partitions(k) if refines(q, p)}
             assert set(refinements(p)) == below
+
+
+def per_item_refinements(p):
+    """The blockwise refinement construction that canonicalises every item."""
+    per_block = [
+        [tuple(tuple(blk[i] for i in sub) for sub in lp) for lp in set_partitions(len(blk))]
+        for blk in p
+    ]
+    for combo in itertools.product(*per_block):
+        yield canonical_partition(itertools.chain.from_iterable(combo))
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_refinements_match_the_per_item_canonical_construction(k):
+    rng = random.Random(k)
+    for p in set_partitions(k):
+        assert list(refinements(p)) == list(per_item_refinements(p))
+        shuffled = [list(blk) for blk in p]
+        rng.shuffle(shuffled)
+        for blk in shuffled:
+            rng.shuffle(blk)
+        assert list(refinements(shuffled)) == list(per_item_refinements(shuffled))
+
+
+def test_refinements_validate_their_input():
+    with pytest.raises(ValueError):
+        list(refinements(((0, 1), (1, 2))))
+    with pytest.raises(ValueError):
+        list(refinements(((0,), (2,))))
 
 
 def test_index_multisets_bounds():

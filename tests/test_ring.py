@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kapparing import partitions, ring
 from kapparing.partitions import index_multisets, multiset, set_partitions
 from kapparing.ring import (
     METHODS,
@@ -163,6 +164,18 @@ def test_coeff_caches_round_trip():
     assert socle_coeff((1, 1, 2)) == snapshot["socle"][(1, 1, 2)]
 
 
+def test_clear_coeff_caches_empties_every_memo():
+    clear_coeff_caches()
+    assert split_weight((1, 1, 2), 2) == split_weight([2, 1, 1], 2)
+    basis_coeff(((0, 1, 2),), (1, 1, 2), 2, method="closed")
+    assert ring._SPLIT_WEIGHT_CACHE and partitions._PARTITIONS_BY_SIZE
+    assert set(snapshot_coeff_caches()) == {"socle", "correction"}
+    clear_coeff_caches()
+    assert not ring._SPLIT_WEIGHT_CACHE
+    assert not partitions._PARTITIONS_BY_SIZE
+    assert snapshot_coeff_caches() == {"socle": {}, "correction": {}}
+
+
 # ---------------------------------------------------------------------------
 # expansion coefficients
 
@@ -194,7 +207,7 @@ def test_rejected_truncation_variant_disagrees():
         basis_coeff(((0, 1),), (1, 1), 2, method="closed", truncation="midpoint")
 
 
-@pytest.mark.parametrize("a", [(1, 1), (1, 2), (1, 1, 1), (1, 1, 2), (2, 2)])
+@pytest.mark.parametrize("a", [(1, 1), (1, 2), (1, 1, 1), (1, 1, 2), (2, 2), (1,) * 7, (1, 1, 2, 2, 3, 3)])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_methods_agree_pointwise(a, d):
     for p in set_partitions(len(a)):
