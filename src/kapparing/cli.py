@@ -36,8 +36,9 @@ from .oracle import (
     pair_kappa_stratum,
     pairing_system,
     solve_coeffs_by_pairing,
+    solve_pairing_system,
 )
-from .partitions import block_sums, canonical_partition, multiset, set_partitions
+from .partitions import block_sums, canonical_partition, multiset
 from .ring import (
     METHODS,
     KappaPoly,
@@ -46,14 +47,7 @@ from .ring import (
     preload_coeff_caches,
     snapshot_coeff_caches,
 )
-from .verification import (
-    RingSweepBounds,
-    run_ordered,
-    reconcile_case_worker,
-    ring_sweep_cases,
-    run_suite,
-    summarize_reconcile,
-)
+from .verification import RingSweepBounds, reconcile_sweep, run_suite
 
 CACHE_FORMAT_TAG = "kappa-coeff-cache-v1"
 CACHE_ENV_VAR = "KAPPA_CACHE"
@@ -254,13 +248,9 @@ def cmd_xcoeff(args) -> tuple[dict, int]:
     if args.method == "pairing":
         # pairing determines the aggregated coefficient of the block-sum monomial
         n = sum(a) + args.d + 2
-        solved = solve_coeffs_by_pairing(a, n)
         key = block_sums(p, a)
-        aggregate = Fraction(0)
-        for q in set_partitions(len(a)):
-            if len(q) <= args.d and block_sums(q, a) == key:
-                aggregate += basis_coeff(q, a, args.d, method="closed")
-        value = solved.get(key, Fraction(0))
+        aggregate = kappa_product(a, 0, n).coefficient(key)
+        value = solve_coeffs_by_pairing(a, n).get(key, Fraction(0))
         agree = aggregate == value and len(set(values.values())) == 1
     else:
         value = values[args.method]
@@ -299,8 +289,10 @@ def cmd_solve(args) -> tuple[dict, int]:
     d = args.marked - sum(a) - 2
     if d < 1:
         raise InputError(f"degree budget d={d} leaves no basis to solve for")
-    rows, unknowns, matrix, rhs = pairing_system(a, args.marked)
-    solution = solve_coeffs_by_pairing(a, args.marked)
+    a = multiset(a)
+    system = pairing_system(a, args.marked)
+    solution = solve_pairing_system(a, args.marked, system)
+    _, unknowns, matrix, _ = system
     report = {
         "command": "solve",
         "inputs": {"a": sorted(a), "marked": args.marked},
@@ -309,6 +301,8 @@ def cmd_solve(args) -> tuple[dict, int]:
             {"monomial": list(mu), "coefficient": format_rational(solution[mu])}
             for mu in sorted(solution, key=lambda m: (-len(m), m))
         ],
+        # solve_pairing_system raises unless the rank is full and every
+        # residual is zero, so on success these hold.
         "matrix": {"rows": len(matrix), "cols": len(unknowns), "rank": len(unknowns)},
         "residual_zero": True,
     }
@@ -316,6 +310,9 @@ def cmd_solve(args) -> tuple[dict, int]:
 
 
 def _sweep_bounds(args) -> tuple[SweepBounds, RingSweepBounds]:
+    for flag, value in (("--max-sum", args.max_sum), ("--max-len", args.max_len), ("--jobs", args.jobs)):
+        if value is not None and value < 1:
+            raise InputError(f"{flag} must be >= 1, got {value}")
     identity_bounds = SweepBounds()
     ring_bounds = RingSweepBounds()
     if args.max_sum is not None:
@@ -352,9 +349,7 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 def cmd_reconcile(args) -> tuple[dict, int]:
     _, ring_bounds = _sweep_bounds(args)
-    nested = run_ordered(reconcile_case_worker, ring_sweep_cases(ring_bounds), jobs=args.jobs)
-    rows = [row for rows_ in nested for row in rows_]
-    summary = summarize_reconcile(rows)
+    rows, summary = reconcile_sweep(ring_bounds, args.jobs)
     report = {
         "command": "reconcile",
         "bounds": {**ring_bounds.as_dict(), "genus_lifts": list(ring_bounds.genus_lifts)},

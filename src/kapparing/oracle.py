@@ -11,8 +11,7 @@ genuine cross-check, not a tautology.
 A boundary stratum of the genus-zero space is a tree of components; by the
 perfect-pairing structure of its Chow ring, the pairing of a kappa-ring class
 against the stratum depends only on the multiset of component dimensions.
-``DimensionSequence`` is that multiset; ``StableTree`` realizes one concrete
-tree per sequence for inspection.
+``DimensionSequence`` is that multiset.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .numbers import multinomial
 from .partitions import Multiset, SetPartition, block_sums, ground_size, multiset, set_partitions
-from .records import Record
 
 DimensionSequence = Multiset
 
@@ -40,67 +38,6 @@ class RankDeficientPairingError(RuntimeError):
         super().__init__(message)
         self.matrix = matrix
         self.rank = rank
-
-
-class StableTree(Record):
-    """A marked tree of genus-zero components.
-
-    ``markings[v]`` lists the marked points carried by vertex v (labels
-    1..n); ``edges`` are unordered vertex pairs.  Stability means every
-    vertex has degree + markings >= 3.
-    """
-
-    __slots__ = ("edges", "markings")
-    edges: tuple[tuple[int, int], ...]
-    markings: tuple[tuple[int, ...], ...]
-
-    def _check(self):
-        nv = len(self.markings)
-        degree = [0] * nv
-        for u, v in self.edges:
-            if not (0 <= u < nv and 0 <= v < nv) or u == v:
-                raise ValueError(f"bad edge ({u}, {v})")
-            degree[u] += 1
-            degree[v] += 1
-        labels = [m for ms in self.markings for m in ms]
-        if sorted(labels) != list(range(1, len(labels) + 1)):
-            raise ValueError("marking sets must partition 1..n")
-        if nv and len(self.edges) != nv - 1:
-            raise ValueError("not a tree: wrong edge count")
-        if nv:
-            reach = {0}
-            frontier = [0]
-            adjacency = {u: set() for u in range(nv)}
-            for u, v in self.edges:
-                adjacency[u].add(v)
-                adjacency[v].add(u)
-            while frontier:
-                u = frontier.pop()
-                for w in adjacency[u]:
-                    if w not in reach:
-                        reach.add(w)
-                        frontier.append(w)
-            if len(reach) != nv:
-                raise ValueError("not a tree: disconnected")
-        for v in range(nv):
-            if degree[v] + len(self.markings[v]) < 3:
-                raise ValueError(f"vertex {v} unstable: valence {degree[v] + len(self.markings[v])}")
-
-    @property
-    def valences(self) -> tuple[int, ...]:
-        degree = [0] * len(self.markings)
-        for u, v in self.edges:
-            degree[u] += 1
-            degree[v] += 1
-        return tuple(degree[v] + len(self.markings[v]) for v in range(len(self.markings)))
-
-    @property
-    def dimension_sequence(self) -> DimensionSequence:
-        return multiset(val - 3 for val in self.valences)
-
-    @property
-    def total_markings(self) -> int:
-        return sum(len(ms) for ms in self.markings)
 
 
 def psi_integral(exponents: Sequence[int]) -> int:
@@ -310,14 +247,25 @@ def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -
 def solve_coeffs_by_pairing(a: Iterable[int], n: int) -> dict[Multiset, Fraction]:
     """Recover the basis expansion of a kappa monomial from stratum pairings.
 
-    The system is solved over every basis monomial (integer partition of
-    sum(a) into at most d parts) and verified to have a unique solution with
-    an exactly-zero residual.  The returned map is keyed by the block-sum
-    multisets actually reachable from partitions of a's index set; monomials
-    outside that family must solve to zero and are checked, not returned.
+    Builds :func:`pairing_system` and solves it with
+    :func:`solve_pairing_system`.
     """
     a = multiset(a)
-    rows, unknowns, matrix, rhs = pairing_system(a, n)
+    return solve_pairing_system(a, n, pairing_system(a, n))
+
+
+def solve_pairing_system(a: Multiset, n: int, system: tuple) -> dict[Multiset, Fraction]:
+    """Solve the pairing system of the monomial ``a`` at n markings.
+
+    ``system`` is what ``pairing_system(a, n)`` returns.  The system is
+    solved over every basis monomial (integer partition of sum(a) into at
+    most d parts) and verified to have a unique solution with an
+    exactly-zero residual; RankDeficientPairingError otherwise.  The
+    returned map is keyed by the block-sum multisets actually reachable from
+    partitions of a's index set; monomials outside that family must solve
+    to zero and are checked, not returned.
+    """
+    rows, unknowns, matrix, rhs = system
     solution = solve_exact(matrix, rhs)
     for i, row in enumerate(matrix):
         residual = sum(row[j] * solution[j] for j in range(len(unknowns))) - rhs[i]
@@ -338,32 +286,3 @@ def solve_coeffs_by_pairing(a: Iterable[int], n: int) -> dict[Multiset, Fraction
                 len(unknowns),
             )
     return {mu: by_monomial[mu] for mu in sorted(reachable)}
-
-
-def build_stratum_tree(dims: Iterable[int], n: int) -> StableTree:
-    """A chain-shaped stable tree realizing the dimension sequence.
-
-    Component v gets valence dims_v + 3; markings 1..n are distributed left to
-    right after reserving edge slots.  The marking count must satisfy
-    n == sum(dims_v + 3) - 2 * (len(dims) - 1).
-    """
-    dims = multiset(dims)
-    if not dims:
-        raise ValueError("dimension sequence must be nonempty")
-    valences = [dv + 3 for dv in dims]
-    length = len(dims)
-    required = sum(valences) - 2 * (length - 1)
-    if required != n:
-        raise ValueError(f"dimension sequence needs {required} markings, got {n}")
-    edges = tuple((v, v + 1) for v in range(length - 1))
-    degree = [0] * length
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    markings: list[tuple[int, ...]] = []
-    next_label = 1
-    for v in range(length):
-        count = valences[v] - degree[v]
-        markings.append(tuple(range(next_label, next_label + count)))
-        next_label += count
-    return StableTree(edges=edges, markings=tuple(markings))

@@ -46,8 +46,14 @@ def canonical_partition(blocks: Iterable[Iterable[int]]) -> SetPartition:
     """Validate and canonicalize a set partition.
 
     Blocks must be nonempty, pairwise disjoint, and cover {0..k-1} where k is
-    the total number of indices.  Raises ValueError otherwise.
+    the total number of indices, and every index must be an int (not a bool).
+    Raises ValueError otherwise.
     """
+    blocks = [tuple(b) for b in blocks]
+    for blk in blocks:
+        for i in blk:
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise ValueError(f"set partition indices must be integers, got {i!r}")
     normalized = sorted(tuple(sorted(b)) for b in blocks)
     seen: set[int] = set()
     total = 0

@@ -49,7 +49,6 @@ from .partitions import (
     multiset,
     set_partitions,
 )
-from .records import Record
 
 METHODS = ("recursive", "ck", "closed")
 TRUNCATION_VARIANTS = ("partial_sum", "single_binomial")
@@ -151,35 +150,6 @@ class PsiPoly(_Combination):
     products of psi powers at forgotten points; they live in a different
     basis than kappa monomials, hence the separate type.
     """
-
-
-class ModuliContext(Record):
-    """Genus and marking data fixing the expansion's degree budget.
-
-    Any genus-g computation reduces to genus zero with n + 2g markings, so the
-    only derived quantities are that reindexed marking count and the socle
-    dimension n + 2g - 3.
-    """
-
-    __slots__ = ("genus", "markings")
-    genus: int
-    markings: int
-
-    def _check(self):
-        if self.genus < 0 or self.markings < 0:
-            raise ValueError("genus and markings must be nonnegative")
-
-    @property
-    def reduced_markings(self) -> int:
-        return self.markings + 2 * self.genus
-
-    @property
-    def socle_dimension(self) -> int:
-        return self.reduced_markings - 3
-
-    def degree_budget(self, a: Iterable[int]) -> int:
-        """Maximum number of indices of a basis monomial in degree sum(a)."""
-        return self.reduced_markings - sum(a) - 2
 
 
 # Memo caches for the two scalar coefficient families and for the split
@@ -506,8 +476,9 @@ def kappa_product(
     has degree sum(a) and at most d indices.
     """
     a = kappa_monomial(a)
-    ctx = ModuliContext(genus, markings)
-    d = ctx.degree_budget(a)
+    if genus < 0 or markings < 0:
+        raise ValueError("genus and markings must be nonnegative")
+    d = 2 * genus + markings - sum(a) - 2
     if d <= 0:
         return KappaPoly.zero()
     terms: dict[Multiset, Fraction] = {}

@@ -189,18 +189,16 @@ def reconcile_case(a: Iterable[int], d: int) -> list[dict]:
     return rows
 
 
-def reconcile_sweep(bounds: RingSweepBounds = RingSweepBounds()) -> tuple[list[dict], dict]:
-    """Run the truncation reconciliation across the sweep.
+def reconcile_sweep(bounds: RingSweepBounds = RingSweepBounds(), jobs: int = 1) -> tuple[list[dict], dict]:
+    """Run the truncation reconciliation across the sweep, on ``jobs`` processes.
 
     Returns (case rows, summary).  The summary names every variant that
     agrees with the recursive method on all rows; the expansion is healthy
     exactly when that list is ["partial_sum"].
     """
-    rows: list[dict] = []
-    for a, d in ring_sweep_cases(bounds):
-        rows.extend(reconcile_case(a, d))
-    summary = summarize_reconcile(rows)
-    return rows, summary
+    nested = run_ordered(reconcile_case, ring_sweep_cases(bounds), jobs)
+    rows = [row for case_rows in nested for row in case_rows]
+    return rows, summarize_reconcile(rows)
 
 
 def summarize_reconcile(rows: list[dict]) -> dict:
@@ -259,35 +257,21 @@ def pinned_product_checks() -> list[dict]:
     return rows
 
 
-# Top-level workers so process pools can pickle them.
-
-def identity_case_worker(case: tuple[str, dict]) -> dict:
-    name, params = case
+def identity_case_worker(name: str, params: dict) -> dict:
     return check_identity(name, **params).to_json_dict()
 
 
-def method_case_worker(case: tuple[Multiset, int]) -> dict:
-    a, d = case
-    return check_methods_agree(a, d)
-
-
-def genus_case_worker(case: tuple[Multiset, int, int]) -> dict:
-    a, d, genus = case
-    return check_genus_lift(a, d, genus)
-
-
-def reconcile_case_worker(case: tuple[Multiset, int]) -> list[dict]:
-    a, d = case
-    return reconcile_case(a, d)
-
-
 def run_ordered(worker, cases, jobs: int = 1) -> list:
+    """``worker(*case)`` for every case, in order, on up to ``jobs`` processes.
+
+    A pooled worker must be a module-level function so it can be pickled.
+    """
     if jobs <= 1 or len(cases) <= 1:
-        return [worker(case) for case in cases]
+        return [worker(*case) for case in cases]
     import concurrent.futures
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, cases))
+        return list(pool.map(worker, *zip(*cases)))
 
 
 def determinism_spot_check(jobs: int = 2) -> dict:
@@ -307,7 +291,7 @@ def determinism_spot_check(jobs: int = 2) -> dict:
         ff3_max_n=0,
     )
     cases = identity_sweep_cases(bounds)[:40]
-    sequential = [identity_case_worker(case) for case in cases]
+    sequential = [identity_case_worker(*case) for case in cases]
     pooled = run_ordered(identity_case_worker, cases, jobs=jobs)
     ok = json.dumps(sequential, sort_keys=True) == json.dumps(pooled, sort_keys=True)
     return {"check": "determinism", "cases": len(cases), "jobs": jobs, "pass": ok}
@@ -331,13 +315,13 @@ def run_suite(
         rows.extend(run_ordered(identity_case_worker, identity_sweep_cases(identity_bounds), jobs))
     if suite in ("ring", "all"):
         rows.extend(pinned_product_checks())
-        rows.extend(run_ordered(method_case_worker, ring_sweep_cases(ring_bounds), jobs))
+        rows.extend(run_ordered(check_methods_agree, ring_sweep_cases(ring_bounds), jobs))
         genus_cases = [
             (a, d, g)
             for (a, d) in ring_sweep_cases(ring_bounds)
             for g in ring_bounds.genus_lifts
         ]
-        rows.extend(run_ordered(genus_case_worker, genus_cases, jobs))
+        rows.extend(run_ordered(check_genus_lift, genus_cases, jobs))
         for a in index_multisets(ring_bounds.max_len, max_sum=ring_bounds.max_sum, max_entry=ring_bounds.max_entry):
             rows.append(check_top_degree(a))
         for a in random_round_trip_cases():
@@ -358,9 +342,7 @@ def run_suite(
                 }
             )
     if suite in ("reconcile", "all"):
-        nested = run_ordered(reconcile_case_worker, ring_sweep_cases(ring_bounds), jobs)
-        flat = [row for rows_ in nested for row in rows_]
-        summary = summarize_reconcile(flat)
+        _, summary = reconcile_sweep(ring_bounds, jobs)
         rows.append({"check": "reconcile_summary", **summary})
     if suite == "all":
         rows.append(determinism_spot_check(jobs=max(jobs, 2)))

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from kapparing import cli, oracle
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -105,6 +108,19 @@ def test_invalid_input_exits_2():
     assert run_cli("solve", "--a", "1,1", "--marked", "4").returncode == 2
     assert run_cli("pair", "--a", "1,1", "--dims", "-1,3").returncode == 2
     assert run_cli("nonsense").returncode == 2
+    for partition in ('[["a"],[1]]', "[[0],[null]]", "[[0],[1.0]]", "[[0],[[1]]]", "[[0],[true]]"):
+        result = run_cli("xcoeff", "--a", "1,1", "--d", "2", "--partition", partition)
+        assert result.returncode == 2, (partition, result.stderr)
+        assert "Traceback" not in result.stderr
+    for args in (
+        ("verify", "--suite", "ring", "--max-len", "-1"),
+        ("verify", "--suite", "ring", "--max-sum", "0"),
+        ("verify", "--suite", "ring", "--jobs", "-5"),
+        ("reconcile", "--max-len", "0"),
+        ("reconcile", "--max-sum", "-2"),
+        ("reconcile", "--jobs", "0"),
+    ):
+        assert run_cli(*args).returncode == 2, args
 
 
 def test_error_messages_go_to_stderr_not_stdout():
@@ -160,3 +176,39 @@ def test_cache_env_var_overrides_flag(tmp_path):
     assert result.returncode == 0
     assert via_env.exists()
     assert not via_flag.exists()
+
+
+def stdout_sha256(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("KAPPA_CACHE", None)
+    result = subprocess.run([sys.executable, "-m", "kapparing", *args], capture_output=True, env=env, cwd=REPO)
+    assert result.returncode == 0, result.stderr
+    return hashlib.sha256(result.stdout).hexdigest()
+
+
+def test_verify_all_report_is_pinned_byte_for_byte():
+    assert stdout_sha256("verify", "--suite", "all") == (
+        "90611f11e6d831687ea6c25e5afe5fb421a628a8221522c0124650f34791f833"
+    )
+
+
+def test_reconcile_report_is_pinned_byte_for_byte():
+    assert stdout_sha256("reconcile") == "b1ec2c6d716ec3a5016809bc2650eb618cb17f909fa98d1166c4652eb04dacf7"
+
+
+def test_solve_builds_the_pairing_system_once(monkeypatch, capsys):
+    calls = []
+    build = oracle.pairing_system
+
+    def counting_pairing_system(a, n):
+        calls.append((tuple(a), n))
+        return build(a, n)
+
+    monkeypatch.delenv("KAPPA_CACHE", raising=False)
+    monkeypatch.setattr(cli, "pairing_system", counting_pairing_system)
+    monkeypatch.setattr(oracle, "pairing_system", counting_pairing_system)
+    assert cli.main(["solve", "--a", "1,1,2", "--marked", "9"]) == 0
+    assert len(calls) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["matrix"] == {"rows": 4, "cols": 4, "rank": 4}

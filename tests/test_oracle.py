@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 
 from kapparing.oracle import (
     RankDeficientPairingError,
-    StableTree,
-    build_stratum_tree,
     dimension_sequences,
     integer_partitions,
     integrate_kappa_top,
@@ -169,47 +167,3 @@ def test_solve_exact_detects_inconsistency():
     matrix = [[Fraction(1)], [Fraction(2)]]
     with pytest.raises(RankDeficientPairingError):
         solve_exact(matrix, [Fraction(1), Fraction(3)])
-
-
-# ---------------------------------------------------------------------------
-# stable trees
-
-
-def test_build_stratum_tree_single_vertex():
-    tree = build_stratum_tree((2,), 5)
-    assert tree.edges == ()
-    assert tree.markings == ((1, 2, 3, 4, 5),)
-    assert tree.valences == (5,)
-    assert tree.dimension_sequence == (2,)
-
-
-def test_build_stratum_tree_chains():
-    tree = build_stratum_tree((0, 2), 6)
-    assert tree.valences == (3, 5)
-    assert tree.total_markings == 6
-    tree = build_stratum_tree((1, 1), 6)
-    assert tree.valences == (4, 4)
-    assert tree.dimension_sequence == (1, 1)
-
-
-def test_build_stratum_tree_rejects_wrong_marking_count():
-    with pytest.raises(ValueError):
-        build_stratum_tree((0, 2), 7)
-
-
-def test_every_dimension_sequence_is_realizable():
-    for total in range(5):
-        for length in range(1, 4):
-            for dims in dimension_sequences(total, length):
-                n = sum(d + 3 for d in dims) - 2 * (length - 1)
-                tree = build_stratum_tree(dims, n)
-                assert tree.dimension_sequence == dims
-
-
-def test_stable_tree_validation():
-    with pytest.raises(ValueError):
-        StableTree(edges=(), markings=((1, 2),))  # valence 2 vertex
-    with pytest.raises(ValueError):
-        StableTree(edges=((0, 1), (0, 1)), markings=((1, 2), (3, 4)))  # cycle
-    with pytest.raises(ValueError):
-        StableTree(edges=(), markings=((1, 2, 3), (4, 5, 7)))  # bad labels

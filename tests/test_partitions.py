@@ -86,6 +86,12 @@ def test_canonical_partition_rejects_bad_input():
         canonical_partition([[0], [2]])
 
 
+@pytest.mark.parametrize("blocks", [[["a"], [1]], [[0], [None]], [[0], [1.0]], [[0], [[1]]], [[0], [True]]])
+def test_canonical_partition_rejects_non_integer_indices(blocks):
+    with pytest.raises(ValueError, match="must be integers"):
+        canonical_partition(blocks)
+
+
 def test_refines_examples():
     assert refines(((0,), (1,)), ((0, 1),))
     assert not refines(((0, 1),), ((0,), (1,)))

@@ -9,7 +9,6 @@ from kapparing.partitions import index_multisets, multiset, set_partitions
 from kapparing.ring import (
     METHODS,
     KappaPoly,
-    ModuliContext,
     PsiPoly,
     basis_coeff,
     clear_coeff_caches,
@@ -65,13 +64,12 @@ def test_kappa_monomial_validation():
         kappa_monomial([0, 1])
 
 
-def test_moduli_context():
-    ctx = ModuliContext(genus=2, markings=3)
-    assert ctx.reduced_markings == 7
-    assert ctx.socle_dimension == 4
-    assert ctx.degree_budget((1, 1)) == 3
+def test_kappa_product_rejects_negative_genus_or_markings():
+    assert kappa_product((1, 1), genus=2, markings=3) == kappa_product((1, 1), 0, 7)
     with pytest.raises(ValueError):
-        ModuliContext(genus=-1, markings=3)
+        kappa_product((1,), genus=-1, markings=3)
+    with pytest.raises(ValueError):
+        kappa_product((1,), genus=0, markings=-1)
 
 
 # ---------------------------------------------------------------------------

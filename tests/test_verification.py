@@ -34,3 +34,20 @@ def test_failing_method_row_carries_the_disagreeing_values(monkeypatch):
     assert row["monomial_mismatches"] == [
         {"monomial": [1, 1], "aggregated": "1/1", "pairing": "3/2", "product": "1/1"}
     ]
+
+
+def test_reconcile_sweep_is_the_same_on_one_or_two_processes_and_in_run_suite():
+    bounds = verification.RingSweepBounds(max_len=3, max_sum=4)
+    rows, summary = verification.reconcile_sweep(bounds)
+    assert verification.reconcile_sweep(bounds, jobs=2) == (rows, summary)
+    assert summary["pass"] is True and summary["cases"] == len(rows) > 0
+    (suite_row,) = verification.run_suite("reconcile", ring_bounds=bounds)
+    assert suite_row == {"check": "reconcile_summary", **summary}
+
+
+def test_run_ordered_unpacks_each_case_as_arguments():
+    cases = [((1, 1), 2), ((1, 2), 3)]
+    expected = [verification.check_genus_lift(a, d, 1) for a, d in cases]
+    genus_cases = [(a, d, 1) for a, d in cases]
+    assert verification.run_ordered(verification.check_genus_lift, genus_cases, 1) == expected
+    assert verification.run_ordered(verification.check_genus_lift, genus_cases, 2) == expected
