@@ -4,8 +4,10 @@ Everything in this module is deliberately computed without touching the
 expansion formulas in :mod:`kapparing.ring`: psi-monomial integrals come from
 the multinomial formula, top-degree kappa integrals from the signed sum of
 psi integrals, pairings against boundary strata from distributing kappa
-indices over stratum components, and expansion coefficients from solving the
-resulting exact linear system.  Agreement with the ring module is therefore a
+indices over stratum components (a dynamic program over the components,
+which counts the labelled distributions without enumerating them), and
+expansion coefficients from solving the resulting exact linear system by
+integer Bareiss elimination.  Agreement with the ring module is therefore a
 genuine cross-check, not a tautology.
 
 A boundary stratum of the genus-zero space is a tree of components; by the
@@ -16,8 +18,8 @@ against the stratum depends only on the multiset of component dimensions.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .numbers import multinomial
@@ -95,28 +97,60 @@ def integrate_kappa_top(a: Iterable[int], n: int) -> Fraction:
     return Fraction(total)
 
 
-_TOP_CACHE: dict[Multiset, Fraction] = {}
+_TOP_CACHE: dict[Multiset, int] = {}
 
 
-def _top_evaluation(b: Multiset) -> Fraction:
-    """integrate_kappa_top at the marking count that makes the degree top."""
+def _top_evaluation(b: Multiset) -> int:
+    """integrate_kappa_top at the marking count that makes the degree top.
+
+    A signed sum of multinomials, so an integer; cached as one.
+    """
     if not b:
-        return Fraction(1)
+        return 1
     cached = _TOP_CACHE.get(b)
     if cached is None:
-        cached = integrate_kappa_top(b, sum(b) + 3)
+        cached = int(integrate_kappa_top(b, sum(b) + 3))
         _TOP_CACHE[b] = cached
     return cached
+
+
+def _fillings(values: Sequence[int], remaining: Sequence[int], dim: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Sub-multisets of sum ``dim`` of the multiset with ``remaining[j]``
+    copies of ``values[j]`` (values ascending), as (copies taken per value,
+    number of labelled choices = prod C(remaining[j], taken[j]))."""
+    taken = [0] * len(values)
+
+    def extend(j: int, left: int, ways: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        if left == 0:
+            yield tuple(taken), ways
+            return
+        if j == len(values) or values[j] > left:
+            return
+        v, have = values[j], remaining[j]
+        for t in range(min(have, left // v) + 1):
+            taken[j] = t
+            yield from extend(j + 1, left - t * v, ways * comb(have, t))
+        taken[j] = 0
+
+    yield from extend(0, dim, 1)
 
 
 def pair_kappa_stratum(b: Iterable[int], dims: Iterable[int]) -> Fraction:
     """Pair a kappa monomial against a boundary stratum with the given
     component dimensions.
 
-    Sum over all assignments of the monomial's indices to components such
-    that each component receives indices summing to its dimension, of the
-    product of per-component top evaluations (empty component: factor 1).
-    Zero when the total degree does not match or no assignment fits.
+    The pairing is the sum over all assignments of the monomial's (labelled)
+    indices to components such that each component receives indices summing
+    to its dimension, of the product of per-component top evaluations (empty
+    component: factor 1).  Zero when the total degree does not match or no
+    assignment fits.
+
+    Computed by a dynamic program over the positive-dimension components
+    (zero-dimension ones receive nothing, since indices are >= 1): the state
+    is the count still unassigned of each distinct index value, and a
+    component of dimension d takes a sub-multiset of sum d, weighted by
+    prod C(count_v, take_v) (the labelled assignments giving that bucket)
+    times the bucket's top evaluation.  Every term is an integer.
     """
     b = multiset(b)
     if any(v < 1 for v in b):
@@ -124,22 +158,20 @@ def pair_kappa_stratum(b: Iterable[int], dims: Iterable[int]) -> Fraction:
     dims = multiset(dims)
     if sum(b) != sum(dims):
         return Fraction(0)
-    ncomp = len(dims)
-    if ncomp == 0:
-        return Fraction(1) if not b else Fraction(0)
-    total = Fraction(0)
-    for assignment in itertools.product(range(ncomp), repeat=len(b)):
-        received = [0] * ncomp
-        for idx, comp in zip(b, assignment):
-            received[comp] += idx
-        if tuple(received) != dims:
+    values = sorted(set(b))
+    states = {tuple(b.count(v) for v in values): 1}
+    for dim in dims:
+        if dim == 0:
             continue
-        term = Fraction(1)
-        for comp in range(ncomp):
-            bucket = multiset(idx for idx, c in zip(b, assignment) if c == comp)
-            term *= _top_evaluation(bucket)
-        total += term
-    return total
+        following: dict[tuple[int, ...], int] = {}
+        for remaining, weight in states.items():
+            for taken, ways in _fillings(values, remaining, dim):
+                bucket = tuple(v for v, t in zip(values, taken) for _ in range(t))
+                rest = tuple(r - t for r, t in zip(remaining, taken))
+                following[rest] = following.get(rest, 0) + weight * ways * _top_evaluation(bucket)
+        states = following
+    # The degrees match, so a state that filled every component has used up b.
+    return Fraction(sum(states.values()))
 
 
 def integer_partitions(total: int, max_parts: int) -> Iterator[Multiset]:
@@ -195,16 +227,24 @@ def pairing_system(
 def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
     """Solve a square-or-tall exact linear system with a unique solution.
 
-    Fraction-free forward elimination (Bareiss) over the augmented matrix,
-    then back substitution.  Raises RankDeficientPairingError when the
-    columns are not independent or the system is inconsistent.
+    Each row of the augmented matrix is scaled by the lcm of its
+    denominators, which leaves the solution unchanged, so rational input
+    works; forward elimination is then integer Bareiss (Bareiss 1968): every
+    intermediate entry is a minor of the scaled matrix, so the division by
+    the previous pivot is exact.  The pivot is the first nonzero entry of
+    its column.  Fractions appear only in back substitution.  Raises
+    RankDeficientPairingError, carrying the caller's matrix and the rank,
+    when the columns are not independent or the system is inconsistent.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    original = [row[:] for row in aug]
+    rational = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    aug = []
+    for row in rational:
+        scale = lcm(*(q.denominator for q in row))
+        aug.append([q.numerator * (scale // q.denominator) for q in row])
     rank = 0
-    prev_pivot = Fraction(1)
+    prev_pivot = 1
     pivot_cols = []
     for col in range(ncols):
         pivot_row = None
@@ -215,29 +255,32 @@ def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -
         if pivot_row is None:
             continue
         aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
-        pivot = aug[rank][col]
+        top = aug[rank]
+        pivot = top[col]
         for r in range(rank + 1, nrows):
+            row = aug[r]
+            factor = row[col]
             for c in range(col + 1, ncols + 1):
-                aug[r][c] = (pivot * aug[r][c] - aug[r][col] * aug[rank][c]) / prev_pivot
-            aug[r][col] = Fraction(0)
+                row[c] = (pivot * row[c] - factor * top[c]) // prev_pivot
+            row[col] = 0
         prev_pivot = pivot
         pivot_cols.append(col)
         rank += 1
     if rank < ncols:
         raise RankDeficientPairingError(
             f"pairing system has rank {rank} < {ncols} unknowns",
-            [row[:-1] for row in original],
+            [row[:-1] for row in rational],
             rank,
         )
     for r in range(rank, nrows):
         if aug[r][ncols] != 0:
             raise RankDeficientPairingError(
-                "pairing system is inconsistent", [row[:-1] for row in original], rank
+                "pairing system is inconsistent", [row[:-1] for row in rational], rank
             )
     solution = [Fraction(0)] * ncols
     for i in range(rank - 1, -1, -1):
         col = pivot_cols[i]
-        acc = aug[i][ncols]
+        acc = Fraction(aug[i][ncols])
         for c in range(col + 1, ncols):
             acc -= aug[i][c] * solution[c]
         solution[col] = acc / aug[i][col]

@@ -6,6 +6,7 @@ instead of growth strings, math.comb instead of the factorial table), so a
 shared bug cannot hide.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -35,6 +36,12 @@ def naive_stirling2(n, k):
 
 def naive_bell(n):
     return len(naive_set_partitions(range(n)))
+
+
+def naive_multisets(total, length, smallest=0):
+    """Sorted tuples of ``length`` entries >= smallest summing to total."""
+    entries = range(smallest, total + 1)
+    return [c for c in itertools.combinations_with_replacement(entries, length) if sum(c) == total]
 
 
 def naive_multinomial(parts):
@@ -68,3 +75,28 @@ def naive_correction(a):
             term *= naive_multinomial(a[i] + 1 for i in block)
         total += term
     return Fraction(total)
+
+
+def naive_pair_kappa_stratum(b, dims):
+    """Stratum pairing by enumerating every assignment of the indices of b to
+    the components: those giving each component exactly its dimension
+    contribute the product of the components' top evaluations."""
+    b, dims = list(b), list(dims)
+    if sum(b) != sum(dims):
+        return Fraction(0)
+    top = {}
+    total = Fraction(0)
+    for assignment in itertools.product(range(len(dims)), repeat=len(b)):
+        buckets = [[] for _ in dims]
+        for index, component in zip(b, assignment):
+            buckets[component].append(index)
+        if [sum(bucket) for bucket in buckets] != dims:
+            continue
+        term = Fraction(1)
+        for bucket in buckets:
+            key = tuple(sorted(bucket))
+            if key not in top:
+                top[key] = naive_socle(key)
+            term *= top[key]
+        total += term
+    return total

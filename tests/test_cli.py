@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from kapparing import cli, oracle
 
 REPO = Path(__file__).resolve().parent.parent
@@ -195,6 +197,25 @@ def test_verify_all_report_is_pinned_byte_for_byte():
 
 def test_reconcile_report_is_pinned_byte_for_byte():
     assert stdout_sha256("reconcile") == "b1ec2c6d716ec3a5016809bc2650eb618cb17f909fa98d1166c4652eb04dacf7"
+
+
+# The seven requests of the benchmark's oracle_solve workload and one pairing,
+# pinned to the bytes they printed before the pairing DP and integer Bareiss.
+ORACLE_REPORTS = [
+    (("solve", "--a", "3,4,5", "--marked", "18"), "2f1666e7cd0b252e33281c6bb0dc9cb9d660a6dfc0506835bd9b5fed01502cd8"),
+    (("solve", "--a", "1,2,3,4", "--marked", "16"), "7652994fb3a6cd63fb1d1eeff5718e32206c3ff17d0a0a517c9a8f5ae60e3694"),
+    (("solve", "--a", "1,1,2,2,3", "--marked", "15"), "c6759ebae2d80e2afd442add7d638d0d08d9b39d576907bda8c24e3d9261f2bf"),
+    (("solve", "--a", "1,1,1,1,1,1", "--marked", "12"), "ba7803f4e591eed831e40eafff53135ff576b9b7f094fd2b2abed4dfd1d1ed36"),
+    (("solve", "--a", "1,1,1,1,1,1,1", "--marked", "13"), "7a45ac600ddcd6b17fb97391fc2a28613ffb365f9e204ed31f8936fcdb6e103d"),
+    (("solve", "--a", "2,2,3", "--marked", "14"), "9e921438231c098e330db8d28b6682eb3917e78fb3da2854a5189ee5f7e7ca2f"),
+    (("solve", "--a", "1,2,3", "--marked", "13"), "9777d8d1bbf2bde5dbe37cee5410b556cb783f2048d6e783e93e53b4bff3d0dc"),
+    (("pair", "--a", "1,1,2,2", "--dims", "1,2,3"), "ab7de2dde889d5bacd4131e1e61f18e58455730ff8488f8f272cd9b750521212"),
+]
+
+
+@pytest.mark.parametrize("args, digest", ORACLE_REPORTS)
+def test_oracle_reports_are_pinned_byte_for_byte(args, digest):
+    assert stdout_sha256(*args) == digest
 
 
 def test_solve_builds_the_pairing_system_once(monkeypatch, capsys):

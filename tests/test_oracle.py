@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ from kapparing.oracle import (
 )
 from kapparing.partitions import index_multisets
 from kapparing.ring import kappa_product, socle_coeff
+
+from bruteforce import naive_multinomial, naive_multisets, naive_pair_kappa_stratum
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +87,27 @@ def test_pair_unit_monomial():
     assert pair_kappa_stratum((), (0, 0)) == 1
     assert pair_kappa_stratum((), (1,)) == 0
     assert pair_kappa_stratum((), ()) == 1
+
+
+PAIRING_MONOMIALS = [b for s in range(8) for k in range(s + 1) for b in naive_multisets(s, k, smallest=1)]
+
+
+@pytest.mark.parametrize("b", PAIRING_MONOMIALS)
+def test_pairing_matches_assignment_enumeration(b):
+    for length in range(1, 5):
+        for dims in naive_multisets(sum(b), length):
+            assert pair_kappa_stratum(b, dims) == naive_pair_kappa_stratum(b, dims), (b, dims)
+    for dims in [(sum(b) + 1,), (0, sum(b) + 2), (1, 1, sum(b))]:
+        assert pair_kappa_stratum(b, dims) == 0 == naive_pair_kappa_stratum(b, dims), (b, dims)
+    if sum(b) > 0:
+        assert pair_kappa_stratum(b, (sum(b) - 1, 0)) == 0
+
+
+def test_pairing_does_not_enumerate_assignments():
+    # 20**20 and 4**12 assignments: enumerating them would not finish.
+    assert pair_kappa_stratum((1,) * 20, (1,) * 20) == math.factorial(20)
+    # top((1,1,1)) = 61 on each of the four 3-dimensional components
+    assert pair_kappa_stratum((1,) * 12, (3, 3, 3, 3)) == naive_multinomial((3,) * 4) * 61**4
 
 
 @pytest.mark.parametrize("a", list(index_multisets(4, max_sum=6)))
@@ -153,6 +177,19 @@ def test_solve_exact_on_a_known_system():
     matrix = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
     rhs = [Fraction(5), Fraction(10)]
     assert solve_exact(matrix, rhs) == [Fraction(1), Fraction(3)]
+
+
+def test_solve_exact_on_rational_entries():
+    matrix = [
+        [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)],
+        [Fraction(3, 4), Fraction(1, 6), Fraction(0)],
+        [Fraction(-1, 5), Fraction(2), Fraction(7, 9)],
+        [Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)],
+    ]
+    known = [Fraction(3, 7), Fraction(-5, 2), Fraction(11, 4)]
+    rhs = [sum(row[j] * known[j] for j in range(3)) for row in matrix]
+    assert solve_exact(matrix, rhs) == known
+    assert solve_exact(matrix[:3], rhs[:3]) == known
 
 
 def test_solve_exact_detects_rank_deficiency():
