@@ -49,7 +49,6 @@ from .partitions import (
     multiset,
     refinements,
     refines,
-    restrict_partition,
     set_partitions,
     stirling2,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "multiset",
     "refinements",
     "refines",
-    "restrict_partition",
     "set_partitions",
     "stirling2",
     "METHODS",

@@ -337,8 +337,8 @@ def cmd_verify(args) -> tuple[dict, int]:
         "command": "verify",
         "suite": args.suite,
         "bounds": {
-            "identities": identity_bounds.as_dict(),
-            "ring": {**ring_bounds.as_dict(), "genus_lifts": list(ring_bounds.genus_lifts)},
+            "identities": identity_bounds._asdict(),
+            "ring": {**ring_bounds._asdict(), "genus_lifts": list(ring_bounds.genus_lifts)},
         },
         "reports": rows,
         "counts": {"total": len(rows), "failed": failed},
@@ -352,7 +352,7 @@ def cmd_reconcile(args) -> tuple[dict, int]:
     rows, summary = reconcile_sweep(ring_bounds, args.jobs)
     report = {
         "command": "reconcile",
-        "bounds": {**ring_bounds.as_dict(), "genus_lifts": list(ring_bounds.genus_lifts)},
+        "bounds": {**ring_bounds._asdict(), "genus_lifts": list(ring_bounds.genus_lifts)},
         "cases": rows,
         "summary": summary,
     }

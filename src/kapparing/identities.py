@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .numbers import binomial, factorial, falling_factorial, format_rational, multinomial
 from .partitions import (
@@ -36,7 +36,6 @@ from .partitions import (
     set_partitions,
     stirling2,
 )
-from .records import Record
 from .ring import correction_coeff, socle_coeff
 
 IDENTITY_NAMES = (
@@ -48,22 +47,18 @@ IDENTITY_NAMES = (
 )
 
 
-class IdentityReport(Record):
+class IdentityReport(NamedTuple):
     """One checked identity instance with both sides' exact values.
 
     ``oracle`` carries the third, independently computed value when the
     identity has one (the labeled-tree enumeration for ``tree_sum``).
-    ``params`` does not take part in equality.
     """
 
-    __slots__ = ("identity", "params", "lhs", "rhs", "oracle")
-    _defaults = {"lhs": Fraction(0), "rhs": Fraction(0), "oracle": None}
-    _uncompared = frozenset({"params"})
     identity: str
     params: dict
-    lhs: Fraction
-    rhs: Fraction
-    oracle: Optional[Fraction]
+    lhs: Fraction = Fraction(0)
+    rhs: Fraction = Fraction(0)
+    oracle: Optional[Fraction] = None
 
     @property
     def passed(self) -> bool:
@@ -284,40 +279,25 @@ def check_identity(name: str, **params) -> IdentityReport:
     return _CHECKS[name](**params)
 
 
-class SweepBounds(Record):
+class SweepBounds(NamedTuple):
     """Cost dials for the identity sweeps.
 
     Defaults match the package's acceptance bar; CI can lower them, larger
     values just take longer.
     """
 
-    _defaults = {
-        "max_len": 5,
-        "max_sum": 8,
-        "max_entry": 4,
-        "tree_max_len": 5,
-        "tree_max_entry": 3,
-        "stirling_max_n": 10,
-        "vanishing_max_len": 5,
-        "vanishing_max_entry": 4,
-        "ff_bound": 5,
-        "ff_max_n": 8,
-        "ff3_bound": 2,
-        "ff3_max_n": 5,
-    }
-    __slots__ = tuple(_defaults)
-    max_len: int
-    max_sum: int
-    max_entry: int
-    tree_max_len: int
-    tree_max_entry: int
-    stirling_max_n: int
-    vanishing_max_len: int
-    vanishing_max_entry: int
-    ff_bound: int
-    ff_max_n: int
-    ff3_bound: int
-    ff3_max_n: int
+    max_len: int = 5
+    max_sum: int = 8
+    max_entry: int = 4
+    tree_max_len: int = 5
+    tree_max_entry: int = 3
+    stirling_max_n: int = 10
+    vanishing_max_len: int = 5
+    vanishing_max_entry: int = 4
+    ff_bound: int = 5
+    ff_max_n: int = 8
+    ff3_bound: int = 2
+    ff3_max_n: int = 5
 
 
 def identity_sweep(bounds: SweepBounds = SweepBounds()) -> list[IdentityReport]:

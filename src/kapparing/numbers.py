@@ -11,8 +11,6 @@ import threading
 from fractions import Fraction
 from typing import Iterable, Union
 
-Rational = Fraction
-
 # Factorial memo table, grown lazily under a lock; reads are lock-free.
 DEFAULT_FACTORIAL_BOUND = 256
 _FACT: list[int] = [1]

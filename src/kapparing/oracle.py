@@ -23,7 +23,7 @@ from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .numbers import multinomial
-from .partitions import Multiset, SetPartition, block_sums, ground_size, multiset, set_partitions
+from .partitions import Memo, Multiset, SetPartition, block_sums, ground_size, multiset, set_partitions
 
 DimensionSequence = Multiset
 
@@ -97,21 +97,9 @@ def integrate_kappa_top(a: Iterable[int], n: int) -> Fraction:
     return Fraction(total)
 
 
-_TOP_CACHE: dict[Multiset, int] = {}
-
-
-def _top_evaluation(b: Multiset) -> int:
-    """integrate_kappa_top at the marking count that makes the degree top.
-
-    A signed sum of multinomials, so an integer; cached as one.
-    """
-    if not b:
-        return 1
-    cached = _TOP_CACHE.get(b)
-    if cached is None:
-        cached = int(integrate_kappa_top(b, sum(b) + 3))
-        _TOP_CACHE[b] = cached
-    return cached
+# integrate_kappa_top at the marking count that makes the degree top, by
+# monomial: a signed sum of multinomials, so an integer, stored as one.
+_TOP_CACHE = Memo(lambda b: int(integrate_kappa_top(b, sum(b) + 3)))
 
 
 def _fillings(values: Sequence[int], remaining: Sequence[int], dim: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -168,7 +156,7 @@ def pair_kappa_stratum(b: Iterable[int], dims: Iterable[int]) -> Fraction:
             for taken, ways in _fillings(values, remaining, dim):
                 bucket = tuple(v for v, t in zip(values, taken) for _ in range(t))
                 rest = tuple(r - t for r, t in zip(remaining, taken))
-                following[rest] = following.get(rest, 0) + weight * ways * _top_evaluation(bucket)
+                following[rest] = following.get(rest, 0) + weight * ways * _TOP_CACHE[bucket]
         states = following
     # The degrees match, so a state that filled every component has used up b.
     return Fraction(sum(states.values()))

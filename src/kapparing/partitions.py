@@ -20,6 +20,11 @@ canonicalise nothing: ``_refinement_choices`` hands out a refinement as one
 local partition per block, which already says which fine blocks lie in which
 coarse block, and ``_partitions_of_size`` serves those local partitions from
 a per-size table.
+
+``Memo`` is the package's one memo-table type: a dict that computes a missing
+value on lookup and stores it up to ``COEFF_CACHE_LIMIT`` entries.  The
+coefficient tables of :mod:`kapparing.ring`, the top-degree evaluations of
+:mod:`kapparing.oracle` and the per-size partition table here are all Memos.
 """
 
 from __future__ import annotations
@@ -150,29 +155,6 @@ def induced_partition(p: SetPartition, q: SetPartition) -> SetPartition:
     return canonical_partition(groups.values())
 
 
-def restrict_partition(q: SetPartition, block: Iterable[int]) -> SetPartition:
-    """Restrict q to a subset of its ground set, re-indexed 0..|block|-1.
-
-    The subset must be a union of q-blocks; a q-block straddling the boundary
-    is an error.
-    """
-    sel = sorted(set(block))
-    k = ground_size(q)
-    for e in sel:
-        if not 0 <= e < k:
-            raise ValueError(f"index {e} outside ground set 0..{k - 1}")
-    pos = {e: i for i, e in enumerate(sel)}
-    inside: list[Block] = []
-    for blk in q:
-        hits = sum(1 for e in blk if e in pos)
-        if hits == 0:
-            continue
-        if hits != len(blk):
-            raise ValueError(f"block {blk} straddles the restriction boundary")
-        inside.append(tuple(pos[e] for e in blk))
-    return canonical_partition(inside)
-
-
 def refinements(p: SetPartition) -> Iterator[SetPartition]:
     """All q with q <= p, in a deterministic order.
 
@@ -187,21 +169,51 @@ def refinements(p: SetPartition) -> Iterator[SetPartition]:
         yield tuple(sorted(itertools.chain.from_iterable(choice)))
 
 
-# Every set partition of a small block, shared by all refinement loops.
-# Larger blocks are enumerated per call: the 21,147 partitions of 9 elements
-# take about 6.5 MB, which the table would hold for the life of the process.
-_TABLE_MAX_SIZE = 8
-_PARTITIONS_BY_SIZE: dict[int, tuple[SetPartition, ...]] = {}
+# The size limit of every memo table, so a long sweep cannot grow one without
+# bound; a lookup past it is computed and returned but not stored.
+COEFF_CACHE_LIMIT = 1_000_000
+
+
+class Memo(dict):
+    """A memo table: looking up a missing key computes its value with
+    ``compute(key)``, stores it while the table holds fewer than
+    ``COEFF_CACHE_LIMIT`` entries, and returns it.  ``store`` puts a known
+    value under the same bound.
+
+    Used as a decorator, it turns the function into the table of its values.
+    The tables hold deterministic exact values only, so concurrent lookups
+    need no lock: at worst two threads compute the same value, and no
+    interleaving can store a wrong one.
+    """
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self.compute(key)
+        self.store(key, value)
+        return value
+
+    def store(self, key, value) -> None:
+        if len(self) < COEFF_CACHE_LIMIT:
+            self[key] = value
+
+
+# Every set partition of {0..m-1} in ``set_partitions`` order, by m.
+_PARTITIONS_BY_SIZE = Memo(lambda m: tuple(set_partitions(m)))
 
 
 def _partitions_of_size(m: int) -> tuple[SetPartition, ...]:
-    """Every set partition of {0..m-1} in ``set_partitions`` order (trusted m >= 0)."""
-    table = _PARTITIONS_BY_SIZE.get(m)
-    if table is None:
-        table = tuple(set_partitions(m))
-        if m <= _TABLE_MAX_SIZE:
-            _PARTITIONS_BY_SIZE[m] = table
-    return table
+    """Every set partition of {0..m-1} in ``set_partitions`` order (trusted m >= 0).
+
+    Only blocks of up to 8 elements go through the shared table: the 21,147
+    partitions of 9 elements take about 6.5 MB, which the table would hold
+    for the life of the process.
+    """
+    return _PARTITIONS_BY_SIZE[m] if m <= 8 else tuple(set_partitions(m))
 
 
 def _refinement_choices(p: SetPartition) -> list[list[SetPartition]]:

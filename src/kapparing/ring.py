@@ -20,6 +20,11 @@ The expansion coefficient of one basis partition can be computed three ways
 
 The three must agree; the test suite and the ``reconcile`` sweep enforce it.
 
+The socle, correction and split-weight values behind all three are memoised
+in ``Memo`` tables (see :mod:`kapparing.partitions`), which the loops index
+directly; ``clear_coeff_caches`` empties them, and the ``--cache`` file is a
+snapshot of the socle and correction tables.
+
 The closed form's truncation factor has two candidate conventions (see
 ``TRUNCATION_VARIANTS``).  ``partial_sum`` evaluates the truncated
 alternating binomial sum directly and is the pinned default; the
@@ -32,13 +37,13 @@ can demonstrate that with data.
 from __future__ import annotations
 
 import itertools
-import threading
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 from .numbers import alt_binomial_partial_sum, binomial, factorial, format_rational, multinomial
 from .partitions import (
     _PARTITIONS_BY_SIZE,
+    Memo,
     Multiset,
     SetPartition,
     _partitions_of_size,
@@ -152,47 +157,6 @@ class PsiPoly(_Combination):
     """
 
 
-# Memo caches for the two scalar coefficient families and for the split
-# weights built from them.  Bounded so a long sweep cannot grow them without
-# limit; lookups falling past the bound are simply recomputed.  dict
-# operations are atomic under the GIL and values are deterministic, so
-# concurrent warm-up is harmless.  Keys are canonical monomials, so the
-# internal loops, which build their keys canonical, look them up without
-# validating again.  Only the socle and correction caches are snapshotted
-# for the ``--cache`` file; split weights are cheap to rebuild from them.
-COEFF_CACHE_LIMIT = 1_000_000
-_SOCLE_CACHE: dict[Multiset, Fraction] = {}
-_CORRECTION_CACHE: dict[Multiset, Fraction] = {}
-_SPLIT_WEIGHT_CACHE: dict[tuple[Multiset, int], Fraction] = {}
-_CACHE_LOCK = threading.Lock()
-
-
-def clear_coeff_caches() -> None:
-    """Empty every memo table of the expansion, down to the partition table."""
-    with _CACHE_LOCK:
-        _SOCLE_CACHE.clear()
-        _CORRECTION_CACHE.clear()
-        _SPLIT_WEIGHT_CACHE.clear()
-        _PARTITIONS_BY_SIZE.clear()
-
-
-def snapshot_coeff_caches() -> dict[str, dict[Multiset, Fraction]]:
-    with _CACHE_LOCK:
-        return {"socle": dict(_SOCLE_CACHE), "correction": dict(_CORRECTION_CACHE)}
-
-
-def preload_coeff_caches(socle: Mapping[Multiset, Fraction], correction: Mapping[Multiset, Fraction]) -> None:
-    with _CACHE_LOCK:
-        for key, value in socle.items():
-            if len(_SOCLE_CACHE) >= COEFF_CACHE_LIMIT:
-                break
-            _SOCLE_CACHE[multiset(key)] = Fraction(value)
-        for key, value in correction.items():
-            if len(_CORRECTION_CACHE) >= COEFF_CACHE_LIMIT:
-                break
-            _CORRECTION_CACHE[multiset(key)] = Fraction(value)
-
-
 def socle_coeff(a: Iterable[int]) -> Fraction:
     """Top-degree evaluation coefficient of a kappa monomial.
 
@@ -205,22 +169,7 @@ def socle_coeff(a: Iterable[int]) -> Fraction:
 
     The empty multiset gives 1.
     """
-    return _socle(kappa_monomial(a))
-
-
-def _socle(a: KappaMonomial) -> Fraction:
-    """socle_coeff of a monomial already in canonical form."""
-    cached = _SOCLE_CACHE.get(a)
-    if cached is not None:
-        return cached
-    total = 0
-    for p in set_partitions(len(a)):
-        sign = -1 if (len(a) + len(p)) % 2 else 1
-        total += sign * multinomial(sum(a[i] for i in blk) + 1 for blk in p)
-    value = Fraction(total)
-    if len(_SOCLE_CACHE) < COEFF_CACHE_LIMIT:
-        _SOCLE_CACHE[a] = value
-    return value
+    return _SOCLE[kappa_monomial(a)]
 
 
 def correction_coeff(a: Iterable[int]) -> Fraction:
@@ -236,16 +185,29 @@ def correction_coeff(a: Iterable[int]) -> Fraction:
     Single entries give 1; the empty multiset gives 1 by the empty-product
     convention.
     """
-    return _correction(kappa_monomial(a))
+    a = kappa_monomial(a)
+    return _CORRECTION[a] if a else Fraction(1)
 
 
-def _correction(a: KappaMonomial) -> Fraction:
-    """correction_coeff of a monomial already in canonical form."""
-    if not a:
-        return Fraction(1)
-    cached = _CORRECTION_CACHE.get(a)
-    if cached is not None:
-        return cached
+# Memo tables of the two scalar coefficient families and of the split
+# weights built from them, keyed by canonical monomials, so the internal
+# loops, which build their keys canonical, index them without validating
+# again.  Only the socle and correction tables are snapshotted for the
+# ``--cache`` file; split weights are cheap to rebuild from them.
+@Memo
+def _SOCLE(a: KappaMonomial) -> Fraction:
+    """socle_coeff by canonical monomial."""
+    total = 0
+    for p in set_partitions(len(a)):
+        sign = -1 if (len(a) + len(p)) % 2 else 1
+        total += sign * multinomial(sum(a[i] for i in blk) + 1 for blk in p)
+    return Fraction(total)
+
+
+@Memo
+def _CORRECTION(a: KappaMonomial) -> Fraction:
+    """correction_coeff by canonical monomial, trusted nonempty: the sum
+    has no term for the empty multiset, which correction_coeff answers."""
     total = 0
     for r in set_partitions(len(a)):
         sign = -1 if (len(a) + len(r)) % 2 else 1
@@ -253,10 +215,33 @@ def _correction(a: KappaMonomial) -> Fraction:
         for blk in r:
             weight *= multinomial(a[i] + 1 for i in blk)
         total += sign * weight
-    value = Fraction(total)
-    if len(_CORRECTION_CACHE) < COEFF_CACHE_LIMIT:
-        _CORRECTION_CACHE[a] = value
-    return value
+    return Fraction(total)
+
+
+@Memo
+def _SPLIT_WEIGHT(key: tuple[KappaMonomial, int]) -> Fraction:
+    """split_weight by (canonical monomial, valid k)."""
+    a, k = key
+    total = Fraction(0)
+    for q in set_partitions(len(a), blocks=k):
+        total += _group_weight(q, a)
+    return total
+
+
+def clear_coeff_caches() -> None:
+    """Empty every memo table of the expansion, down to the partition table."""
+    for table in (_SOCLE, _CORRECTION, _SPLIT_WEIGHT, _PARTITIONS_BY_SIZE):
+        table.clear()
+
+
+def snapshot_coeff_caches() -> dict[str, dict[Multiset, Fraction]]:
+    return {"socle": dict(_SOCLE), "correction": dict(_CORRECTION)}
+
+
+def preload_coeff_caches(socle: Mapping[Multiset, Fraction], correction: Mapping[Multiset, Fraction]) -> None:
+    for table, values in ((_SOCLE, socle), (_CORRECTION, correction)):
+        for key, value in values.items():
+            table.store(multiset(key), Fraction(value))
 
 
 def faber_expand(q: Iterable[int]) -> KappaPoly:
@@ -306,20 +291,7 @@ def split_weight(a: Iterable[int], k: int) -> Fraction:
     a = kappa_monomial(a)
     if not 1 <= k <= len(a):
         raise ValueError(f"need 1 <= k <= {len(a)}, got k={k}")
-    return _split_weight(a, k)
-
-
-def _split_weight(a: KappaMonomial, k: int) -> Fraction:
-    """split_weight of a canonical monomial and a valid k, memoised by (a, k)."""
-    cached = _SPLIT_WEIGHT_CACHE.get((a, k))
-    if cached is not None:
-        return cached
-    total = Fraction(0)
-    for q in set_partitions(len(a), blocks=k):
-        total += _group_weight(q, a)
-    if len(_SPLIT_WEIGHT_CACHE) < COEFF_CACHE_LIMIT:
-        _SPLIT_WEIGHT_CACHE[(a, k)] = total
-    return total
+    return _SPLIT_WEIGHT[a, k]
 
 
 def _group_weight(blocks: Iterable[tuple[int, ...]], a: KappaMonomial) -> Fraction:
@@ -330,9 +302,9 @@ def _group_weight(blocks: Iterable[tuple[int, ...]], a: KappaMonomial) -> Fracti
     for blk in blocks:
         # a is sorted and blk ascending, so the values are a canonical key
         values = tuple(a[i] for i in blk)
-        weight *= _socle(values)
+        weight *= _SOCLE[values]
         sums.append(sum(values))
-    return weight * _correction(tuple(sorted(sums)))
+    return weight * _CORRECTION[tuple(sorted(sums))]
 
 
 def _truncation_factor(variant: str, len_t: int, len_r: int, d: int) -> int:
@@ -373,7 +345,7 @@ def _coeff_ck(p: SetPartition, a: Multiset, d: int) -> Fraction:
     per_block = []
     for blk in p:
         values = tuple(a[i] for i in blk)
-        per_block.append([_split_weight(values, k) for k in range(1, len(values) + 1)])
+        per_block.append([_SPLIT_WEIGHT[values, k] for k in range(1, len(values) + 1)])
     total = Fraction(0)
     for ks in itertools.product(*(range(1, len(w) + 1) for w in per_block)):
         if sum(ks) > d:

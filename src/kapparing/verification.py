@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .identities import SweepBounds, check_identity, identity_sweep_cases
 from .numbers import format_rational
 from .oracle import integrate_kappa_top, pair_kappa_stratum, solve_coeffs_by_pairing
 from .partitions import Multiset, block_sums, index_multisets, multiset, set_partitions
-from .records import Record
 from .ring import (
     METHODS,
     TRUNCATION_VARIANTS,
@@ -28,16 +27,14 @@ from .ring import (
 )
 
 
-class RingSweepBounds(Record):
+class RingSweepBounds(NamedTuple):
     """Grid for the coefficient cross-method sweep."""
 
-    _defaults = {"max_len": 4, "max_sum": 6, "max_entry": 4, "max_budget": 4, "genus_lifts": (1, 2)}
-    __slots__ = tuple(_defaults)
-    max_len: int
-    max_sum: int
-    max_entry: int
-    max_budget: int
-    genus_lifts: tuple[int, ...]
+    max_len: int = 4
+    max_sum: int = 6
+    max_entry: int = 4
+    max_budget: int = 4
+    genus_lifts: tuple[int, ...] = (1, 2)
 
 
 def ring_sweep_cases(bounds: RingSweepBounds = RingSweepBounds()) -> list[tuple[Multiset, int]]:

@@ -26,6 +26,16 @@ def run_cli(*args, env_extra=None):
     )
 
 
+def test_import_loads_neither_inspect_nor_dataclasses():
+    # both pull in ast, dis and tokenize, which every `kappa` start would pay for
+    code = "import sys, kapparing; print(sorted({'inspect', 'dataclasses'} & set(sys.modules)))"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=REPO)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_product_pinned_example():
     result = run_cli("product", "--a", "1,1", "--genus", "0", "--marked", "5", "--format", "json")
     assert result.returncode == 0, result.stderr

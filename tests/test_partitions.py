@@ -16,7 +16,6 @@ from kapparing.partitions import (
     multiset,
     refinements,
     refines,
-    restrict_partition,
     set_partitions,
     stirling2,
 )
@@ -140,29 +139,6 @@ def test_induced_partition_preserves_block_count(k):
     for p in set_partitions(k):
         for q in refinements(p):
             assert len(induced_partition(p, q)) == len(p)
-
-
-def test_restrict_partition_examples():
-    assert restrict_partition(((0,), (1,), (2,)), (0, 2)) == ((0,), (1,))
-    assert restrict_partition(((0, 1), (2,)), (0, 1)) == ((0, 1),)
-    with pytest.raises(ValueError):
-        restrict_partition(((0, 1), (2,)), (1, 2))
-
-
-def test_restrict_partition_rejects_out_of_range_indices():
-    with pytest.raises(ValueError):
-        restrict_partition(((0, 1),), (0, 5))
-
-
-@pytest.mark.parametrize("k", range(1, 6))
-def test_restrictions_reassemble_to_the_refinement(k):
-    for p in set_partitions(k):
-        for q in refinements(p):
-            rebuilt = []
-            for blk in p:
-                local = restrict_partition(q, blk)
-                rebuilt.extend(tuple(blk[i] for i in sub) for sub in local)
-            assert canonical_partition(rebuilt) == q
 
 
 def test_block_sums_examples():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kapparing import partitions, ring
+from kapparing import oracle, partitions, ring
 from kapparing.partitions import index_multisets, multiset, set_partitions
 from kapparing.ring import (
     METHODS,
@@ -166,12 +166,29 @@ def test_clear_coeff_caches_empties_every_memo():
     clear_coeff_caches()
     assert split_weight((1, 1, 2), 2) == split_weight([2, 1, 1], 2)
     basis_coeff(((0, 1, 2),), (1, 1, 2), 2, method="closed")
-    assert ring._SPLIT_WEIGHT_CACHE and partitions._PARTITIONS_BY_SIZE
-    assert set(snapshot_coeff_caches()) == {"socle", "correction"}
+    assert ring._SPLIT_WEIGHT and partitions._PARTITIONS_BY_SIZE
+    snapshot = snapshot_coeff_caches()
+    assert set(snapshot) == {"socle", "correction"}
+    # the --cache writer and the benchmark tracer consume plain dicts
+    assert all(type(table) is dict and table for table in snapshot.values())
     clear_coeff_caches()
-    assert not ring._SPLIT_WEIGHT_CACHE
+    assert not ring._SPLIT_WEIGHT
     assert not partitions._PARTITIONS_BY_SIZE
     assert snapshot_coeff_caches() == {"socle": {}, "correction": {}}
+
+
+def test_memo_tables_stop_storing_at_the_limit(monkeypatch):
+    monkeypatch.setattr(partitions, "COEFF_CACHE_LIMIT", 2)
+    clear_coeff_caches()
+    oracle._TOP_CACHE.clear()
+    for b in ((1, 1), (1, 2), (2, 2, 3)):
+        assert socle_coeff(b) == naive_socle(b)
+        # one component of dimension sum(b) takes all of b: its top evaluation
+        assert oracle.pair_kappa_stratum(b, (sum(b),)) == oracle.integrate_kappa_top(b, sum(b) + 3)
+    assert len(ring._SOCLE) == 2
+    assert len(oracle._TOP_CACHE) == 2
+    clear_coeff_caches()
+    oracle._TOP_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------
