@@ -12,8 +12,9 @@ Subcommands:
 
 Reports go to stdout as JSON (default) or CSV and are byte-deterministic for
 identical requests, including under ``--jobs > 1``; wall-clock timing and
-cache statistics go to stderr so they cannot perturb the reports.  Exit code
-0 means success with every check passing, 1 a failed check or internal
+cache statistics go to stderr so they cannot perturb the reports.  No state
+outlives a run: each process computes its coefficient tables afresh.  Exit
+code 0 means success with every check passing, 1 a failed check or internal
 inconsistency (the report is still emitted), 2 invalid input.
 """
 
@@ -23,14 +24,13 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 from typing import Optional
 
 from .identities import SweepBounds
-from .numbers import format_rational, parse_rational
+from .numbers import format_rational
 from .oracle import (
     RankDeficientPairingError,
     pair_kappa_stratum,
@@ -39,19 +39,8 @@ from .oracle import (
     solve_pairing_system,
 )
 from .partitions import block_sums, canonical_partition, multiset
-from .ring import (
-    METHODS,
-    KappaPoly,
-    basis_coeff,
-    kappa_product,
-    preload_coeff_caches,
-    snapshot_coeff_caches,
-)
+from .ring import METHODS, KappaPoly, basis_coeff, kappa_product, snapshot_coeff_caches
 from .verification import RingSweepBounds, reconcile_sweep, run_suite
-
-CACHE_FORMAT_TAG = "kappa-coeff-cache-v1"
-CACHE_ENV_VAR = "KAPPA_CACHE"
-
 
 class InputError(ValueError):
     """Invalid request data; maps to exit code 2."""
@@ -82,54 +71,6 @@ def parse_partition_arg(text: str, ground: int):
     if total != ground:
         raise InputError(f"partition covers {total} indices but the multiset has {ground}")
     return p
-
-
-def resolve_cache_path(flag_value: Optional[str]) -> Optional[str]:
-    # The environment variable wins over the flag so wrapper scripts can
-    # redirect a hard-coded invocation.
-    return os.environ.get(CACHE_ENV_VAR) or flag_value
-
-
-def load_cache_file(path: str) -> None:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != CACHE_FORMAT_TAG:
-            raise ValueError(f"unexpected format tag {payload.get('format')!r}")
-        socle = {
-            parse_int_list(key, "cache key"): parse_rational(value)
-            for key, value in payload.get("socle", {}).items()
-        }
-        correction = {
-            parse_int_list(key, "cache key"): parse_rational(value)
-            for key, value in payload.get("correction", {}).items()
-        }
-    except FileNotFoundError:
-        return
-    except Exception as exc:  # corrupt cache: warn and recompute from scratch
-        print(f"warning: ignoring unreadable cache {path}: {exc}", file=sys.stderr)
-        return
-    preload_coeff_caches(socle, correction)
-
-
-def save_cache_file(path: str) -> None:
-    snapshot = snapshot_coeff_caches()
-    payload = {
-        "format": CACHE_FORMAT_TAG,
-        "socle": {
-            ",".join(map(str, key)): format_rational(value)
-            for key, value in sorted(snapshot["socle"].items())
-        },
-        "correction": {
-            ",".join(map(str, key)): format_rational(value)
-            for key, value in sorted(snapshot["correction"].items())
-        },
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
 
 
 def emit(report: dict, fmt: str, rows_key: Optional[str] = None) -> None:
@@ -167,10 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, cache: bool = True, jobs: bool = False):
+    def add_common(p: argparse.ArgumentParser, *, jobs: bool = False):
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        if cache:
-            p.add_argument("--cache", default=None, help="path of the coefficient cache file")
         if jobs:
             p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
 
@@ -191,12 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair = sub.add_parser("pair", help="pair a kappa monomial against a dimension sequence")
     p_pair.add_argument("--a", required=True)
     p_pair.add_argument("--dims", required=True, help="comma-separated component dimensions")
-    add_common(p_pair, cache=False)
+    add_common(p_pair)
 
     p_solve = sub.add_parser("solve", help="recover basis coefficients from stratum pairings")
     p_solve.add_argument("--a", required=True)
     p_solve.add_argument("--marked", type=int, required=True)
-    add_common(p_solve, cache=False)
+    add_common(p_solve)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument(
@@ -382,9 +321,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
-    cache_path = resolve_cache_path(getattr(args, "cache", None))
-    if cache_path:
-        load_cache_file(cache_path)
     try:
         report, code = COMMANDS[args.command](args)
     except InputError as exc:
@@ -406,11 +342,6 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     emit(report, args.format, ROWS_KEYS[args.command])
-    if cache_path:
-        try:
-            save_cache_file(cache_path)
-        except OSError as exc:
-            print(f"warning: could not write cache {cache_path}: {exc}", file=sys.stderr)
     snapshot = snapshot_coeff_caches()
     print(
         f"done in {time.monotonic() - started:.3f}s; cache: "

@@ -1,37 +1,29 @@
 """Exact integer and rational arithmetic used by every formula.
 
 All values are Python big integers or ``fractions.Fraction``; nothing here
-touches floating point.  Rationals serialize as ``"num/den"`` strings and big
-integers as decimal strings.
+touches floating point.  Factorials up to 256! come from a fixed table built
+at import; larger ones are computed on demand.  Rationals serialize as
+``"num/den"`` strings and big integers as decimal strings.
 """
 
 from __future__ import annotations
 
-import threading
+import itertools
+import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Union
 
-# Factorial memo table, grown lazily under a lock; reads are lock-free.
-DEFAULT_FACTORIAL_BOUND = 256
-_FACT: list[int] = [1]
-_FACT_LOCK = threading.Lock()
+# 0! .. 256!, built once at import.  Larger factorials come from
+# math.factorial and are not kept, so one huge request cannot pin them in
+# memory for the life of the process.
+_FACT: list[int] = list(itertools.accumulate(range(1, 257), operator.mul, initial=1))
 
 
 def factorial(n: int) -> int:
     if n < 0:
         raise ValueError("factorial of a negative number")
-    if n >= len(_FACT):
-        with _FACT_LOCK:
-            while len(_FACT) <= n:
-                _FACT.append(_FACT[-1] * len(_FACT))
-    return _FACT[n]
-
-
-def _warm_factorials(bound: int = DEFAULT_FACTORIAL_BOUND) -> None:
-    factorial(bound)
-
-
-_warm_factorials()
+    return _FACT[n] if n < len(_FACT) else math.factorial(n)
 
 
 def binomial(m: int, j: int) -> int:

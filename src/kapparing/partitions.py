@@ -25,13 +25,19 @@ a per-size table.
 value on lookup and stores it up to ``COEFF_CACHE_LIMIT`` entries.  The
 coefficient tables of :mod:`kapparing.ring`, the top-degree evaluations of
 :mod:`kapparing.oracle` and the per-size partition table here are all Memos.
+
+``_partition_weight_sums`` is the block DP behind the ring's socle and
+correction coefficients: a sum over set partitions of per-block weights,
+computed from the counts of each distinct value instead of term by term.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from math import comb
+from operator import sub
+from typing import Callable, Iterable, Iterator, Optional
 
 Multiset = tuple[int, ...]
 Block = tuple[int, ...]
@@ -177,8 +183,7 @@ COEFF_CACHE_LIMIT = 1_000_000
 class Memo(dict):
     """A memo table: looking up a missing key computes its value with
     ``compute(key)``, stores it while the table holds fewer than
-    ``COEFF_CACHE_LIMIT`` entries, and returns it.  ``store`` puts a known
-    value under the same bound.
+    ``COEFF_CACHE_LIMIT`` entries, and returns it.
 
     Used as a decorator, it turns the function into the table of its values.
     The tables hold deterministic exact values only, so concurrent lookups
@@ -194,12 +199,49 @@ class Memo(dict):
 
     def __missing__(self, key):
         value = self.compute(key)
-        self.store(key, value)
-        return value
-
-    def store(self, key, value) -> None:
         if len(self) < COEFF_CACHE_LIMIT:
             self[key] = value
+        return value
+
+
+def _partition_weight_sums(a: Multiset, weight: Callable[[Multiset], int]) -> list[int]:
+    """For each m, the sum over the set partitions of a's positions into m
+    blocks of the product of ``weight`` over the blocks' value multisets.
+
+    Entry m of the returned list is that sum; the list runs to m = len(a).
+    The terms depend on each block only through its values, so this is the
+    exponential formula on sub-multisets (Stanley, EC2 5.1) rather than a
+    Bell(len(a))-sized walk: a DP over the count left of each distinct value.
+    The block holding the first remaining position takes t_0 >= 1 of the c_0
+    copies of its value, one of which is that position, and t_j of the c_j
+    copies of each larger value, in C(c_0-1, t_0-1) * prod C(c_j, t_j)
+    labelled ways.  a is trusted canonical, and ``weight`` receives
+    canonical multisets; everything is an integer.
+    """
+    values = sorted(set(a))
+
+    # the weight of each block, by its counts of the distinct values
+    @Memo
+    def block_weight(take: tuple[int, ...]) -> int:
+        return weight(tuple(v for v, t in zip(values, take) for _ in range(t)))
+
+    @Memo
+    def sums(counts: tuple[int, ...]) -> list[int]:
+        if not any(counts):
+            return [1]
+        out = [0] * (sum(counts) + 1)
+        first = next(j for j, c in enumerate(counts) if c)
+        head, c0, tail = counts[:first], counts[first], counts[first + 1 :]
+        for take in itertools.product(range(1, c0 + 1), *(range(c + 1) for c in tail)):
+            ways = comb(c0 - 1, take[0] - 1) * block_weight[head + take]
+            for c, t in zip(tail, take[1:]):
+                ways *= comb(c, t)
+            rest = head + tuple(map(sub, counts[first:], take))
+            for m, s in enumerate(sums[rest], 1):
+                out[m] += ways * s
+        return out
+
+    return sums[tuple(a.count(v) for v in values)]
 
 
 # Every set partition of {0..m-1} in ``set_partitions`` order, by m.

@@ -22,8 +22,8 @@ The three must agree; the test suite and the ``reconcile`` sweep enforce it.
 
 The socle, correction and split-weight values behind all three are memoised
 in ``Memo`` tables (see :mod:`kapparing.partitions`), which the loops index
-directly; ``clear_coeff_caches`` empties them, and the ``--cache`` file is a
-snapshot of the socle and correction tables.
+directly; ``clear_coeff_caches`` empties them.  The socle and correction
+coefficients come from the block DP ``partitions._partition_weight_sums``.
 
 The closed form's truncation factor has two candidate conventions (see
 ``TRUNCATION_VARIANTS``).  ``partial_sum`` evaluates the truncated
@@ -46,6 +46,7 @@ from .partitions import (
     Memo,
     Multiset,
     SetPartition,
+    _partition_weight_sums,
     _partitions_of_size,
     _refinement_choices,
     block_sums,
@@ -161,7 +162,7 @@ def socle_coeff(a: Iterable[int]) -> Fraction:
     """Top-degree evaluation coefficient of a kappa monomial.
 
     In the top degree of the genus-zero model, kappa_A equals
-    socle_coeff(A) times the single top kappa class.  Computed as the signed
+    socle_coeff(A) times the single top kappa class.  It is the signed
     sum over set partitions p of the index set of the multinomial coefficient
     of the per-block sums each shifted by one:
 
@@ -192,15 +193,18 @@ def correction_coeff(a: Iterable[int]) -> Fraction:
 # Memo tables of the two scalar coefficient families and of the split
 # weights built from them, keyed by canonical monomials, so the internal
 # loops, which build their keys canonical, index them without validating
-# again.  Only the socle and correction tables are snapshotted for the
-# ``--cache`` file; split weights are cheap to rebuild from them.
+# again.
 @Memo
 def _SOCLE(a: KappaMonomial) -> Fraction:
-    """socle_coeff by canonical monomial."""
-    total = 0
-    for p in set_partitions(len(a)):
-        sign = -1 if (len(a) + len(p)) % 2 else 1
-        total += sign * multinomial(sum(a[i] for i in blk) + 1 for blk in p)
+    """socle_coeff by canonical monomial.  A partition into m blocks with sums
+    s_B contributes multinomial(s_B + 1) = (S+m)! / prod (s_B+1)!, S = sum(a);
+    the block weight (S+1)!/(s_B+1)! keeps the DP in integers, and dividing
+    by ((S+1)!)**m is exact term by term."""
+    top = factorial(sum(a) + 1)
+    sums = _partition_weight_sums(a, lambda block: top // factorial(sum(block) + 1))
+    total = sum(
+        (-1) ** (len(a) + m) * factorial(sum(a) + m) * w // top**m for m, w in enumerate(sums) if w
+    )
     return Fraction(total)
 
 
@@ -208,13 +212,8 @@ def _SOCLE(a: KappaMonomial) -> Fraction:
 def _CORRECTION(a: KappaMonomial) -> Fraction:
     """correction_coeff by canonical monomial, trusted nonempty: the sum
     has no term for the empty multiset, which correction_coeff answers."""
-    total = 0
-    for r in set_partitions(len(a)):
-        sign = -1 if (len(a) + len(r)) % 2 else 1
-        weight = factorial(len(r) - 1)
-        for blk in r:
-            weight *= multinomial(a[i] + 1 for i in blk)
-        total += sign * weight
+    sums = _partition_weight_sums(a, lambda block: multinomial(v + 1 for v in block))
+    total = sum((-1) ** (len(a) + m) * factorial(m - 1) * w for m, w in enumerate(sums) if w)
     return Fraction(total)
 
 
@@ -236,12 +235,6 @@ def clear_coeff_caches() -> None:
 
 def snapshot_coeff_caches() -> dict[str, dict[Multiset, Fraction]]:
     return {"socle": dict(_SOCLE), "correction": dict(_CORRECTION)}
-
-
-def preload_coeff_caches(socle: Mapping[Multiset, Fraction], correction: Mapping[Multiset, Fraction]) -> None:
-    for table, values in ((_SOCLE, socle), (_CORRECTION, correction)):
-        for key, value in values.items():
-            table.store(multiset(key), Fraction(value))
 
 
 def faber_expand(q: Iterable[int]) -> KappaPoly:

@@ -37,7 +37,7 @@ def zograf_volumes(n_max):
     return v
 
 
-V = zograf_volumes(11)
+V = zograf_volumes(39)
 KS = range(1, 9)
 
 
@@ -49,6 +49,12 @@ def test_zograf_recursion_first_values():
 def test_top_kappa_1_power_is_the_zograf_volume(k):
     assert socle_coeff((1,) * k) == V[k + 3]
     assert integrate_kappa_top((1,) * k, k + 3) == V[k + 3]
+
+
+def test_socle_of_kappa_1_powers_past_enumeration():
+    # Bell(36) set partitions are far out of reach; the ring's block DP is not
+    for k in range(37):
+        assert socle_coeff((1,) * k) == V[k + 3]
 
 
 @pytest.mark.parametrize("k", KS)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,17 +8,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kapparing import cli, oracle
 
 REPO = Path(__file__).resolve().parent.parent
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "kapparing", *args],
         capture_output=True,
@@ -120,6 +121,8 @@ def test_invalid_input_exits_2():
     assert run_cli("solve", "--a", "1,1", "--marked", "4").returncode == 2
     assert run_cli("pair", "--a", "1,1", "--dims", "-1,3").returncode == 2
     assert run_cli("nonsense").returncode == 2
+    # the coefficient cache file and its --cache flag are gone
+    assert run_cli("product", "--a", "1,1", "--marked", "5", "--cache", "x").returncode == 2
     for partition in ('[["a"],[1]]', "[[0],[null]]", "[[0],[1.0]]", "[[0],[[1]]]", "[[0],[true]]"):
         result = run_cli("xcoeff", "--a", "1,1", "--d", "2", "--partition", partition)
         assert result.returncode == 2, (partition, result.stderr)
@@ -133,6 +136,78 @@ def test_invalid_input_exits_2():
         ("reconcile", "--jobs", "0"),
     ):
         assert run_cli(*args).returncode == 2, args
+
+
+def _is_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+# one list entry that no command accepts: not an integer, or an integer the
+# list's meaning rules out (kappa indices are >= 1, dimensions >= 0)
+not_an_int = st.text(max_size=6).filter(lambda t: "," not in t and t.strip() and not _is_int(t))
+bad_index = st.one_of(not_an_int, st.integers(max_value=0).map(str))
+bad_dim = st.one_of(not_an_int, st.integers(max_value=-1).map(str))
+good_index = st.integers(1, 3).map(str)
+
+
+def list_with(bad):
+    """A comma-separated list of up to three small valid entries with one bad entry among them."""
+    return st.tuples(st.lists(good_index, max_size=3), bad, st.integers(0, 3)).map(
+        lambda t: ",".join(t[0][: t[2]] + [t[1]] + t[0][t[2] :])
+    )
+
+
+def _json_or_none(text):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return None
+
+
+# anything but a partition of the two positions of --a 1,1
+not_a_partition = st.one_of(
+    st.text(max_size=12),
+    st.recursive(
+        st.none() | st.booleans() | st.integers(-2, 4) | st.floats(allow_nan=False) | st.text(max_size=2),
+        lambda inner: st.lists(inner, max_size=3),
+        max_leaves=6,
+    ).map(json.dumps),
+).filter(lambda text: _json_or_none(text) not in ([[0, 1]], [[1, 0]], [[0], [1]], [[1], [0]]))
+
+MALFORMED_ARGV = st.one_of(
+    st.builds(lambda a: ["product", f"--a={a}", "--marked", "9"], list_with(bad_index)),
+    st.builds(lambda a: ["xcoeff", f"--a={a}", "--partition", "[[0]]", "--d", "2"], list_with(bad_index)),
+    st.builds(lambda a: ["pair", f"--a={a}", "--dims", "1,2"], list_with(bad_index)),
+    st.builds(lambda a: ["solve", f"--a={a}", "--marked", "9"], list_with(bad_index)),
+    st.builds(lambda dims: ["pair", "--a", "1,2", f"--dims={dims}"], list_with(bad_dim)),
+    st.builds(lambda p: ["xcoeff", "--a", "1,1", f"--partition={p}", "--d", "2"], not_a_partition),
+    st.builds(
+        lambda cmd, m: [cmd, "--a", "1,1", f"--marked={m}"],
+        st.sampled_from(("product", "solve")),
+        st.one_of(not_an_int, st.integers(max_value=-1).map(str)),
+    ),
+    st.builds(
+        lambda d: ["xcoeff", "--a", "1,1", "--partition", "[[0],[1]]", f"--d={d}"],
+        st.one_of(not_an_int, st.integers(max_value=1).map(str)),
+    ),
+)
+
+
+@settings(max_examples=200)
+@given(MALFORMED_ARGV)
+def test_malformed_arguments_exit_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 2, (argv, out.getvalue(), err.getvalue())
+    assert out.getvalue() == ""
 
 
 def test_error_messages_go_to_stderr_not_stdout():
@@ -154,46 +229,9 @@ def test_csv_output_has_header_and_rows():
     assert len(lines) == 3
 
 
-def test_cache_is_transparent(tmp_path):
-    cache = tmp_path / "coeffs.json"
-    cold = run_cli("product", "--a", "1,1,2", "--marked", "8", "--method", "recursive", "--cache", str(cache))
-    assert cold.returncode == 0
-    assert cache.exists()
-    payload = json.loads(cache.read_text())
-    assert payload["format"] == "kappa-coeff-cache-v1"
-    assert payload["socle"]
-    warm = run_cli("product", "--a", "1,1,2", "--marked", "8", "--method", "recursive", "--cache", str(cache))
-    assert warm.stdout == cold.stdout
-    plain = run_cli("product", "--a", "1,1,2", "--marked", "8", "--method", "recursive")
-    assert plain.stdout == cold.stdout
-
-
-def test_corrupt_cache_is_ignored_with_warning(tmp_path):
-    cache = tmp_path / "bad.json"
-    cache.write_text("{ not json")
-    result = run_cli("product", "--a", "1,1", "--marked", "5", "--cache", str(cache))
-    assert result.returncode == 0
-    assert "warning" in result.stderr
-    assert json.loads(result.stdout)["terms"] == [{"monomial": [2], "coefficient": "5/1"}]
-
-
-def test_cache_env_var_overrides_flag(tmp_path):
-    via_env = tmp_path / "env.json"
-    via_flag = tmp_path / "flag.json"
-    result = run_cli(
-        "product", "--a", "1,1", "--marked", "5", "--method", "recursive",
-        "--cache", str(via_flag),
-        env_extra={"KAPPA_CACHE": str(via_env)},
-    )
-    assert result.returncode == 0
-    assert via_env.exists()
-    assert not via_flag.exists()
-
-
 def stdout_sha256(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("KAPPA_CACHE", None)
     result = subprocess.run([sys.executable, "-m", "kapparing", *args], capture_output=True, env=env, cwd=REPO)
     assert result.returncode == 0, result.stderr
     return hashlib.sha256(result.stdout).hexdigest()
@@ -236,7 +274,6 @@ def test_solve_builds_the_pairing_system_once(monkeypatch, capsys):
         calls.append((tuple(a), n))
         return build(a, n)
 
-    monkeypatch.delenv("KAPPA_CACHE", raising=False)
     monkeypatch.setattr(cli, "pairing_system", counting_pairing_system)
     monkeypatch.setattr(oracle, "pairing_system", counting_pairing_system)
     assert cli.main(["solve", "--a", "1,1,2", "--marked", "9"]) == 0

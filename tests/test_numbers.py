@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from kapparing import numbers
 from kapparing.numbers import (
     alt_binomial_partial_sum,
     binomial,
@@ -22,6 +23,11 @@ def test_factorial_matches_math():
         assert factorial(n) == math.factorial(n)
     with pytest.raises(ValueError):
         factorial(-1)
+
+
+def test_factorials_past_the_table_are_not_kept():
+    assert factorial(5000) == math.factorial(5000)
+    assert len(numbers._FACT) == 257
 
 
 def test_binomial_standard_values():

@@ -17,7 +17,6 @@ from kapparing.ring import (
     kappa_monomial,
     kappa_product,
     kappa_to_psi,
-    preload_coeff_caches,
     reduce_to_basis,
     snapshot_coeff_caches,
     socle_coeff,
@@ -130,7 +129,7 @@ def test_correction_coeff_values():
     assert correction_coeff(()) == 1
 
 
-@pytest.mark.parametrize("a", list(index_multisets(4, max_sum=7)))
+@pytest.mark.parametrize("a", list(index_multisets(6, max_sum=9)))
 def test_coefficients_match_independent_brute_force(a):
     assert socle_coeff(a) == naive_socle(a)
     assert correction_coeff(a) == naive_correction(a)
@@ -151,17 +150,6 @@ def test_split_weight_values():
         split_weight((1, 1), 3)
 
 
-def test_coeff_caches_round_trip():
-    clear_coeff_caches()
-    socle_coeff((1, 1, 2))
-    correction_coeff((1, 1, 2))
-    snapshot = snapshot_coeff_caches()
-    assert snapshot["socle"][(1, 1, 2)] == socle_coeff((1, 1, 2))
-    clear_coeff_caches()
-    preload_coeff_caches(snapshot["socle"], snapshot["correction"])
-    assert socle_coeff((1, 1, 2)) == snapshot["socle"][(1, 1, 2)]
-
-
 def test_clear_coeff_caches_empties_every_memo():
     clear_coeff_caches()
     assert split_weight((1, 1, 2), 2) == split_weight([2, 1, 1], 2)
@@ -169,7 +157,7 @@ def test_clear_coeff_caches_empties_every_memo():
     assert ring._SPLIT_WEIGHT and partitions._PARTITIONS_BY_SIZE
     snapshot = snapshot_coeff_caches()
     assert set(snapshot) == {"socle", "correction"}
-    # the --cache writer and the benchmark tracer consume plain dicts
+    # the stderr summary and the benchmark tracer consume plain dicts
     assert all(type(table) is dict and table for table in snapshot.values())
     clear_coeff_caches()
     assert not ring._SPLIT_WEIGHT
