@@ -169,7 +169,9 @@ def tree_sum_oracle(a: Iterable[int], k: int) -> int:
 def _check_binomial_product(a: Iterable[int], k: int) -> IdentityReport:
     a = multiset(a)
     lhs = 0
-    for p in set_partitions(len(a), blocks=k):
+    for p in set_partitions(len(a)):
+        if len(p) != k:
+            continue
         term = multinomial(s + 1 for s in block_sum_vector(p, a))
         for blk in p:
             term *= multinomial(a[i] + 1 for i in blk)
@@ -186,7 +188,9 @@ def _check_binomial_product(a: Iterable[int], k: int) -> IdentityReport:
 def _check_tree_sum(a: Iterable[int], k: int) -> IdentityReport:
     a = multiset(a)
     lhs = 0
-    for p in set_partitions(len(a), blocks=k):
+    for p in set_partitions(len(a)):
+        if len(p) != k:
+            continue
         term = 1
         for j, s in enumerate(block_sum_vector(p, a)):
             term *= s ** (len(p[j]) - 1)

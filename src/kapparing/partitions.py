@@ -13,13 +13,15 @@ Conventions:
   partition ``{0..k-1}``.  The empty tuple is the unique partition of the
   empty set.
 
+``set_partitions`` builds every partition of {0..k-1} from those of
+{0..k-2} by inserting k-1 into each block in turn and then into a block of
+its own, which is restricted-growth-string order.
+
 The public helpers validate their input.  The coefficient loops in
-:mod:`kapparing.ring` work on partitions they built in canonical form
-themselves, so they use two trusted forms instead, which validate and
-canonicalise nothing: ``_refinement_choices`` hands out a refinement as one
-local partition per block, which already says which fine blocks lie in which
-coarse block, and ``_partitions_of_size`` serves those local partitions from
-a per-size table.
+:mod:`kapparing.ring` see block values only, never indices:
+``_local_partitions(values)`` lists every split of one block's values, from
+a per-size table, and one split per block of p is one refinement of p, with
+its fine blocks already grouped by the coarse block that holds them.
 
 ``Memo`` is the package's one memo-table type: a dict that computes a missing
 value on lookup and stores it up to ``COEFF_CACHE_LIMIT`` entries.  The
@@ -84,47 +86,29 @@ def ground_size(p: SetPartition) -> int:
     return sum(len(b) for b in p)
 
 
-def set_partitions(k: int, blocks: Optional[int] = None) -> Iterator[SetPartition]:
+def set_partitions(k: int) -> Iterator[SetPartition]:
     """Stream every set partition of {0..k-1} exactly once, in canonical form.
 
-    Enumeration follows restricted-growth-string order, so the stream never
-    materializes the full Bell-sized family.  With ``blocks`` given, only
-    partitions with exactly that many blocks are emitted (empty stream when
-    blocks > k).
+    The order is restricted-growth-string order (Knuth, TAOCP 4A, 7.2.1.5),
+    and the stream never materializes the full Bell-sized family.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if blocks is not None and blocks < 0:
-        raise ValueError("blocks must be nonnegative")
+    return _set_partitions(k)
+
+
+def _set_partitions(k: int) -> Iterator[SetPartition]:
+    """Insert the last element: each partition of {0..k-2} in turn, with k-1
+    put into each of its blocks and then into a block of its own.  Block j
+    is the growth-string value j, so this is growth-string order."""
     if k == 0:
-        if blocks in (None, 0):
-            yield ()
+        yield ()
         return
-    if blocks == 0:
-        return
-
-    rgs = [0] * k
-
-    def assemble() -> SetPartition:
-        nblocks = max(rgs) + 1
-        out: list[list[int]] = [[] for _ in range(nblocks)]
-        for i, b in enumerate(rgs):
-            out[b].append(i)
-        # first occurrences of 0,1,2,... are increasing, so this is canonical
-        return tuple(tuple(b) for b in out)
-
-    def extend(i: int, top: int) -> Iterator[SetPartition]:
-        if i == k:
-            if blocks is None or top + 1 == blocks:
-                yield assemble()
-            return
-        if blocks is not None and top + 1 > blocks:
-            return
-        for v in range(top + 2):
-            rgs[i] = v
-            yield from extend(i + 1, max(top, v))
-
-    yield from extend(1, 0)
+    last = k - 1
+    for p in _set_partitions(last):
+        for j, blk in enumerate(p):
+            yield p[:j] + (blk + (last,),) + p[j + 1 :]
+        yield p + ((last,),)
 
 
 def refines(q: SetPartition, p: SetPartition) -> bool:
@@ -170,7 +154,7 @@ def refinements(p: SetPartition) -> Iterator[SetPartition]:
     """
     blocks = [tuple(blk) for blk in p]
     canonical_partition(blocks)
-    for choice in itertools.product(*_refinement_choices(blocks)):
+    for choice in itertools.product(*map(_local_partitions, blocks)):
         # sub-blocks are sorted and disjoint, so tuple order is order by minimum
         yield tuple(sorted(itertools.chain.from_iterable(choice)))
 
@@ -248,28 +232,19 @@ def _partition_weight_sums(a: Multiset, weight: Callable[[Multiset], int]) -> li
 _PARTITIONS_BY_SIZE = Memo(lambda m: tuple(set_partitions(m)))
 
 
-def _partitions_of_size(m: int) -> tuple[SetPartition, ...]:
-    """Every set partition of {0..m-1} in ``set_partitions`` order (trusted m >= 0).
+def _local_partitions(values: tuple) -> list[tuple[tuple, ...]]:
+    """Every set partition of values' positions in ``set_partitions`` order,
+    as the tuple of its blocks' values, each block sorted.
 
-    Only blocks of up to 8 elements go through the shared table: the 21,147
-    partitions of 9 elements take about 6.5 MB, which the table would hold
-    for the life of the process.
+    Applied to the values of one block of p, the list holds every way to
+    split that block, so one entry per block is one refinement of p.  Sorted
+    values give canonical sub-blocks.  Only blocks of up to 8 elements go
+    through the shared table: the 21,147 partitions of 9 elements take about
+    6.5 MB, which the table would hold for the life of the process.
     """
-    return _PARTITIONS_BY_SIZE[m] if m <= 8 else tuple(set_partitions(m))
-
-
-def _refinement_choices(p: SetPartition) -> list[list[SetPartition]]:
-    """For each block of p, every partition of that block, in p's indices.
-
-    A refinement q <= p is one choice per block, so the product of these
-    lists enumerates every q, and each choice already groups q's blocks by
-    the p-block that holds them.  Sub-blocks are sorted tuples.  p is
-    trusted to be a valid partition.
-    """
-    return [
-        [tuple(tuple(sorted(blk[i] for i in sub)) for sub in local) for local in _partitions_of_size(len(blk))]
-        for blk in p
-    ]
+    m = len(values)
+    parts = _PARTITIONS_BY_SIZE[m] if m <= 8 else set_partitions(m)
+    return [tuple(tuple(sorted(values[i] for i in sub)) for sub in local) for local in parts]
 
 
 def blocks_within(fine: SetPartition, coarse: SetPartition) -> tuple[int, ...]:

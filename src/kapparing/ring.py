@@ -19,6 +19,9 @@ The expansion coefficient of one basis partition can be computed three ways
   alternating truncation factor cutting the expansion at d parts.
 
 The three must agree; the test suite and the ``reconcile`` sweep enforce it.
+``basis_coeff`` turns p into its shape, the tuple of its blocks' value
+multisets, once; the methods see block values only and split each block
+with ``partitions._local_partitions``.
 
 The socle, correction and split-weight values behind all three are memoised
 in ``Memo`` tables (see :mod:`kapparing.partitions`), which the loops index
@@ -46,9 +49,8 @@ from .partitions import (
     Memo,
     Multiset,
     SetPartition,
+    _local_partitions,
     _partition_weight_sums,
-    _partitions_of_size,
-    _refinement_choices,
     block_sums,
     canonical_partition,
     ground_size,
@@ -222,8 +224,9 @@ def _SPLIT_WEIGHT(key: tuple[KappaMonomial, int]) -> Fraction:
     """split_weight by (canonical monomial, valid k)."""
     a, k = key
     total = Fraction(0)
-    for q in set_partitions(len(a), blocks=k):
-        total += _group_weight(q, a)
+    for q in _local_partitions(a):
+        if len(q) == k:
+            total += _group_weight(q)
     return total
 
 
@@ -287,17 +290,13 @@ def split_weight(a: Iterable[int], k: int) -> Fraction:
     return _SPLIT_WEIGHT[a, k]
 
 
-def _group_weight(blocks: Iterable[tuple[int, ...]], a: KappaMonomial) -> Fraction:
+def _group_weight(blocks: tuple[KappaMonomial, ...]) -> Fraction:
     """Product of the blocks' socle coefficients times the correction
-    coefficient of their block sums; blocks are ascending index tuples."""
+    coefficient of their block sums; blocks are canonical value multisets."""
     weight = Fraction(1)
-    sums = []
-    for blk in blocks:
-        # a is sorted and blk ascending, so the values are a canonical key
-        values = tuple(a[i] for i in blk)
+    for values in blocks:
         weight *= _SOCLE[values]
-        sums.append(sum(values))
-    return weight * _CORRECTION[tuple(sorted(sums))]
+    return weight * _CORRECTION[tuple(sorted(map(sum, blocks)))]
 
 
 def _truncation_factor(variant: str, len_t: int, len_r: int, d: int) -> int:
@@ -320,25 +319,22 @@ def _validate_basis_inputs(p: SetPartition, a: Multiset, d: int) -> SetPartition
     return p
 
 
-def _coeff_recursive(p: SetPartition, a: Multiset, d: int) -> Fraction:
+def _coeff_recursive(shape: tuple[Multiset, ...], d: int) -> Fraction:
     total = Fraction(0)
     # q <= p as one local partition per p-block; each local partition is
     # the group of q-blocks that one correction factor regroups
-    for q in itertools.product(*_refinement_choices(p)):
+    for q in itertools.product(*map(_local_partitions, shape)):
         if sum(map(len, q)) > d:
             continue
         weight = Fraction(1)
         for local in q:
-            weight *= _group_weight(local, a)
+            weight *= _group_weight(local)
         total += weight
     return total
 
 
-def _coeff_ck(p: SetPartition, a: Multiset, d: int) -> Fraction:
-    per_block = []
-    for blk in p:
-        values = tuple(a[i] for i in blk)
-        per_block.append([_SPLIT_WEIGHT[values, k] for k in range(1, len(values) + 1)])
+def _coeff_ck(shape: tuple[Multiset, ...], d: int) -> Fraction:
+    per_block = [[_SPLIT_WEIGHT[values, k] for k in range(1, len(values) + 1)] for values in shape]
     total = Fraction(0)
     for ks in itertools.product(*(range(1, len(w) + 1) for w in per_block)):
         if sum(ks) > d:
@@ -350,7 +346,7 @@ def _coeff_ck(p: SetPartition, a: Multiset, d: int) -> Fraction:
     return total
 
 
-def _coeff_closed(p: SetPartition, a: Multiset, d: int, truncation: str) -> Fraction:
+def _coeff_closed(shape: tuple[Multiset, ...], d: int, truncation: str) -> Fraction:
     """The sum over chains t <= r <= p of
 
         (-1)**(k + len(t) + len(r)) * trunc(len(t), len(r))
@@ -365,11 +361,11 @@ def _coeff_closed(p: SetPartition, a: Multiset, d: int, truncation: str) -> Frac
     enters only through its (block count, multinomial), computed once per
     distinct r-block value tuple.
     """
-    k = len(a)
+    k = sum(map(len, shape))
     truncs: dict[int, list[int]] = {}
     local_terms: dict[Multiset, list[tuple[int, int]]] = {}
     total = 0
-    for r in itertools.product(*_refinement_choices(p)):
+    for r in itertools.product(*map(_local_partitions, shape)):
         len_r = sum(map(len, r))
         trunc = truncs.get(len_r)
         if trunc is None:
@@ -382,13 +378,11 @@ def _coeff_closed(p: SetPartition, a: Multiset, d: int, truncation: str) -> Frac
         per_r_block = []
         for local in r:
             factor_p *= factorial(len(local) - 1)
-            for blk in local:
-                values = tuple(a[i] for i in blk)
+            for values in local:
                 terms = local_terms.get(values)
                 if terms is None:
                     terms = local_terms[values] = [
-                        (len(sub), multinomial(sum(values[i] for i in b) + 1 for b in sub))
-                        for sub in _partitions_of_size(len(values))
+                        (len(sub), multinomial(sum(b) + 1 for b in sub)) for sub in _local_partitions(values)
                     ]
                 per_r_block.append(terms)
         for t in itertools.product(*per_r_block):
@@ -417,12 +411,14 @@ def basis_coeff(
     """
     a = kappa_monomial(a)
     p = _validate_basis_inputs(p, a, d)
+    # the blocks' value multisets, canonical since a is sorted and blocks ascend
+    shape = tuple(tuple(a[i] for i in blk) for blk in p)
     if method == "recursive":
-        return _coeff_recursive(p, a, d)
+        return _coeff_recursive(shape, d)
     if method == "ck":
-        return _coeff_ck(p, a, d)
+        return _coeff_ck(shape, d)
     if method == "closed":
-        return _coeff_closed(p, a, d, truncation)
+        return _coeff_closed(shape, d, truncation)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 

@@ -1,9 +1,11 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately written against the standard library only,
-with different algorithms than the package (insertion-recursion enumeration
-instead of growth strings, math.comb instead of the factorial table), so a
-shared bug cannot hide.
+with different algorithms than the package (the enumeration order from
+growth strings filtered out of itertools.product, math.comb instead of the
+factorial table), so a shared bug cannot hide.  ``naive_set_partitions``
+inserts the last element as the package does, but on lists, and the tests
+compare it with the package as sets of partitions only.
 """
 
 import itertools
@@ -22,6 +24,28 @@ def naive_set_partitions(elements):
         for i, block in enumerate(smaller):
             out.append(smaller[:i] + [block + [last]] + smaller[i + 1 :])
         out.append(smaller + [[last]])
+    return out
+
+
+def rgs_partitions(k):
+    """Every partition of {0..k-1} in restricted-growth-string order.
+
+    The strings come from itertools.product in its lexicographic order, with
+    entry i in 0..i, and are kept when each entry is at most 1 + the maximum
+    before it; entry i names the block of element i.
+    """
+    out = []
+    for rgs in itertools.product(*(range(i + 1) for i in range(k))):
+        top = -1
+        for r in rgs:
+            if r > top + 1:
+                break
+            top = max(top, r)
+        else:
+            blocks = [[] for _ in range(top + 1)]
+            for i, r in enumerate(rgs):
+                blocks[r].append(i)
+            out.append(tuple(map(tuple, blocks)))
     return out
 
 

@@ -229,6 +229,13 @@ def test_csv_output_has_header_and_rows():
     assert len(lines) == 3
 
 
+def test_expand_products_script_prints_the_readme_line():
+    script = REPO / "scripts" / "expand_products.py"
+    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, cwd=REPO)
+    assert result.returncode == 0, result.stderr
+    assert "  g=0 n=7 (d=2): k1*k1*k1 = 15/1 * k1k2 + -74/1 * k3" in result.stdout.splitlines()
+
+
 def stdout_sha256(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")

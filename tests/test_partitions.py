@@ -20,18 +20,27 @@ from kapparing.partitions import (
     stirling2,
 )
 
-from bruteforce import as_block_sets, naive_bell, naive_set_partitions, naive_stirling2
+from bruteforce import as_block_sets, naive_bell, naive_set_partitions, naive_stirling2, rgs_partitions
+
+
+def with_blocks(k, m):
+    return [p for p in set_partitions(k) if len(p) == m]
 
 
 def test_empty_ground_set_has_one_partition():
     assert list(set_partitions(0)) == [()]
-    assert list(set_partitions(0, blocks=0)) == [()]
-    assert list(set_partitions(0, blocks=1)) == []
+    assert with_blocks(0, 0) == [()]
+    assert with_blocks(0, 1) == []
 
 
 def test_small_counts_match_exhaustive_enumeration():
     assert len(list(set_partitions(3))) == 5
-    assert len(list(set_partitions(4, blocks=2))) == 7
+    assert len(with_blocks(4, 2)) == 7 == naive_stirling2(4, 2)
+
+
+def test_negative_ground_set_is_rejected():
+    with pytest.raises(ValueError):
+        set_partitions(-1)
 
 
 @pytest.mark.parametrize("k", range(9))
@@ -46,7 +55,12 @@ def test_enumeration_matches_naive_and_counts_blocks(k):
     assert ours == naive
     assert bell(k) == naive_bell(k)
     for m in range(k + 2):
-        assert sum(1 for _ in set_partitions(k, blocks=m)) == naive_stirling2(k, m)
+        assert len(with_blocks(k, m)) == naive_stirling2(k, m)
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_enumeration_is_in_restricted_growth_order(k):
+    assert list(set_partitions(k)) == rgs_partitions(k)
 
 
 @pytest.mark.parametrize("k", range(7))
@@ -60,7 +74,7 @@ def test_emitted_partitions_are_canonical(k):
 
 
 def test_block_filter_empty_when_too_many_blocks():
-    assert list(set_partitions(3, blocks=5)) == []
+    assert with_blocks(3, 5) == [] and naive_stirling2(3, 5) == 0
 
 
 @given(st.integers(0, 6))

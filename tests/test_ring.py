@@ -2,10 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kapparing import oracle, partitions, ring
-from kapparing.partitions import index_multisets, multiset, set_partitions
+from kapparing.partitions import canonical_partition, index_multisets, multiset, set_partitions
 from kapparing.ring import (
     METHODS,
     KappaPoly,
@@ -218,6 +218,21 @@ def test_methods_agree_pointwise(a, d):
             continue
         values = {basis_coeff(p, a, d, method=m) for m in METHODS}
         assert len(values) == 1, (a, d, p, values)
+
+
+@given(st.lists(st.integers(1, 3), min_size=2, max_size=6).map(sorted), st.data())
+def test_basis_coeff_is_invariant_under_swapping_equal_entries(a, data):
+    # a permutation of positions that moves each entry only among its equal
+    # copies relabels p without changing the blocks' value multisets
+    assume(len(set(a)) < len(a))
+    p = data.draw(st.sampled_from(list(set_partitions(len(a)))), label="p")
+    d = data.draw(st.integers(len(p), len(a) + 1), label="d")
+    sigma = []
+    for _, run in itertools.groupby(range(len(a)), key=a.__getitem__):
+        sigma.extend(data.draw(st.permutations(list(run)), label="run"))
+    relabelled = canonical_partition(tuple(sigma[i] for i in blk) for blk in p)
+    for method in METHODS:
+        assert basis_coeff(relabelled, a, d, method=method) == basis_coeff(p, a, d, method=method)
 
 
 # ---------------------------------------------------------------------------
