@@ -28,14 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .numbers import binomial, factorial, falling_factorial, format_rational, multinomial
-from .partitions import (
-    block_sum_vector,
-    block_sums,
-    block_values,
-    multiset,
-    set_partitions,
-    stirling2,
-)
+from .partitions import _local_partitions, multiset, stirling2
 from .ring import correction_coeff, socle_coeff
 
 IDENTITY_NAMES = (
@@ -169,12 +162,12 @@ def tree_sum_oracle(a: Iterable[int], k: int) -> int:
 def _check_binomial_product(a: Iterable[int], k: int) -> IdentityReport:
     a = multiset(a)
     lhs = 0
-    for p in set_partitions(len(a)):
-        if len(p) != k:
+    for blocks in _local_partitions(a):
+        if len(blocks) != k:
             continue
-        term = multinomial(s + 1 for s in block_sum_vector(p, a))
-        for blk in p:
-            term *= multinomial(a[i] + 1 for i in blk)
+        term = multinomial(sum(blk) + 1 for blk in blocks)
+        for blk in blocks:
+            term *= multinomial(v + 1 for v in blk)
         lhs += term
     rhs = binomial(len(a) - 1, k - 1) * multinomial(v + 1 for v in a)
     return IdentityReport(
@@ -188,12 +181,12 @@ def _check_binomial_product(a: Iterable[int], k: int) -> IdentityReport:
 def _check_tree_sum(a: Iterable[int], k: int) -> IdentityReport:
     a = multiset(a)
     lhs = 0
-    for p in set_partitions(len(a)):
-        if len(p) != k:
+    for blocks in _local_partitions(a):
+        if len(blocks) != k:
             continue
         term = 1
-        for j, s in enumerate(block_sum_vector(p, a)):
-            term *= s ** (len(p[j]) - 1)
+        for blk in blocks:
+            term *= sum(blk) ** (len(blk) - 1)
         lhs += term
     rhs = binomial(len(a) - 1, k - 1) * sum(a) ** (len(a) - k)
     oracle = tree_sum_oracle(a, k)
@@ -224,10 +217,10 @@ def _check_vanishing(b: Iterable[int]) -> IdentityReport:
     if len(b) < 1:
         raise ValueError("multiset must be nonempty")
     total = Fraction(0)
-    for p in set_partitions(len(b)):
-        term = socle_coeff(block_sums(p, b))
-        for j in range(len(p)):
-            term *= correction_coeff(block_values(p, b, j))
+    for blocks in _local_partitions(b):
+        term = socle_coeff(map(sum, blocks))
+        for blk in blocks:
+            term *= correction_coeff(blk)
         total += term
     rhs = Fraction(1) if len(b) == 1 else Fraction(0)
     return IdentityReport(

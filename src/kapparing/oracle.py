@@ -3,12 +3,13 @@
 Everything in this module is deliberately computed without touching the
 expansion formulas in :mod:`kapparing.ring`: psi-monomial integrals come from
 the multinomial formula, top-degree kappa integrals from the signed sum of
-psi integrals, pairings against boundary strata from distributing kappa
-indices over stratum components (a dynamic program over the components,
-which counts the labelled distributions without enumerating them), and
-expansion coefficients from solving the resulting exact linear system by
-integer Bareiss elimination.  Agreement with the ring module is therefore a
-genuine cross-check, not a tautology.
+psi integrals over the value splits of ``partitions._local_partitions``,
+pairings against boundary strata from distributing kappa indices over
+stratum components (a dynamic program over the components, which counts
+the labelled distributions without enumerating them), and expansion
+coefficients from solving the resulting exact linear system by integer
+Bareiss elimination.  Agreement with the ring module is therefore a genuine
+cross-check, not a tautology.
 
 A boundary stratum of the genus-zero space is a tree of components; by the
 perfect-pairing structure of its Chow ring, the pairing of a kappa-ring class
@@ -23,7 +24,8 @@ from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .numbers import multinomial
-from .partitions import Memo, Multiset, SetPartition, block_sums, ground_size, multiset, set_partitions
+from .partitions import Memo, Multiset, SetPartition, block_sums, ground_size, multiset
+from .partitions import _local_partitions, kappa_monomial
 
 DimensionSequence = Multiset
 
@@ -85,15 +87,13 @@ def integrate_kappa_top(a: Iterable[int], n: int) -> Fraction:
 
         sum over p of (-1)**(len(a) + len(p)) * integral(psi(p)).
     """
-    a = multiset(a)
-    if any(v < 1 for v in a):
-        raise ValueError("kappa indices must be >= 1")
+    a = kappa_monomial(a)
     if sum(a) != n - 3:
         return Fraction(0)
     total = 0
-    for p in set_partitions(len(a)):
-        sign = -1 if (len(a) + len(p)) % 2 else 1
-        total += sign * integrate_psi_pushforward(p, a, n)
+    for blocks in _local_partitions(a):
+        sign = -1 if (len(a) + len(blocks)) % 2 else 1
+        total += sign * psi_integral((0,) * n + tuple(sum(blk) + 1 for blk in blocks))
     return Fraction(total)
 
 
@@ -140,9 +140,7 @@ def pair_kappa_stratum(b: Iterable[int], dims: Iterable[int]) -> Fraction:
     prod C(count_v, take_v) (the labelled assignments giving that bucket)
     times the bucket's top evaluation.  Every term is an integer.
     """
-    b = multiset(b)
-    if any(v < 1 for v in b):
-        raise ValueError("kappa indices must be >= 1")
+    b = kappa_monomial(b)
     dims = multiset(dims)
     if sum(b) != sum(dims):
         return Fraction(0)
@@ -199,9 +197,7 @@ def pairing_system(
     exactly d summing to sum(a): pairing the expansion against that stratum
     must reproduce the pairing of the original monomial.
     """
-    a = multiset(a)
-    if any(v < 1 for v in a):
-        raise ValueError("kappa indices must be >= 1")
+    a = kappa_monomial(a)
     d = n - sum(a) - 2
     if d < 1:
         raise ValueError(f"degree budget d={d} leaves no basis to solve for")
@@ -293,8 +289,8 @@ def solve_pairing_system(a: Multiset, n: int, system: tuple) -> dict[Multiset, F
     most d parts) and verified to have a unique solution with an
     exactly-zero residual; RankDeficientPairingError otherwise.  The
     returned map is keyed by the block-sum multisets actually reachable from
-    partitions of a's index set; monomials outside that family must solve
-    to zero and are checked, not returned.
+    partitions of a's index set with at most d blocks; monomials outside
+    that family must solve to zero and are checked, not returned.
     """
     rows, unknowns, matrix, rhs = system
     solution = solve_exact(matrix, rhs)
@@ -305,9 +301,7 @@ def solve_pairing_system(a: Multiset, n: int, system: tuple) -> dict[Multiset, F
                 f"nonzero residual in row {i} for dims {rows[i]}", matrix, len(unknowns)
             )
     d = n - sum(a) - 2
-    reachable = {
-        block_sums(p, a) for p in set_partitions(len(a)) if len(p) <= d
-    }
+    reachable = {tuple(sorted(map(sum, blocks))) for blocks in _local_partitions(a) if len(blocks) <= d}
     by_monomial = dict(zip(unknowns, solution))
     for mu, value in by_monomial.items():
         if mu not in reachable and value != 0:

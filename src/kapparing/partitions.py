@@ -17,11 +17,11 @@ Conventions:
 {0..k-2} by inserting k-1 into each block in turn and then into a block of
 its own, which is restricted-growth-string order.
 
-The public helpers validate their input.  The coefficient loops in
-:mod:`kapparing.ring` see block values only, never indices:
-``_local_partitions(values)`` lists every split of one block's values, from
-a per-size table, and one split per block of p is one refinement of p, with
-its fine blocks already grouped by the coarse block that holds them.
+The public helpers validate their input; ``kappa_monomial`` is the one
+validator of kappa monomials.  Every value-only sum over set partitions, in
+the ring, the oracle and the identities, streams ``_local_partitions``: the
+splits of a sorted value tuple in ``set_partitions`` order, which is all
+``set_partitions`` serves besides the verification rows that print indices.
 
 ``Memo`` is the package's one memo-table type: a dict that computes a missing
 value on lookup and stores it up to ``COEFF_CACHE_LIMIT`` entries.  The
@@ -52,6 +52,14 @@ def multiset(values: Iterable[int]) -> Multiset:
     for v in ms:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise ValueError(f"multiset entries must be nonnegative integers, got {v!r}")
+    return ms
+
+
+def kappa_monomial(indices: Iterable[int]) -> Multiset:
+    """Canonical kappa monomial: sorted indices, all >= 1; () is the unit."""
+    ms = multiset(indices)
+    if any(v < 1 for v in ms):
+        raise ValueError(f"kappa indices must be >= 1, got {ms}")
     return ms
 
 
@@ -155,8 +163,8 @@ def refinements(p: SetPartition) -> Iterator[SetPartition]:
     blocks = [tuple(blk) for blk in p]
     canonical_partition(blocks)
     for choice in itertools.product(*map(_local_partitions, blocks)):
-        # sub-blocks are sorted and disjoint, so tuple order is order by minimum
-        yield tuple(sorted(itertools.chain.from_iterable(choice)))
+        # p's blocks may be unsorted; sorted disjoint sub-blocks order by minimum
+        yield tuple(sorted(tuple(sorted(sub)) for local in choice for sub in local))
 
 
 # The size limit of every memo table, so a long sweep cannot grow one without
@@ -169,7 +177,8 @@ class Memo(dict):
     ``compute(key)``, stores it while the table holds fewer than
     ``COEFF_CACHE_LIMIT`` entries, and returns it.
 
-    Used as a decorator, it turns the function into the table of its values.
+    Used as a decorator, it turns the function into the table of its values;
+    every value-only partition walk shares the one behind _local_partitions.
     The tables hold deterministic exact values only, so concurrent lookups
     need no lock: at worst two threads compute the same value, and no
     interleaving can store a wrong one.
@@ -232,19 +241,19 @@ def _partition_weight_sums(a: Multiset, weight: Callable[[Multiset], int]) -> li
 _PARTITIONS_BY_SIZE = Memo(lambda m: tuple(set_partitions(m)))
 
 
-def _local_partitions(values: tuple) -> list[tuple[tuple, ...]]:
-    """Every set partition of values' positions in ``set_partitions`` order,
-    as the tuple of its blocks' values, each block sorted.
+def _local_partitions(values: tuple) -> Iterator[tuple[tuple, ...]]:
+    """Stream every set partition of values' positions in ``set_partitions``
+    order, as the tuple of its blocks' values.
 
-    Applied to the values of one block of p, the list holds every way to
-    split that block, so one entry per block is one refinement of p.  Sorted
-    values give canonical sub-blocks.  Only blocks of up to 8 elements go
-    through the shared table: the 21,147 partitions of 9 elements take about
-    6.5 MB, which the table would hold for the life of the process.
+    Positions ascend within a block, so the sorted values every caller
+    passes give sorted blocks.  Applied to every block of p, one split per
+    block makes one refinement of p.  Only up to 8 values go through the shared
+    table: the 21,147 partitions of 9 elements take about 6.5 MB, which the
+    table would hold for the life of the process; longer tuples stream.
     """
     m = len(values)
     parts = _PARTITIONS_BY_SIZE[m] if m <= 8 else set_partitions(m)
-    return [tuple(tuple(sorted(values[i] for i in sub)) for sub in local) for local in parts]
+    return (tuple(tuple(values[i] for i in sub) for sub in local) for local in parts)
 
 
 def blocks_within(fine: SetPartition, coarse: SetPartition) -> tuple[int, ...]:

@@ -19,9 +19,9 @@ The expansion coefficient of one basis partition can be computed three ways
   alternating truncation factor cutting the expansion at d parts.
 
 The three must agree; the test suite and the ``reconcile`` sweep enforce it.
-``basis_coeff`` turns p into its shape, the tuple of its blocks' value
-multisets, once; the methods see block values only and split each block
-with ``partitions._local_partitions``.
+A method sees p only as its shape, the tuple of its blocks' value multisets,
+and splits each block with ``partitions._local_partitions``; ``kappa_product``
+walks a's shapes with it and calls the method table directly.
 
 The socle, correction and split-weight values behind all three are memoised
 in ``Memo`` tables (see :mod:`kapparing.partitions`), which the loops index
@@ -51,25 +51,16 @@ from .partitions import (
     SetPartition,
     _local_partitions,
     _partition_weight_sums,
-    block_sums,
     canonical_partition,
     ground_size,
+    kappa_monomial,
     multiset,
-    set_partitions,
 )
 
 METHODS = ("recursive", "ck", "closed")
 TRUNCATION_VARIANTS = ("partial_sum", "single_binomial")
 
 KappaMonomial = Multiset
-
-
-def kappa_monomial(indices: Iterable[int]) -> KappaMonomial:
-    """Canonical kappa monomial: sorted indices, all >= 1; () is the unit."""
-    ms = multiset(indices)
-    if any(v < 1 for v in ms):
-        raise ValueError(f"kappa indices must be >= 1, got {ms}")
-    return ms
 
 
 class _Combination:
@@ -250,14 +241,13 @@ def faber_expand(q: Iterable[int]) -> KappaPoly:
 
         psi(q) = sum over p of prod_b (len(b) - 1)! * kappa_{block sums}.
     """
-    q = kappa_monomial(q)
-    terms: dict[Multiset, Fraction] = {}
-    for p in set_partitions(len(q)):
+    terms: dict[Multiset, int] = {}
+    for blocks in _local_partitions(kappa_monomial(q)):
         weight = 1
-        for blk in p:
+        for blk in blocks:
             weight *= factorial(len(blk) - 1)
-        key = block_sums(p, q)
-        terms[key] = terms.get(key, Fraction(0)) + weight
+        key = tuple(sorted(map(sum, blocks)))
+        terms[key] = terms.get(key, 0) + weight
     return KappaPoly(terms)
 
 
@@ -268,11 +258,10 @@ def kappa_to_psi(a: Iterable[int]) -> PsiPoly:
                   * psi(block sums of p).
     """
     a = kappa_monomial(a)
-    terms: dict[Multiset, Fraction] = {}
-    for p in set_partitions(len(a)):
-        sign = -1 if (len(a) + len(p)) % 2 else 1
-        key = block_sums(p, a)
-        terms[key] = terms.get(key, Fraction(0)) + sign
+    terms: dict[Multiset, int] = {}
+    for blocks in _local_partitions(a):
+        key = tuple(sorted(map(sum, blocks)))
+        terms[key] = terms.get(key, 0) + (-1 if (len(a) + len(blocks)) % 2 else 1)
     return PsiPoly(terms)
 
 
@@ -346,7 +335,7 @@ def _coeff_ck(shape: tuple[Multiset, ...], d: int) -> Fraction:
     return total
 
 
-def _coeff_closed(shape: tuple[Multiset, ...], d: int, truncation: str) -> Fraction:
+def _coeff_closed(shape: tuple[Multiset, ...], d: int, truncation: str = "partial_sum") -> Fraction:
     """The sum over chains t <= r <= p of
 
         (-1)**(k + len(t) + len(r)) * trunc(len(t), len(r))
@@ -395,6 +384,16 @@ def _coeff_closed(shape: tuple[Multiset, ...], d: int, truncation: str) -> Fract
     return Fraction(total)
 
 
+# The coefficient methods by name, each a function of (shape, d).
+_COEFF_METHODS = {"recursive": _coeff_recursive, "ck": _coeff_ck, "closed": _coeff_closed}
+
+
+def _coeff_method(method: str):
+    if method not in _COEFF_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return _COEFF_METHODS[method]
+
+
 def basis_coeff(
     p: SetPartition,
     a: Iterable[int],
@@ -409,17 +408,14 @@ def basis_coeff(
     All methods return the same value; ``truncation`` selects the closed
     form's cutoff convention and exists for the reconciliation sweep.
     """
+    coeff = _coeff_method(method)
     a = kappa_monomial(a)
     p = _validate_basis_inputs(p, a, d)
     # the blocks' value multisets, canonical since a is sorted and blocks ascend
     shape = tuple(tuple(a[i] for i in blk) for blk in p)
-    if method == "recursive":
-        return _coeff_recursive(shape, d)
-    if method == "ck":
-        return _coeff_ck(shape, d)
     if method == "closed":
-        return _coeff_closed(shape, d, truncation)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        return coeff(shape, d, truncation)
+    return coeff(shape, d)
 
 
 def kappa_product(
@@ -434,8 +430,10 @@ def kappa_product(
     d <= 0 (the basis in that degree is empty); otherwise the sum over set
     partitions p with at most d blocks of basis_coeff(p) times the monomial
     of block sums, aggregated over equal monomials.  Every surviving monomial
-    has degree sum(a) and at most d indices.
+    has degree sum(a) and at most d indices.  An unknown method is rejected
+    in every degree.
     """
+    coeff = _coeff_method(method)
     a = kappa_monomial(a)
     if genus < 0 or markings < 0:
         raise ValueError("genus and markings must be nonnegative")
@@ -443,12 +441,11 @@ def kappa_product(
     if d <= 0:
         return KappaPoly.zero()
     terms: dict[Multiset, Fraction] = {}
-    for p in set_partitions(len(a)):
-        if len(p) > d:
-            continue
-        coeff = basis_coeff(p, a, d, method=method)
-        key = block_sums(p, a)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+    # each shape is canonical: a is sorted and positions ascend in a block
+    for shape in _local_partitions(a):
+        if len(shape) <= d:
+            key = tuple(sorted(map(sum, shape)))
+            terms[key] = terms.get(key, 0) + coeff(shape, d)
     return KappaPoly(terms)
 
 
@@ -457,6 +454,7 @@ def reduce_to_basis(poly: KappaPoly, genus: int, markings: int, method: str = "c
 
     Linear over kappa_product; idempotent on polynomials already in the basis.
     """
+    _coeff_method(method)  # rejects an unknown method even when poly is zero
     result = KappaPoly.zero()
     for mono, coeff in poly.terms.items():
         result = result + coeff * kappa_product(mono, genus, markings, method=method)

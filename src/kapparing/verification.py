@@ -7,6 +7,7 @@ to processes without changing the output.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -262,12 +263,15 @@ def run_ordered(worker, cases, jobs: int = 1) -> list:
     """``worker(*case)`` for every case, in order, on up to ``jobs`` processes.
 
     A pooled worker must be a module-level function so it can be pickled.
+    The pool starts all its workers at once, so it is capped at the cases and
+    the CPUs; any ``jobs`` > 1 still pools, so such a run always uses a child.
     """
     if jobs <= 1 or len(cases) <= 1:
         return [worker(*case) for case in cases]
     import concurrent.futures
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(cases), os.cpu_count() or 1)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, *zip(*cases)))
 
 

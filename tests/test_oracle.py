@@ -20,7 +20,7 @@ from kapparing.oracle import (
 from kapparing.partitions import index_multisets
 from kapparing.ring import kappa_product, socle_coeff
 
-from bruteforce import naive_multinomial, naive_multisets, naive_pair_kappa_stratum
+from bruteforce import naive_multinomial, naive_multisets, naive_pair_kappa_stratum, naive_set_partitions
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +69,31 @@ def test_integrate_kappa_top_values():
 
 # ---------------------------------------------------------------------------
 # stratum pairing
+
+
+@pytest.mark.parametrize("a", list(index_multisets(5, max_sum=8)))
+def test_top_integral_and_reachable_monomials_match_labelled_sums(a):
+    labelled = [[sum(a[i] for i in blk) for blk in p] for p in naive_set_partitions(range(len(a)))]
+    n = sum(a) + 3
+    top = sum((-1) ** (len(a) + len(sums)) * naive_multinomial(s + 1 for s in sums) for sums in labelled)
+    assert integrate_kappa_top(a, n) == top
+    assert integrate_kappa_top(a, n + 1) == 0
+    for d in range(1, len(a) + 1):
+        reachable = {tuple(sorted(sums)) for sums in labelled if len(sums) <= d}
+        assert set(solve_coeffs_by_pairing(a, sum(a) + d + 2)) == reachable
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integrate_kappa_top((0, 1), 4),
+        lambda: pair_kappa_stratum((0, 1), (1,)),
+        lambda: pairing_system((0, 1), 6),
+    ],
+)
+def test_kappa_indices_below_one_are_rejected(call):
+    with pytest.raises(ValueError, match="kappa indices must be >= 1"):
+        call()
 
 
 def test_pair_kappa_stratum_examples():

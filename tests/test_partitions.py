@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kapparing.partitions import (
+    _PARTITIONS_BY_SIZE,
+    _local_partitions,
     bell,
     block_sums,
     block_sum_vector,
@@ -25,6 +27,21 @@ from bruteforce import as_block_sets, naive_bell, naive_set_partitions, naive_st
 
 def with_blocks(k, m):
     return [p for p in set_partitions(k) if len(p) == m]
+
+
+# Sorted value tuples: the first with repeats, the second with distinct values.
+LOCAL_VALUES = {"repeats": (1, 1, 2, 2, 2, 3, 3, 5, 5), "distinct": (1, 2, 3, 4, 5, 6, 7, 8, 9)}
+
+
+@pytest.mark.parametrize("values", LOCAL_VALUES.values(), ids=LOCAL_VALUES.keys())
+@pytest.mark.parametrize("m", range(10))
+def test_local_partitions_are_the_labelled_value_splits_in_order(values, m):
+    # sizes 0-9 cross the switch from the shared table (up to 8) to streaming
+    values = values[:m]
+    splits = list(_local_partitions(values))
+    assert splits == [tuple(tuple(values[i] for i in blk) for blk in p) for p in naive_set_partitions(range(m))]
+    assert all(list(blk) == sorted(blk) for split in splits for blk in split)
+    assert (m in _PARTITIONS_BY_SIZE) == (m <= 8)
 
 
 def test_empty_ground_set_has_one_partition():

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from kapparing.ring import (
     split_weight,
 )
 
-from bruteforce import naive_correction, naive_socle
+from bruteforce import naive_correction, naive_set_partitions, naive_socle
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +62,7 @@ def test_kappa_monomial_validation():
     assert kappa_monomial([]) == ()
     with pytest.raises(ValueError):
         kappa_monomial([0, 1])
+    assert kappa_monomial is partitions.kappa_monomial
 
 
 def test_kappa_product_rejects_negative_genus_or_markings():
@@ -69,6 +71,21 @@ def test_kappa_product_rejects_negative_genus_or_markings():
         kappa_product((1,), genus=-1, markings=3)
     with pytest.raises(ValueError):
         kappa_product((1,), genus=0, markings=-1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kappa_product((1,), 0, 2, method="bogus"),  # d = -1: no basis at all
+        lambda: kappa_product((1, 1), 0, 6, method="bogus"),
+        lambda: basis_coeff(((0,),), (1,), 2, method="bogus"),
+        lambda: reduce_to_basis(KappaPoly.monomial((1,)), 0, 2, method="bogus"),
+        lambda: reduce_to_basis(KappaPoly.zero(), 0, 5, method="bogus"),
+    ],
+)
+def test_unknown_method_is_rejected_in_every_degree(call):
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +104,17 @@ def test_faber_expand_triple_instance():
     # at (a, b, c) = (1, 2, 3): all five regroupings, the full merge twice
     expected = KappaPoly({(1, 2, 3): 1, (3, 3): 1, (2, 4): 1, (1, 5): 1, (6,): 2})
     assert faber_expand((1, 2, 3)) == expected
+
+
+@pytest.mark.parametrize("a", list(index_multisets(5, max_sum=8)))
+def test_faber_expand_and_kappa_to_psi_match_labelled_sums(a):
+    faber, psi = {}, {}
+    for p in naive_set_partitions(range(len(a))):
+        key = tuple(sorted(sum(a[i] for i in blk) for blk in p))
+        faber[key] = faber.get(key, 0) + math.prod(math.factorial(len(blk) - 1) for blk in p)
+        psi[key] = psi.get(key, 0) + (-1) ** (len(a) + len(p))
+    assert faber_expand(a) == KappaPoly(faber)
+    assert kappa_to_psi(a) == PsiPoly(psi)
 
 
 def test_kappa_to_psi_singleton_and_pair():

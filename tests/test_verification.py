@@ -1,4 +1,8 @@
+import concurrent.futures
+import os
 from fractions import Fraction
+
+import pytest
 
 from kapparing import verification
 from kapparing.verification import check_methods_agree
@@ -51,3 +55,32 @@ def test_run_ordered_unpacks_each_case_as_arguments():
     genus_cases = [(a, d, 1) for a, d in cases]
     assert verification.run_ordered(verification.check_genus_lift, genus_cases, 1) == expected
     assert verification.run_ordered(verification.check_genus_lift, genus_cases, 2) == expected
+
+
+@pytest.mark.parametrize(
+    "jobs, cases, cpus, workers",
+    [(100_000, 5, 2, 2), (100_000, 3, 64, 3), (4, 10, 64, 4), (3, 10, None, 1), (1, 5, 64, None)],
+)
+def test_run_ordered_caps_the_pool_at_the_cases_and_the_cpus(monkeypatch, jobs, cases, cpus, workers):
+    started = []
+
+    class RecordingPool:
+        """Records the pool size it is asked for and runs the work serially."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert verification.run_ordered(pow, [(i, 2) for i in range(cases)], jobs) == [i * i for i in range(cases)]
+    # any jobs > 1 still pools, even down to one worker
+    assert started == ([] if workers is None else [workers])
