@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .numbers import multinomial
 from .partitions import Memo, Multiset, SetPartition, block_sums, ground_size, multiset
-from .partitions import _local_partitions, kappa_monomial
+from .partitions import _local_partitions, _split_sums, kappa_monomial
 
 DimensionSequence = Multiset
 
@@ -301,7 +301,7 @@ def solve_pairing_system(a: Multiset, n: int, system: tuple) -> dict[Multiset, F
                 f"nonzero residual in row {i} for dims {rows[i]}", matrix, len(unknowns)
             )
     d = n - sum(a) - 2
-    reachable = {tuple(sorted(map(sum, blocks))) for blocks in _local_partitions(a) if len(blocks) <= d}
+    reachable = {_split_sums(blocks) for blocks in _local_partitions(a) if len(blocks) <= d}
     by_monomial = dict(zip(unknowns, solution))
     for mu, value in by_monomial.items():
         if mu not in reachable and value != 0:

@@ -20,8 +20,11 @@ its own, which is restricted-growth-string order.
 The public helpers validate their input; ``kappa_monomial`` is the one
 validator of kappa monomials.  Every value-only sum over set partitions, in
 the ring, the oracle and the identities, streams ``_local_partitions``: the
-splits of a sorted value tuple in ``set_partitions`` order, which is all
-``set_partitions`` serves besides the verification rows that print indices.
+splits of a sorted value tuple in ``set_partitions`` order, with
+``_split_sums`` as the monomial of a split.  ``kappa_product`` splits the
+positions 0..k-1 the same way, since it hands each partition to
+``basis_coeff``; ``set_partitions`` itself serves only the table behind
+``_local_partitions`` and the verification rows that print indices.
 
 ``Memo`` is the package's one memo-table type: a dict that computes a missing
 value on lookup and stores it up to ``COEFF_CACHE_LIMIT`` entries.  The
@@ -254,6 +257,11 @@ def _local_partitions(values: tuple) -> Iterator[tuple[tuple, ...]]:
     m = len(values)
     parts = _PARTITIONS_BY_SIZE[m] if m <= 8 else set_partitions(m)
     return (tuple(tuple(values[i] for i in sub) for sub in local) for local in parts)
+
+
+def _split_sums(split: Iterable[tuple]) -> Multiset:
+    """The sorted block sums of a value split: the monomial it contributes to."""
+    return tuple(sorted(map(sum, split)))
 
 
 def blocks_within(fine: SetPartition, coarse: SetPartition) -> tuple[int, ...]:

@@ -19,9 +19,10 @@ The expansion coefficient of one basis partition can be computed three ways
   alternating truncation factor cutting the expansion at d parts.
 
 The three must agree; the test suite and the ``reconcile`` sweep enforce it.
-A method sees p only as its shape, the tuple of its blocks' value multisets,
-and splits each block with ``partitions._local_partitions``; ``kappa_product``
-walks a's shapes with it and calls the method table directly.
+``basis_coeff`` turns p into its shape, the tuple of its blocks' value
+multisets, once; the methods see block values only and split each block
+with ``partitions._local_partitions``.  ``kappa_product`` calls
+``basis_coeff`` on each basis partition of a's positions.
 
 The socle, correction and split-weight values behind all three are memoised
 in ``Memo`` tables (see :mod:`kapparing.partitions`), which the loops index
@@ -51,6 +52,8 @@ from .partitions import (
     SetPartition,
     _local_partitions,
     _partition_weight_sums,
+    _split_sums,
+    block_sums,
     canonical_partition,
     ground_size,
     kappa_monomial,
@@ -246,7 +249,7 @@ def faber_expand(q: Iterable[int]) -> KappaPoly:
         weight = 1
         for blk in blocks:
             weight *= factorial(len(blk) - 1)
-        key = tuple(sorted(map(sum, blocks)))
+        key = _split_sums(blocks)
         terms[key] = terms.get(key, 0) + weight
     return KappaPoly(terms)
 
@@ -260,7 +263,7 @@ def kappa_to_psi(a: Iterable[int]) -> PsiPoly:
     a = kappa_monomial(a)
     terms: dict[Multiset, int] = {}
     for blocks in _local_partitions(a):
-        key = tuple(sorted(map(sum, blocks)))
+        key = _split_sums(blocks)
         terms[key] = terms.get(key, 0) + (-1 if (len(a) + len(blocks)) % 2 else 1)
     return PsiPoly(terms)
 
@@ -285,27 +288,14 @@ def _group_weight(blocks: tuple[KappaMonomial, ...]) -> Fraction:
     weight = Fraction(1)
     for values in blocks:
         weight *= _SOCLE[values]
-    return weight * _CORRECTION[tuple(sorted(map(sum, blocks)))]
+    return weight * _CORRECTION[_split_sums(blocks)]
 
 
 def _truncation_factor(variant: str, len_t: int, len_r: int, d: int) -> int:
     if variant == "partial_sum":
         return alt_binomial_partial_sum(len_t - len_r, len_r, d)
-    if variant == "single_binomial":
-        m = min(len_t, d)
-        return (-1) ** m * binomial(len_t - len_r, m - len_r)
-    raise ValueError(f"unknown truncation variant {variant!r}")
-
-
-def _validate_basis_inputs(p: SetPartition, a: Multiset, d: int) -> SetPartition:
-    p = canonical_partition(p)
-    if ground_size(p) != len(a):
-        raise ValueError("partition does not match the index multiset")
-    if d < 1:
-        raise ValueError("degree budget d must be >= 1")
-    if len(p) > d:
-        raise ValueError(f"partition has {len(p)} blocks, outside the basis range d={d}")
-    return p
+    m = min(len_t, d)
+    return (-1) ** m * binomial(len_t - len_r, m - len_r)
 
 
 def _coeff_recursive(shape: tuple[Multiset, ...], d: int) -> Fraction:
@@ -335,7 +325,7 @@ def _coeff_ck(shape: tuple[Multiset, ...], d: int) -> Fraction:
     return total
 
 
-def _coeff_closed(shape: tuple[Multiset, ...], d: int, truncation: str = "partial_sum") -> Fraction:
+def _coeff_closed(shape: tuple[Multiset, ...], d: int, truncation: str) -> Fraction:
     """The sum over chains t <= r <= p of
 
         (-1)**(k + len(t) + len(r)) * trunc(len(t), len(r))
@@ -384,14 +374,9 @@ def _coeff_closed(shape: tuple[Multiset, ...], d: int, truncation: str = "partia
     return Fraction(total)
 
 
-# The coefficient methods by name, each a function of (shape, d).
-_COEFF_METHODS = {"recursive": _coeff_recursive, "ck": _coeff_ck, "closed": _coeff_closed}
-
-
-def _coeff_method(method: str):
-    if method not in _COEFF_METHODS:
+def _check_method(method: str) -> None:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return _COEFF_METHODS[method]
 
 
 def basis_coeff(
@@ -408,14 +393,24 @@ def basis_coeff(
     All methods return the same value; ``truncation`` selects the closed
     form's cutoff convention and exists for the reconciliation sweep.
     """
-    coeff = _coeff_method(method)
+    _check_method(method)
+    if truncation not in TRUNCATION_VARIANTS:
+        raise ValueError(f"unknown truncation variant {truncation!r}")
     a = kappa_monomial(a)
-    p = _validate_basis_inputs(p, a, d)
+    p = canonical_partition(p)
+    if ground_size(p) != len(a):
+        raise ValueError("partition does not match the index multiset")
+    if d < 1:
+        raise ValueError("degree budget d must be >= 1")
+    if len(p) > d:
+        raise ValueError(f"partition has {len(p)} blocks, outside the basis range d={d}")
     # the blocks' value multisets, canonical since a is sorted and blocks ascend
     shape = tuple(tuple(a[i] for i in blk) for blk in p)
-    if method == "closed":
-        return coeff(shape, d, truncation)
-    return coeff(shape, d)
+    if method == "recursive":
+        return _coeff_recursive(shape, d)
+    if method == "ck":
+        return _coeff_ck(shape, d)
+    return _coeff_closed(shape, d, truncation)
 
 
 def kappa_product(
@@ -433,7 +428,7 @@ def kappa_product(
     has degree sum(a) and at most d indices.  An unknown method is rejected
     in every degree.
     """
-    coeff = _coeff_method(method)
+    _check_method(method)
     a = kappa_monomial(a)
     if genus < 0 or markings < 0:
         raise ValueError("genus and markings must be nonnegative")
@@ -441,11 +436,11 @@ def kappa_product(
     if d <= 0:
         return KappaPoly.zero()
     terms: dict[Multiset, Fraction] = {}
-    # each shape is canonical: a is sorted and positions ascend in a block
-    for shape in _local_partitions(a):
-        if len(shape) <= d:
-            key = tuple(sorted(map(sum, shape)))
-            terms[key] = terms.get(key, 0) + coeff(shape, d)
+    # the splits of a's positions 0..k-1 are its set partitions, canonical
+    for p in _local_partitions(tuple(range(len(a)))):
+        if len(p) <= d:
+            key = block_sums(p, a)
+            terms[key] = terms.get(key, 0) + basis_coeff(p, a, d, method=method)
     return KappaPoly(terms)
 
 
@@ -454,7 +449,7 @@ def reduce_to_basis(poly: KappaPoly, genus: int, markings: int, method: str = "c
 
     Linear over kappa_product; idempotent on polynomials already in the basis.
     """
-    _coeff_method(method)  # rejects an unknown method even when poly is zero
+    _check_method(method)  # rejects an unknown method even when poly is zero
     result = KappaPoly.zero()
     for mono, coeff in poly.terms.items():
         result = result + coeff * kappa_product(mono, genus, markings, method=method)

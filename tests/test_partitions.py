@@ -39,7 +39,7 @@ def test_local_partitions_are_the_labelled_value_splits_in_order(values, m):
     # sizes 0-9 cross the switch from the shared table (up to 8) to streaming
     values = values[:m]
     splits = list(_local_partitions(values))
-    assert splits == [tuple(tuple(values[i] for i in blk) for blk in p) for p in naive_set_partitions(range(m))]
+    assert splits == [tuple(tuple(values[i] for i in blk) for blk in p) for p in rgs_partitions(m)]
     assert all(list(blk) == sorted(blk) for split in splits for blk in split)
     assert (m in _PARTITIONS_BY_SIZE) == (m <= 8)
 

@@ -65,6 +65,19 @@ def test_kappa_monomial_validation():
     assert kappa_monomial is partitions.kappa_monomial
 
 
+def test_kappa_product_calls_basis_coeff_once_per_basis_partition(monkeypatch):
+    # the product's per-partition work is reachable through basis_coeff
+    calls = []
+
+    def recording(p, a, d, method):
+        calls.append((p, a, d, method))
+        return basis_coeff(p, a, d, method=method)
+
+    monkeypatch.setattr(ring, "basis_coeff", recording)
+    kappa_product((2, 1, 1), 0, 8, method="ck")
+    assert calls == [(p, (1, 1, 2), 2, "ck") for p in set_partitions(3) if len(p) <= 2]
+
+
 def test_kappa_product_rejects_negative_genus_or_markings():
     assert kappa_product((1, 1), genus=2, markings=3) == kappa_product((1, 1), 0, 7)
     with pytest.raises(ValueError):
@@ -236,6 +249,12 @@ def test_rejected_truncation_variant_disagrees():
     assert value == -6
     with pytest.raises(ValueError):
         basis_coeff(((0, 1),), (1, 1), 2, method="closed", truncation="midpoint")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_unknown_truncation_variant_is_rejected_by_every_method(method):
+    with pytest.raises(ValueError, match="unknown truncation variant 'midpoint'"):
+        basis_coeff(((0,), (1,)), (1, 1), 2, method=method, truncation="midpoint")
 
 
 @pytest.mark.parametrize("a", [(1, 1), (1, 2), (1, 1, 1), (1, 1, 2), (2, 2), (1,) * 7, (1, 1, 2, 2, 3, 3)])
