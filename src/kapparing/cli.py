@@ -10,6 +10,11 @@ Subcommands:
 * ``reconcile`` - compare closed-form truncation variants against the
   recursive method and report which one matches everywhere.
 
+The CLI parses and the library validates: each command turns its arguments
+into values and hands them to the library, whose ``ValueError`` is the one
+invalid-input signal.  The CLI checks only what no library call sees, such
+as the JSON shape of ``--partition`` and the sweep bounds.
+
 Reports go to stdout as JSON (default) or CSV and are byte-deterministic for
 identical requests, including under ``--jobs > 1``; wall-clock timing and
 cache statistics go to stderr so they cannot perturb the reports.  No state
@@ -38,12 +43,9 @@ from .oracle import (
     solve_coeffs_by_pairing,
     solve_pairing_system,
 )
-from .partitions import block_sums, canonical_partition, multiset
+from .partitions import block_sums, canonical_partition, kappa_monomial, multiset
 from .ring import METHODS, KappaPoly, basis_coeff, kappa_product, snapshot_coeff_caches
 from .verification import RingSweepBounds, reconcile_sweep, run_suite
-
-class InputError(ValueError):
-    """Invalid request data; maps to exit code 2."""
 
 
 def parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -53,24 +55,17 @@ def parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise InputError(f"{what} must be a comma-separated integer list, got {text!r}") from exc
+        raise ValueError(f"{what} must be a comma-separated integer list, got {text!r}") from exc
 
 
-def parse_partition_arg(text: str, ground: int):
+def parse_partition_arg(text: str):
     try:
         blocks = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"--partition must be a JSON nested integer list, got {text!r}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"--partition must be a JSON nested integer list, got {text!r}") from exc
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
-        raise InputError("--partition must be a list of lists of indices")
-    try:
-        p = canonical_partition(blocks)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    total = sum(len(b) for b in p)
-    if total != ground:
-        raise InputError(f"partition covers {total} indices but the multiset has {ground}")
-    return p
+        raise ValueError("--partition must be a list of lists of indices")
+    return canonical_partition(blocks)
 
 
 def emit(report: dict, fmt: str, rows_key: Optional[str] = None) -> None:
@@ -98,7 +93,7 @@ def emit(report: dict, fmt: str, rows_key: Optional[str] = None) -> None:
         writer.writerows(flattened)
         sys.stdout.write(buffer.getvalue())
         return
-    raise InputError(f"unknown format {fmt!r}")
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,20 +151,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_product(args) -> tuple[dict, int]:
-    a = parse_int_list(args.a, "--a")
-    if args.marked < 0 or args.genus < 0:
-        raise InputError("--marked and --genus must be nonnegative")
+    a = kappa_monomial(parse_int_list(args.a, "--a"))
     d = 2 * args.genus + args.marked - sum(a) - 2
-    if args.method == "pairing":
-        if d <= 0:
-            poly = KappaPoly.zero()
-        else:
-            poly = KappaPoly(solve_coeffs_by_pairing(a, args.marked + 2 * args.genus))
-    else:
+    if args.method != "pairing":
         poly = kappa_product(a, args.genus, args.marked, method=args.method)
+    elif args.genus < 0 or args.marked < 0:
+        # kappa_product's check: the pairing route calls nothing that makes it
+        raise ValueError("genus and markings must be nonnegative")
+    elif d <= 0:
+        poly = KappaPoly.zero()
+    else:
+        poly = KappaPoly(solve_coeffs_by_pairing(a, args.marked + 2 * args.genus))
     report = {
         "command": "product",
-        "inputs": {"a": sorted(a), "genus": args.genus, "marked": args.marked, "method": args.method},
+        "inputs": {"a": list(a), "genus": args.genus, "marked": args.marked, "method": args.method},
         "degree_budget": d,
         "terms": poly.to_json_rows(),
     }
@@ -178,11 +173,7 @@ def cmd_product(args) -> tuple[dict, int]:
 
 def cmd_xcoeff(args) -> tuple[dict, int]:
     a = multiset(parse_int_list(args.a, "--a"))
-    p = parse_partition_arg(args.partition, len(a))
-    if args.d < 1:
-        raise InputError("--d must be >= 1")
-    if len(p) > args.d:
-        raise InputError(f"partition has {len(p)} blocks, outside the basis range d={args.d}")
+    p = parse_partition_arg(args.partition)
     values = {method: basis_coeff(p, a, args.d, method=method) for method in METHODS}
     if args.method == "pairing":
         # pairing determines the aggregated coefficient of the block-sum monomial
@@ -212,8 +203,6 @@ def cmd_xcoeff(args) -> tuple[dict, int]:
 def cmd_pair(args) -> tuple[dict, int]:
     a = parse_int_list(args.a, "--a")
     dims = parse_int_list(args.dims, "--dims")
-    if any(v < 0 for v in dims):
-        raise InputError("--dims entries must be nonnegative")
     value = pair_kappa_stratum(a, dims)
     report = {
         "command": "pair",
@@ -224,18 +213,14 @@ def cmd_pair(args) -> tuple[dict, int]:
 
 
 def cmd_solve(args) -> tuple[dict, int]:
-    a = parse_int_list(args.a, "--a")
-    d = args.marked - sum(a) - 2
-    if d < 1:
-        raise InputError(f"degree budget d={d} leaves no basis to solve for")
-    a = multiset(a)
+    a = multiset(parse_int_list(args.a, "--a"))
     system = pairing_system(a, args.marked)
     solution = solve_pairing_system(a, args.marked, system)
     _, unknowns, matrix, _ = system
     report = {
         "command": "solve",
-        "inputs": {"a": sorted(a), "marked": args.marked},
-        "degree_budget": d,
+        "inputs": {"a": list(a), "marked": args.marked},
+        "degree_budget": args.marked - sum(a) - 2,
         "coefficients": [
             {"monomial": list(mu), "coefficient": format_rational(solution[mu])}
             for mu in sorted(solution, key=lambda m: (-len(m), m))
@@ -251,7 +236,7 @@ def cmd_solve(args) -> tuple[dict, int]:
 def _sweep_bounds(args) -> tuple[SweepBounds, RingSweepBounds]:
     for flag, value in (("--max-sum", args.max_sum), ("--max-len", args.max_len), ("--jobs", args.jobs)):
         if value is not None and value < 1:
-            raise InputError(f"{flag} must be >= 1, got {value}")
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     identity_bounds = SweepBounds()
     ring_bounds = RingSweepBounds()
     if args.max_sum is not None:
@@ -298,35 +283,25 @@ def cmd_reconcile(args) -> tuple[dict, int]:
     return report, 0 if summary["pass"] else 1
 
 
+# subcommand -> (handler, the report key whose rows CSV prints; None prints
+# the whole report as one row)
 COMMANDS = {
-    "product": cmd_product,
-    "xcoeff": cmd_xcoeff,
-    "pair": cmd_pair,
-    "solve": cmd_solve,
-    "verify": cmd_verify,
-    "reconcile": cmd_reconcile,
-}
-
-ROWS_KEYS = {
-    "product": "terms",
-    "xcoeff": None,
-    "pair": None,
-    "solve": "coefficients",
-    "verify": "reports",
-    "reconcile": "cases",
+    "product": (cmd_product, "terms"),
+    "xcoeff": (cmd_xcoeff, None),
+    "pair": (cmd_pair, None),
+    "solve": (cmd_solve, "coefficients"),
+    "verify": (cmd_verify, "reports"),
+    "reconcile": (cmd_reconcile, "cases"),
 }
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    handler, rows_key = COMMANDS[args.command]
     started = time.monotonic()
     try:
-        report, code = COMMANDS[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 2
+        report, code = handler(args)
     except RankDeficientPairingError as exc:
         diagnostic = {
             "command": args.command,
@@ -341,7 +316,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    emit(report, args.format, ROWS_KEYS[args.command])
+    emit(report, args.format, rows_key)
     snapshot = snapshot_coeff_caches()
     print(
         f"done in {time.monotonic() - started:.3f}s; cache: "

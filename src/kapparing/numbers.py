@@ -72,10 +72,14 @@ def alt_binomial_partial_sum(m: int, lo: int, hi: int) -> int:
 
     This truncated alternating sum is the single source of truth for cutting
     an expansion off at a given number of parts; every closed-form variant of
-    that cutoff is compared against it.
+    that cutoff is compared against it.  For m >= 0 the terms past
+    k = lo + m are 0, so the loop stops there and its cost does not grow
+    with hi.
     """
     if lo < 0:
         raise ValueError("lo must be nonnegative")
+    if m >= 0:
+        hi = min(hi, lo + m)
     total = 0
     for k in range(lo, hi + 1):
         total += (-1) ** k * binomial(m, k - lo)

@@ -193,16 +193,20 @@ def pairing_system(
     """Assemble the exact linear system determining the expansion coefficients.
 
     Unknowns are basis monomials: integer partitions of sum(a) into at most
-    d = n - sum(a) - 2 parts.  One equation per dimension sequence of length
-    exactly d summing to sum(a): pairing the expansion against that stratum
-    must reproduce the pairing of the original monomial.
+    d = n - sum(a) - 2 parts.  One equation per stratum of d components
+    whose dimensions sum to sum(a): pairing the expansion against that
+    stratum must reproduce the pairing of the original monomial.  A
+    zero-dimension component takes no index, so an equation is named by
+    its positive dimensions alone, and those are again the partitions of
+    sum(a) into at most d parts: the rows are the unknowns, the system is
+    square, and its size stops growing with d once d >= sum(a).
     """
     a = kappa_monomial(a)
     d = n - sum(a) - 2
     if d < 1:
         raise ValueError(f"degree budget d={d} leaves no basis to solve for")
     unknowns = sorted(integer_partitions(sum(a), d))
-    rows = sorted(set(dimension_sequences(sum(a), d)))
+    rows = unknowns
     matrix = [[pair_kappa_stratum(mu, dims) for mu in unknowns] for dims in rows]
     rhs = [pair_kappa_stratum(a, dims) for dims in rows]
     return rows, unknowns, matrix, rhs

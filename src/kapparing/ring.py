@@ -399,7 +399,7 @@ def basis_coeff(
     a = kappa_monomial(a)
     p = canonical_partition(p)
     if ground_size(p) != len(a):
-        raise ValueError("partition does not match the index multiset")
+        raise ValueError(f"partition covers {ground_size(p)} indices but the multiset has {len(a)}")
     if d < 1:
         raise ValueError("degree budget d must be >= 1")
     if len(p) > d:

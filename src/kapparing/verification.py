@@ -38,13 +38,14 @@ class RingSweepBounds(NamedTuple):
     genus_lifts: tuple[int, ...] = (1, 2)
 
 
+def _ring_multisets(bounds: RingSweepBounds) -> list[Multiset]:
+    """The sweep's index multisets, ordered."""
+    return list(index_multisets(bounds.max_len, max_sum=bounds.max_sum, max_entry=bounds.max_entry))
+
+
 def ring_sweep_cases(bounds: RingSweepBounds = RingSweepBounds()) -> list[tuple[Multiset, int]]:
     """All (index multiset, degree budget) pairs in the sweep, ordered."""
-    return [
-        (a, d)
-        for a in index_multisets(bounds.max_len, max_sum=bounds.max_sum, max_entry=bounds.max_entry)
-        for d in range(1, bounds.max_budget + 1)
-    ]
+    return [(a, d) for a in _ring_multisets(bounds) for d in range(1, bounds.max_budget + 1)]
 
 
 def check_methods_agree(a: Iterable[int], d: int) -> dict:
@@ -124,16 +125,21 @@ def check_genus_lift(a: Iterable[int], d: int, genus: int) -> dict:
     }
 
 
-def check_top_degree(a: Iterable[int]) -> dict:
+def _top_degree_values(a: Multiset) -> tuple[Fraction, Fraction, Fraction]:
+    """The top-degree value of kappa_a three independent ways: the ring's
+    socle coefficient, the oracle's integral at n = sum(a) + 3 and the
+    pairing against the one-component stratum."""
+    return socle_coeff(a), integrate_kappa_top(a, sum(a) + 3), pair_kappa_stratum(a, (sum(a),))
+
+
+def check_top_degree(a: Multiset, values: tuple[Fraction, Fraction, Fraction]) -> dict:
     """At degree budget 1 the product collapses to socle_coeff(a) * kappa_{sum a},
-    and three independent routes must give that number."""
-    a = multiset(a)
+    and the three routes of ``values = _top_degree_values(a)`` must give that
+    number."""
     n = sum(a) + 3
     poly = kappa_product(a, 0, n)
-    lam = socle_coeff(a)
+    lam, integral, paired = values
     expected = KappaPoly({(sum(a),): lam}) if lam else KappaPoly.zero()
-    integral = integrate_kappa_top(a, n)
-    paired = pair_kappa_stratum(a, (sum(a),))
     ok = poly == expected and integral == lam and paired == lam
     return {
         "check": "top_degree",
@@ -312,6 +318,11 @@ def run_suite(
     variants), ``all``.
     """
     rows: list[dict] = []
+    top = {}
+    if suite in ("ring", "oracle", "all"):
+        # one socle, integral and pairing per multiset, shared by the ring's
+        # top-degree rows and the oracle's three-path rows
+        top = {a: _top_degree_values(a) for a in _ring_multisets(ring_bounds)}
     if suite in ("identities", "all"):
         rows.extend(run_ordered(identity_case_worker, identity_sweep_cases(identity_bounds), jobs))
     if suite in ("ring", "all"):
@@ -323,15 +334,12 @@ def run_suite(
             for g in ring_bounds.genus_lifts
         ]
         rows.extend(run_ordered(check_genus_lift, genus_cases, jobs))
-        for a in index_multisets(ring_bounds.max_len, max_sum=ring_bounds.max_sum, max_entry=ring_bounds.max_entry):
-            rows.append(check_top_degree(a))
+        for a, values in top.items():
+            rows.append(check_top_degree(a, values))
         for a in random_round_trip_cases():
             rows.append(check_round_trip(a))
     if suite in ("oracle", "all"):
-        for a in index_multisets(ring_bounds.max_len, max_sum=ring_bounds.max_sum, max_entry=ring_bounds.max_entry):
-            lam = socle_coeff(a)
-            integral = integrate_kappa_top(a, sum(a) + 3)
-            paired = pair_kappa_stratum(a, (sum(a),))
+        for a, (lam, integral, paired) in top.items():
             rows.append(
                 {
                     "check": "socle_three_paths",

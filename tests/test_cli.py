@@ -116,6 +116,9 @@ def test_reconcile_identifies_the_partial_sum_variant():
 def test_invalid_input_exits_2():
     assert run_cli("product", "--a", "1,x", "--marked", "5").returncode == 2
     assert run_cli("product", "--a", "0,1", "--marked", "5").returncode == 2
+    # the pairing route rejects a bad index even where the basis is empty
+    assert run_cli("product", "--a", "0,1", "--marked", "1", "--method", "pairing").returncode == 2
+    assert run_cli("product", "--a", "1,1", "--genus", "-1", "--marked", "9", "--method", "pairing").returncode == 2
     assert run_cli("xcoeff", "--a", "1,1", "--partition", "[[0]]", "--d", "2").returncode == 2
     assert run_cli("xcoeff", "--a", "1,1", "--partition", "[[0],[1]]", "--d", "0").returncode == 2
     assert run_cli("solve", "--a", "1,1", "--marked", "4").returncode == 2
@@ -180,6 +183,11 @@ not_a_partition = st.one_of(
 
 MALFORMED_ARGV = st.one_of(
     st.builds(lambda a: ["product", f"--a={a}", "--marked", "9"], list_with(bad_index)),
+    st.builds(
+        lambda a, m: ["product", f"--a={a}", f"--marked={m}", "--method", "pairing"],
+        list_with(bad_index),
+        st.integers(0, 9),
+    ),
     st.builds(lambda a: ["xcoeff", f"--a={a}", "--partition", "[[0]]", "--d", "2"], list_with(bad_index)),
     st.builds(lambda a: ["pair", f"--a={a}", "--dims", "1,2"], list_with(bad_index)),
     st.builds(lambda a: ["solve", f"--a={a}", "--marked", "9"], list_with(bad_index)),
@@ -208,6 +216,32 @@ def test_malformed_arguments_exit_2(argv):
             code = exc.code
     assert code == 2, (argv, out.getvalue(), err.getvalue())
     assert out.getvalue() == ""
+
+
+def test_deeply_nested_partition_exits_2():
+    deep = "[" * 5000 + "]" * 5000
+    result = run_cli("xcoeff", "--a", "1,1", "--d", "2", "--partition", deep)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args, terms",
+    [
+        (("product", "--a", "1,1,2", "--method", "pairing"), [{"monomial": [1, 1, 2], "coefficient": "1/1"}]),
+        (
+            ("solve", "--a", "1,1"),
+            [{"monomial": [1, 1], "coefficient": "1/1"}, {"monomial": [2], "coefficient": "0/1"}],
+        ),
+    ],
+)
+def test_pairing_cost_does_not_grow_with_the_marking_count(args, terms):
+    # strata are not padded with zero-dimension components, so n = 10**23 is cheap
+    result = run_cli(*args, "--marked", str(10**23))
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report.get("terms", report.get("coefficients")) == terms
 
 
 def test_error_messages_go_to_stderr_not_stdout():

@@ -114,6 +114,14 @@ def test_alt_binomial_full_sum_collapses():
                 assert value == 0
 
 
+def test_alt_binomial_cost_does_not_grow_with_hi():
+    # past k = lo + m every term is 0; summed term by term, hi = 10**23 would never finish
+    for m in range(6):
+        for lo in range(4):
+            assert alt_binomial_partial_sum(m, lo, 10**23) == alt_binomial_partial_sum(m, lo, lo + m)
+    assert alt_binomial_partial_sum(-2, 1, 3) == -binomial(-2, 0) + binomial(-2, 1) - binomial(-2, 2)
+
+
 def test_alt_binomial_equals_shifted_single_binomial():
     # The truncated sum telescopes to (-1)**hi * binomial(m - 1, hi - lo).
     for m in range(8):

@@ -174,6 +174,14 @@ def test_solve_pinned_cases():
     assert solve_coeffs_by_pairing((1, 1, 1), 7) == {(1, 2): Fraction(15), (3,): Fraction(-74)}
 
 
+@pytest.mark.parametrize("a", [(1,), (1, 1), (1, 1, 2), (2, 3, 3)])
+def test_solve_cost_does_not_grow_with_the_marking_count(a):
+    # at n = 10**23 the basis is every partition of sum(a); padding each
+    # stratum to d components would never finish
+    solved = solve_coeffs_by_pairing(a, 10**23)
+    assert {mu: c for mu, c in solved.items() if c} == {a: 1}
+
+
 def test_solve_requires_room_for_a_basis():
     with pytest.raises(ValueError):
         solve_coeffs_by_pairing((1, 1), 4)
@@ -181,6 +189,9 @@ def test_solve_requires_room_for_a_basis():
 
 def test_pairing_system_is_square():
     rows, unknowns, matrix, rhs = pairing_system((1, 1, 2), 9)
+    assert rows == unknowns
+    # one row per stratum of d = 3 components, named by its positive dimensions
+    assert {tuple(v for v in dims if v) for dims in dimension_sequences(4, 3)} == set(rows)
     assert len(rows) == len(unknowns) == len(matrix)
     assert all(len(row) == len(unknowns) for row in matrix)
     assert len(rhs) == len(rows)

@@ -357,6 +357,17 @@ def test_basis_monomials_expand_to_themselves():
                 assert poly.coefficient(mono) == 0
 
 
+HUGE_MARKINGS = 10**23
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("a", [(1,), (1, 1), (1, 1, 1), (1, 2, 3), (1, 2, 2, 5)])
+def test_product_cost_does_not_grow_with_the_marking_count(method, a):
+    # with d >= len(a) the monomial is its own basis element; at n = 10**23
+    # a method whose work grows with d would never return
+    assert kappa_product(a, 0, HUGE_MARKINGS, method=method) == KappaPoly.monomial(a)
+
+
 def test_reduce_to_basis():
     assert reduce_to_basis(KappaPoly.zero(), 0, 5) == KappaPoly.zero()
     assert reduce_to_basis(KappaPoly.monomial((1, 1), 3), 0, 5) == KappaPoly({(2,): 15})

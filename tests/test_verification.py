@@ -49,6 +49,26 @@ def test_reconcile_sweep_is_the_same_on_one_or_two_processes_and_in_run_suite():
     assert suite_row == {"check": "reconcile_summary", **summary}
 
 
+def test_ring_and_oracle_suites_share_one_top_degree_integral_per_multiset(monkeypatch):
+    calls = []
+    integrate = verification.integrate_kappa_top
+
+    def counting_integrate(a, n):
+        calls.append(tuple(a))
+        return integrate(a, n)
+
+    monkeypatch.setattr(verification, "integrate_kappa_top", counting_integrate)
+    bounds = verification.RingSweepBounds(max_len=2, max_sum=3, max_budget=1)
+    multisets = [(1,), (2,), (3,), (1, 1), (1, 2)]
+    rows = verification.run_suite("all", verification.SweepBounds(max_len=1, max_sum=2), bounds)
+    # once per multiset, and (1, 1) once more for the hand-pinned product row
+    assert sorted(calls) == sorted(multisets + [(1, 1)])
+    top = [row for row in rows if row.get("check") == "top_degree"]
+    three_paths = [row for row in rows if row.get("check") == "socle_three_paths"]
+    assert [row["a"] for row in top] == [row["a"] for row in three_paths] == [list(a) for a in multisets]
+    assert all(row["pass"] for row in top + three_paths)
+
+
 def test_run_ordered_unpacks_each_case_as_arguments():
     cases = [((1, 1), 2), ((1, 2), 3)]
     expected = [verification.check_genus_lift(a, d, 1) for a, d in cases]
