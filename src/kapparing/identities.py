@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .numbers import binomial, factorial, falling_factorial, format_rational, multinomial
-from .partitions import _local_partitions, multiset, stirling2
-from .ring import correction_coeff, socle_coeff
+from .partitions import _local_partitions, _split_sums, kappa_monomial, multiset, stirling2
+from .ring import _CORRECTION, _SOCLE
 
 IDENTITY_NAMES = (
     "binomial_product",
@@ -213,21 +213,21 @@ def _check_stirling_alternating(n: int) -> IdentityReport:
 
 
 def _check_vanishing(b: Iterable[int]) -> IdentityReport:
-    b = multiset(b)
+    b = kappa_monomial(b)
     if len(b) < 1:
         raise ValueError("multiset must be nonempty")
-    total = Fraction(0)
+    # blocks and block sums come canonical: the ring's int tables take them
+    total = 0
     for blocks in _local_partitions(b):
-        term = socle_coeff(map(sum, blocks))
+        term = _SOCLE[_split_sums(blocks)]
         for blk in blocks:
-            term *= correction_coeff(blk)
+            term *= _CORRECTION[blk]
         total += term
-    rhs = Fraction(1) if len(b) == 1 else Fraction(0)
     return IdentityReport(
         identity="vanishing",
         params={"b": list(b)},
-        lhs=total,
-        rhs=rhs,
+        lhs=Fraction(total),
+        rhs=Fraction(1 if len(b) == 1 else 0),
     )
 
 
@@ -236,7 +236,7 @@ def _check_ff_multinomial(xs: Iterable[int], n: int) -> IdentityReport:
     if n < 0:
         raise ValueError("n must be nonnegative")
     lhs = Fraction(falling_factorial(sum(xs), n))
-    rhs = Fraction(0)
+    rhs = 0
     for ks in _compositions(n, len(xs)):
         term = multinomial(ks)
         for x, k in zip(xs, ks):
@@ -246,7 +246,7 @@ def _check_ff_multinomial(xs: Iterable[int], n: int) -> IdentityReport:
         identity="ff_multinomial",
         params={"xs": list(xs), "n": n},
         lhs=lhs,
-        rhs=rhs,
+        rhs=Fraction(rhs),
     )
 
 

@@ -24,10 +24,12 @@ multisets, once; the methods see block values only and split each block
 with ``partitions._local_partitions``.  ``kappa_product`` calls
 ``basis_coeff`` on each basis partition of a's positions.
 
-The socle, correction and split-weight values behind all three are memoised
-in ``Memo`` tables (see :mod:`kapparing.partitions`), which the loops index
-directly; ``clear_coeff_caches`` empties them.  The socle and correction
-coefficients come from the block DP ``partitions._partition_weight_sums``.
+Every coefficient is an integer, and the kernels sum ints: the socle,
+correction and split-weight values and closed's per-r-block chain terms are
+int ``Memo`` tables (see :mod:`kapparing.partitions`), which the loops index
+directly; ``clear_coeff_caches`` empties them.  ``Fraction`` appears only in
+the public functions' results.  The socle and correction coefficients come
+from the block DP ``partitions._partition_weight_sums``.
 
 The closed form's truncation factor has two candidate conventions (see
 ``TRUNCATION_VARIANTS``).  ``partial_sum`` evaluates the truncated
@@ -166,7 +168,7 @@ def socle_coeff(a: Iterable[int]) -> Fraction:
 
     The empty multiset gives 1.
     """
-    return _SOCLE[kappa_monomial(a)]
+    return Fraction(_SOCLE[kappa_monomial(a)])
 
 
 def correction_coeff(a: Iterable[int]) -> Fraction:
@@ -183,54 +185,56 @@ def correction_coeff(a: Iterable[int]) -> Fraction:
     convention.
     """
     a = kappa_monomial(a)
-    return _CORRECTION[a] if a else Fraction(1)
+    return Fraction(_CORRECTION[a] if a else 1)
 
 
-# Memo tables of the two scalar coefficient families and of the split
-# weights built from them, keyed by canonical monomials, so the internal
-# loops, which build their keys canonical, index them without validating
-# again.
+# Memo tables of the two scalar coefficient families, of the split weights
+# built from them and of closed's chain terms, keyed by canonical monomials,
+# so the internal loops, which build their keys canonical, index them without
+# validating again.  Every value is an int.
 @Memo
-def _SOCLE(a: KappaMonomial) -> Fraction:
+def _SOCLE(a: KappaMonomial) -> int:
     """socle_coeff by canonical monomial.  A partition into m blocks with sums
     s_B contributes multinomial(s_B + 1) = (S+m)! / prod (s_B+1)!, S = sum(a);
     the block weight (S+1)!/(s_B+1)! keeps the DP in integers, and dividing
     by ((S+1)!)**m is exact term by term."""
     top = factorial(sum(a) + 1)
     sums = _partition_weight_sums(a, lambda block: top // factorial(sum(block) + 1))
-    total = sum(
-        (-1) ** (len(a) + m) * factorial(sum(a) + m) * w // top**m for m, w in enumerate(sums) if w
-    )
-    return Fraction(total)
+    return sum((-1) ** (len(a) + m) * factorial(sum(a) + m) * w // top**m for m, w in enumerate(sums) if w)
 
 
 @Memo
-def _CORRECTION(a: KappaMonomial) -> Fraction:
+def _CORRECTION(a: KappaMonomial) -> int:
     """correction_coeff by canonical monomial, trusted nonempty: the sum
     has no term for the empty multiset, which correction_coeff answers."""
     sums = _partition_weight_sums(a, lambda block: multinomial(v + 1 for v in block))
-    total = sum((-1) ** (len(a) + m) * factorial(m - 1) * w for m, w in enumerate(sums) if w)
-    return Fraction(total)
+    return sum((-1) ** (len(a) + m) * factorial(m - 1) * w for m, w in enumerate(sums) if w)
 
 
 @Memo
-def _SPLIT_WEIGHT(key: tuple[KappaMonomial, int]) -> Fraction:
+def _SPLIT_WEIGHT(key: tuple[KappaMonomial, int]) -> int:
     """split_weight by (canonical monomial, valid k)."""
     a, k = key
-    total = Fraction(0)
-    for q in _local_partitions(a):
-        if len(q) == k:
-            total += _group_weight(q)
-    return total
+    return sum(_group_weight(q) for q in _local_partitions(a) if len(q) == k)
+
+
+@Memo
+def _CHAIN_TERMS(values: KappaMonomial) -> tuple[tuple[int, int], ...]:
+    """closed's splits t of one r-block with these values, grouped by block
+    count: the pairs (len(t), sum of multinomial(block sum + 1) over t)."""
+    terms: dict[int, int] = {}
+    for sub in _local_partitions(values):
+        terms[len(sub)] = terms.get(len(sub), 0) + multinomial(sum(b) + 1 for b in sub)
+    return tuple(terms.items())
 
 
 def clear_coeff_caches() -> None:
     """Empty every memo table of the expansion, down to the partition table."""
-    for table in (_SOCLE, _CORRECTION, _SPLIT_WEIGHT, _PARTITIONS_BY_SIZE):
+    for table in (_SOCLE, _CORRECTION, _SPLIT_WEIGHT, _CHAIN_TERMS, _PARTITIONS_BY_SIZE):
         table.clear()
 
 
-def snapshot_coeff_caches() -> dict[str, dict[Multiset, Fraction]]:
+def snapshot_coeff_caches() -> dict[str, dict[Multiset, int]]:
     return {"socle": dict(_SOCLE), "correction": dict(_CORRECTION)}
 
 
@@ -279,13 +283,13 @@ def split_weight(a: Iterable[int], k: int) -> Fraction:
     a = kappa_monomial(a)
     if not 1 <= k <= len(a):
         raise ValueError(f"need 1 <= k <= {len(a)}, got k={k}")
-    return _SPLIT_WEIGHT[a, k]
+    return Fraction(_SPLIT_WEIGHT[a, k])
 
 
-def _group_weight(blocks: tuple[KappaMonomial, ...]) -> Fraction:
+def _group_weight(blocks: tuple[KappaMonomial, ...]) -> int:
     """Product of the blocks' socle coefficients times the correction
     coefficient of their block sums; blocks are canonical value multisets."""
-    weight = Fraction(1)
+    weight = 1
     for values in blocks:
         weight *= _SOCLE[values]
     return weight * _CORRECTION[_split_sums(blocks)]
@@ -298,34 +302,34 @@ def _truncation_factor(variant: str, len_t: int, len_r: int, d: int) -> int:
     return (-1) ** m * binomial(len_t - len_r, m - len_r)
 
 
-def _coeff_recursive(shape: tuple[Multiset, ...], d: int) -> Fraction:
-    total = Fraction(0)
+def _coeff_recursive(shape: tuple[Multiset, ...], d: int) -> int:
+    total = 0
     # q <= p as one local partition per p-block; each local partition is
     # the group of q-blocks that one correction factor regroups
     for q in itertools.product(*map(_local_partitions, shape)):
         if sum(map(len, q)) > d:
             continue
-        weight = Fraction(1)
+        weight = 1
         for local in q:
             weight *= _group_weight(local)
         total += weight
     return total
 
 
-def _coeff_ck(shape: tuple[Multiset, ...], d: int) -> Fraction:
+def _coeff_ck(shape: tuple[Multiset, ...], d: int) -> int:
     per_block = [[_SPLIT_WEIGHT[values, k] for k in range(1, len(values) + 1)] for values in shape]
-    total = Fraction(0)
+    total = 0
     for ks in itertools.product(*(range(1, len(w) + 1) for w in per_block)):
         if sum(ks) > d:
             continue
-        term = Fraction(1)
+        term = 1
         for j, k in enumerate(ks):
             term *= per_block[j][k - 1]
         total += term
     return total
 
 
-def _coeff_closed(shape: tuple[Multiset, ...], d: int, truncation: str) -> Fraction:
+def _coeff_closed(shape: tuple[Multiset, ...], d: int, truncation: str) -> int:
     """The sum over chains t <= r <= p of
 
         (-1)**(k + len(t) + len(r)) * trunc(len(t), len(r))
@@ -336,13 +340,12 @@ def _coeff_closed(shape: tuple[Multiset, ...], d: int, truncation: str) -> Fract
     Within one r-block the shifted t-block sums add up to the r-block's sum
     plus its t-block count, so each r-block's factorial over its t-blocks'
     factorials is a multinomial and every term is an integer.  r is chosen
-    blockwise in p and t blockwise in r; each local partition of an r-block
-    enters only through its (block count, multinomial), computed once per
-    distinct r-block value tuple.
+    blockwise in p and t blockwise in r.  The truncation factor depends on t
+    only through len(t), so each r-block's splits enter grouped by block
+    count, as the (count, summed multinomial) pairs of ``_CHAIN_TERMS``.
     """
     k = sum(map(len, shape))
     truncs: dict[int, list[int]] = {}
-    local_terms: dict[Multiset, list[tuple[int, int]]] = {}
     total = 0
     for r in itertools.product(*map(_local_partitions, shape)):
         len_r = sum(map(len, r))
@@ -357,13 +360,7 @@ def _coeff_closed(shape: tuple[Multiset, ...], d: int, truncation: str) -> Fract
         per_r_block = []
         for local in r:
             factor_p *= factorial(len(local) - 1)
-            for values in local:
-                terms = local_terms.get(values)
-                if terms is None:
-                    terms = local_terms[values] = [
-                        (len(sub), multinomial(sum(b) + 1 for b in sub)) for sub in _local_partitions(values)
-                    ]
-                per_r_block.append(terms)
+            per_r_block.extend(map(_CHAIN_TERMS.__getitem__, local))
         for t in itertools.product(*per_r_block):
             len_t = 0
             term = factor_p
@@ -371,7 +368,7 @@ def _coeff_closed(shape: tuple[Multiset, ...], d: int, truncation: str) -> Fract
                 len_t += count
                 term *= weight
             total += trunc[len_t] * term
-    return Fraction(total)
+    return total
 
 
 def _check_method(method: str) -> None:
@@ -406,11 +403,9 @@ def basis_coeff(
         raise ValueError(f"partition has {len(p)} blocks, outside the basis range d={d}")
     # the blocks' value multisets, canonical since a is sorted and blocks ascend
     shape = tuple(tuple(a[i] for i in blk) for blk in p)
-    if method == "recursive":
-        return _coeff_recursive(shape, d)
-    if method == "ck":
-        return _coeff_ck(shape, d)
-    return _coeff_closed(shape, d, truncation)
+    if method == "closed":
+        return Fraction(_coeff_closed(shape, d, truncation))
+    return Fraction((_coeff_recursive if method == "recursive" else _coeff_ck)(shape, d))
 
 
 def kappa_product(

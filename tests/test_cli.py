@@ -224,6 +224,9 @@ def test_deeply_nested_partition_exits_2():
     assert result.returncode == 2
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
+    # the error quotes a bounded prefix of the 10,000-character argument
+    assert len(result.stderr) < 300
+    assert "10000 characters" in result.stderr
 
 
 @pytest.mark.parametrize(

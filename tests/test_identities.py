@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -115,6 +116,20 @@ def test_check_identity_rejects_bad_requests():
         check_identity("tree_sum", a=[1, 1])  # missing k
     with pytest.raises(ValueError):
         check_identity("stirling_alternating", n=0)
+    # the vanishing check validates b once, before the trusted table lookups
+    with pytest.raises(ValueError):
+        check_identity("vanishing", b=[0, 1])
+    with pytest.raises(ValueError):
+        check_identity("vanishing", b=[])
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("vanishing", {"b": [1, 2, 2]}), ("ff_multinomial", {"xs": [3, -2], "n": 4})],
+)
+def test_integer_sums_report_fractions(name, params):
+    report = check_identity(name, **params)
+    assert type(report.lhs) is Fraction and type(report.rhs) is Fraction
 
 
 def test_report_json_shape():

@@ -24,7 +24,7 @@ from kapparing.ring import (
     split_weight,
 )
 
-from bruteforce import naive_correction, naive_set_partitions, naive_socle
+from bruteforce import naive_closed, naive_correction, naive_set_partitions, naive_socle
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +195,14 @@ def test_clear_coeff_caches_empties_every_memo():
     clear_coeff_caches()
     assert split_weight((1, 1, 2), 2) == split_weight([2, 1, 1], 2)
     basis_coeff(((0, 1, 2),), (1, 1, 2), 2, method="closed")
-    assert ring._SPLIT_WEIGHT and partitions._PARTITIONS_BY_SIZE
+    assert ring._SPLIT_WEIGHT and ring._CHAIN_TERMS and partitions._PARTITIONS_BY_SIZE
     snapshot = snapshot_coeff_caches()
     assert set(snapshot) == {"socle", "correction"}
     # the stderr summary and the benchmark tracer consume plain dicts
     assert all(type(table) is dict and table for table in snapshot.values())
     clear_coeff_caches()
     assert not ring._SPLIT_WEIGHT
+    assert not ring._CHAIN_TERMS
     assert not partitions._PARTITIONS_BY_SIZE
     assert snapshot_coeff_caches() == {"socle": {}, "correction": {}}
 
@@ -265,6 +266,41 @@ def test_methods_agree_pointwise(a, d):
             continue
         values = {basis_coeff(p, a, d, method=m) for m in METHODS}
         assert len(values) == 1, (a, d, p, values)
+
+
+@pytest.mark.parametrize("a", list(index_multisets(5, max_sum=8)))
+def test_closed_matches_chain_walk(a):
+    # both truncation variants, on every basis partition at every budget
+    for p in naive_set_partitions(range(len(a))):
+        for d in range(len(p), len(a) + 1):
+            for truncation in ("partial_sum", "single_binomial"):
+                got = basis_coeff(p, a, d, method="closed", truncation=truncation)
+                assert got == naive_closed(p, a, d, truncation), (a, p, d, truncation)
+
+
+def test_kernel_tables_hold_ints_and_public_values_are_fractions():
+    clear_coeff_caches()
+    a = (1, 1, 2, 3)
+    for method in METHODS:
+        assert type(basis_coeff(((0, 1), (2, 3)), a, 3, method=method)) is Fraction
+    assert type(socle_coeff(a)) is Fraction
+    assert type(correction_coeff(a)) is Fraction
+    assert type(correction_coeff(())) is Fraction
+    assert type(split_weight(a, 2)) is Fraction
+    for table in (ring._SOCLE, ring._CORRECTION, ring._SPLIT_WEIGHT):
+        assert table and all(type(value) is int for value in table.values())
+    assert ring._CHAIN_TERMS
+    for terms in ring._CHAIN_TERMS.values():
+        assert all(type(count) is int and type(weight) is int for count, weight in terms)
+
+
+def test_chain_terms_are_grouped_by_block_count():
+    clear_coeff_caches()
+    kappa_product((1,) * 9, 0, 14, method="closed")
+    assert ring._CHAIN_TERMS
+    for values, terms in ring._CHAIN_TERMS.items():
+        assert len(terms) <= len(values)
+        assert len({count for count, _ in terms}) == len(terms)
 
 
 @given(st.lists(st.integers(1, 3), min_size=2, max_size=6).map(sorted), st.data())
