@@ -43,14 +43,9 @@ from .oracle import (
     solve_coeffs_by_pairing,
     solve_pairing_system,
 )
-from .partitions import block_sums, canonical_partition, kappa_monomial, multiset
+from .partitions import block_sums, canonical_partition, kappa_monomial, multiset, quote
 from .ring import METHODS, KappaPoly, basis_coeff, kappa_product, snapshot_coeff_caches
 from .verification import RingSweepBounds, reconcile_sweep, run_suite
-
-
-def _quote(text: str) -> str:
-    """repr(text) when short, else its first 60 characters and its length."""
-    return repr(text) if len(text) <= 60 else f"{text[:60]!r}... ({len(text)} characters)"
 
 
 def parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -60,14 +55,14 @@ def parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"{what} must be a comma-separated integer list, got {_quote(text)}") from exc
+        raise ValueError(f"{what} must be a comma-separated integer list, got {quote(text)}") from exc
 
 
 def parse_partition_arg(text: str):
     try:
         blocks = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"--partition must be a JSON nested integer list, got {_quote(text)}") from exc
+        raise ValueError(f"--partition must be a JSON nested integer list, got {quote(text)}") from exc
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise ValueError("--partition must be a list of lists of indices")
     return canonical_partition(blocks)

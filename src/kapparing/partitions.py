@@ -18,13 +18,16 @@ Conventions:
 its own, which is restricted-growth-string order.
 
 The public helpers validate their input; ``kappa_monomial`` is the one
-validator of kappa monomials.  Every value-only sum over set partitions, in
-the ring, the oracle and the identities, streams ``_local_partitions``: the
-splits of a sorted value tuple in ``set_partitions`` order, with
-``_split_sums`` as the monomial of a split.  ``kappa_product`` splits the
-positions 0..k-1 the same way, since it hands each partition to
-``basis_coeff``; ``set_partitions`` itself serves only the table behind
-``_local_partitions`` and the verification rows that print indices.
+validator of kappa monomials, and ``quote`` bounds the argument every error
+message echoes.  Every value-only sum over set partitions in the ring and
+the identities streams ``_local_partitions``: the splits of a sorted value
+tuple in ``set_partitions`` order, with ``_split_sums`` as the monomial of a
+split.  ``kappa_product`` splits the positions 0..k-1 the same way, since it
+hands each partition to ``basis_coeff``; ``set_partitions`` itself serves
+only the table behind ``_local_partitions`` and the verification rows that
+print indices.  The oracle's sums depend on a split only through its
+blocks' values, so it walks ``multiset_partitions`` instead: one term per
+orbit of splits that agree up to equal values, weighted by the orbit's size.
 
 ``Memo`` is the package's one memo-table type: a dict that computes a missing
 value on lookup and stores it up to ``COEFF_CACHE_LIMIT`` entries.  The
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 from operator import sub
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -62,8 +65,18 @@ def kappa_monomial(indices: Iterable[int]) -> Multiset:
     """Canonical kappa monomial: sorted indices, all >= 1; () is the unit."""
     ms = multiset(indices)
     if any(v < 1 for v in ms):
-        raise ValueError(f"kappa indices must be >= 1, got {ms}")
+        raise ValueError(f"kappa indices must be >= 1, got {quote(ms)}")
     return ms
+
+
+def quote(value: str | tuple) -> str:
+    """repr(value) for an error message, cut to the first 60 characters of a
+    longer string or the first 20 entries of a longer tuple, with its length,
+    so a huge argument cannot flood the message."""
+    limit, unit = (60, "characters") if isinstance(value, str) else (20, "entries")
+    if len(value) <= limit:
+        return repr(value)
+    return f"{value[:limit]!r}... ({len(value)} {unit})"
 
 
 def canonical_partition(blocks: Iterable[Iterable[int]]) -> SetPartition:
@@ -89,7 +102,7 @@ def canonical_partition(blocks: Iterable[Iterable[int]]) -> SetPartition:
     if len(seen) != total:
         raise ValueError("set partition blocks must be pairwise disjoint")
     if seen and (min(seen) != 0 or max(seen) != total - 1):
-        raise ValueError(f"set partition must cover 0..{total - 1}, got indices {sorted(seen)}")
+        raise ValueError(f"set partition must cover 0..{total - 1}, got indices {quote(tuple(sorted(seen)))}")
     return tuple(normalized)
 
 
@@ -120,6 +133,96 @@ def _set_partitions(k: int) -> Iterator[SetPartition]:
         for j, blk in enumerate(p):
             yield p[:j] + (blk + (last,),) + p[j + 1 :]
         yield p + ((last,),)
+
+
+def multiset_partitions(a: Iterable[int]) -> Iterator[tuple[tuple[Multiset, ...], int]]:
+    """Stream every partition of the multiset a into sub-multisets, each with
+    its count of set partitions: the size of its orbit among the set
+    partitions of a's positions when equal values are interchangeable.
+
+    A partition is a tuple of blocks, each block a sorted value tuple.  A
+    partition whose block B takes s_{B,v} of the c_v copies of each value v,
+    and whose distinct blocks occur m_1, m_2, ... times, has the count
+
+        prod_v c_v! / (prod_B prod_v s_{B,v}! * prod_i m_i!),
+
+    so the counts sum to Bell(len(a)), while the partitions number only 42
+    for ten equal values.  The enumerator is Knuth's Algorithm M (TAOCP 4A,
+    7.2.1.5): the blocks come in decreasing lexicographic order of their
+    multiplicity vectors, so equal blocks are adjacent.
+    """
+    return _multiset_partitions(multiset(a))
+
+
+def _multiset_partitions(a: Multiset) -> Iterator[tuple[tuple[Multiset, ...], int]]:
+    """Algorithm M on the counts of a's distinct values.
+
+    The stack holds the blocks as vectors: block t gives value number c[j]
+    the multiplicity v[j] for f[t] <= j < f[t + 1], out of the u[j] copies
+    the blocks before it left over; [lo, hi) is the top block's range.  A
+    visit rebuilds only the blocks that changed since the previous one, with
+    denom[t + 1], the orbit count's denominator over blocks 0..t, and run[t],
+    how many blocks before and including t equal block t.
+    """
+    if not a:
+        yield (), 1
+        return
+    values = sorted(set(a))
+    counts = [a.count(v) for v in values]
+    numerator = prod(map(factorial, counts))
+    size = len(values) * len(a) + 1
+    c, u, v = [0] * size, [0] * size, [0] * size
+    f = [0] * (len(a) + 2)
+    # M1: the first block takes everything
+    for j, count in enumerate(counts):
+        c[j], u[j], v[j] = j, count, count
+    lo, hi, level = 0, len(values), 0
+    f[1] = hi
+    blocks: list[Multiset] = []
+    denom, run = [1], []
+    while True:
+        # M2-M3: push the largest block that fits in what is left, until
+        # nothing is left
+        while True:
+            j, k, shrunk = lo, hi, False
+            while j < hi:
+                u[k] = u[j] - v[j]
+                if u[k] == 0:
+                    shrunk = True
+                else:
+                    c[k] = c[j]
+                    v[k] = u[k] if shrunk else min(v[j], u[k])
+                    shrunk = shrunk or u[k] < v[j]
+                    k += 1
+                j += 1
+            if k == hi:
+                break
+            lo, hi, level = hi, k, level + 1
+            f[level + 1] = hi
+        # M4: visit
+        for t in range(len(blocks), level + 1):
+            span = range(f[t], f[t + 1])
+            block = tuple(values[c[j]] for j in span for _ in range(v[j]))
+            run[t:] = [run[t - 1] + 1 if t and blocks[t - 1] == block else 1]
+            denom[t + 1 :] = [denom[t] * run[t] * prod(factorial(v[j]) for j in span)]
+            blocks.append(block)
+        yield tuple(blocks), numerator // denom[level + 1]
+        # M5-M6: shrink the last block that can shrink, backtracking past
+        # blocks that cannot, and let the blocks after it take the rest
+        while True:
+            j = hi - 1
+            while v[j] == 0:
+                j -= 1
+            if j != lo or v[j] != 1:
+                break
+            if level == 0:
+                return
+            level -= 1
+            lo, hi = f[level], lo
+        v[j] -= 1
+        for k in range(j + 1, hi):
+            v[k] = u[k]
+        del blocks[level:]
 
 
 def refines(q: SetPartition, p: SetPartition) -> bool:

@@ -1,16 +1,22 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here is deliberately written against the standard library only,
-with different algorithms than the package (the enumeration order from
-growth strings filtered out of itertools.product, math.comb instead of the
-factorial table), so a shared bug cannot hide.  ``naive_set_partitions``
-inserts the last element as the package does, but on lists, and the tests
-compare it with the package as sets of partitions only.
+Everything here but ``naive_pairing_system`` is deliberately written against
+the standard library only, with different algorithms than the package (the
+enumeration order from growth strings filtered out of itertools.product,
+math.comb instead of the factorial table), so a shared bug cannot hide.
+``naive_set_partitions`` inserts the last element as the package does, but
+on lists, and the tests compare it with the package as sets of partitions
+only.  ``naive_pairing_system`` is the dense form of the package's pairing
+system: it uses the package's pairing and its general Bareiss solver, so it
+checks what the sparse triangular build and solve leave out, not the
+pairing itself (``naive_pair_kappa_stratum`` does that).
 """
 
 import itertools
 import math
 from fractions import Fraction
+
+from kapparing.oracle import pair_kappa_stratum, solve_exact
 
 
 def naive_set_partitions(elements):
@@ -124,6 +130,22 @@ def naive_pair_kappa_stratum(b, dims):
             term *= top[key]
         total += term
     return total
+
+
+def naive_pairing_system(a, n):
+    """The pairing system of kappa_a at n markings, dense: the unknowns are
+    the partitions of sum(a) into at most d = n - sum(a) - 2 parts, all N**2
+    entries and all N right-hand sides are pair_kappa_stratum calls, and
+    solve_exact solves it.  Returns the matrix keyed by (dims, mu), the
+    right-hand side keyed by dims and the solution keyed by mu."""
+    total = sum(a)
+    d = n - total - 2
+    unknowns = [mu for length in range(min(d, total) + 1) for mu in naive_multisets(total, length, smallest=1)]
+    matrix = {(dims, mu): pair_kappa_stratum(mu, dims) for dims in unknowns for mu in unknowns}
+    rhs = {dims: pair_kappa_stratum(a, dims) for dims in unknowns}
+    dense = [[matrix[dims, mu] for mu in unknowns] for dims in unknowns]
+    solution = solve_exact(dense, [rhs[dims] for dims in unknowns])
+    return matrix, rhs, dict(zip(unknowns, solution))
 
 
 def naive_closed(p, a, d, truncation):

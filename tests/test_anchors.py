@@ -39,13 +39,17 @@ def zograf_volumes(n_max):
 
 V = zograf_volumes(39)
 KS = range(1, 9)
+# the oracle sums over multiset partitions, 627 of them for kappa_1^20
+# where the set partitions number Bell(20), about 5 * 10**13
+TOP_KS = range(1, 21)
+SOLVE_KS = range(1, 15)
 
 
 def test_zograf_recursion_first_values():
     assert [V[n] for n in range(3, 10)] == [1, 1, 5, 61, 1379, 49946, 2648967]
 
 
-@pytest.mark.parametrize("k", KS)
+@pytest.mark.parametrize("k", TOP_KS)
 def test_top_kappa_1_power_is_the_zograf_volume(k):
     assert socle_coeff((1,) * k) == V[k + 3]
     assert integrate_kappa_top((1,) * k, k + 3) == V[k + 3]
@@ -57,7 +61,7 @@ def test_socle_of_kappa_1_powers_past_enumeration():
         assert socle_coeff((1,) * k) == V[k + 3]
 
 
-@pytest.mark.parametrize("k", KS)
+@pytest.mark.parametrize("k", SOLVE_KS)
 def test_solve_recovers_the_zograf_volume(k):
     assert solve_coeffs_by_pairing((1,) * k, k + 3) == {(k,): V[k + 3]}
 

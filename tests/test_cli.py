@@ -229,6 +229,15 @@ def test_deeply_nested_partition_exits_2():
     assert "10000 characters" in result.stderr
 
 
+def test_long_kappa_index_list_error_is_bounded():
+    # a 0 and 3,000 1s: the library's message quotes the first 20 indices
+    result = run_cli("product", "--a", ",".join(["0"] + ["1"] * 3000), "--marked", "5")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr) < 300
+    assert "3001 entries" in result.stderr
+
+
 @pytest.mark.parametrize(
     "args, terms",
     [
@@ -307,6 +316,21 @@ ORACLE_REPORTS = [
 
 @pytest.mark.parametrize("args, digest", ORACLE_REPORTS)
 def test_oracle_reports_are_pinned_byte_for_byte(args, digest):
+    assert stdout_sha256(*args) == digest
+
+
+# Two solves pinned to the bytes they printed when the top integral walked
+# every set partition and Bareiss solved the dense system: 62 s and 1.9 s
+# then, 0.26 s and 0.08 s by the triangular solve over multiset partitions
+# (one run each on a 2-CPU Xeon, Python 3.11).
+SCALE_REPORTS = [
+    (("solve", "--a", "3,3,3,3", "--marked", "26"), "02f2457fafbb291ed1a0484bd11fc6f745f5dcea734f02ebedd49e0018c04a93"),
+    (("solve", "--a", ",".join(["1"] * 10), "--marked", "16"), "33f551947b3cc6fe04a5792b91d58bcfdb7e9060a03af51683bd450be4a416b6"),
+]
+
+
+@pytest.mark.parametrize("args, digest", SCALE_REPORTS)
+def test_oracle_reports_at_scale_are_pinned_byte_for_byte(args, digest):
     assert stdout_sha256(*args) == digest
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from kapparing import oracle
 from kapparing.oracle import (
     RankDeficientPairingError,
     dimension_sequences,
@@ -16,11 +17,18 @@ from kapparing.oracle import (
     psi_integral,
     solve_coeffs_by_pairing,
     solve_exact,
+    solve_pairing_system,
 )
 from kapparing.partitions import index_multisets
 from kapparing.ring import kappa_product, socle_coeff
 
-from bruteforce import naive_multinomial, naive_multisets, naive_pair_kappa_stratum, naive_set_partitions
+from bruteforce import (
+    naive_multinomial,
+    naive_multisets,
+    naive_pair_kappa_stratum,
+    naive_pairing_system,
+    naive_set_partitions,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +215,66 @@ def test_solver_agrees_with_the_product_expansion(a, d):
         assert poly.coefficient(mono) == coeff
     for mono, coeff in poly.terms.items():
         assert solved.get(mono, Fraction(0)) == coeff
+
+
+@pytest.mark.parametrize("a", list(index_multisets(5, max_sum=8)))
+def test_sparse_system_and_triangular_solve_match_the_dense_reference(a):
+    for d in range(1, len(a) + 2):
+        n = sum(a) + d + 2
+        rows, unknowns, matrix, rhs = system = pairing_system(a, n)
+        dense_matrix, dense_rhs, dense_solution = naive_pairing_system(a, n)
+        assert {(dims, mu): matrix[i][j] for i, dims in enumerate(rows) for j, mu in enumerate(unknowns)} == dense_matrix
+        assert dict(zip(rows, rhs)) == dense_rhs
+        solved = solve_pairing_system(a, n, system)
+        assert {mu: solved.get(mu, Fraction(0)) for mu in unknowns} == dense_solution
+
+
+def test_pairing_matrix_is_upper_triangular_with_factorial_diagonal():
+    rows, unknowns, matrix, _ = pairing_system((1, 1, 2, 2, 3), 21)
+    assert rows == unknowns == sorted(unknowns, key=lambda mu: (len(mu), mu))
+    for i, mu in enumerate(unknowns):
+        assert not any(matrix[i][:i])
+        assert matrix[i][i] == math.prod(math.factorial(mu.count(v)) for v in set(mu))
+
+
+def test_pairing_system_pairs_only_the_coarsenings(monkeypatch):
+    calls = []
+    pair = oracle.pair_kappa_stratum
+
+    def counting_pair(b, dims):
+        calls.append((b, dims))
+        return pair(b, dims)
+
+    monkeypatch.setattr(oracle, "pair_kappa_stratum", counting_pair)
+    _, _, matrix, rhs = pairing_system((3, 4, 5), 18)
+    # 216 matrix nonzeros and the 5 coarsenings of (3, 4, 5); the dense
+    # build made 34 * 35 = 1,190 calls
+    assert sum(1 for row in matrix for x in row if x) == 216
+    assert sum(1 for x in rhs if x) == 5
+    assert len(calls) == 221
+
+
+def test_zero_diagonal_pairing_raises(monkeypatch):
+    pair = oracle.pair_kappa_stratum
+
+    def wrong_pair(b, dims):
+        return Fraction(0) if tuple(b) == tuple(dims) == (1, 2) else pair(b, dims)
+
+    monkeypatch.setattr(oracle, "pair_kappa_stratum", wrong_pair)
+    with pytest.raises(RankDeficientPairingError, match="zero diagonal") as err:
+        solve_coeffs_by_pairing((1, 1, 1), 7)
+    assert err.value.matrix == pairing_system((1, 1, 1), 7)[2]
+
+
+def test_pairing_entry_below_the_diagonal_raises():
+    rows, unknowns, matrix, rhs = pairing_system((1, 1, 1), 8)
+    assert rows == [(3,), (1, 2), (1, 1, 1)]
+    # a nonzero pairing of kappa_3 with the two-component stratum (1, 2),
+    # which its single index cannot fill
+    matrix[1][0] = Fraction(1)
+    with pytest.raises(RankDeficientPairingError, match="below the diagonal") as err:
+        solve_pairing_system((1, 1, 1), 8, (rows, unknowns, matrix, rhs))
+    assert err.value.rank == 1
 
 
 def test_solve_exact_on_a_known_system():

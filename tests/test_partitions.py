@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,8 @@ from kapparing.partitions import (
     index_multisets,
     induced_partition,
     multiset,
+    multiset_partitions,
+    quote,
     refinements,
     refines,
     set_partitions,
@@ -114,6 +117,10 @@ def test_canonical_partition_rejects_bad_input():
         canonical_partition([[0, 1], [1, 2]])
     with pytest.raises(ValueError):
         canonical_partition([[0], [2]])
+    # the message quotes the first 20 of 3,000 stray indices, not all of them
+    with pytest.raises(ValueError, match=r"\.\.\. \(3000 entries\)") as err:
+        canonical_partition([range(1, 3001)])
+    assert len(str(err.value)) < 200
 
 
 @pytest.mark.parametrize("blocks", [[["a"], [1]], [[0], [None]], [[0], [1.0]], [[0], [[1]]], [[0], [True]]])
@@ -265,3 +272,39 @@ def test_index_multisets_bounds():
 def test_ground_size():
     assert ground_size(()) == 0
     assert ground_size(((0, 1), (2,))) == 3
+
+
+@pytest.mark.parametrize("length", range(8))
+def test_multiset_partitions_are_the_orbits_of_set_partitions(length):
+    # entries 1..3, so every length mixes repeated and distinct values
+    for a in itertools.combinations_with_replacement((1, 2, 3), length):
+        shapes = Counter(
+            tuple(sorted(tuple(a[i] for i in blk) for blk in p)) for p in set_partitions(length)
+        )
+        orbits = {}
+        for blocks, count in multiset_partitions(a):
+            assert all(list(blk) == sorted(blk) for blk in blocks)
+            shape = tuple(sorted(blocks))
+            assert shape not in orbits, (a, blocks)
+            orbits[shape] = count
+        assert orbits == dict(shapes), a
+        assert sum(orbits.values()) == bell(length)
+
+
+def test_multiset_partitions_collapse_repeated_values():
+    assert list(multiset_partitions(())) == [((), 1)]
+    assert sorted(multiset_partitions((1, 1))) == [(((1,), (1,)), 1), (((1, 1),), 1)]
+    # unsorted input is canonicalized; the counts are the labelled splits
+    assert sorted(count for _, count in multiset_partitions((2, 1, 1))) == [1, 1, 1, 2]
+    # 42 orbits of Bell(10) = 115,975 set partitions; 627 of Bell(20)
+    assert sum(1 for _ in multiset_partitions((1,) * 10)) == 42
+    assert sum(count for _, count in multiset_partitions((1,) * 20)) == bell(20)
+    with pytest.raises(ValueError):
+        multiset_partitions((1, -1))
+
+
+def test_quote_bounds_long_arguments():
+    assert quote("1,x") == "'1,x'"
+    assert quote((0, 1)) == "(0, 1)"
+    assert quote("x" * 61) == repr("x" * 60) + "... (61 characters)"
+    assert quote((1,) * 21) == repr((1,) * 20) + "... (21 entries)"
