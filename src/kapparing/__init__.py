@@ -15,7 +15,6 @@ from .identities import (
     identity_sweep,
     labeled_trees,
     prufer_decode,
-    prufer_encode,
     tree_sum_oracle,
 )
 from .numbers import (
@@ -25,7 +24,6 @@ from .numbers import (
     falling_factorial,
     format_rational,
     multinomial,
-    parse_rational,
 )
 from .oracle import (
     DimensionSequence,
@@ -79,7 +77,6 @@ __all__ = [
     "identity_sweep",
     "labeled_trees",
     "prufer_decode",
-    "prufer_encode",
     "tree_sum_oracle",
     "alt_binomial_partial_sum",
     "binomial",
@@ -87,7 +84,6 @@ __all__ = [
     "falling_factorial",
     "format_rational",
     "multinomial",
-    "parse_rational",
     "DimensionSequence",
     "RankDeficientPairingError",
     "integer_partitions",

@@ -43,7 +43,7 @@ from .oracle import (
     solve_coeffs_by_pairing,
     solve_pairing_system,
 )
-from .partitions import block_sums, canonical_partition, kappa_monomial, multiset, quote
+from .partitions import block_sums, canonical_partition, kappa_monomial, multiset, natural, quote
 from .ring import METHODS, KappaPoly, basis_coeff, kappa_product, snapshot_coeff_caches
 from .verification import RingSweepBounds, reconcile_sweep, run_suite
 
@@ -155,13 +155,12 @@ def cmd_product(args) -> tuple[dict, int]:
     d = 2 * args.genus + args.marked - sum(a) - 2
     if args.method != "pairing":
         poly = kappa_product(a, args.genus, args.marked, method=args.method)
-    elif args.genus < 0 or args.marked < 0:
-        # kappa_product's check: the pairing route calls nothing that makes it
-        raise ValueError("genus and markings must be nonnegative")
-    elif d <= 0:
-        poly = KappaPoly.zero()
     else:
-        poly = KappaPoly(solve_coeffs_by_pairing(a, args.marked + 2 * args.genus))
+        # kappa_product's checks: the pairing route calls nothing that makes them
+        natural(args.genus, "genus")
+        natural(args.marked, "markings")
+        n = args.marked + 2 * args.genus
+        poly = KappaPoly(solve_coeffs_by_pairing(a, n)) if d > 0 else KappaPoly.zero()
     report = {
         "command": "product",
         "inputs": {"a": list(a), "genus": args.genus, "marked": args.marked, "method": args.method},
@@ -235,8 +234,8 @@ def cmd_solve(args) -> tuple[dict, int]:
 
 def _sweep_bounds(args) -> tuple[SweepBounds, RingSweepBounds]:
     for flag, value in (("--max-sum", args.max_sum), ("--max-len", args.max_len), ("--jobs", args.jobs)):
-        if value is not None and value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
+        if value is not None:
+            natural(value, flag, 1)
     identity_bounds = SweepBounds()
     ring_bounds = RingSweepBounds()
     if args.max_sum is not None:

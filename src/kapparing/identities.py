@@ -28,16 +28,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .numbers import binomial, factorial, falling_factorial, format_rational, multinomial
-from .partitions import _local_partitions, _split_sums, kappa_monomial, multiset, stirling2
+from .partitions import _local_partitions, _split_sums, kappa_monomial, multiset, natural, stirling2
 from .ring import _CORRECTION, _SOCLE
-
-IDENTITY_NAMES = (
-    "binomial_product",
-    "tree_sum",
-    "stirling_alternating",
-    "vanishing",
-    "ff_multinomial",
-)
 
 
 class IdentityReport(NamedTuple):
@@ -78,14 +70,10 @@ def prufer_decode(code: Iterable[int], vertex_count: int) -> tuple[tuple[int, in
     Standard decoding: each code entry connects the smallest current leaf to
     it.  The code must have length vertex_count - 2 with valid labels.
     """
-    code = tuple(code)
-    if vertex_count < 2:
-        raise ValueError("need at least 2 vertices")
+    natural(vertex_count, "vertex_count", 2)
+    code = tuple(natural(c, "vertex labels", 0, vertex_count - 1) for c in code)
     if len(code) != vertex_count - 2:
         raise ValueError(f"code length {len(code)} != vertex_count - 2")
-    for c in code:
-        if not 0 <= c < vertex_count:
-            raise ValueError(f"invalid vertex label {c}")
     degree = [1] * vertex_count
     for c in code:
         degree[c] += 1
@@ -103,27 +91,6 @@ def prufer_decode(code: Iterable[int], vertex_count: int) -> tuple[tuple[int, in
     v = heapq.heappop(leaves)
     edges.append((min(u, v), max(u, v)))
     return tuple(edges)
-
-
-def prufer_encode(edges: Iterable[tuple[int, int]], vertex_count: int) -> tuple[int, ...]:
-    """Inverse of prufer_decode."""
-    adjacency: dict[int, set[int]] = {v: set() for v in range(vertex_count)}
-    for u, v in edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    if sum(len(nb) for nb in adjacency.values()) != 2 * (vertex_count - 1):
-        raise ValueError("edge list is not a tree")
-    leaves = [v for v in range(vertex_count) if len(adjacency[v]) == 1]
-    heapq.heapify(leaves)
-    code = []
-    for _ in range(vertex_count - 2):
-        leaf = heapq.heappop(leaves)
-        neighbor = adjacency[leaf].pop()
-        adjacency[neighbor].discard(leaf)
-        code.append(neighbor)
-        if len(adjacency[neighbor]) == 1:
-            heapq.heappush(leaves, neighbor)
-    return tuple(code)
 
 
 def labeled_trees(vertex_count: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -145,8 +112,7 @@ def tree_sum_oracle(a: Iterable[int], k: int) -> int:
     """
     a = multiset(a)
     n = len(a)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    natural(k, "k", 1, n)
     values = (1,) + a
     total = 0
     for code in itertools.product(range(n + 1), repeat=n - 1):
@@ -161,6 +127,7 @@ def tree_sum_oracle(a: Iterable[int], k: int) -> int:
 
 def _check_binomial_product(a: Iterable[int], k: int) -> IdentityReport:
     a = multiset(a)
+    natural(k, "k", 1, len(a))
     lhs = 0
     for blocks in _local_partitions(a):
         if len(blocks) != k:
@@ -180,6 +147,7 @@ def _check_binomial_product(a: Iterable[int], k: int) -> IdentityReport:
 
 def _check_tree_sum(a: Iterable[int], k: int) -> IdentityReport:
     a = multiset(a)
+    natural(k, "k", 1, len(a))
     lhs = 0
     for blocks in _local_partitions(a):
         if len(blocks) != k:
@@ -200,9 +168,7 @@ def _check_tree_sum(a: Iterable[int], k: int) -> IdentityReport:
 
 
 def _check_stirling_alternating(n: int) -> IdentityReport:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lhs = sum((-1) ** k * factorial(k - 1) * stirling2(n, k) for k in range(1, n + 1))
+    lhs = sum((-1) ** k * factorial(k - 1) * stirling2(n, k) for k in range(1, natural(n, "n", 1) + 1))
     rhs = -1 if n == 1 else 0
     return IdentityReport(
         identity="stirling_alternating",
@@ -232,9 +198,7 @@ def _check_vanishing(b: Iterable[int]) -> IdentityReport:
 
 
 def _check_ff_multinomial(xs: Iterable[int], n: int) -> IdentityReport:
-    xs = tuple(xs)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    xs = tuple(natural(x, "xs", None) for x in xs)
     lhs = Fraction(falling_factorial(sum(xs), n))
     rhs = 0
     for ks in _compositions(n, len(xs)):
@@ -267,6 +231,7 @@ _CHECKS = {
     "vanishing": _check_vanishing,
     "ff_multinomial": _check_ff_multinomial,
 }
+IDENTITY_NAMES = tuple(_CHECKS)
 
 
 def check_identity(name: str, **params) -> IdentityReport:

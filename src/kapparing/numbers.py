@@ -4,6 +4,11 @@ All values are Python big integers or ``fractions.Fraction``; nothing here
 touches floating point.  Factorials up to 256! come from a fixed table built
 at import; larger ones are computed on demand.  Rationals serialize as
 ``"num/den"`` strings and big integers as decimal strings.
+
+The public helpers take their integer arguments by the package's one rule,
+``partitions.natural``: an ``int``, never a ``bool``, within its bounds, or
+a ``ValueError``.  ``factorial``, ``binomial`` and ``multinomial`` sit in
+the hot loops and check only what their arithmetic needs.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Union
+
+from .partitions import natural
 
 # 0! .. 256!, built once at import.  Larger factorials come from
 # math.factorial and are not kept, so one huge request cannot pin them in
@@ -59,10 +66,8 @@ def multinomial(parts: Iterable[int]) -> int:
 
 def falling_factorial(x: Union[int, Fraction], n: int) -> Union[int, Fraction]:
     """x(x-1)...(x-n+1); 1 when n == 0."""
-    if n < 0:
-        raise ValueError("falling_factorial length must be nonnegative")
     result = 1 if isinstance(x, int) else Fraction(1)
-    for i in range(n):
+    for i in range(natural(n, "n")):
         result = result * (x - i)
     return result
 
@@ -76,8 +81,7 @@ def alt_binomial_partial_sum(m: int, lo: int, hi: int) -> int:
     k = lo + m are 0, so the loop stops there and its cost does not grow
     with hi.
     """
-    if lo < 0:
-        raise ValueError("lo must be nonnegative")
+    m, lo, hi = natural(m, "m", None), natural(lo, "lo"), natural(hi, "hi", None)
     if m >= 0:
         hi = min(hi, lo + m)
     total = 0
@@ -90,12 +94,3 @@ def format_rational(x: Union[int, Fraction]) -> str:
     """Serialize as "num/den" with a positive denominator, e.g. "-5/1"."""
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    """Inverse of format_rational; also accepts a bare integer string."""
-    text = s.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))

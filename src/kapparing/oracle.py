@@ -28,8 +28,8 @@ from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .numbers import multinomial
-from .partitions import Memo, Multiset, SetPartition, block_sums, ground_size, multiset
-from .partitions import _split_sums, kappa_monomial, multiset_partitions
+from .partitions import Memo, Multiset, SetPartition, block_sums, ground_size, multiset, natural
+from .partitions import _multiset_partitions, _split_sums, kappa_monomial
 
 DimensionSequence = Multiset
 
@@ -58,12 +58,10 @@ def psi_integral(exponents: Sequence[int]) -> int:
     multinomial coefficient (m-3)! / prod(e_i!) when sum(e_i) == m - 3 and 0
     otherwise.
     """
-    exponents = tuple(exponents)
+    exponents = tuple(natural(e, "psi exponents") for e in exponents)
     m = len(exponents)
     if m < 3:
         raise ValueError("need at least 3 marked points")
-    if any(e < 0 for e in exponents):
-        raise ValueError("exponents must be nonnegative")
     if sum(exponents) != m - 3:
         return 0
     return multinomial(exponents)
@@ -101,10 +99,10 @@ def integrate_kappa_top(a: Iterable[int], n: int) -> Fraction:
     exponents (block sum + 1); the n zero exponents add nothing to it.
     """
     a = kappa_monomial(a)
-    if sum(a) != n - 3:
+    if sum(a) != natural(n, "n") - 3:
         return Fraction(0)
     total = 0
-    for blocks, count in multiset_partitions(a):
+    for blocks, count in _multiset_partitions(a):
         sign = -1 if (len(a) + len(blocks)) % 2 else 1
         total += sign * count * multinomial([sum(blk) + 1 for blk in blocks])
     return Fraction(total)
@@ -222,7 +220,7 @@ def pairing_system(
     of mu other than mu is shorter, so the matrix is upper triangular.
     """
     a = kappa_monomial(a)
-    d = n - sum(a) - 2
+    d = natural(n, "n") - sum(a) - 2
     if d < 1:
         raise ValueError(f"degree budget d={d} leaves no basis to solve for")
     unknowns = sorted(integer_partitions(sum(a), d), key=lambda mu: (len(mu), mu))
@@ -242,7 +240,7 @@ def pairing_system(
 def _coarsenings(mu: Multiset) -> set[Multiset]:
     """The block-sum multisets of mu's multiset partitions: the dimension
     sequences of the strata that mu's indices can fill, mu itself included."""
-    return {_split_sums(blocks) for blocks, _ in multiset_partitions(mu)}
+    return {_split_sums(blocks) for blocks, _ in _multiset_partitions(mu)}
 
 
 def _reachable(a: Multiset, d: int) -> set[Multiset]:
@@ -322,11 +320,12 @@ def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -
 def solve_coeffs_by_pairing(a: Iterable[int], n: int) -> dict[Multiset, Fraction]:
     """Recover the basis expansion of a kappa monomial from stratum pairings.
 
-    Builds :func:`pairing_system` and solves it with
-    :func:`solve_pairing_system`.
+    Builds :func:`pairing_system`, which validates a and n, and solves it
+    with :func:`solve_pairing_system`.
     """
-    a = multiset(a)
-    return solve_pairing_system(a, n, pairing_system(a, n))
+    a = tuple(a)
+    system = pairing_system(a, n)
+    return solve_pairing_system(tuple(sorted(a)), n, system)
 
 
 def solve_pairing_system(a: Multiset, n: int, system: tuple) -> dict[Multiset, Fraction]:

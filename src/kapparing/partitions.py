@@ -17,9 +17,13 @@ Conventions:
 {0..k-2} by inserting k-1 into each block in turn and then into a block of
 its own, which is restricted-growth-string order.
 
-The public helpers validate their input; ``kappa_monomial`` is the one
-validator of kappa monomials, and ``quote`` bounds the argument every error
-message echoes.  Every value-only sum over set partitions in the ring and
+The public helpers validate their input.  ``natural`` is the package's one
+integer rule: an integer argument is an ``int``, never a ``bool``, within
+its bounds, and anything else is a ``ValueError`` naming the argument.
+Every public entry point's integer arguments and the entries of every
+``multiset`` go through it.  ``kappa_monomial`` is the one validator of
+kappa monomials, and ``quote`` bounds the argument every error message
+echoes.  Every value-only sum over set partitions in the ring and
 the identities streams ``_local_partitions``: the splits of a sorted value
 tuple in ``set_partitions`` order, with ``_split_sums`` as the monomial of a
 split.  ``kappa_product`` splits the positions 0..k-1 the same way, since it
@@ -52,13 +56,26 @@ Block = tuple[int, ...]
 SetPartition = tuple[Block, ...]
 
 
+def natural(value, what: str, least: Optional[int] = 0, most: Optional[int] = None) -> int:
+    """value, if it is an int (not a bool) in least..most; a bound of None is
+    no bound.  Otherwise a ValueError naming the argument ``what``."""
+    if (
+        not isinstance(value, int)
+        or isinstance(value, bool)
+        or (least is not None and value < least)
+        or (most is not None and value > most)
+    ):
+        bounds = "" if least is None else f" >= {least}" if most is None else f" in {least}..{most}"
+        raise ValueError(f"{what}: must be integers{bounds}, got {value!r}")
+    return value
+
+
 def multiset(values: Iterable[int]) -> Multiset:
-    """Canonical multiset: entries sorted non-decreasing."""
-    ms = tuple(sorted(values))
-    for v in ms:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ValueError(f"multiset entries must be nonnegative integers, got {v!r}")
-    return ms
+    """Canonical multiset: nonnegative integer entries, sorted non-decreasing."""
+    values = tuple(values)
+    for v in values:
+        natural(v, "multiset entries")
+    return tuple(sorted(values))
 
 
 def kappa_monomial(indices: Iterable[int]) -> Multiset:
@@ -83,14 +100,13 @@ def canonical_partition(blocks: Iterable[Iterable[int]]) -> SetPartition:
     """Validate and canonicalize a set partition.
 
     Blocks must be nonempty, pairwise disjoint, and cover {0..k-1} where k is
-    the total number of indices, and every index must be an int (not a bool).
+    the total number of indices, and every index must pass ``natural``.
     Raises ValueError otherwise.
     """
     blocks = [tuple(b) for b in blocks]
     for blk in blocks:
         for i in blk:
-            if not isinstance(i, int) or isinstance(i, bool):
-                raise ValueError(f"set partition indices must be integers, got {i!r}")
+            natural(i, "set partition indices")
     normalized = sorted(tuple(sorted(b)) for b in blocks)
     seen: set[int] = set()
     total = 0
@@ -116,9 +132,7 @@ def set_partitions(k: int) -> Iterator[SetPartition]:
     The order is restricted-growth-string order (Knuth, TAOCP 4A, 7.2.1.5),
     and the stream never materializes the full Bell-sized family.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return _set_partitions(k)
+    return _set_partitions(natural(k, "k"))
 
 
 def _set_partitions(k: int) -> Iterator[SetPartition]:
@@ -398,11 +412,12 @@ def block_values(p: SetPartition, a: Multiset, j: int) -> Multiset:
     return multiset(a[i] for i in p[j])
 
 
-@lru_cache(maxsize=None)
+# typed, so that 2.0 or True never hits the entry cached for 2 or 1
+@lru_cache(maxsize=None, typed=True)
 def stirling2(n: int, k: int) -> int:
     """Number of partitions of an n-set into exactly k nonempty blocks."""
-    if n < 0 or k < 0:
-        raise ValueError("stirling2 arguments must be nonnegative")
+    natural(n, "n")
+    natural(k, "k")
     if n == 0:
         return 1 if k == 0 else 0
     if k == 0 or k > n:
@@ -412,7 +427,7 @@ def stirling2(n: int, k: int) -> int:
 
 def bell(n: int) -> int:
     """Number of partitions of an n-set."""
-    return sum(stirling2(n, k) for k in range(n + 1))
+    return sum(stirling2(n, k) for k in range(natural(n, "n") + 1))
 
 
 def index_multisets(

@@ -60,6 +60,7 @@ from .partitions import (
     ground_size,
     kappa_monomial,
     multiset,
+    natural,
 )
 
 METHODS = ("recursive", "ck", "closed")
@@ -281,9 +282,7 @@ def split_weight(a: Iterable[int], k: int) -> Fraction:
     ``ck`` expansion method.
     """
     a = kappa_monomial(a)
-    if not 1 <= k <= len(a):
-        raise ValueError(f"need 1 <= k <= {len(a)}, got k={k}")
-    return Fraction(_SPLIT_WEIGHT[a, k])
+    return Fraction(_SPLIT_WEIGHT[a, natural(k, "k", 1, len(a))])
 
 
 def _group_weight(blocks: tuple[KappaMonomial, ...]) -> int:
@@ -397,9 +396,7 @@ def basis_coeff(
     p = canonical_partition(p)
     if ground_size(p) != len(a):
         raise ValueError(f"partition covers {ground_size(p)} indices but the multiset has {len(a)}")
-    if d < 1:
-        raise ValueError("degree budget d must be >= 1")
-    if len(p) > d:
+    if len(p) > natural(d, "d", 1):
         raise ValueError(f"partition has {len(p)} blocks, outside the basis range d={d}")
     # the blocks' value multisets, canonical since a is sorted and blocks ascend
     shape = tuple(tuple(a[i] for i in blk) for blk in p)
@@ -425,9 +422,7 @@ def kappa_product(
     """
     _check_method(method)
     a = kappa_monomial(a)
-    if genus < 0 or markings < 0:
-        raise ValueError("genus and markings must be nonnegative")
-    d = 2 * genus + markings - sum(a) - 2
+    d = 2 * natural(genus, "genus") + natural(markings, "markings") - sum(a) - 2
     if d <= 0:
         return KappaPoly.zero()
     terms: dict[Multiset, Fraction] = {}
@@ -444,7 +439,10 @@ def reduce_to_basis(poly: KappaPoly, genus: int, markings: int, method: str = "c
 
     Linear over kappa_product; idempotent on polynomials already in the basis.
     """
-    _check_method(method)  # rejects an unknown method even when poly is zero
+    # reject a bad method, genus or marking count even when poly is zero
+    _check_method(method)
+    natural(genus, "genus")
+    natural(markings, "markings")
     result = KappaPoly.zero()
     for mono, coeff in poly.terms.items():
         result = result + coeff * kappa_product(mono, genus, markings, method=method)

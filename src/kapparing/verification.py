@@ -126,16 +126,20 @@ def check_genus_lift(a: Iterable[int], d: int, genus: int) -> dict:
 
 
 def _top_degree_values(a: Multiset) -> tuple[Fraction, Fraction, Fraction]:
-    """The top-degree value of kappa_a three independent ways: the ring's
-    socle coefficient, the oracle's integral at n = sum(a) + 3 and the
-    pairing against the one-component stratum."""
+    """The top-degree value of kappa_a by two independent computations, in
+    three columns: the ring's socle coefficient, the oracle's integral at
+    n = sum(a) + 3 and the pairing against the one-component stratum.  That
+    pairing puts all of a on its one component and returns the oracle's
+    cached integral of a, so it repeats the second computation rather than
+    adding a third."""
     return socle_coeff(a), integrate_kappa_top(a, sum(a) + 3), pair_kappa_stratum(a, (sum(a),))
 
 
 def check_top_degree(a: Multiset, values: tuple[Fraction, Fraction, Fraction]) -> dict:
     """At degree budget 1 the product collapses to socle_coeff(a) * kappa_{sum a},
-    and the three routes of ``values = _top_degree_values(a)`` must give that
-    number."""
+    and the three columns of ``values = _top_degree_values(a)`` must give
+    that number; the integral and the pairing are one computation, so this
+    compares the ring with the oracle once."""
     n = sum(a) + 3
     poly = kappa_product(a, 0, n)
     lam, integral, paired = values
@@ -292,10 +296,6 @@ def determinism_spot_check(jobs: int = 2) -> dict:
         tree_max_len=2,
         vanishing_max_len=2,
         stirling_max_n=4,
-        ff_bound=1,
-        ff_max_n=2,
-        ff3_bound=0,
-        ff3_max_n=0,
     )
     cases = identity_sweep_cases(bounds)[:40]
     sequential = [identity_case_worker(*case) for case in cases]
@@ -314,14 +314,15 @@ def run_suite(
 
     Suites: ``identities`` (the five identity grids), ``ring`` (pinned
     products, method agreement, genus lifts, top degree, round trips),
-    ``oracle`` (three-path socle agreement), ``reconcile`` (truncation
-    variants), ``all``.
+    ``oracle`` (the ``socle_three_paths`` rows: the ring's socle against
+    the oracle's integral, which both the integral and the pairing column
+    carry), ``reconcile`` (truncation variants), ``all``.
     """
     rows: list[dict] = []
     top = {}
     if suite in ("ring", "oracle", "all"):
         # one socle, integral and pairing per multiset, shared by the ring's
-        # top-degree rows and the oracle's three-path rows
+        # top-degree rows and the oracle's socle_three_paths rows
         top = {a: _top_degree_values(a) for a in _ring_multisets(ring_bounds)}
     if suite in ("identities", "all"):
         rows.extend(run_ordered(identity_case_worker, identity_sweep_cases(identity_bounds), jobs))
