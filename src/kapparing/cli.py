@@ -214,8 +214,8 @@ def cmd_pair(args) -> tuple[dict, int]:
 def cmd_solve(args) -> tuple[dict, int]:
     a = multiset(parse_int_list(args.a, "--a"))
     system = pairing_system(a, args.marked)
-    solution = solve_pairing_system(a, args.marked, system)
-    _, unknowns, matrix, _ = system
+    solution = solve_pairing_system(system)
+    size = len(system[0])
     report = {
         "command": "solve",
         "inputs": {"a": list(a), "marked": args.marked},
@@ -224,9 +224,9 @@ def cmd_solve(args) -> tuple[dict, int]:
             {"monomial": list(mu), "coefficient": format_rational(solution[mu])}
             for mu in sorted(solution, key=lambda m: (-len(m), m))
         ],
-        # solve_pairing_system raises unless the rank is full and every
-        # residual is zero, so on success these hold.
-        "matrix": {"rows": len(matrix), "cols": len(unknowns), "rank": len(unknowns)},
+        # one row per unknown; solve_pairing_system raises unless the rank
+        # is full and every residual is zero, so on success these hold.
+        "matrix": {"rows": size, "cols": size, "rank": size},
         "residual_zero": True,
     }
     return report, 0

@@ -11,9 +11,10 @@ which counts the labelled distributions without enumerating them), and
 expansion coefficients from the resulting exact linear system.  A monomial
 pairs nonzero only with the strata whose dimensions coarsen it, so in
 (length, lex) order the system is upper triangular with diagonal
-prod_v c_v! (c_v copies of index v); it is built from the coarsenings alone
-and solved by back substitution.  Agreement with the ring module is
-therefore a genuine cross-check, not a tautology.
+prod_v c_v! (c_v copies of index v).  ``pairing_system`` builds it from the
+coarsenings alone as (unknowns, matrix, rhs, reachable), the one value that
+``solve_pairing_system`` reads to solve it by back substitution.  Agreement
+with the ring module is therefore a genuine cross-check, not a tautology.
 
 A boundary stratum of the genus-zero space is a tree of components; by the
 perfect-pairing structure of its Chow ring, the pairing of a kappa-ring class
@@ -74,6 +75,7 @@ def integrate_psi_pushforward(p: SetPartition, a: Iterable[int], n: int) -> int:
     Routed through :func:`psi_integral` on n + len(p) points with exponents
     (block sum + 1) at the forgotten points; 0 on degree mismatch.
     """
+    n = natural(n, "n")
     a = multiset(a)
     if ground_size(p) != len(a):
         raise ValueError("partition does not match the index multiset")
@@ -173,10 +175,8 @@ def pair_kappa_stratum(b: Iterable[int], dims: Iterable[int]) -> Fraction:
 
 def integer_partitions(total: int, max_parts: int) -> Iterator[Multiset]:
     """Partitions of ``total`` into at most ``max_parts`` parts >= 1, canonical
-    and in deterministic (lexicographic) order."""
-    if total == 0:
-        yield ()
-        return
+    and in deterministic (lexicographic) order.  Both counts are checked at
+    the call, before the first item."""
 
     def extend(remaining: int, parts_left: int, minimum: int, acc: list[int]) -> Iterator[Multiset]:
         if remaining == 0:
@@ -189,19 +189,20 @@ def integer_partitions(total: int, max_parts: int) -> Iterator[Multiset]:
             yield from extend(remaining - part, parts_left - 1, part, acc)
             acc.pop()
 
-    yield from extend(total, max_parts, 1, [])
+    return extend(natural(total, "total"), natural(max_parts, "max_parts"), 1, [])
 
 
 def dimension_sequences(total: int, length: int) -> Iterator[DimensionSequence]:
     """Multisets of ``length`` nonnegative entries summing to ``total``."""
-    for partition in integer_partitions(total, length):
-        yield multiset((0,) * (length - len(partition)) + partition)
+    length = natural(length, "length")
+    return (multiset((0,) * (length - len(p)) + p) for p in integer_partitions(total, length))
 
 
 def pairing_system(
     a: Iterable[int], n: int
-) -> tuple[list[DimensionSequence], list[Multiset], list[list[Fraction]], list[Fraction]]:
-    """Assemble the exact linear system determining the expansion coefficients.
+) -> tuple[list[Multiset], list[list[Fraction]], list[Fraction], list[Multiset]]:
+    """Assemble the exact linear system (unknowns, matrix, rhs, reachable)
+    that determines the expansion coefficients of a at n markings.
 
     Unknowns are basis monomials: integer partitions of sum(a) into at most
     d = n - sum(a) - 2 parts, in (length, lex) order.  One equation per
@@ -209,44 +210,39 @@ def pairing_system(
     expansion against that stratum must reproduce the pairing of the
     original monomial.  A zero-dimension component takes no index, so an
     equation is named by its positive dimensions alone, and those are again
-    the partitions of sum(a) into at most d parts: the rows are the
-    unknowns, the system is square, and its size stops growing with d once
-    d >= sum(a).
+    the partitions of sum(a) into at most d parts: row i is the stratum
+    named by unknown i, the system is square, and its size stops growing
+    with d once d >= sum(a).
 
     A monomial pairs nonzero only with the strata its indices can fill, the
     block sums of its multiset partitions (:func:`_coarsenings`), so the
     matrix is computed there and is zero elsewhere; the right-hand side
-    likewise at the coarsenings of a with at most d parts.  Every coarsening
-    of mu other than mu is shorter, so the matrix is upper triangular.
+    likewise at ``reachable``, a's coarsenings with at most d parts, sorted.
+    Every coarsening of mu other than mu is shorter, so the matrix is upper
+    triangular.
     """
     a = kappa_monomial(a)
     d = natural(n, "n") - sum(a) - 2
     if d < 1:
         raise ValueError(f"degree budget d={d} leaves no basis to solve for")
     unknowns = sorted(integer_partitions(sum(a), d), key=lambda mu: (len(mu), mu))
-    rows = unknowns
-    position = {dims: i for i, dims in enumerate(rows)}
+    position = {dims: i for i, dims in enumerate(unknowns)}
     zero = Fraction(0)
-    matrix = [[zero] * len(unknowns) for _ in rows]
+    matrix = [[zero] * len(unknowns) for _ in unknowns]
     for j, mu in enumerate(unknowns):
         for dims in _coarsenings(mu):
             matrix[position[dims]][j] = pair_kappa_stratum(mu, dims)
-    rhs = [zero] * len(rows)
-    for dims in _reachable(a, d):
+    rhs = [zero] * len(unknowns)
+    reachable = sorted(mu for mu in _coarsenings(a) if len(mu) <= d)
+    for dims in reachable:
         rhs[position[dims]] = pair_kappa_stratum(a, dims)
-    return rows, unknowns, matrix, rhs
+    return unknowns, matrix, rhs, reachable
 
 
 def _coarsenings(mu: Multiset) -> set[Multiset]:
     """The block-sum multisets of mu's multiset partitions: the dimension
     sequences of the strata that mu's indices can fill, mu itself included."""
     return {_split_sums(blocks) for blocks, _ in _multiset_partitions(mu)}
-
-
-def _reachable(a: Multiset, d: int) -> set[Multiset]:
-    """The basis monomials that a's expansion with degree budget d can reach:
-    the coarsenings of a with at most d parts."""
-    return {mu for mu in _coarsenings(a) if len(mu) <= d}
 
 
 def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
@@ -318,33 +314,27 @@ def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -
 
 
 def solve_coeffs_by_pairing(a: Iterable[int], n: int) -> dict[Multiset, Fraction]:
-    """Recover the basis expansion of a kappa monomial from stratum pairings.
-
-    Builds :func:`pairing_system`, which validates a and n, and solves it
-    with :func:`solve_pairing_system`.
-    """
-    a = tuple(a)
-    system = pairing_system(a, n)
-    return solve_pairing_system(tuple(sorted(a)), n, system)
+    """Recover the basis expansion of a kappa monomial from stratum pairings:
+    :func:`solve_pairing_system` of :func:`pairing_system`, which validates a
+    and n."""
+    return solve_pairing_system(pairing_system(a, n))
 
 
-def solve_pairing_system(a: Multiset, n: int, system: tuple) -> dict[Multiset, Fraction]:
-    """Solve the pairing system of the monomial ``a`` at n markings.
+def solve_pairing_system(system: tuple) -> dict[Multiset, Fraction]:
+    """Solve the system ``(unknowns, matrix, rhs, reachable)`` that
+    :func:`pairing_system` returns, which carries everything the solve reads.
 
-    ``system`` is what ``pairing_system(a, n)`` returns: row i is the
-    stratum named by unknown i, in (length, lex) order, so the matrix must
-    be upper triangular with a nonzero diagonal (pair(mu, mu) =
-    prod_v c_v!).  The system is solved over every basis monomial (integer
-    partition of sum(a) into at most d parts) by back substitution, from
-    the longest unknowns down, and verified to have an exactly-zero
-    residual.  A nonzero below the diagonal or a zero on it breaks the
-    premise that the pairing is perfect and raises
+    Row i is the stratum named by unknown i, in (length, lex) order, so the
+    matrix must be upper triangular with a nonzero diagonal (pair(mu, mu) =
+    prod_v c_v!).  The system is solved over every basis monomial by back
+    substitution, from the longest unknowns down, and verified to have an
+    exactly-zero residual.  A nonzero below the diagonal or a zero on it
+    breaks the premise that the pairing is perfect and raises
     RankDeficientPairingError, as does a nonzero residual.  The returned map
-    is keyed by the block-sum multisets actually reachable from partitions
-    of a's index set with at most d blocks; monomials outside that family
-    must solve to zero and are checked, not returned.
+    is keyed by ``reachable`` in its sorted order; unknowns outside it must
+    solve to zero and are checked, not returned.
     """
-    rows, unknowns, matrix, rhs = system
+    unknowns, matrix, rhs, reachable = system
     size = len(unknowns)
     solution = [Fraction(0)] * size
     for i in range(size - 1, -1, -1):
@@ -352,23 +342,23 @@ def solve_pairing_system(a: Multiset, n: int, system: tuple) -> dict[Multiset, F
         solved = size - 1 - i
         if any(row[:i]):
             raise RankDeficientPairingError(
-                f"nonzero below the diagonal in row {i} for dims {rows[i]}", matrix, solved
+                f"nonzero below the diagonal in row {i} for dims {unknowns[i]}", matrix, solved
             )
         if not row[i]:
-            raise RankDeficientPairingError(f"zero diagonal in row {i} for dims {rows[i]}", matrix, solved)
+            raise RankDeficientPairingError(f"zero diagonal in row {i} for dims {unknowns[i]}", matrix, solved)
         rest = sum(row[j] * solution[j] for j in range(i + 1, size) if row[j])
         solution[i] = (rhs[i] - rest) / row[i]
     for i, row in enumerate(matrix):
         residual = sum(x * solution[j] for j, x in enumerate(row) if x) - rhs[i]
         if residual != 0:
-            raise RankDeficientPairingError(f"nonzero residual in row {i} for dims {rows[i]}", matrix, size)
-    reachable = _reachable(a, n - sum(a) - 2)
+            raise RankDeficientPairingError(f"nonzero residual in row {i} for dims {unknowns[i]}", matrix, size)
     by_monomial = dict(zip(unknowns, solution))
+    kept = set(reachable)
     for mu, value in by_monomial.items():
-        if mu not in reachable and value != 0:
+        if mu not in kept and value != 0:
             raise RankDeficientPairingError(
                 f"unreachable basis monomial {mu} received nonzero coefficient {value}",
                 matrix,
-                len(unknowns),
+                size,
             )
-    return {mu: by_monomial[mu] for mu in sorted(reachable)}
+    return {mu: by_monomial[mu] for mu in reachable}

@@ -439,13 +439,17 @@ def index_multisets(
     """All canonical multisets with entries >= 1 within the given bounds.
 
     Used to parameterize verification sweeps; ordering is deterministic
-    (by length, then lexicographic).
+    (by length, then lexicographic).  The bounds are checked at the call,
+    before the first item.
     """
     if max_sum is None and max_entry is None:
         raise ValueError("index_multisets needs max_sum or max_entry to bound the sweep")
-    for length in range(min_len, max_len + 1):
-        top = max_entry if max_entry is not None else max_sum
-        for combo in itertools.combinations_with_replacement(range(1, top + 1), length):
-            if max_sum is not None and sum(combo) > max_sum:
-                continue
-            yield combo
+    max_len, min_len = natural(max_len, "max_len"), natural(min_len, "min_len")
+    max_sum = max_sum if max_sum is None else natural(max_sum, "max_sum")
+    top = max_sum if max_entry is None else natural(max_entry, "max_entry")
+    return (
+        combo
+        for length in range(min_len, max_len + 1)
+        for combo in itertools.combinations_with_replacement(range(1, top + 1), length)
+        if max_sum is None or sum(combo) <= max_sum
+    )

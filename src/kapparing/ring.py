@@ -192,7 +192,7 @@ def correction_coeff(a: Iterable[int]) -> Fraction:
 # Memo tables of the two scalar coefficient families, of the split weights
 # built from them and of closed's chain terms, keyed by canonical monomials,
 # so the internal loops, which build their keys canonical, index them without
-# validating again.  Every value is an int.
+# validating again.  Every value is an int or a tuple of ints.
 @Memo
 def _SOCLE(a: KappaMonomial) -> int:
     """socle_coeff by canonical monomial.  A partition into m blocks with sums
@@ -213,10 +213,13 @@ def _CORRECTION(a: KappaMonomial) -> int:
 
 
 @Memo
-def _SPLIT_WEIGHT(key: tuple[KappaMonomial, int]) -> int:
-    """split_weight by (canonical monomial, valid k)."""
-    a, k = key
-    return sum(_group_weight(q) for q in _local_partitions(a) if len(q) == k)
+def _SPLIT_WEIGHT(a: KappaMonomial) -> tuple[int, ...]:
+    """split_weight of a canonical monomial for every block count, in one
+    walk: entry k - 1 is the weight of the splits into k blocks."""
+    weights = [0] * len(a)
+    for q in _local_partitions(a):
+        weights[len(q) - 1] += _group_weight(q)
+    return tuple(weights)
 
 
 @Memo
@@ -282,7 +285,8 @@ def split_weight(a: Iterable[int], k: int) -> Fraction:
     ``ck`` expansion method.
     """
     a = kappa_monomial(a)
-    return Fraction(_SPLIT_WEIGHT[a, natural(k, "k", 1, len(a))])
+    k = natural(k, "k", 1, len(a))
+    return Fraction(_SPLIT_WEIGHT[a][k - 1])
 
 
 def _group_weight(blocks: tuple[KappaMonomial, ...]) -> int:
@@ -316,7 +320,7 @@ def _coeff_recursive(shape: tuple[Multiset, ...], d: int) -> int:
 
 
 def _coeff_ck(shape: tuple[Multiset, ...], d: int) -> int:
-    per_block = [[_SPLIT_WEIGHT[values, k] for k in range(1, len(values) + 1)] for values in shape]
+    per_block = [_SPLIT_WEIGHT[values] for values in shape]
     total = 0
     for ks in itertools.product(*(range(1, len(w) + 1) for w in per_block)):
         if sum(ks) > d:

@@ -12,8 +12,24 @@ import pytest
 
 from kapparing.identities import check_identity, tree_sum_oracle
 from kapparing.numbers import alt_binomial_partial_sum, falling_factorial
-from kapparing.oracle import integrate_kappa_top, pairing_system, psi_integral, solve_coeffs_by_pairing
-from kapparing.partitions import bell, canonical_partition, multiset, natural, set_partitions, stirling2
+from kapparing.oracle import (
+    dimension_sequences,
+    integer_partitions,
+    integrate_kappa_top,
+    integrate_psi_pushforward,
+    pairing_system,
+    psi_integral,
+    solve_coeffs_by_pairing,
+)
+from kapparing.partitions import (
+    bell,
+    canonical_partition,
+    index_multisets,
+    multiset,
+    natural,
+    set_partitions,
+    stirling2,
+)
 from kapparing.ring import KappaPoly, basis_coeff, kappa_product, reduce_to_basis, split_weight
 
 # (id, call, the argument the message must name)
@@ -26,6 +42,7 @@ CASES = [
     ("basis_coeff float d, two blocks", lambda: basis_coeff(((0,), (1,)), (1, 1), 2.0), "d"),
     ("split_weight float k", lambda: split_weight((1, 1), 1.0), "k"),
     ("set_partitions float k", lambda: set_partitions(2.0), "k"),
+    ("index_multisets negative max_len", lambda: index_multisets(-1, max_sum=2), "max_len"),
     ("stirling2 float n", lambda: stirling2(2.5, 1), "n"),
     ("stirling2 float n equal to a cached int", lambda: (stirling2(2, 1), stirling2(2.0, 1)), "n"),
     ("bell negative n", lambda: bell(-1), "n"),
@@ -38,6 +55,10 @@ CASES = [
     ("integrate_kappa_top float n", lambda: integrate_kappa_top((1,), 4.0), "n"),
     ("pairing_system float n", lambda: pairing_system((1,), 6.0), "n"),
     ("solve_coeffs_by_pairing float n", lambda: solve_coeffs_by_pairing((1,), 6.0), "n"),
+    ("integer_partitions float max_parts", lambda: integer_partitions(3, 1.5), "max_parts"),
+    ("integer_partitions bool max_parts", lambda: integer_partitions(3, True), "max_parts"),
+    ("dimension_sequences negative length", lambda: dimension_sequences(2, -1), "length"),
+    ("integrate_psi_pushforward negative n", lambda: integrate_psi_pushforward(((0,),), (1,), -2), "n"),
     ("ff_multinomial float xs", lambda: check_identity("ff_multinomial", xs=[0.1, 0.2], n=2), "xs"),
     ("ff_multinomial float n", lambda: check_identity("ff_multinomial", xs=[1, 2], n=1.0), "n"),
     ("tree_sum empty a", lambda: check_identity("tree_sum", a=[], k=1), "k"),

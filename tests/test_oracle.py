@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -196,13 +197,14 @@ def test_solve_requires_room_for_a_basis():
 
 
 def test_pairing_system_is_square():
-    rows, unknowns, matrix, rhs = pairing_system((1, 1, 2), 9)
-    assert rows == unknowns
-    # one row per stratum of d = 3 components, named by its positive dimensions
-    assert {tuple(v for v in dims if v) for dims in dimension_sequences(4, 3)} == set(rows)
-    assert len(rows) == len(unknowns) == len(matrix)
+    unknowns, matrix, rhs, reachable = pairing_system((1, 1, 2), 9)
+    # row i is the stratum named by unknown i: one row per stratum of d = 3
+    # components, named by its positive dimensions
+    assert {tuple(v for v in dims if v) for dims in dimension_sequences(4, 3)} == set(unknowns)
+    assert len(unknowns) == len(matrix)
     assert all(len(row) == len(unknowns) for row in matrix)
-    assert len(rhs) == len(rows)
+    assert len(rhs) == len(unknowns)
+    assert reachable == [(1, 1, 2), (1, 3), (2, 2), (4,)]
 
 
 @pytest.mark.parametrize("a", list(index_multisets(3, max_sum=5)))
@@ -221,17 +223,41 @@ def test_solver_agrees_with_the_product_expansion(a, d):
 def test_sparse_system_and_triangular_solve_match_the_dense_reference(a):
     for d in range(1, len(a) + 2):
         n = sum(a) + d + 2
-        rows, unknowns, matrix, rhs = system = pairing_system(a, n)
+        unknowns, matrix, rhs, _ = system = pairing_system(a, n)
         dense_matrix, dense_rhs, dense_solution = naive_pairing_system(a, n)
-        assert {(dims, mu): matrix[i][j] for i, dims in enumerate(rows) for j, mu in enumerate(unknowns)} == dense_matrix
-        assert dict(zip(rows, rhs)) == dense_rhs
-        solved = solve_pairing_system(a, n, system)
+        assert {(dims, mu): matrix[i][j] for i, dims in enumerate(unknowns) for j, mu in enumerate(unknowns)} == dense_matrix
+        assert dict(zip(unknowns, rhs)) == dense_rhs
+        solved = solve_pairing_system(system)
         assert {mu: solved.get(mu, Fraction(0)) for mu in unknowns} == dense_solution
 
 
+@pytest.mark.parametrize("a", list(index_multisets(4, max_sum=6)))
+def test_the_system_carries_everything_its_solve_reads(a):
+    labelled = [tuple(sorted(sum(a[i] for i in blk) for blk in p)) for p in naive_set_partitions(range(len(a)))]
+    for d in range(1, len(a) + 2):
+        n = sum(a) + d + 2
+        system = pairing_system(a, n)
+        # the coarsenings of a with at most d parts, sorted
+        assert system[3] == sorted({sums for sums in labelled if len(sums) <= d})
+        solved = solve_pairing_system(system)
+        assert solved == solve_coeffs_by_pairing(a, n)
+        assert list(solved) == system[3]
+
+
+def test_solve_pairing_system_takes_the_system_alone():
+    assert list(inspect.signature(solve_pairing_system).parameters) == ["system"]
+    # handing the monomial and n again, which could disagree with the
+    # system, is not a call that can be written
+    with pytest.raises(TypeError):
+        solve_pairing_system((1, 2), 8, pairing_system((3,), 8))
+    # the answers such a mismatched call used to misreport, without an error
+    assert solve_coeffs_by_pairing((1, 2), 8) == {(1, 2): 1, (3,): 0}
+    assert solve_coeffs_by_pairing((1, 1, 2), 8) == {(1, 3): 18, (2, 2): 5, (4,): -186}
+
+
 def test_pairing_matrix_is_upper_triangular_with_factorial_diagonal():
-    rows, unknowns, matrix, _ = pairing_system((1, 1, 2, 2, 3), 21)
-    assert rows == unknowns == sorted(unknowns, key=lambda mu: (len(mu), mu))
+    unknowns, matrix, _, _ = pairing_system((1, 1, 2, 2, 3), 21)
+    assert unknowns == sorted(unknowns, key=lambda mu: (len(mu), mu))
     for i, mu in enumerate(unknowns):
         assert not any(matrix[i][:i])
         assert matrix[i][i] == math.prod(math.factorial(mu.count(v)) for v in set(mu))
@@ -246,7 +272,7 @@ def test_pairing_system_pairs_only_the_coarsenings(monkeypatch):
         return pair(b, dims)
 
     monkeypatch.setattr(oracle, "pair_kappa_stratum", counting_pair)
-    _, _, matrix, rhs = pairing_system((3, 4, 5), 18)
+    _, matrix, rhs, _ = pairing_system((3, 4, 5), 18)
     # 216 matrix nonzeros and the 5 coarsenings of (3, 4, 5); the dense
     # build made 34 * 35 = 1,190 calls
     assert sum(1 for row in matrix for x in row if x) == 216
@@ -263,17 +289,17 @@ def test_zero_diagonal_pairing_raises(monkeypatch):
     monkeypatch.setattr(oracle, "pair_kappa_stratum", wrong_pair)
     with pytest.raises(RankDeficientPairingError, match="zero diagonal") as err:
         solve_coeffs_by_pairing((1, 1, 1), 7)
-    assert err.value.matrix == pairing_system((1, 1, 1), 7)[2]
+    assert err.value.matrix == pairing_system((1, 1, 1), 7)[1]
 
 
 def test_pairing_entry_below_the_diagonal_raises():
-    rows, unknowns, matrix, rhs = pairing_system((1, 1, 1), 8)
-    assert rows == [(3,), (1, 2), (1, 1, 1)]
+    unknowns, matrix, rhs, reachable = pairing_system((1, 1, 1), 8)
+    assert unknowns == [(3,), (1, 2), (1, 1, 1)]
     # a nonzero pairing of kappa_3 with the two-component stratum (1, 2),
     # which its single index cannot fill
     matrix[1][0] = Fraction(1)
     with pytest.raises(RankDeficientPairingError, match="below the diagonal") as err:
-        solve_pairing_system((1, 1, 1), 8, (rows, unknowns, matrix, rhs))
+        solve_pairing_system((unknowns, matrix, rhs, reachable))
     assert err.value.rank == 1
 
 

@@ -24,7 +24,7 @@ from kapparing.ring import (
     split_weight,
 )
 
-from bruteforce import naive_closed, naive_correction, naive_set_partitions, naive_socle
+from bruteforce import naive_closed, naive_correction, naive_multinomial, naive_set_partitions, naive_socle
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +182,21 @@ def test_correction_negates_socle_for_pairs():
         assert correction_coeff(a) == -socle_coeff(a)
 
 
+@pytest.mark.parametrize("a", list(index_multisets(5, max_entry=3)))
+def test_split_weight_matches_the_labelled_sum(a):
+    # sum over set partitions q of a's positions with k blocks of the
+    # blocks' socles times the correction of the block sums
+    naive = {}
+    for q in naive_set_partitions(range(len(a))):
+        blocks = [[a[i] for i in blk] for blk in q]
+        term = naive_correction([sum(blk) for blk in blocks])
+        for blk in blocks:
+            term *= naive_socle(blk)
+        naive[len(q)] = naive.get(len(q), 0) + term
+    for k in range(1, len(a) + 1):
+        assert split_weight(a, k) == naive[k], (a, k)
+
+
 def test_split_weight_values():
     assert split_weight((5,), 1) == 1
     assert split_weight((1, 1), 1) == 5
@@ -287,20 +302,29 @@ def test_kernel_tables_hold_ints_and_public_values_are_fractions():
     assert type(correction_coeff(a)) is Fraction
     assert type(correction_coeff(())) is Fraction
     assert type(split_weight(a, 2)) is Fraction
-    for table in (ring._SOCLE, ring._CORRECTION, ring._SPLIT_WEIGHT):
+    for table in (ring._SOCLE, ring._CORRECTION):
         assert table and all(type(value) is int for value in table.values())
+    # one weight per block count
+    assert ring._SPLIT_WEIGHT
+    for values, weights in ring._SPLIT_WEIGHT.items():
+        assert type(weights) is tuple and len(weights) == len(values)
+        assert all(type(weight) is int for weight in weights)
     assert ring._CHAIN_TERMS
     for terms in ring._CHAIN_TERMS.values():
         assert all(type(count) is int and type(weight) is int for count, weight in terms)
 
 
 def test_chain_terms_are_grouped_by_block_count():
-    clear_coeff_caches()
-    kappa_product((1,) * 9, 0, 14, method="closed")
-    assert ring._CHAIN_TERMS
-    for values, terms in ring._CHAIN_TERMS.items():
+    # every r-block a closed product of (1,)*9 meets, and mixed blocks
+    for values in [(1,) * m for m in range(1, 10)] + list(index_multisets(6, max_entry=3)):
+        terms = ring._CHAIN_TERMS[values]
         assert len(terms) <= len(values)
         assert len({count for count, _ in terms}) == len(terms)
+        grouped = {}
+        for t in set_partitions(len(values)):
+            weight = naive_multinomial(sum(values[i] for i in blk) + 1 for blk in t)
+            grouped[len(t)] = grouped.get(len(t), 0) + weight
+        assert dict(terms) == grouped, values
 
 
 @given(st.lists(st.integers(1, 3), min_size=2, max_size=6).map(sorted), st.data())
