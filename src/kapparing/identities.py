@@ -4,7 +4,10 @@ Each identity is evaluated exactly on both sides from its definition; the
 left side is always the partition (or direct) sum, the right side the closed
 form, and where a third independent route exists (the labeled-tree oracle)
 all of them must coincide.  A check never proves anything symbolically; it
-confirms instances, which is what the sweeps are for.
+confirms instances, which is what the sweeps are for.  The two sums over
+k-block set partitions are taken orbit-wise, over
+``partitions._multiset_partitions``: one term per multiset partition, times
+its count of set partitions.
 
 Identity names:
 
@@ -24,11 +27,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .numbers import binomial, factorial, falling_factorial, format_rational, multinomial
-from .partitions import _local_partitions, _split_sums, kappa_monomial, multiset, natural, stirling2
+from .partitions import _local_partitions, _multiset_partitions, _split_sums, kappa_monomial, multiset, natural, stirling2
 from .ring import _CORRECTION, _SOCLE
 
 
@@ -108,20 +113,20 @@ def tree_sum_oracle(a: Iterable[int], k: int) -> int:
     Consider trees on a hub vertex of value 1 plus one vertex per entry of
     ``a``, the hub having degree exactly k.  In code terms the hub appears
     exactly k - 1 times, so the sum of entry-value products over all such
-    trees is enumerated directly over codes of length len(a) - 1.
+    trees is a sum over the codes of length len(a) - 1 with exactly k - 1
+    hub entries.  They are enumerated by hub position: each choice of the
+    k - 1 hub positions, then each labelling of the other positions with
+    entries of ``a``, so every such code is visited once,
+    C(len(a) - 1, k - 1) * len(a)**(len(a) - k) codes in all.
     """
     a = multiset(a)
     n = len(a)
     natural(k, "k", 1, n)
-    values = (1,) + a
     total = 0
-    for code in itertools.product(range(n + 1), repeat=n - 1):
-        if sum(1 for c in code if c == 0) != k - 1:
-            continue
-        prod = 1
-        for c in code:
-            prod *= values[c]
-        total += prod
+    for _hubs in itertools.combinations(range(n - 1), k - 1):
+        # the hub entries carry the hub's value 1
+        for labels in itertools.product(a, repeat=n - k):
+            total += prod(labels)
     return total
 
 
@@ -129,10 +134,10 @@ def _check_binomial_product(a: Iterable[int], k: int) -> IdentityReport:
     a = multiset(a)
     natural(k, "k", 1, len(a))
     lhs = 0
-    for blocks in _local_partitions(a):
+    for blocks, count in _multiset_partitions(a):
         if len(blocks) != k:
             continue
-        term = multinomial(sum(blk) + 1 for blk in blocks)
+        term = count * multinomial(sum(blk) + 1 for blk in blocks)
         for blk in blocks:
             term *= multinomial(v + 1 for v in blk)
         lhs += term
@@ -149,10 +154,10 @@ def _check_tree_sum(a: Iterable[int], k: int) -> IdentityReport:
     a = multiset(a)
     natural(k, "k", 1, len(a))
     lhs = 0
-    for blocks in _local_partitions(a):
+    for blocks, count in _multiset_partitions(a):
         if len(blocks) != k:
             continue
-        term = 1
+        term = count
         for blk in blocks:
             term *= sum(blk) ** (len(blk) - 1)
         lhs += term
@@ -200,11 +205,13 @@ def _check_vanishing(b: Iterable[int]) -> IdentityReport:
 def _check_ff_multinomial(xs: Iterable[int], n: int) -> IdentityReport:
     xs = tuple(natural(x, "xs", None) for x in xs)
     lhs = Fraction(falling_factorial(sum(xs), n))
+    # each x's falling factorials of orders 0..n, built once per row
+    falling = [list(itertools.accumulate((x - i for i in range(n)), operator.mul, initial=1)) for x in xs]
     rhs = 0
     for ks in _compositions(n, len(xs)):
         term = multinomial(ks)
-        for x, k in zip(xs, ks):
-            term *= falling_factorial(x, k)
+        for row, k in zip(falling, ks):
+            term *= row[k]
         rhs += term
     return IdentityReport(
         identity="ff_multinomial",
@@ -215,13 +222,17 @@ def _check_ff_multinomial(xs: Iterable[int], n: int) -> IdentityReport:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every tuple of ``parts`` naturals summing to ``total``, in
+    lexicographic order: stars and bars, with the parts - 1 bars at the
+    ``cuts`` among total + parts - 1 slots, which combinations yields in
+    the same order."""
     if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        return iter([()] if total == 0 else [])
+    slots = total + parts - 1
+    return (
+        tuple(right - left - 1 for left, right in zip((-1,) + cuts, cuts + (slots,)))
+        for cuts in itertools.combinations(range(slots), parts - 1)
+    )
 
 
 _CHECKS = {

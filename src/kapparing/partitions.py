@@ -24,14 +24,15 @@ Every public entry point's integer arguments and the entries of every
 ``multiset`` go through it.  ``kappa_monomial`` is the one validator of
 kappa monomials, and ``quote`` bounds the argument every error message
 echoes.  Every value-only sum over set partitions in the ring and
-the identities streams ``_local_partitions``: the splits of a sorted value
+the vanishing identity streams ``_local_partitions``: the splits of a sorted value
 tuple in ``set_partitions`` order, with ``_split_sums`` as the monomial of a
 split.  ``kappa_product`` splits the positions 0..k-1 the same way, since it
 hands each partition to ``basis_coeff``; ``set_partitions`` itself serves
 only the table behind ``_local_partitions`` and the verification rows that
-print indices.  The oracle's sums depend on a split only through its
-blocks' values, so it walks ``multiset_partitions`` instead: one term per
-orbit of splits that agree up to equal values, weighted by the orbit's size.
+print indices.  The oracle's sums and the binomial-product and tree-sum
+identities depend on a split only through its blocks' values, so they walk
+``multiset_partitions`` instead: one term per orbit of splits that agree up
+to equal values, weighted by the orbit's size.
 
 ``Memo`` is the package's one memo-table type: a dict that computes a missing
 value on lookup and stores it up to ``COEFF_CACHE_LIMIT`` entries.  The
@@ -40,7 +41,8 @@ coefficient tables of :mod:`kapparing.ring`, the top-degree evaluations of
 
 ``_partition_weight_sums`` is the block DP behind the ring's socle and
 correction coefficients: a sum over set partitions of per-block weights,
-computed from the counts of each distinct value instead of term by term.
+computed from the counts of each distinct value instead of term by term;
+for the socle it also carries the shifted multinomial of the block sums.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb, factorial, prod
-from operator import sub
+from operator import mul, sub
 from typing import Callable, Iterable, Iterator, Optional
 
 Multiset = tuple[int, ...]
@@ -317,7 +319,7 @@ class Memo(dict):
         return value
 
 
-def _partition_weight_sums(a: Multiset, weight: Callable[[Multiset], int]) -> list[int]:
+def _partition_weight_sums(a: Multiset, weight: Callable[[Multiset], int], shifted: bool = False) -> list[int]:
     """For each m, the sum over the set partitions of a's positions into m
     blocks of the product of ``weight`` over the blocks' value multisets.
 
@@ -330,6 +332,12 @@ def _partition_weight_sums(a: Multiset, weight: Callable[[Multiset], int]) -> li
     copies of each larger value, in C(c_0-1, t_0-1) * prod C(c_j, t_j)
     labelled ways.  a is trusted canonical, and ``weight`` receives
     canonical multisets; everything is an integer.
+
+    With ``shifted``, each term also carries the shifted multinomial of its
+    block sums, (R + m)! / prod (s_B + 1)! for a state of sum R split into m
+    blocks.  It is built one block at a time: the first block, of sum s,
+    takes C(R + m, s + 1), and the rest of the state the multinomial of
+    its m - 1 blocks.  Every value then stays at the size of the answer.
     """
     values = sorted(set(a))
 
@@ -345,13 +353,19 @@ def _partition_weight_sums(a: Multiset, weight: Callable[[Multiset], int]) -> li
         out = [0] * (sum(counts) + 1)
         first = next(j for j, c in enumerate(counts) if c)
         head, c0, tail = counts[:first], counts[first], counts[first + 1 :]
+        remaining = sum(map(mul, values, counts))
         for take in itertools.product(range(1, c0 + 1), *(range(c + 1) for c in tail)):
             ways = comb(c0 - 1, take[0] - 1) * block_weight[head + take]
             for c, t in zip(tail, take[1:]):
                 ways *= comb(c, t)
             rest = head + tuple(map(sub, counts[first:], take))
-            for m, s in enumerate(sums[rest], 1):
-                out[m] += ways * s
+            if shifted:
+                block_sum = sum(map(mul, values[first:], take))
+                for m, s in enumerate(sums[rest], 1):
+                    out[m] += ways * comb(remaining + m, block_sum + 1) * s
+            else:
+                for m, s in enumerate(sums[rest], 1):
+                    out[m] += ways * s
         return out
 
     return sums[tuple(a.count(v) for v in values)]

@@ -195,13 +195,11 @@ def correction_coeff(a: Iterable[int]) -> Fraction:
 # validating again.  Every value is an int or a tuple of ints.
 @Memo
 def _SOCLE(a: KappaMonomial) -> int:
-    """socle_coeff by canonical monomial.  A partition into m blocks with sums
-    s_B contributes multinomial(s_B + 1) = (S+m)! / prod (s_B+1)!, S = sum(a);
-    the block weight (S+1)!/(s_B+1)! keeps the DP in integers, and dividing
-    by ((S+1)!)**m is exact term by term."""
-    top = factorial(sum(a) + 1)
-    sums = _partition_weight_sums(a, lambda block: top // factorial(sum(block) + 1))
-    return sum((-1) ** (len(a) + m) * factorial(sum(a) + m) * w // top**m for m, w in enumerate(sums) if w)
+    """socle_coeff by canonical monomial.  The block DP carries each split's
+    shifted multinomial, multinomial(s_B + 1), itself, so every value it
+    holds stays at the size of the answer."""
+    sums = _partition_weight_sums(a, lambda block: 1, shifted=True)
+    return sum((-1) ** (len(a) + m) * w for m, w in enumerate(sums))
 
 
 @Memo

@@ -182,3 +182,15 @@ def naive_closed(p, a, d, truncation):
                     term /= math.factorial(sum(a[i] for i in t_block) + 1)
             total += term
     return total
+
+
+def naive_tree_sum_oracle(a, k):
+    """The tree sum by a filtered walk over every code of length len(a) - 1
+    on the hub (label 0, value 1) and a's entries, keeping the codes with
+    exactly k - 1 hub entries."""
+    values = (1,) + tuple(a)
+    total = 0
+    for code in itertools.product(range(len(values)), repeat=len(a) - 1):
+        if code.count(0) == k - 1:
+            total += math.prod(values[c] for c in code)
+    return total

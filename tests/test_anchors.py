@@ -61,6 +61,12 @@ def test_socle_of_kappa_1_powers_past_enumeration():
         assert socle_coeff((1,) * k) == V[k + 3]
 
 
+def test_socle_of_a_hundred_kappa_1s():
+    # the block DP's values stay at the size of the answer, which keeps a
+    # hundred equal factors cheap
+    assert socle_coeff((1,) * 100) == zograf_volumes(103)[103]
+
+
 @pytest.mark.parametrize("k", SOLVE_KS)
 def test_solve_recovers_the_zograf_volume(k):
     assert solve_coeffs_by_pairing((1,) * k, k + 3) == {(k,): V[k + 3]}

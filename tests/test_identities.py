@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,10 @@ from kapparing.identities import (
     prufer_decode,
     tree_sum_oracle,
 )
+from kapparing import identities
 from kapparing.partitions import index_multisets
+
+from bruteforce import naive_multinomial, naive_set_partitions, naive_tree_sum_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +84,55 @@ def test_tree_sum_oracle_values():
     assert tree_sum_oracle((5,), 1) == 1
     with pytest.raises(ValueError):
         tree_sum_oracle((1, 1), 3)
+
+
+@pytest.mark.parametrize("length", range(1, 7))
+def test_tree_sum_oracle_matches_the_filtered_code_walk(length):
+    for a in itertools.combinations_with_replacement((1, 2, 3), length):
+        for k in range(1, length + 1):
+            assert tree_sum_oracle(a, k) == naive_tree_sum_oracle(a, k), (a, k)
+
+
+def test_tree_sum_oracle_of_ones_counts_the_codes_it_visits():
+    # every code with k - 1 hub entries once: C(n - 1, k - 1) hub positions
+    # times n labels for each of the other n - k positions
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            assert tree_sum_oracle((1,) * n, k) == math.comb(n - 1, k - 1) * n ** (n - k)
+
+
+@pytest.mark.parametrize("length", range(1, 7))
+def test_orbit_sums_match_the_set_partition_sums(length):
+    for a in itertools.combinations_with_replacement((1, 2, 3), length):
+        binomial_lhs, tree_lhs = [0] * (length + 1), [0] * (length + 1)
+        for p in naive_set_partitions(range(length)):
+            blocks = [[a[i] for i in block] for block in p]
+            term = naive_multinomial(sum(block) + 1 for block in blocks)
+            for block in blocks:
+                term *= naive_multinomial(v + 1 for v in block)
+            binomial_lhs[len(p)] += term
+            tree_lhs[len(p)] += math.prod(sum(block) ** (len(block) - 1) for block in blocks)
+        for k in range(1, length + 1):
+            assert check_identity("binomial_product", a=list(a), k=k).lhs == binomial_lhs[k], (a, k)
+            assert check_identity("tree_sum", a=list(a), k=k).lhs == tree_lhs[k], (a, k)
+
+
+def _recursive_compositions(total, parts):
+    """The compositions by first part, then the rest recursively."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_match_the_recursion_in_order():
+    for total in range(9):
+        for parts in range(5):
+            expected = list(_recursive_compositions(total, parts))
+            assert list(identities._compositions(total, parts)) == expected, (total, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from kapparing.partitions import (
     _PARTITIONS_BY_SIZE,
     _local_partitions,
+    _partition_weight_sums,
     bell,
     block_sums,
     block_sum_vector,
@@ -25,7 +26,14 @@ from kapparing.partitions import (
     stirling2,
 )
 
-from bruteforce import as_block_sets, naive_bell, naive_set_partitions, naive_stirling2, rgs_partitions
+from bruteforce import (
+    as_block_sets,
+    naive_bell,
+    naive_multinomial,
+    naive_set_partitions,
+    naive_stirling2,
+    rgs_partitions,
+)
 
 
 def with_blocks(k, m):
@@ -301,6 +309,25 @@ def test_multiset_partitions_collapse_repeated_values():
     assert sum(count for _, count in multiset_partitions((1,) * 20)) == bell(20)
     with pytest.raises(ValueError):
         multiset_partitions((1, -1))
+
+
+@pytest.mark.parametrize("length", range(7))
+def test_partition_weight_sums_match_the_labelled_sums_by_block_count(length):
+    def weight(block):
+        return len(block) + block[-1]
+
+    for a in itertools.combinations_with_replacement((1, 2, 3), length):
+        plain, shifted = [0] * (length + 1), [0] * (length + 1)
+        for p in naive_set_partitions(range(length)):
+            blocks = [[a[i] for i in block] for block in p]
+            term = 1
+            for block in blocks:
+                term *= weight(block)
+            plain[len(p)] += term
+            # the shifted multinomial of the block sums rides along
+            shifted[len(p)] += term * naive_multinomial(sum(block) + 1 for block in blocks)
+        assert _partition_weight_sums(a, weight) == plain, a
+        assert _partition_weight_sums(a, weight, shifted=True) == shifted, a
 
 
 def test_quote_bounds_long_arguments():

@@ -70,19 +70,43 @@ def test_ring_and_oracle_suites_share_one_top_degree_integral_per_multiset(monke
 
 
 def test_run_ordered_unpacks_each_case_as_arguments():
-    cases = [((1, 1), 2), ((1, 2), 3)]
-    expected = [verification.check_genus_lift(a, d, 1) for a, d in cases]
-    genus_cases = [(a, d, 1) for a, d in cases]
-    assert verification.run_ordered(verification.check_genus_lift, genus_cases, 1) == expected
-    assert verification.run_ordered(verification.check_genus_lift, genus_cases, 2) == expected
+    cases = [((1, 1), 2, (1, 2)), ((1, 2), 3, (1,))]
+    expected = [verification.check_genus_lift(*case) for case in cases]
+    # one row per genus, in the order given
+    assert [[row["genus"] for row in rows] for rows in expected] == [[1, 2], [1]]
+    assert verification.run_ordered(verification.check_genus_lift, cases, 1) == expected
+    assert verification.run_ordered(verification.check_genus_lift, cases, 2) == expected
+
+
+def test_ring_suite_expands_each_genus_zero_base_once(monkeypatch):
+    calls = []
+    kappa_product = verification.kappa_product
+
+    def counting_kappa_product(a, genus, n, **kwargs):
+        calls.append((tuple(a), genus, n))
+        return kappa_product(a, genus, n, **kwargs)
+
+    monkeypatch.setattr(verification, "kappa_product", counting_kappa_product)
+    bounds = verification.RingSweepBounds(max_len=2, max_sum=3, max_budget=2, genus_lifts=(1, 2))
+    rows = verification.run_suite("ring", ring_bounds=bounds)
+    cases = verification.ring_sweep_cases(bounds)
+    multisets = {a for a, _ in cases}
+    # per case: the method check, the genus-lift base and one lift per
+    # genus; then one top-degree row per multiset and the two pinned rows
+    assert len(calls) == len(cases) * (1 + 1 + len(bounds.genus_lifts)) + len(multisets) + 2
+    lifts = [row for row in rows if row["check"] == "genus_lift"]
+    assert [(row["a"], row["d"], row["genus"]) for row in lifts] == [
+        (list(a), d, g) for a, d in cases for g in bounds.genus_lifts
+    ]
+    assert all(row["pass"] for row in rows)
 
 
 @pytest.mark.parametrize(
     "jobs, cases, cpus, workers",
-    [(100_000, 5, 2, 2), (100_000, 3, 64, 3), (4, 10, 64, 4), (3, 10, None, 1), (1, 5, 64, None)],
+    [(100_000, 5, 2, 2), (100_000, 3, 64, 3), (4, 10, 64, 4), (3, 10, None, 1), (1, 5, 64, None), (2, 100, 2, 2)],
 )
 def test_run_ordered_caps_the_pool_at_the_cases_and_the_cpus(monkeypatch, jobs, cases, cpus, workers):
-    started = []
+    started, chunks = [], []
 
     class RecordingPool:
         """Records the pool size it is asked for and runs the work serially."""
@@ -96,7 +120,8 @@ def test_run_ordered_caps_the_pool_at_the_cases_and_the_cpus(monkeypatch, jobs, 
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize=1):
+            chunks.append(chunksize)
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -104,3 +129,7 @@ def test_run_ordered_caps_the_pool_at_the_cases_and_the_cpus(monkeypatch, jobs, 
     assert verification.run_ordered(pow, [(i, 2) for i in range(cases)], jobs) == [i * i for i in range(cases)]
     # any jobs > 1 still pools, even down to one worker
     assert started == ([] if workers is None else [workers])
+    assert all(chunk >= 1 for chunk in chunks)
+    if cases == 100:
+        # the cases go out in chunks, not one by one
+        assert chunks[0] > 1
