@@ -6,15 +6,15 @@ the multinomial formula, top-degree kappa integrals from the signed sum of
 psi integrals over the multiset partitions of the indices
 (``partitions.multiset_partitions``, each weighted by its count of set
 partitions), pairings against boundary strata from distributing kappa
-indices over stratum components (a dynamic program over the components,
-which counts the labelled distributions without enumerating them), and
-expansion coefficients from the resulting exact linear system.  A monomial
-pairs nonzero only with the strata whose dimensions coarsen it, so in
-(length, lex) order the system is upper triangular with diagonal
-prod_v c_v! (c_v copies of index v).  ``pairing_system`` builds it from the
-coarsenings alone as (unknowns, matrix, rhs, reachable), the one value that
-``solve_pairing_system`` reads to solve it by back substitution.  Agreement
-with the ring module is therefore a genuine cross-check, not a tautology.
+indices over stratum components, and expansion coefficients from the
+resulting exact linear system.  A monomial pairs nonzero only with the
+strata whose dimensions coarsen it, so in (length, lex) order the system is
+upper triangular with diagonal prod_v c_v! (c_v copies of index v).
+``pairing_system`` reads each column off one walk of a monomial's multiset
+partitions, which yields every stratum it fills with the pairing, for
+``solve_pairing_system``'s back substitution; ``pair_kappa_stratum`` pairs
+one stratum by a dynamic program over its components.  Agreement with the
+ring module is therefore a genuine cross-check, not a tautology.
 
 A boundary stratum of the genus-zero space is a tree of components; by the
 perfect-pairing structure of its Chow ring, the pairing of a kappa-ring class
@@ -25,7 +25,7 @@ against the stratum depends only on the multiset of component dimensions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .numbers import multinomial
@@ -215,11 +215,11 @@ def pairing_system(
     with d once d >= sum(a).
 
     A monomial pairs nonzero only with the strata its indices can fill, the
-    block sums of its multiset partitions (:func:`_coarsenings`), so the
-    matrix is computed there and is zero elsewhere; the right-hand side
-    likewise at ``reachable``, a's coarsenings with at most d parts, sorted.
-    Every coarsening of mu other than mu is shorter, so the matrix is upper
-    triangular.
+    block sums of its multiset partitions, so column j is read off one walk
+    of unknown j's partitions (:func:`_pairings`) and is zero elsewhere; the
+    right-hand side likewise off one walk of a's, at ``reachable``, a's
+    coarsenings with at most d parts, sorted.  Every coarsening of mu other
+    than mu is shorter, so the matrix is upper triangular.
     """
     a = kappa_monomial(a)
     d = natural(n, "n") - sum(a) - 2
@@ -230,19 +230,27 @@ def pairing_system(
     zero = Fraction(0)
     matrix = [[zero] * len(unknowns) for _ in unknowns]
     for j, mu in enumerate(unknowns):
-        for dims in _coarsenings(mu):
-            matrix[position[dims]][j] = pair_kappa_stratum(mu, dims)
-    rhs = [zero] * len(unknowns)
-    reachable = sorted(mu for mu in _coarsenings(a) if len(mu) <= d)
-    for dims in reachable:
-        rhs[position[dims]] = pair_kappa_stratum(a, dims)
+        for dims, value in _pairings(mu).items():
+            matrix[position[dims]][j] = Fraction(value)
+    paired = _pairings(a)
+    rhs = [Fraction(paired.get(dims, 0)) for dims in unknowns]
+    reachable = sorted(mu for mu in paired if len(mu) <= d)
     return unknowns, matrix, rhs, reachable
 
 
-def _coarsenings(mu: Multiset) -> set[Multiset]:
-    """The block-sum multisets of mu's multiset partitions: the dimension
-    sequences of the strata that mu's indices can fill, mu itself included."""
-    return {_split_sums(blocks) for blocks, _ in _multiset_partitions(mu)}
+def _pairings(mu: Multiset) -> dict[Multiset, int]:
+    """``pair_kappa_stratum(mu, dims)`` at every dims that mu's indices can
+    fill, from one walk of mu's multiset partitions: a partition with count
+    set partitions adds count * prod_B top(B) at its block sums, and each
+    total is then multiplied by prod_e m_e!, the ways its m_e blocks of sum e
+    go to the m_e distinct components of dimension e."""
+    totals: dict[Multiset, int] = {}
+    for blocks, count in _multiset_partitions(mu):
+        dims = _split_sums(blocks)
+        totals[dims] = totals.get(dims, 0) + count * prod(_TOP_CACHE[block] for block in blocks)
+    for dims, total in totals.items():
+        totals[dims] = total * prod(factorial(dims.count(e)) for e in set(dims))
+    return totals
 
 
 def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:

@@ -49,14 +49,14 @@ def ring_sweep_cases(bounds: RingSweepBounds = RingSweepBounds()) -> list[tuple[
     return [(a, d) for a in _ring_multisets(bounds) for d in range(1, bounds.max_budget + 1)]
 
 
-def check_methods_agree(a: Iterable[int], d: int) -> dict:
+def check_methods_agree(a: Iterable[int], d: int, poly: KappaPoly | None = None) -> dict:
     """One sweep case: all coefficient methods and the pairing solve must agree.
 
     Compares recursive/ck/closed per basis partition, then aggregates equal
     block-sum monomials and compares against the coefficients recovered from
-    stratum pairings alone (and against kappa_product itself).  A failing
-    row also lists the values that disagree: ``method_mismatches`` per basis
-    partition and ``monomial_mismatches`` per monomial.
+    stratum pairings alone and against kappa_product itself (``poly`` if
+    given).  A failing row also lists the values that disagree:
+    ``method_mismatches`` per basis partition and ``monomial_mismatches``.
     """
     a = multiset(a)
     n = sum(a) + d + 2
@@ -73,7 +73,7 @@ def check_methods_agree(a: Iterable[int], d: int) -> dict:
         key = block_sums(p, a)
         aggregated[key] = aggregated.get(key, Fraction(0)) + values["closed"]
     solved = solve_coeffs_by_pairing(a, n)
-    poly = kappa_product(a, 0, n)
+    poly = kappa_product(a, 0, n) if poly is None else poly
     pairing_ok = product_ok = True
     monomial_mismatches = []
     for mu in sorted(set(aggregated) | set(solved) | set(poly.terms), key=lambda m: (-len(m), m)):
@@ -109,12 +109,12 @@ def check_methods_agree(a: Iterable[int], d: int) -> dict:
     return row
 
 
-def check_genus_lift(a: Iterable[int], d: int, genera: Iterable[int]) -> list[dict]:
+def check_genus_lift(a: Iterable[int], d: int, genera: Iterable[int], base: KappaPoly | None = None) -> list[dict]:
     """kappa_product at each genus g must equal the genus-zero product at
-    n + 2g: one row per genus, in order, against one genus-zero base."""
+    n + 2g (``base`` if given): one row per genus, in order, against it."""
     a = multiset(a)
     n = sum(a) + d + 2
-    base = kappa_product(a, 0, n)
+    base = kappa_product(a, 0, n) if base is None else base
     rows = []
     for genus in genera:
         lifted = kappa_product(a, genus, n - 2 * genus) if n - 2 * genus >= 0 else None
@@ -129,6 +129,12 @@ def check_genus_lift(a: Iterable[int], d: int, genera: Iterable[int]) -> list[di
             }
         )
     return rows
+
+
+def _ring_case(a: Multiset, d: int, genera: tuple[int, ...]) -> tuple[dict, list[dict]]:
+    """One sweep case's method row and genus-lift rows, from one genus-zero base."""
+    base = kappa_product(a, 0, sum(a) + d + 2)
+    return check_methods_agree(a, d, base), check_genus_lift(a, d, genera, base)
 
 
 def _top_degree_values(a: Multiset) -> tuple[Fraction, Fraction, Fraction]:
@@ -335,10 +341,10 @@ def run_suite(
         rows.extend(run_ordered(identity_case_worker, identity_sweep_cases(identity_bounds), jobs))
     if suite in ("ring", "all"):
         rows.extend(pinned_product_checks())
-        rows.extend(run_ordered(check_methods_agree, ring_sweep_cases(ring_bounds), jobs))
-        genus_cases = [(a, d, ring_bounds.genus_lifts) for (a, d) in ring_sweep_cases(ring_bounds)]
-        for case_rows in run_ordered(check_genus_lift, genus_cases, jobs):
-            rows.extend(case_rows)
+        cases = [(a, d, ring_bounds.genus_lifts) for (a, d) in ring_sweep_cases(ring_bounds)]
+        checked = run_ordered(_ring_case, cases, jobs)
+        rows.extend(row for row, _ in checked)
+        rows.extend(row for _, lifts in checked for row in lifts)
         for a, values in top.items():
             rows.append(check_top_degree(a, values))
         for a in random_round_trip_cases():

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import math
 import random
@@ -264,32 +265,68 @@ def test_pairing_matrix_is_upper_triangular_with_factorial_diagonal():
 
 
 def test_pairing_system_pairs_only_the_coarsenings(monkeypatch):
-    calls = []
-    pair = oracle.pair_kappa_stratum
+    walks, dp_calls = [], []
+    pairings = oracle._pairings
 
-    def counting_pair(b, dims):
-        calls.append((b, dims))
-        return pair(b, dims)
+    def counting_pairings(mu):
+        walks.append(mu)
+        return pairings(mu)
 
-    monkeypatch.setattr(oracle, "pair_kappa_stratum", counting_pair)
-    _, matrix, rhs, _ = pairing_system((3, 4, 5), 18)
-    # 216 matrix nonzeros and the 5 coarsenings of (3, 4, 5); the dense
-    # build made 34 * 35 = 1,190 calls
+    monkeypatch.setattr(oracle, "_pairings", counting_pairings)
+    monkeypatch.setattr(oracle, "pair_kappa_stratum", lambda *args: dp_calls.append(args))
+    unknowns, matrix, rhs, _ = pairing_system((3, 4, 5), 18)
+    # 216 matrix nonzeros and the 5 coarsenings of (3, 4, 5), read off one
+    # partition walk per unknown and one for a, with no stratum DP; the
+    # dense build made 34 * 35 = 1,190 stratum pairings
     assert sum(1 for row in matrix for x in row if x) == 216
     assert sum(1 for x in rhs if x) == 5
-    assert len(calls) == 221
+    assert walks == unknowns + [(3, 4, 5)] and len(walks) == 35
+    assert dp_calls == []
 
 
 def test_zero_diagonal_pairing_raises(monkeypatch):
-    pair = oracle.pair_kappa_stratum
+    pairings = oracle._pairings
 
-    def wrong_pair(b, dims):
-        return Fraction(0) if tuple(b) == tuple(dims) == (1, 2) else pair(b, dims)
+    def wrong_pairings(mu):
+        found = pairings(mu)
+        if mu == (1, 2):
+            found[mu] = 0
+        return found
 
-    monkeypatch.setattr(oracle, "pair_kappa_stratum", wrong_pair)
+    monkeypatch.setattr(oracle, "_pairings", wrong_pairings)
     with pytest.raises(RankDeficientPairingError, match="zero diagonal") as err:
         solve_coeffs_by_pairing((1, 1, 1), 7)
     assert err.value.matrix == pairing_system((1, 1, 1), 7)[1]
+    assert err.value.matrix[1][1] == 0
+
+
+@pytest.mark.parametrize("mu", list(index_multisets(6, max_sum=9)))
+def test_pairings_walk_matches_the_stratum_pairing(mu):
+    found = oracle._pairings(mu)
+    # the strata mu fills: the block sums of the set partitions of its indices
+    assert set(found) == {tuple(sorted(map(sum, p))) for p in naive_set_partitions(list(mu))}
+    for dims, value in found.items():
+        assert value == pair_kappa_stratum(mu, dims), (mu, dims)
+        if len(dims) ** len(mu) <= 4096:
+            assert value == naive_pair_kappa_stratum(mu, dims), (mu, dims)
+
+
+def test_pairings_count_the_orders_of_equal_components():
+    # 15 pairings of six kappa_1s, top((1, 1)) = 5 on each of the three
+    # components of dimension 2, and 3! ways to put the pairs on them
+    assert oracle._pairings((1,) * 6)[(2, 2, 2)] == 15 * 5**3 * math.factorial(3)
+
+
+def test_oracle_imports_nothing_from_ring():
+    # the pairing solve is a cross-check of the ring only while it never calls it
+    imported = []
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert "partitions.Memo" in imported
+    assert [name for name in imported if "ring" in name.split(".")] == []
 
 
 def test_pairing_entry_below_the_diagonal_raises():

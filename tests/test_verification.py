@@ -91,9 +91,10 @@ def test_ring_suite_expands_each_genus_zero_base_once(monkeypatch):
     rows = verification.run_suite("ring", ring_bounds=bounds)
     cases = verification.ring_sweep_cases(bounds)
     multisets = {a for a, _ in cases}
-    # per case: the method check, the genus-lift base and one lift per
-    # genus; then one top-degree row per multiset and the two pinned rows
-    assert len(calls) == len(cases) * (1 + 1 + len(bounds.genus_lifts)) + len(multisets) + 2
+    # per case: one genus-zero base, shared by the method check and the
+    # genus lifts, and one lift per genus; then one top-degree row per
+    # multiset and the two pinned rows
+    assert len(calls) == len(cases) * (1 + len(bounds.genus_lifts)) + len(multisets) + 2
     lifts = [row for row in rows if row["check"] == "genus_lift"]
     assert [(row["a"], row["d"], row["genus"]) for row in lifts] == [
         (list(a), d, g) for a, d in cases for g in bounds.genus_lifts
