@@ -215,7 +215,7 @@ def cmd_solve(args) -> tuple[dict, int]:
     a = multiset(parse_int_list(args.a, "--a"))
     system = pairing_system(a, args.marked)
     solution = solve_pairing_system(system)
-    size = len(system[0])
+    size = system[3]
     report = {
         "command": "solve",
         "inputs": {"a": list(a), "marked": args.marked},
@@ -224,8 +224,9 @@ def cmd_solve(args) -> tuple[dict, int]:
             {"monomial": list(mu), "coefficient": format_rational(solution[mu])}
             for mu in sorted(solution, key=lambda m: (-len(m), m))
         ],
-        # one row per unknown; solve_pairing_system raises unless the rank
-        # is full and every residual is zero, so on success these hold.
+        # the full system, one row per basis monomial, is triangular of full
+        # rank; the solve over a's coarsenings raises unless its diagonal is
+        # nonzero and every residual is zero, so on success these hold.
         "matrix": {"rows": size, "cols": size, "rank": size},
         "residual_zero": True,
     }

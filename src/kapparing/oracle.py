@@ -9,12 +9,14 @@ partitions), pairings against boundary strata from distributing kappa
 indices over stratum components, and expansion coefficients from the
 resulting exact linear system.  A monomial pairs nonzero only with the
 strata whose dimensions coarsen it, so in (length, lex) order the system is
-upper triangular with diagonal prod_v c_v! (c_v copies of index v).
-``pairing_system`` reads each column off one walk of a monomial's multiset
-partitions, which yields every stratum it fills with the pairing, for
-``solve_pairing_system``'s back substitution; ``pair_kappa_stratum`` pairs
-one stratum by a dynamic program over its components.  Agreement with the
-ring module is therefore a genuine cross-check, not a tautology.
+upper triangular with diagonal prod_v c_v! (c_v copies of index v), and
+only a's coarsenings can have nonzero coefficients.  ``pairing_system``
+keeps just those as unknowns and reads each column off one walk of a
+monomial's multiset partitions, which yields every stratum it fills with
+the pairing, for ``solve_pairing_system``'s back substitution;
+``pair_kappa_stratum`` pairs one stratum by a dynamic program over its
+components.  Agreement with the ring module is therefore a genuine
+cross-check, not a tautology.
 
 A boundary stratum of the genus-zero space is a tree of components; by the
 perfect-pairing structure of its Chow ring, the pairing of a kappa-ring class
@@ -43,7 +45,7 @@ class RankDeficientPairingError(RuntimeError):
     papered over with a pseudo-inverse.  ``rank`` is the number of unknowns
     the solver determined: the pivots :func:`solve_exact` found, or the
     unknowns :func:`solve_pairing_system` had substituted when it stopped
-    (all of them when a residual or an unreachable monomial fails).
+    (all of them when a residual fails).
     """
 
     def __init__(self, message: str, matrix: list[list[Fraction]], rank: int):
@@ -198,44 +200,50 @@ def dimension_sequences(total: int, length: int) -> Iterator[DimensionSequence]:
     return (multiset((0,) * (length - len(p)) + p) for p in integer_partitions(total, length))
 
 
-def pairing_system(
-    a: Iterable[int], n: int
-) -> tuple[list[Multiset], list[list[Fraction]], list[Fraction], list[Multiset]]:
-    """Assemble the exact linear system (unknowns, matrix, rhs, reachable)
-    that determines the expansion coefficients of a at n markings.
+def pairing_system(a: Iterable[int], n: int) -> tuple[list[Multiset], list[list[Fraction]], list[Fraction], int]:
+    """Assemble the exact linear system (unknowns, matrix, rhs, size) that
+    determines the expansion coefficients of a at n markings.
 
-    Unknowns are basis monomials: integer partitions of sum(a) into at most
-    d = n - sum(a) - 2 parts, in (length, lex) order.  One equation per
-    stratum of d components whose dimensions sum to sum(a): pairing the
-    expansion against that stratum must reproduce the pairing of the
-    original monomial.  A zero-dimension component takes no index, so an
-    equation is named by its positive dimensions alone, and those are again
-    the partitions of sum(a) into at most d parts: row i is the stratum
-    named by unknown i, the system is square, and its size stops growing
-    with d once d >= sum(a).
+    The basis monomials are the partitions of sum(a) into at most
+    d = n - sum(a) - 2 parts, and the strata of d components whose dimensions
+    sum to sum(a) are named by their positive dimensions, which are again
+    those partitions: pairing the expansion against a stratum must reproduce
+    the pairing of a.  In (length, lex) order this full system is square, of
+    ``size`` p(sum(a), <= d), which stops growing with d once d >= sum(a).
 
-    A monomial pairs nonzero only with the strata its indices can fill, the
-    block sums of its multiset partitions, so column j is read off one walk
-    of unknown j's partitions (:func:`_pairings`) and is zero elsewhere; the
-    right-hand side likewise off one walk of a's, at ``reachable``, a's
-    coarsenings with at most d parts, sorted.  Every coarsening of mu other
-    than mu is shorter, so the matrix is upper triangular.
+    Only a's coarsenings with at most d parts (the keys of one walk of a's
+    multiset partitions, :func:`_pairings`) are kept as unknowns and rows.
+    Column mu is nonzero only at mu's coarsenings, the right-hand side only
+    at a's, and the diagonal is prod_v c_v! (c_v copies of index v), never
+    0.  Every coarsening of mu other than mu is shorter, so the full matrix
+    is upper triangular of rank ``size``, and back substitution sets every
+    unknown outside a's coarsenings to 0 while its row reads 0 = 0: the
+    restricted system has the full system's solution.
     """
     a = kappa_monomial(a)
     d = natural(n, "n") - sum(a) - 2
     if d < 1:
         raise ValueError(f"degree budget d={d} leaves no basis to solve for")
-    unknowns = sorted(integer_partitions(sum(a), d), key=lambda mu: (len(mu), mu))
+    paired = _pairings(a)
+    unknowns = sorted((mu for mu in paired if len(mu) <= d), key=lambda mu: (len(mu), mu))
     position = {dims: i for i, dims in enumerate(unknowns)}
     zero = Fraction(0)
     matrix = [[zero] * len(unknowns) for _ in unknowns]
     for j, mu in enumerate(unknowns):
         for dims, value in _pairings(mu).items():
             matrix[position[dims]][j] = Fraction(value)
-    paired = _pairings(a)
-    rhs = [Fraction(paired.get(dims, 0)) for dims in unknowns]
-    reachable = sorted(mu for mu in paired if len(mu) <= d)
-    return unknowns, matrix, rhs, reachable
+    rhs = [Fraction(paired[dims]) for dims in unknowns]
+    return unknowns, matrix, rhs, _partition_count(sum(a), d)
+
+
+def _partition_count(total: int, max_parts: int) -> int:
+    """p(total, <= max_parts), counted as its conjugates, the partitions of
+    total into parts <= max_parts, adding one part size at a time."""
+    ways = [1] + [0] * total
+    for part in range(1, min(max_parts, total) + 1):
+        for s in range(part, total + 1):
+            ways[s] += ways[s - part]
+    return ways[total]
 
 
 def _pairings(mu: Multiset) -> dict[Multiset, int]:
@@ -265,10 +273,11 @@ def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -
     RankDeficientPairingError, carrying the caller's matrix and the rank,
     when the columns are not independent or the system is inconsistent.
 
-    The pairing solve no longer calls this: its system is triangular, and
-    :func:`solve_pairing_system` substitutes directly.  It stays public as
-    the general dense solver that the tests compare the triangular solve
-    with, and because the benchmark's tracer binds it by name.
+    The pairing solve does not call this: its system, restricted to a's
+    coarsenings, is triangular, and :func:`solve_pairing_system` substitutes
+    directly.  It stays public as the general dense solver with which the
+    tests solve the full system over every basis monomial, and because the
+    benchmark's tracer binds it by name.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
@@ -329,20 +338,18 @@ def solve_coeffs_by_pairing(a: Iterable[int], n: int) -> dict[Multiset, Fraction
 
 
 def solve_pairing_system(system: tuple) -> dict[Multiset, Fraction]:
-    """Solve the system ``(unknowns, matrix, rhs, reachable)`` that
+    """Solve the system ``(unknowns, matrix, rhs, size)`` that
     :func:`pairing_system` returns, which carries everything the solve reads.
 
     Row i is the stratum named by unknown i, in (length, lex) order, so the
     matrix must be upper triangular with a nonzero diagonal (pair(mu, mu) =
-    prod_v c_v!).  The system is solved over every basis monomial by back
-    substitution, from the longest unknowns down, and verified to have an
-    exactly-zero residual.  A nonzero below the diagonal or a zero on it
-    breaks the premise that the pairing is perfect and raises
-    RankDeficientPairingError, as does a nonzero residual.  The returned map
-    is keyed by ``reachable`` in its sorted order; unknowns outside it must
-    solve to zero and are checked, not returned.
+    prod_v c_v!).  It is solved by back substitution, from the longest
+    unknowns down, and verified to have an exactly-zero residual.  A nonzero
+    below the diagonal or a zero on it breaks the premise that the pairing
+    is perfect and raises RankDeficientPairingError, as does a nonzero
+    residual.  The returned map is keyed by the unknowns, sorted.
     """
-    unknowns, matrix, rhs, reachable = system
+    unknowns, matrix, rhs, _ = system
     size = len(unknowns)
     solution = [Fraction(0)] * size
     for i in range(size - 1, -1, -1):
@@ -360,13 +367,4 @@ def solve_pairing_system(system: tuple) -> dict[Multiset, Fraction]:
         residual = sum(x * solution[j] for j, x in enumerate(row) if x) - rhs[i]
         if residual != 0:
             raise RankDeficientPairingError(f"nonzero residual in row {i} for dims {unknowns[i]}", matrix, size)
-    by_monomial = dict(zip(unknowns, solution))
-    kept = set(reachable)
-    for mu, value in by_monomial.items():
-        if mu not in kept and value != 0:
-            raise RankDeficientPairingError(
-                f"unreachable basis monomial {mu} received nonzero coefficient {value}",
-                matrix,
-                size,
-            )
-    return {mu: by_monomial[mu] for mu in reachable}
+    return dict(sorted(zip(unknowns, solution)))

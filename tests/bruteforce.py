@@ -148,6 +148,20 @@ def naive_pairing_system(a, n):
     return matrix, rhs, dict(zip(unknowns, solution))
 
 
+def euler_partition_counts(limit):
+    """p(0), ..., p(limit) by Euler's pentagonal number theorem:
+    p(t) = sum over k >= 1 of (-1)**(k + 1) * (p(t - k(3k - 1)/2) + p(t - k(3k + 1)/2))."""
+    counts = [1]
+    for t in range(1, limit + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= t:
+            sign = 1 if k % 2 else -1
+            total += sign * sum(counts[t - g] for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if g <= t)
+            k += 1
+        counts.append(total)
+    return counts
+
+
 def naive_closed(p, a, d, truncation):
     """The closed form of one basis coefficient, by walking every chain
     t <= r <= p of partitions of a's positions: each term is

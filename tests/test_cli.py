@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from kapparing import cli, oracle
 
+from bruteforce import euler_partition_counts
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -322,16 +324,32 @@ def test_oracle_reports_are_pinned_byte_for_byte(args, digest):
 # Two solves pinned to the bytes they printed when the top integral walked
 # every set partition and Bareiss solved the dense system: 62 s and 1.9 s
 # then, 0.26 s and 0.08 s by the triangular solve over multiset partitions
-# (one run each on a 2-CPU Xeon, Python 3.11).
+# (one run each on a 2-CPU Xeon, Python 3.11).  The last two, with 627 and
+# 1,958 basis monomials, took 17.6 s and 255 s by the triangular solve over
+# the full basis; on a's 5 and 7 coarsenings alone they take milliseconds.
 SCALE_REPORTS = [
     (("solve", "--a", "3,3,3,3", "--marked", "26"), "02f2457fafbb291ed1a0484bd11fc6f745f5dcea734f02ebedd49e0018c04a93"),
     (("solve", "--a", ",".join(["1"] * 10), "--marked", "16"), "33f551947b3cc6fe04a5792b91d58bcfdb7e9060a03af51683bd450be4a416b6"),
+    (("solve", "--a", "5,5,5,5", "--marked", "42"), "04485ff14b80abe369ec8308221a17bbb170ea06932c0234d9c87a241ea8f5be"),
+    (("solve", "--a", "5,5,5,5,5", "--marked", "52"), "baa61005fc29cab2e1878637e6fa85aa6290c42895794f97a5629c6ec9b09e52"),
 ]
 
 
 @pytest.mark.parametrize("args, digest", SCALE_REPORTS)
 def test_oracle_reports_at_scale_are_pinned_byte_for_byte(args, digest):
     assert stdout_sha256(*args) == digest
+
+
+def test_solve_reports_a_basis_it_does_not_enumerate():
+    # p(1100) basis monomials, of which a = (1100,) reaches only itself; the
+    # count is p(1100) by Euler's pentagonal number theorem
+    result = run_cli("solve", "--a", "1100", "--marked", "2300")
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["coefficients"] == [{"monomial": [1100], "coefficient": "1/1"}]
+    p_1100 = 1147240591519695580043346988281283
+    assert p_1100 == euler_partition_counts(1100)[1100]
+    assert report["matrix"] == {"rows": p_1100, "cols": p_1100, "rank": p_1100}
 
 
 def test_solve_builds_the_pairing_system_once(monkeypatch, capsys):

@@ -25,6 +25,7 @@ from kapparing.partitions import index_multisets
 from kapparing.ring import kappa_product, socle_coeff
 
 from bruteforce import (
+    euler_partition_counts,
     naive_multinomial,
     naive_multisets,
     naive_pair_kappa_stratum,
@@ -177,6 +178,15 @@ def test_integer_partitions_enumeration():
     assert set(dimension_sequences(2, 2)) == {(0, 2), (1, 1)}
 
 
+@pytest.mark.parametrize("total", range(13))
+def test_partition_count_matches_the_enumeration_and_euler(total):
+    for max_parts in range(14):
+        count = oracle._partition_count(total, max_parts)
+        assert count == len(list(integer_partitions(total, max_parts))), (total, max_parts)
+        if max_parts >= total:
+            assert count == euler_partition_counts(total)[total]
+
+
 def test_solve_pinned_cases():
     assert solve_coeffs_by_pairing((1, 1), 5) == {(2,): Fraction(5)}
     assert solve_coeffs_by_pairing((1, 1), 6) == {(1, 1): Fraction(1), (2,): Fraction(0)}
@@ -198,14 +208,23 @@ def test_solve_requires_room_for_a_basis():
 
 
 def test_pairing_system_is_square():
-    unknowns, matrix, rhs, reachable = pairing_system((1, 1, 2), 9)
-    # row i is the stratum named by unknown i: one row per stratum of d = 3
-    # components, named by its positive dimensions
+    unknowns, matrix, rhs, size = pairing_system((1, 1, 2), 9)
+    # row i is the stratum named by unknown i; here every stratum of d = 3
+    # components, named by its positive dimensions, coarsens a
     assert {tuple(v for v in dims if v) for dims in dimension_sequences(4, 3)} == set(unknowns)
+    assert size == len(list(dimension_sequences(4, 3))) == 4
     assert len(unknowns) == len(matrix)
     assert all(len(row) == len(unknowns) for row in matrix)
     assert len(rhs) == len(unknowns)
-    assert reachable == [(1, 1, 2), (1, 3), (2, 2), (4,)]
+    assert unknowns == [(4,), (1, 3), (2, 2), (1, 1, 2)]
+
+
+def test_pairing_system_never_builds_the_full_basis():
+    # the full system has 1,958 unknowns; a's coarsenings are 7 of them
+    unknowns, matrix, rhs, size = pairing_system((5,) * 5, 52)
+    assert unknowns == [(25,), (5, 20), (10, 15), (5, 5, 15), (5, 10, 10), (5, 5, 5, 10), (5,) * 5]
+    assert len(matrix) == len(rhs) == 7 and all(len(row) == 7 for row in matrix)
+    assert size == 1958
 
 
 @pytest.mark.parametrize("a", list(index_multisets(3, max_sum=5)))
@@ -224,12 +243,17 @@ def test_solver_agrees_with_the_product_expansion(a, d):
 def test_sparse_system_and_triangular_solve_match_the_dense_reference(a):
     for d in range(1, len(a) + 2):
         n = sum(a) + d + 2
-        unknowns, matrix, rhs, _ = system = pairing_system(a, n)
+        unknowns, matrix, rhs, size = system = pairing_system(a, n)
         dense_matrix, dense_rhs, dense_solution = naive_pairing_system(a, n)
-        assert {(dims, mu): matrix[i][j] for i, dims in enumerate(unknowns) for j, mu in enumerate(unknowns)} == dense_matrix
-        assert dict(zip(unknowns, rhs)) == dense_rhs
-        solved = solve_pairing_system(system)
-        assert {mu: solved.get(mu, Fraction(0)) for mu in unknowns} == dense_solution
+        assert size == len(dense_solution)
+        # the restricted system is the dense one at a's coarsenings
+        assert {(dims, mu): matrix[i][j] for i, dims in enumerate(unknowns) for j, mu in enumerate(unknowns)} == {
+            (dims, mu): dense_matrix[dims, mu] for dims in unknowns for mu in unknowns
+        }
+        assert dict(zip(unknowns, rhs)) == {dims: dense_rhs[dims] for dims in unknowns}
+        # and has the dense solution there, which is 0 everywhere else
+        assert solve_pairing_system(system) == {mu: dense_solution[mu] for mu in sorted(unknowns)}
+        assert {mu: c for mu, c in dense_solution.items() if mu not in unknowns and c} == {}
 
 
 @pytest.mark.parametrize("a", list(index_multisets(4, max_sum=6)))
@@ -238,11 +262,12 @@ def test_the_system_carries_everything_its_solve_reads(a):
     for d in range(1, len(a) + 2):
         n = sum(a) + d + 2
         system = pairing_system(a, n)
-        # the coarsenings of a with at most d parts, sorted
-        assert system[3] == sorted({sums for sums in labelled if len(sums) <= d})
+        # the coarsenings of a with at most d parts, in (length, lex) order
+        coarsenings = sorted({sums for sums in labelled if len(sums) <= d})
+        assert system[0] == sorted(coarsenings, key=lambda mu: (len(mu), mu))
         solved = solve_pairing_system(system)
         assert solved == solve_coeffs_by_pairing(a, n)
-        assert list(solved) == system[3]
+        assert list(solved) == coarsenings
 
 
 def test_solve_pairing_system_takes_the_system_alone():
@@ -274,13 +299,14 @@ def test_pairing_system_pairs_only_the_coarsenings(monkeypatch):
 
     monkeypatch.setattr(oracle, "_pairings", counting_pairings)
     monkeypatch.setattr(oracle, "pair_kappa_stratum", lambda *args: dp_calls.append(args))
-    unknowns, matrix, rhs, _ = pairing_system((3, 4, 5), 18)
-    # 216 matrix nonzeros and the 5 coarsenings of (3, 4, 5), read off one
-    # partition walk per unknown and one for a, with no stratum DP; the
-    # dense build made 34 * 35 = 1,190 stratum pairings
-    assert sum(1 for row in matrix for x in row if x) == 216
+    unknowns, matrix, rhs, size = pairing_system((3, 4, 5), 18)
+    # the unknowns are the 5 coarsenings of (3, 4, 5), read off one partition
+    # walk of a, and their 12 matrix nonzeros off one walk per unknown, with
+    # no stratum DP and none of the other 29 monomials of the full basis
+    assert size == 34
+    assert sum(1 for row in matrix for x in row if x) == 12
     assert sum(1 for x in rhs if x) == 5
-    assert walks == unknowns + [(3, 4, 5)] and len(walks) == 35
+    assert walks == [(3, 4, 5)] + unknowns and len(walks) == 6
     assert dp_calls == []
 
 
@@ -330,13 +356,13 @@ def test_oracle_imports_nothing_from_ring():
 
 
 def test_pairing_entry_below_the_diagonal_raises():
-    unknowns, matrix, rhs, reachable = pairing_system((1, 1, 1), 8)
+    unknowns, matrix, rhs, size = pairing_system((1, 1, 1), 8)
     assert unknowns == [(3,), (1, 2), (1, 1, 1)]
     # a nonzero pairing of kappa_3 with the two-component stratum (1, 2),
     # which its single index cannot fill
     matrix[1][0] = Fraction(1)
     with pytest.raises(RankDeficientPairingError, match="below the diagonal") as err:
-        solve_pairing_system((unknowns, matrix, rhs, reachable))
+        solve_pairing_system((unknowns, matrix, rhs, size))
     assert err.value.rank == 1
 
 
