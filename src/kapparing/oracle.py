@@ -13,10 +13,11 @@ upper triangular with diagonal prod_v c_v! (c_v copies of index v), and
 only a's coarsenings can have nonzero coefficients.  ``pairing_system``
 keeps just those as unknowns and reads each column off one walk of a
 monomial's multiset partitions, which yields every stratum it fills with
-the pairing, for ``solve_pairing_system``'s back substitution;
-``pair_kappa_stratum`` pairs one stratum by a dynamic program over its
-components.  Agreement with the ring module is therefore a genuine
-cross-check, not a tautology.
+the pairing; a column does not depend on n, so ``_PAIRINGS`` keeps one walk
+per monomial per process.  ``solve_pairing_system`` substitutes back in
+integers over one common denominator; ``pair_kappa_stratum`` pairs one
+stratum by a dynamic program over its components.  Agreement with the ring
+module is therefore a genuine cross-check, not a tautology.
 
 A boundary stratum of the genus-zero space is a tree of components; by the
 perfect-pairing structure of its Chow ring, the pairing of a kappa-ring class
@@ -27,8 +28,9 @@ against the stratum depends only on the multiset of component dimensions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
-from typing import Iterable, Iterator, Sequence
+from math import comb, factorial, gcd, lcm, prod
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .numbers import multinomial
 from .partitions import Memo, Multiset, SetPartition, block_sums, ground_size, multiset, natural
@@ -42,13 +44,14 @@ class RankDeficientPairingError(RuntimeError):
 
     At desk scale this would contradict the perfect-pairing premise, so it is
     surfaced loudly together with the offending matrix instead of being
-    papered over with a pseudo-inverse.  ``rank`` is the number of unknowns
-    the solver determined: the pivots :func:`solve_exact` found, or the
-    unknowns :func:`solve_pairing_system` had substituted when it stopped
-    (all of them when a residual fails).
+    papered over with a pseudo-inverse.  ``matrix`` is the solver's input
+    (integer rows from :func:`solve_pairing_system`), and ``rank`` the number
+    of unknowns the solver determined: the pivots :func:`solve_exact` found,
+    or the unknowns :func:`solve_pairing_system` had substituted when it
+    stopped (all of them when a residual fails).
     """
 
-    def __init__(self, message: str, matrix: list[list[Fraction]], rank: int):
+    def __init__(self, message: str, matrix: Sequence[Sequence[int | Fraction]], rank: int):
         super().__init__(message)
         self.matrix = matrix
         self.rank = rank
@@ -200,7 +203,7 @@ def dimension_sequences(total: int, length: int) -> Iterator[DimensionSequence]:
     return (multiset((0,) * (length - len(p)) + p) for p in integer_partitions(total, length))
 
 
-def pairing_system(a: Iterable[int], n: int) -> tuple[list[Multiset], list[list[Fraction]], list[Fraction], int]:
+def pairing_system(a: Iterable[int], n: int) -> tuple[list[Multiset], list[list[int]], list[int], int]:
     """Assemble the exact linear system (unknowns, matrix, rhs, size) that
     determines the expansion coefficients of a at n markings.
 
@@ -211,28 +214,28 @@ def pairing_system(a: Iterable[int], n: int) -> tuple[list[Multiset], list[list[
     the pairing of a.  In (length, lex) order this full system is square, of
     ``size`` p(sum(a), <= d), which stops growing with d once d >= sum(a).
 
-    Only a's coarsenings with at most d parts (the keys of one walk of a's
-    multiset partitions, :func:`_pairings`) are kept as unknowns and rows.
-    Column mu is nonzero only at mu's coarsenings, the right-hand side only
-    at a's, and the diagonal is prod_v c_v! (c_v copies of index v), never
-    0.  Every coarsening of mu other than mu is shorter, so the full matrix
-    is upper triangular of rank ``size``, and back substitution sets every
-    unknown outside a's coarsenings to 0 while its row reads 0 = 0: the
-    restricted system has the full system's solution.
+    Only a's coarsenings with at most d parts (the keys of a's column,
+    :data:`_PAIRINGS`) are kept as unknowns and rows.  Column mu is nonzero
+    only at mu's coarsenings, the right-hand side only at a's, and the
+    diagonal is prod_v c_v! (c_v copies of index v), never 0.  Every
+    coarsening of mu other than mu is shorter, so the full matrix is upper
+    triangular of rank ``size``, and back substitution sets every unknown
+    outside a's coarsenings to 0 while its row reads 0 = 0: the restricted
+    system has the full system's solution.  The matrix and the right-hand
+    side are fresh lists of ints, copied out of the columns of a and mu.
     """
     a = kappa_monomial(a)
     d = natural(n, "n") - sum(a) - 2
     if d < 1:
         raise ValueError(f"degree budget d={d} leaves no basis to solve for")
-    paired = _pairings(a)
+    paired = _PAIRINGS[a]
     unknowns = sorted((mu for mu in paired if len(mu) <= d), key=lambda mu: (len(mu), mu))
     position = {dims: i for i, dims in enumerate(unknowns)}
-    zero = Fraction(0)
-    matrix = [[zero] * len(unknowns) for _ in unknowns]
+    matrix = [[0] * len(unknowns) for _ in unknowns]
     for j, mu in enumerate(unknowns):
-        for dims, value in _pairings(mu).items():
-            matrix[position[dims]][j] = Fraction(value)
-    rhs = [Fraction(paired[dims]) for dims in unknowns]
+        for dims, value in _PAIRINGS[mu].items():
+            matrix[position[dims]][j] = value
+    rhs = [paired[dims] for dims in unknowns]
     return unknowns, matrix, rhs, _partition_count(sum(a), d)
 
 
@@ -246,19 +249,25 @@ def _partition_count(total: int, max_parts: int) -> int:
     return ways[total]
 
 
-def _pairings(mu: Multiset) -> dict[Multiset, int]:
+def _pairings(mu: Multiset) -> Mapping[Multiset, int]:
     """``pair_kappa_stratum(mu, dims)`` at every dims that mu's indices can
     fill, from one walk of mu's multiset partitions: a partition with count
     set partitions adds count * prod_B top(B) at its block sums, and each
     total is then multiplied by prod_e m_e!, the ways its m_e blocks of sum e
-    go to the m_e distinct components of dimension e."""
+    go to the m_e distinct components of dimension e.  The map is read-only,
+    since :data:`_PAIRINGS` hands the same one to every caller."""
     totals: dict[Multiset, int] = {}
     for blocks, count in _multiset_partitions(mu):
         dims = _split_sums(blocks)
         totals[dims] = totals.get(dims, 0) + count * prod(_TOP_CACHE[block] for block in blocks)
     for dims, total in totals.items():
         totals[dims] = total * prod(factorial(dims.count(e)) for e in set(dims))
-    return totals
+    return MappingProxyType(totals)
+
+
+# mu's pairing column, by monomial: it does not depend on n, so each
+# monomial is walked once per process.
+_PAIRINGS = Memo(_pairings)
 
 
 def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
@@ -348,10 +357,17 @@ def solve_pairing_system(system: tuple) -> dict[Multiset, Fraction]:
     below the diagonal or a zero on it breaks the premise that the pairing
     is perfect and raises RankDeficientPairingError, as does a nonzero
     residual.  The returned map is keyed by the unknowns, sorted.
+
+    The entries are integers, and so is the substitution: unknown j is
+    num[j] / common.  Row i's numerator is rhs_i * common minus the solved
+    terms; its gcd with the diagonal is divided out, and what is left of the
+    diagonal scales common and the numerators already solved.  The residual
+    is checked in these integers; only the returned values are Fractions.
     """
     unknowns, matrix, rhs, _ = system
     size = len(unknowns)
-    solution = [Fraction(0)] * size
+    num = [0] * size
+    common = 1
     for i in range(size - 1, -1, -1):
         row = matrix[i]
         solved = size - 1 - i
@@ -361,10 +377,15 @@ def solve_pairing_system(system: tuple) -> dict[Multiset, Fraction]:
             )
         if not row[i]:
             raise RankDeficientPairingError(f"zero diagonal in row {i} for dims {unknowns[i]}", matrix, solved)
-        rest = sum(row[j] * solution[j] for j in range(i + 1, size) if row[j])
-        solution[i] = (rhs[i] - rest) / row[i]
+        top = rhs[i] * common - sum(row[j] * num[j] for j in range(i + 1, size) if row[j])
+        g = gcd(top, row[i])
+        left = row[i] // g
+        if left != 1:
+            for j in range(i + 1, size):
+                num[j] *= left
+            common *= left
+        num[i] = top // g
     for i, row in enumerate(matrix):
-        residual = sum(x * solution[j] for j, x in enumerate(row) if x) - rhs[i]
-        if residual != 0:
+        if sum(x * num[j] for j, x in enumerate(row) if x) != rhs[i] * common:
             raise RankDeficientPairingError(f"nonzero residual in row {i} for dims {unknowns[i]}", matrix, size)
-    return dict(sorted(zip(unknowns, solution)))
+    return dict(sorted(zip(unknowns, (Fraction(x, common) for x in num))))

@@ -21,7 +21,7 @@ from kapparing.oracle import (
     solve_exact,
     solve_pairing_system,
 )
-from kapparing.partitions import index_multisets
+from kapparing.partitions import Memo, index_multisets
 from kapparing.ring import kappa_product, socle_coeff
 
 from bruteforce import (
@@ -289,41 +289,94 @@ def test_pairing_matrix_is_upper_triangular_with_factorial_diagonal():
         assert matrix[i][i] == math.prod(math.factorial(mu.count(v)) for v in set(mu))
 
 
+def counting_table(walks):
+    """A fresh column table that logs each monomial it walks."""
+
+    def walk(mu):
+        walks.append(mu)
+        return oracle._pairings(mu)
+
+    return Memo(walk)
+
+
 def test_pairing_system_pairs_only_the_coarsenings(monkeypatch):
     walks, dp_calls = [], []
-    pairings = oracle._pairings
-
-    def counting_pairings(mu):
-        walks.append(mu)
-        return pairings(mu)
-
-    monkeypatch.setattr(oracle, "_pairings", counting_pairings)
-    monkeypatch.setattr(oracle, "pair_kappa_stratum", lambda *args: dp_calls.append(args))
-    unknowns, matrix, rhs, size = pairing_system((3, 4, 5), 18)
-    # the unknowns are the 5 coarsenings of (3, 4, 5), read off one partition
-    # walk of a, and their 12 matrix nonzeros off one walk per unknown, with
-    # no stratum DP and none of the other 29 monomials of the full basis
-    assert size == 34
-    assert sum(1 for row in matrix for x in row if x) == 12
-    assert sum(1 for x in rhs if x) == 5
-    assert walks == [(3, 4, 5)] + unknowns and len(walks) == 6
-    assert dp_calls == []
+    shared = dict(oracle._PAIRINGS)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_PAIRINGS", counting_table(walks))
+        patch.setattr(oracle, "pair_kappa_stratum", lambda *args: dp_calls.append(args))
+        unknowns, matrix, rhs, size = pairing_system((3, 4, 5), 18)
+        # the unknowns are the 5 coarsenings of (3, 4, 5), a last, read off
+        # a's column, which is also the right-hand side; their 12 matrix
+        # nonzeros come from one walk per other unknown, with no stratum DP
+        # and none of the other 29 monomials of the full basis
+        assert size == 34
+        assert sum(1 for row in matrix for x in row if x) == 12
+        assert sum(1 for x in rhs if x) == 5
+        assert unknowns[-1] == (3, 4, 5)
+        assert walks == [(3, 4, 5)] + unknowns[:-1] and len(walks) == 5
+        # a column does not depend on n: one more marking walks nothing
+        pairing_system((3, 4, 5), 19)
+        assert len(walks) == 5
+        assert dp_calls == []
+    assert oracle._PAIRINGS == shared
 
 
 def test_zero_diagonal_pairing_raises(monkeypatch):
-    pairings = oracle._pairings
+    shared = dict(oracle._PAIRINGS)
 
     def wrong_pairings(mu):
-        found = pairings(mu)
+        found = dict(oracle._pairings(mu))
         if mu == (1, 2):
             found[mu] = 0
         return found
 
-    monkeypatch.setattr(oracle, "_pairings", wrong_pairings)
-    with pytest.raises(RankDeficientPairingError, match="zero diagonal") as err:
-        solve_coeffs_by_pairing((1, 1, 1), 7)
-    assert err.value.matrix == pairing_system((1, 1, 1), 7)[1]
-    assert err.value.matrix[1][1] == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_PAIRINGS", Memo(wrong_pairings))
+        with pytest.raises(RankDeficientPairingError, match="zero diagonal") as err:
+            solve_coeffs_by_pairing((1, 1, 1), 7)
+        assert err.value.matrix == pairing_system((1, 1, 1), 7)[1]
+        assert err.value.matrix[1][1] == 0
+        assert err.value.rank == 0
+    # the wrong column went with its table
+    assert oracle._PAIRINGS == shared
+    assert solve_coeffs_by_pairing((1, 1, 1), 7) == {(1, 2): 15, (3,): -74}
+
+
+# The seven (a, n) requests of the benchmark's oracle_solve workload.
+SOLVE_REQUESTS = [
+    ((3, 4, 5), 18),
+    ((1, 2, 3, 4), 16),
+    ((1, 1, 2, 2, 3), 15),
+    ((1,) * 6, 12),
+    ((1,) * 7, 13),
+    ((2, 2, 3), 14),
+    ((1, 2, 3), 13),
+]
+
+
+def test_each_column_is_walked_once_per_process(monkeypatch):
+    walks = []
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_PAIRINGS", counting_table(walks))
+        a = (1, 1, 2, 3)
+        for d in range(1, 5):
+            solve_coeffs_by_pairing(a, sum(a) + d + 2)
+        # every coarsening once, a too, though it is the right-hand side at
+        # every d and an unknown at d = 4
+        coarsenings = {tuple(sorted(sum(a[i] for i in blk) for blk in p)) for p in naive_set_partitions(range(len(a)))}
+        assert sorted(walks) == sorted(coarsenings)
+        for b, n in SOLVE_REQUESTS:
+            solve_coeffs_by_pairing(b, n)
+        walked = len(walks)
+        assert walked > len(coarsenings)
+        # a second pass, in the other order, walks nothing
+        for b, n in reversed(SOLVE_REQUESTS):
+            solve_coeffs_by_pairing(b, n)
+        assert len(walks) == walked
+        # a column handed out of the table cannot be edited in it
+        with pytest.raises(TypeError):
+            oracle._PAIRINGS[a][a] = 0
 
 
 @pytest.mark.parametrize("mu", list(index_multisets(6, max_sum=9)))
@@ -360,10 +413,45 @@ def test_pairing_entry_below_the_diagonal_raises():
     assert unknowns == [(3,), (1, 2), (1, 1, 1)]
     # a nonzero pairing of kappa_3 with the two-component stratum (1, 2),
     # which its single index cannot fill
-    matrix[1][0] = Fraction(1)
+    matrix[1][0] = 1
     with pytest.raises(RankDeficientPairingError, match="below the diagonal") as err:
         solve_pairing_system((unknowns, matrix, rhs, size))
     assert err.value.rank == 1
+
+
+def upper_triangular_systems(size):
+    """(rows, rhs) of a size x size upper-triangular integer system: row i is
+    its diagonal entry, of absolute value >= 2, and its signed entries above
+    the diagonal."""
+    entry = st.integers(-40, 40)
+    diagonal = st.integers(2, 40).flatmap(lambda x: st.sampled_from((x, -x)))
+    rows = [st.tuples(diagonal, st.lists(entry, min_size=size - 1 - i, max_size=size - 1 - i)) for i in range(size)]
+    return st.tuples(st.tuples(*rows), st.lists(entry, min_size=size, max_size=size))
+
+
+@given(st.integers(1, 7).flatmap(upper_triangular_systems))
+def test_integer_back_substitution_matches_the_dense_reference(case):
+    rows, rhs = case
+    size = len(rhs)
+    matrix = [[0] * i + [pivot] + above for i, (pivot, above) in enumerate(rows)]
+    unknowns = [(j + 1,) for j in range(size)]
+    solved = solve_pairing_system((unknowns, matrix, rhs, size))
+    assert list(solved) == unknowns
+    assert list(solved.values()) == solve_exact(matrix, rhs)
+    assert all(type(x) is Fraction for x in solved.values())
+    # a fault in row i stops the solve with the size - 1 - i rows below it solved
+    for i in range(size):
+        zero = [row[:] for row in matrix]
+        zero[i][i] = 0
+        with pytest.raises(RankDeficientPairingError, match="zero diagonal") as err:
+            solve_pairing_system((unknowns, zero, rhs, size))
+        assert err.value.rank == size - 1 - i and err.value.matrix is zero
+        if i:
+            below = [row[:] for row in matrix]
+            below[i][i - 1] = -3
+            with pytest.raises(RankDeficientPairingError, match="below the diagonal") as err:
+                solve_pairing_system((unknowns, below, rhs, size))
+            assert err.value.rank == size - 1 - i
 
 
 def test_solve_exact_on_a_known_system():
