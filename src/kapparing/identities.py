@@ -4,10 +4,10 @@ Each identity is evaluated exactly on both sides from its definition; the
 left side is always the partition (or direct) sum, the right side the closed
 form, and where a third independent route exists (the labeled-tree oracle)
 all of them must coincide.  A check never proves anything symbolically; it
-confirms instances, which is what the sweeps are for.  The two sums over
-k-block set partitions are taken orbit-wise, over
-``partitions._multiset_partitions``: one term per multiset partition, times
-its count of set partitions.
+confirms instances, which is what the sweeps are for.  The three sums over
+set partitions (binomial product, tree sum, vanishing) are taken orbit-wise,
+over ``partitions._multiset_partitions``: one term per multiset partition,
+times its count of set partitions.
 
 Identity names:
 
@@ -33,7 +33,7 @@ from math import prod
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .numbers import binomial, factorial, falling_factorial, format_rational, multinomial
-from .partitions import _local_partitions, _multiset_partitions, _split_sums, kappa_monomial, multiset, natural, stirling2
+from .partitions import _multiset_partitions, _split_sums, kappa_monomial, multiset, natural, stirling2
 from .ring import _CORRECTION, _SOCLE
 
 
@@ -189,8 +189,8 @@ def _check_vanishing(b: Iterable[int]) -> IdentityReport:
         raise ValueError("multiset must be nonempty")
     # blocks and block sums come canonical: the ring's int tables take them
     total = 0
-    for blocks in _local_partitions(b):
-        term = _SOCLE[_split_sums(blocks)]
+    for blocks, count in _multiset_partitions(b):
+        term = count * _SOCLE[_split_sums(blocks)]
         for blk in blocks:
             term *= _CORRECTION[blk]
         total += term

@@ -23,16 +23,16 @@ its bounds, and anything else is a ``ValueError`` naming the argument.
 Every public entry point's integer arguments and the entries of every
 ``multiset`` go through it.  ``kappa_monomial`` is the one validator of
 kappa monomials, and ``quote`` bounds the argument every error message
-echoes.  Every value-only sum over set partitions in the ring and
-the vanishing identity streams ``_local_partitions``: the splits of a sorted value
-tuple in ``set_partitions`` order, with ``_split_sums`` as the monomial of a
-split.  ``kappa_product`` splits the positions 0..k-1 the same way, since it
+echoes.  Every value-only sum over set partitions in the ring streams
+``_local_partitions``: the splits of a sorted value tuple in
+``set_partitions`` order, with ``_split_sums`` as the monomial of a split.
+``kappa_product`` splits the positions 0..k-1 the same way, since it
 hands each partition to ``basis_coeff``; ``set_partitions`` itself serves
 only the table behind ``_local_partitions`` and the verification rows that
-print indices.  The oracle's sums and the binomial-product and tree-sum
-identities depend on a split only through its blocks' values, so they walk
-``multiset_partitions`` instead: one term per orbit of splits that agree up
-to equal values, weighted by the orbit's size.
+print indices.  The oracle's sums and the three partition-sum identities
+(binomial product, tree sum, vanishing) depend on a split only through its
+blocks' values, so they walk only ``multiset_partitions``: one term per
+orbit of splits that agree up to equal values, weighted by the orbit's size.
 
 ``Memo`` is the package's one memo-table type: a dict that computes a missing
 value on lookup and stores it up to ``COEFF_CACHE_LIMIT`` entries.  The

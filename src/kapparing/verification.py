@@ -2,7 +2,8 @@
 
 Each function returns JSON-ready rows (dicts with a "pass" key) in a
 deterministic order, so the CLI can emit them directly and fan the work out
-to processes without changing the output.
+to processes without changing the output.  A ring-sweep case walks its basis
+partitions once, and in ``all`` its reconcile rows read that walk's values.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, NamedTuple
 from .identities import SweepBounds, check_identity, identity_sweep_cases
 from .numbers import format_rational
 from .oracle import integrate_kappa_top, pair_kappa_stratum, solve_coeffs_by_pairing
-from .partitions import Multiset, block_sums, index_multisets, multiset, set_partitions
+from .partitions import Multiset, SetPartition, block_sums, index_multisets, multiset, natural, set_partitions
 from .ring import (
     METHODS,
     TRUNCATION_VARIANTS,
@@ -49,23 +50,26 @@ def ring_sweep_cases(bounds: RingSweepBounds = RingSweepBounds()) -> list[tuple[
     return [(a, d) for a in _ring_multisets(bounds) for d in range(1, bounds.max_budget + 1)]
 
 
-def check_methods_agree(a: Iterable[int], d: int, poly: KappaPoly | None = None) -> dict:
+def _basis_values(a: Multiset, d: int, methods: tuple[str, ...]) -> list[tuple[SetPartition, dict[str, Fraction]]]:
+    """Each basis partition of a's positions (at most d blocks, in
+    ``set_partitions`` order) with its ``basis_coeff`` by each of ``methods``."""
+    return [(p, {m: basis_coeff(p, a, d, method=m) for m in methods}) for p in set_partitions(len(a)) if len(p) <= d]
+
+
+def check_methods_agree(a: Iterable[int], d: int, poly: KappaPoly | None = None, walk: list | None = None) -> dict:
     """One sweep case: all coefficient methods and the pairing solve must agree.
 
-    Compares recursive/ck/closed per basis partition, then aggregates equal
-    block-sum monomials and compares against the coefficients recovered from
-    stratum pairings alone and against kappa_product itself (``poly`` if
-    given).  A failing row also lists the values that disagree:
-    ``method_mismatches`` per basis partition and ``monomial_mismatches``.
+    Compares recursive/ck/closed per basis partition (``walk`` if given, from
+    ``_basis_values``), then aggregates equal block-sum monomials and compares
+    against the coefficients recovered from stratum pairings alone and against
+    kappa_product itself (``poly`` if given).  A failing row also lists the
+    values that disagree: ``method_mismatches`` and ``monomial_mismatches``.
     """
-    a = multiset(a)
+    a, d = multiset(a), natural(d, "d", 1)
     n = sum(a) + d + 2
     aggregated: dict[Multiset, Fraction] = {}
     method_mismatches = []
-    for p in set_partitions(len(a)):
-        if len(p) > d:
-            continue
-        values = {method: basis_coeff(p, a, d, method=method) for method in METHODS}
+    for p, values in _basis_values(a, d, METHODS) if walk is None else walk:
         if len(set(values.values())) != 1:
             method_mismatches.append(
                 {"partition": [list(blk) for blk in p], **{m: format_rational(v) for m, v in values.items()}}
@@ -112,7 +116,7 @@ def check_methods_agree(a: Iterable[int], d: int, poly: KappaPoly | None = None)
 def check_genus_lift(a: Iterable[int], d: int, genera: Iterable[int], base: KappaPoly | None = None) -> list[dict]:
     """kappa_product at each genus g must equal the genus-zero product at
     n + 2g (``base`` if given): one row per genus, in order, against it."""
-    a = multiset(a)
+    a, d = multiset(a), natural(d, "d", 1)
     n = sum(a) + d + 2
     base = kappa_product(a, 0, n) if base is None else base
     rows = []
@@ -131,10 +135,12 @@ def check_genus_lift(a: Iterable[int], d: int, genera: Iterable[int], base: Kapp
     return rows
 
 
-def _ring_case(a: Multiset, d: int, genera: tuple[int, ...]) -> tuple[dict, list[dict]]:
-    """One sweep case's method row and genus-lift rows, from one genus-zero base."""
-    base = kappa_product(a, 0, sum(a) + d + 2)
-    return check_methods_agree(a, d, base), check_genus_lift(a, d, genera, base)
+def _ring_case(a: Multiset, d: int, genera: tuple[int, ...], reconcile: bool) -> tuple[dict, list[dict], list[dict]]:
+    """One sweep case's method row, genus-lift rows and, if ``reconcile``, its
+    reconcile rows, from one genus-zero base and one walk of the basis values."""
+    base, walk = kappa_product(a, 0, sum(a) + d + 2), _basis_values(a, d, METHODS)
+    reconciled = reconcile_case(a, d, walk) if reconcile else []
+    return check_methods_agree(a, d, base, walk), check_genus_lift(a, d, genera, base), reconciled
 
 
 def _top_degree_values(a: Multiset) -> tuple[Fraction, Fraction, Fraction]:
@@ -186,15 +192,14 @@ def random_round_trip_cases(count: int = 20, seed: int = 20240211) -> list[Multi
     return cases
 
 
-def reconcile_case(a: Iterable[int], d: int) -> list[dict]:
+def reconcile_case(a: Iterable[int], d: int, walk: list | None = None) -> list[dict]:
     """Compare every closed-form truncation variant against the recursive value,
-    one row per basis partition."""
-    a = multiset(a)
+    one row per basis partition.  ``partial_sum`` is the ``closed`` value of
+    ``walk`` (a ring case's ``_basis_values``) if given, else of its own walk."""
+    a, d = multiset(a), natural(d, "d", 1)
     rows = []
-    for p in set_partitions(len(a)):
-        if len(p) > d:
-            continue
-        reference = basis_coeff(p, a, d, method="recursive")
+    for p, values in _basis_values(a, d, ("recursive", "closed")) if walk is None else walk:
+        reference = values["recursive"]
         row = {
             "a": list(a),
             "d": d,
@@ -202,7 +207,9 @@ def reconcile_case(a: Iterable[int], d: int) -> list[dict]:
             "recursive": format_rational(reference),
         }
         for variant in TRUNCATION_VARIANTS:
-            value = basis_coeff(p, a, d, method="closed", truncation=variant)
+            value = values["closed"]
+            if variant != "partial_sum":
+                value = basis_coeff(p, a, d, method="closed", truncation=variant)
             row[variant] = format_rational(value)
             row[f"{variant}_matches"] = value == reference
         rows.append(row)
@@ -329,7 +336,9 @@ def run_suite(
     products, method agreement, genus lifts, top degree, round trips),
     ``oracle`` (the ``socle_three_paths`` rows: the ring's socle against
     the oracle's integral, which both the integral and the pairing column
-    carry), ``reconcile`` (truncation variants), ``all``.
+    carry), ``reconcile`` (truncation variants), ``all``.  In ``all`` the
+    reconcile rows come from the ring cases' walk of the basis values, not
+    from a second sweep.
     """
     rows: list[dict] = []
     top = {}
@@ -341,10 +350,10 @@ def run_suite(
         rows.extend(run_ordered(identity_case_worker, identity_sweep_cases(identity_bounds), jobs))
     if suite in ("ring", "all"):
         rows.extend(pinned_product_checks())
-        cases = [(a, d, ring_bounds.genus_lifts) for (a, d) in ring_sweep_cases(ring_bounds)]
+        cases = [(a, d, ring_bounds.genus_lifts, suite == "all") for (a, d) in ring_sweep_cases(ring_bounds)]
         checked = run_ordered(_ring_case, cases, jobs)
-        rows.extend(row for row, _ in checked)
-        rows.extend(row for _, lifts in checked for row in lifts)
+        rows.extend(row for row, _, _ in checked)
+        rows.extend(row for _, lifts, _ in checked for row in lifts)
         for a, values in top.items():
             rows.append(check_top_degree(a, values))
         for a in random_round_trip_cases():
@@ -361,9 +370,10 @@ def run_suite(
                     "pass": lam == integral == paired,
                 }
             )
-    if suite in ("reconcile", "all"):
-        _, summary = reconcile_sweep(ring_bounds, jobs)
-        rows.append({"check": "reconcile_summary", **summary})
+    if suite == "reconcile":
+        rows.append({"check": "reconcile_summary", **reconcile_sweep(ring_bounds, jobs)[1]})
     if suite == "all":
+        reconciled = [row for _, _, case_rows in checked for row in case_rows]
+        rows.append({"check": "reconcile_summary", **summarize_reconcile(reconciled)})
         rows.append(determinism_spot_check(jobs=max(jobs, 2)))
     return rows

@@ -302,6 +302,21 @@ def test_reconcile_report_is_pinned_byte_for_byte():
     assert stdout_sha256("reconcile") == "b1ec2c6d716ec3a5016809bc2650eb618cb17f909fa98d1166c4652eb04dacf7"
 
 
+# Each verify suite on its own, pinned to the bytes it printed while all
+# swept the reconcile cases a second time instead of reading the ring walk.
+SUITE_REPORTS = [
+    ("ring", "108e992db70d9f306770a21f9ef5b54edd770f5e71755f7153e00f1375bafbd4"),
+    ("reconcile", "0410d9cec96f59d8bff2c9a7669c1a121faa0eaf169434937c0533ca3799100b"),
+    ("oracle", "5ef566991b979f33ff51666aae21a89497ce2474b33cfca4f122319ed9b92f37"),
+    ("identities", "ce5cba1edbd1cff4ed3616da800ecd64bb54120d0e25720ee957233c43f725d1"),
+]
+
+
+@pytest.mark.parametrize("suite, digest", SUITE_REPORTS)
+def test_each_verify_suite_report_is_pinned_byte_for_byte(suite, digest):
+    assert stdout_sha256("verify", "--suite", suite) == digest
+
+
 # The seven requests of the benchmark's oracle_solve workload and one pairing,
 # pinned to the bytes they printed before the pairing DP and integer Bareiss.
 ORACLE_REPORTS = [

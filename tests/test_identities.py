@@ -16,6 +16,7 @@ from kapparing.identities import (
 )
 from kapparing import identities
 from kapparing.partitions import index_multisets
+from kapparing.ring import correction_coeff, socle_coeff
 
 from bruteforce import naive_multinomial, naive_set_partitions, naive_tree_sum_oracle
 
@@ -105,6 +106,7 @@ def test_tree_sum_oracle_of_ones_counts_the_codes_it_visits():
 def test_orbit_sums_match_the_set_partition_sums(length):
     for a in itertools.combinations_with_replacement((1, 2, 3), length):
         binomial_lhs, tree_lhs = [0] * (length + 1), [0] * (length + 1)
+        vanishing_lhs = 0
         for p in naive_set_partitions(range(length)):
             blocks = [[a[i] for i in block] for block in p]
             term = naive_multinomial(sum(block) + 1 for block in blocks)
@@ -112,6 +114,8 @@ def test_orbit_sums_match_the_set_partition_sums(length):
                 term *= naive_multinomial(v + 1 for v in block)
             binomial_lhs[len(p)] += term
             tree_lhs[len(p)] += math.prod(sum(block) ** (len(block) - 1) for block in blocks)
+            vanishing_lhs += socle_coeff(map(sum, blocks)) * math.prod(map(correction_coeff, blocks))
+        assert check_identity("vanishing", b=list(a)).lhs == vanishing_lhs, a
         for k in range(1, length + 1):
             assert check_identity("binomial_product", a=list(a), k=k).lhs == binomial_lhs[k], (a, k)
             assert check_identity("tree_sum", a=list(a), k=k).lhs == tree_lhs[k], (a, k)

@@ -9,6 +9,9 @@ from kapparing.verification import check_methods_agree
 
 PASSING_KEYS = ["check", "a", "d", "marked", "methods_agree", "pairing_agrees", "product_agrees", "pass"]
 
+# identity grids kept small where only the ring and reconcile rows matter
+SMALL_IDENTITIES = verification.SweepBounds(max_len=1, max_sum=2)
+
 
 def test_passing_method_row_carries_only_the_verdicts():
     row = check_methods_agree((1, 1, 2), 2)
@@ -41,12 +44,88 @@ def test_failing_method_row_carries_the_disagreeing_values(monkeypatch):
 
 
 def test_reconcile_sweep_is_the_same_on_one_or_two_processes_and_in_run_suite():
-    bounds = verification.RingSweepBounds(max_len=3, max_sum=4)
+    for bounds in (verification.RingSweepBounds(), verification.RingSweepBounds(max_len=3, max_sum=4)):
+        rows, summary = verification.reconcile_sweep(bounds)
+        assert verification.reconcile_sweep(bounds, jobs=2) == (rows, summary)
+        assert summary["pass"] is True and summary["cases"] == len(rows) > 0
+        expected = {"check": "reconcile_summary", **summary}
+        (suite_row,) = verification.run_suite("reconcile", ring_bounds=bounds)
+        assert suite_row == expected
+        # all reads its reconcile rows off the ring cases' walk, pooled or not
+        for jobs in (1, 2):
+            rows_all = verification.run_suite("all", SMALL_IDENTITIES, bounds, jobs)
+            assert [row for row in rows_all if row.get("check") == "reconcile_summary"] == [expected], (bounds, jobs)
+
+
+def test_all_reads_partial_sum_off_the_closed_column(monkeypatch):
+    basis_coeff = verification.basis_coeff
+
+    def skewed_basis_coeff(p, a, d, method="closed", truncation="partial_sum"):
+        value = basis_coeff(p, a, d, method=method, truncation=truncation)
+        return value + 1 if (method, truncation, p) == ("closed", "partial_sum", ((0, 1),)) else value
+
+    monkeypatch.setattr(verification, "basis_coeff", skewed_basis_coeff)
+    bounds = verification.RingSweepBounds(max_len=2, max_sum=3, max_budget=2)
     rows, summary = verification.reconcile_sweep(bounds)
-    assert verification.reconcile_sweep(bounds, jobs=2) == (rows, summary)
-    assert summary["pass"] is True and summary["cases"] == len(rows) > 0
-    (suite_row,) = verification.run_suite("reconcile", ring_bounds=bounds)
-    assert suite_row == {"check": "reconcile_summary", **summary}
+    skewed = sum(1 for row in rows if row["partition"] == [[0, 1]])
+    assert skewed > 0 and summary["matches"]["partial_sum"] == summary["cases"] - skewed
+    # a ring case hands reconcile_case the closed value it walked, not the
+    # ck or the recursive one
+    cases = verification.ring_sweep_cases(bounds)
+    walked = [verification._ring_case(a, d, bounds.genus_lifts, True) for a, d in cases]
+    assert [row for *_, case_rows in walked for row in case_rows] == rows
+    assert {"check": "reconcile_summary", **summary} in verification.run_suite("all", SMALL_IDENTITIES, bounds)
+
+
+@pytest.mark.parametrize("suite, values", [("all", 1316), ("ring", 987), ("reconcile", 987)])
+def test_each_suite_computes_each_basis_value_once(monkeypatch, suite, values):
+    calls, walks, sweeps = [], [], []
+    basis_coeff = verification.basis_coeff
+    set_partitions = verification.set_partitions
+    reconcile_sweep = verification.reconcile_sweep
+
+    def counting_basis_coeff(p, a, d, method="closed", truncation="partial_sum"):
+        calls.append((p, a, d, method, truncation))
+        return basis_coeff(p, a, d, method=method, truncation=truncation)
+
+    def counting_set_partitions(k):
+        walks.append(k)
+        return set_partitions(k)
+
+    def counting_reconcile_sweep(*args):
+        sweeps.append(args)
+        return reconcile_sweep(*args)
+
+    monkeypatch.setattr(verification, "basis_coeff", counting_basis_coeff)
+    monkeypatch.setattr(verification, "set_partitions", counting_set_partitions)
+    monkeypatch.setattr(verification, "reconcile_sweep", counting_reconcile_sweep)
+    verification.run_suite(suite, SMALL_IDENTITIES)
+    # one call per distinct argument: 329 basis partitions by recursive, ck
+    # and closed in ring; recursive, closed and single_binomial in reconcile;
+    # all four in all
+    assert len(calls) == len(set(calls)) == values
+    # one walk of the basis partitions per sweep case
+    assert len(walks) == len(verification.ring_sweep_cases())
+    assert len(sweeps) == (suite == "reconcile")
+
+
+PER_CASE_CHECKS = {
+    "check_methods_agree": lambda d: verification.check_methods_agree((1, 1), d),
+    "reconcile_case": lambda d: verification.reconcile_case((1, 1), d),
+    "check_genus_lift": lambda d: verification.check_genus_lift((1, 1), d, (1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", PER_CASE_CHECKS)
+@pytest.mark.parametrize("d", [0, -1, True, 1.0])
+def test_per_case_checks_refuse_a_budget_with_no_basis(monkeypatch, name, d):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before d was checked")
+
+    for work in ("basis_coeff", "set_partitions", "kappa_product", "solve_coeffs_by_pairing"):
+        monkeypatch.setattr(verification, work, no_work)
+    with pytest.raises(ValueError, match="^d: must be integers >= 1"):
+        PER_CASE_CHECKS[name](d)
 
 
 def test_ring_and_oracle_suites_share_one_top_degree_integral_per_multiset(monkeypatch):
