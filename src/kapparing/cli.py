@@ -17,10 +17,11 @@ as the JSON shape of ``--partition`` and the sweep bounds.
 
 Reports go to stdout as JSON (default) or CSV and are byte-deterministic for
 identical requests, including under ``--jobs > 1``; wall-clock timing and
-cache statistics go to stderr so they cannot perturb the reports.  No state
-outlives a run: each process computes its coefficient tables afresh.  Exit
-code 0 means success with every check passing, 1 a failed check or internal
-inconsistency (the report is still emitted), 2 invalid input.
+the cache sizes of this process (not of its pool's workers) go to stderr so
+they cannot perturb the reports.  No state outlives a run: each process
+computes its coefficient tables afresh.  Exit code 0 means success with
+every check passing, 1 a failed check or internal inconsistency (the report
+is still emitted), 2 invalid input.
 """
 
 from __future__ import annotations
@@ -319,7 +320,7 @@ def main(argv=None) -> int:
     emit(report, args.format, rows_key)
     snapshot = snapshot_coeff_caches()
     print(
-        f"done in {time.monotonic() - started:.3f}s; cache: "
+        f"done in {time.monotonic() - started:.3f}s; this process's cache: "
         f"{len(snapshot['socle'])} socle, {len(snapshot['correction'])} correction values",
         file=sys.stderr,
     )

@@ -301,8 +301,9 @@ class Memo(dict):
 
     Used as a decorator, it turns the function into the table of its values;
     every value-only partition walk shares the one behind _local_partitions.
-    The tables: ring's socle, correction, split weights and chain terms and
-    the per-size partitions here, which clear_coeff_caches() empties, and
+    The tables: ring's socle, correction, split weights, chain terms,
+    per-block chain sums and signed truncation factors and the per-size
+    partitions here, which clear_coeff_caches() empties, and
     oracle's top integrals (_TOP_CACHE) and pairing columns (_PAIRINGS).
     The tables hold deterministic exact values only, so concurrent lookups
     need no lock: at worst two threads compute the same value, and no

@@ -16,7 +16,8 @@ The expansion coefficient of one basis partition can be computed three ways
 * ``ck``        - per-block aggregation: sum over compositions (k_i) with
   sum <= d of the product of per-block split weights.
 * ``closed``    - the fully explicit sum over chains t <= r <= p, with an
-  alternating truncation factor cutting the expansion at d parts.
+  alternating truncation factor cutting the expansion at d parts; each
+  p-block's chains are summed once, by (len(r), len(t)).
 
 The three must agree; the test suite and the ``reconcile`` sweep enforce it.
 ``basis_coeff`` turns p into its shape, the tuple of its blocks' value
@@ -25,9 +26,10 @@ with ``partitions._local_partitions``.  ``kappa_product`` calls
 ``basis_coeff`` on each basis partition of a's positions.
 
 Every coefficient is an integer, and the kernels sum ints: the socle,
-correction and split-weight values and closed's per-r-block chain terms are
-int ``Memo`` tables (see :mod:`kapparing.partitions`), which the loops index
-directly; ``clear_coeff_caches`` empties them.  ``Fraction`` appears only in
+correction and split-weight values, closed's per-r-block and per-p-block
+chain sums and its signed truncation factors are int ``Memo`` tables (see
+:mod:`kapparing.partitions`), which the loops index directly;
+``clear_coeff_caches`` empties them.  ``Fraction`` appears only in
 the public functions' results.  The socle and correction coefficients come
 from the block DP ``partitions._partition_weight_sums``.
 
@@ -190,9 +192,10 @@ def correction_coeff(a: Iterable[int]) -> Fraction:
 
 
 # Memo tables of the two scalar coefficient families, of the split weights
-# built from them and of closed's chain terms, keyed by canonical monomials,
+# built from them and of closed's chain sums, keyed by canonical monomials,
 # so the internal loops, which build their keys canonical, index them without
-# validating again.  Every value is an int or a tuple of ints.
+# validating again; closed's signed truncation factors are keyed by
+# (truncation, k, d).  Every value is an int or a tuple built of ints.
 @Memo
 def _SOCLE(a: KappaMonomial) -> int:
     """socle_coeff by canonical monomial.  The block DP carries each split's
@@ -230,9 +233,56 @@ def _CHAIN_TERMS(values: KappaMonomial) -> tuple[tuple[int, int], ...]:
     return tuple(terms.items())
 
 
+@Memo
+def _BLOCK_CHAINS(values: KappaMonomial) -> tuple[tuple[tuple[int, int], int], ...]:
+    """closed's chains t <= r inside one p-block with these values, grouped
+    by (len(r), len(t)): the pairs ((j, i), w) where w sums, over the splits
+    r of the block into j r-blocks, (j - 1)! times the sum over the
+    refinements t <= r with i t-blocks of the product of the r-blocks'
+    multinomials, each r-block's t-counts convolved from ``_CHAIN_TERMS``."""
+    # the splits r counted by their blocks' values, so each is convolved once
+    splits: dict[tuple[KappaMonomial, ...], int] = {}
+    for r in _local_partitions(values):
+        r = tuple(sorted(r))
+        splits[r] = splits.get(r, 0) + 1
+    chains: dict[tuple[int, int], int] = {}
+    for r, copies in splits.items():
+        table = {(len(r), 0): copies * factorial(len(r) - 1)}
+        for block in r:
+            table = _convolve(table, tuple(((0, count), weight) for count, weight in _CHAIN_TERMS[block]))
+        for key, weight in table.items():
+            chains[key] = chains.get(key, 0) + weight
+    return tuple(chains.items())
+
+
+@Memo
+def _SIGNED_TRUNCATION(key: tuple[str, int, int]) -> tuple[tuple[int, ...], ...]:
+    """closed's signed truncation factors for (truncation, k, d): entry [j][i]
+    is (-1)**(k + i + j) * trunc(i, j, d) for len(r) = j and len(t) = i, and
+    0 where i < j, which no chain has."""
+    truncation, k, d = key
+    return tuple(
+        tuple((-1) ** (k + i + j) * _truncation_factor(truncation, i, j, d) if i >= j else 0 for i in range(k + 1))
+        for j in range(k + 1)
+    )
+
+
+def _convolve(table: dict, pairs: Iterable) -> dict:
+    """The product of two weight tables keyed by (len(r), len(t)): counts add
+    and weights multiply; ``pairs`` is iterated once per entry of ``table``."""
+    product: dict[tuple[int, int], int] = {}
+    for (len_r, len_t), weight in table.items():
+        for (more_r, more_t), more in pairs:
+            key = (len_r + more_r, len_t + more_t)
+            product[key] = product.get(key, 0) + weight * more
+    return product
+
+
 def clear_coeff_caches() -> None:
     """Empty every memo table of the expansion, down to the partition table."""
-    for table in (_SOCLE, _CORRECTION, _SPLIT_WEIGHT, _CHAIN_TERMS, _PARTITIONS_BY_SIZE):
+    for table in (
+        _SOCLE, _CORRECTION, _SPLIT_WEIGHT, _CHAIN_TERMS, _BLOCK_CHAINS, _SIGNED_TRUNCATION, _PARTITIONS_BY_SIZE
+    ):
         table.clear()
 
 
@@ -341,35 +391,17 @@ def _coeff_closed(shape: tuple[Multiset, ...], d: int, truncation: str) -> int:
     Within one r-block the shifted t-block sums add up to the r-block's sum
     plus its t-block count, so each r-block's factorial over its t-blocks'
     factorials is a multinomial and every term is an integer.  r is chosen
-    blockwise in p and t blockwise in r.  The truncation factor depends on t
-    only through len(t), so each r-block's splits enter grouped by block
-    count, as the (count, summed multinomial) pairs of ``_CHAIN_TERMS``.
+    blockwise in p and t blockwise in r, and the sign and truncation factor
+    depend on the chain only through (len(r), len(t)).  So each p-block's
+    chains enter summed by (r-block count, t-block count), as its
+    ``_BLOCK_CHAINS`` table; the product of those tables over p's blocks is
+    summed against the signed factors of ``_SIGNED_TRUNCATION``.
     """
-    k = sum(map(len, shape))
-    truncs: dict[int, list[int]] = {}
-    total = 0
-    for r in itertools.product(*map(_local_partitions, shape)):
-        len_r = sum(map(len, r))
-        trunc = truncs.get(len_r)
-        if trunc is None:
-            # signed factor by len(t); a refinement of r has at least len(r) blocks
-            trunc = truncs[len_r] = [0] * len_r + [
-                (-1) ** (k + len_t + len_r) * _truncation_factor(truncation, len_t, len_r, d)
-                for len_t in range(len_r, k + 1)
-            ]
-        factor_p = 1
-        per_r_block = []
-        for local in r:
-            factor_p *= factorial(len(local) - 1)
-            per_r_block.extend(map(_CHAIN_TERMS.__getitem__, local))
-        for t in itertools.product(*per_r_block):
-            len_t = 0
-            term = factor_p
-            for count, weight in t:
-                len_t += count
-                term *= weight
-            total += trunc[len_t] * term
-    return total
+    table = {(0, 0): 1}
+    for values in shape:
+        table = _convolve(table, _BLOCK_CHAINS[values])
+    signed = _SIGNED_TRUNCATION[truncation, sum(map(len, shape)), d]
+    return sum(signed[len_r][len_t] * weight for (len_r, len_t), weight in table.items())
 
 
 def _check_method(method: str) -> None:

@@ -162,6 +162,17 @@ def euler_partition_counts(limit):
     return counts
 
 
+def naive_trunc(truncation, len_t, len_r, d):
+    """The closed form's truncation factor: the ``partial_sum`` alternating
+    sum of C(len(t) - len(r), j - len(r)) * (-1)**j over len(r) <= j <= d,
+    or the ``single_binomial`` (-1)**m * C(len(t) - len(r), m - len(r)) at
+    m = min(len(t), d)."""
+    if truncation == "partial_sum":
+        return sum((-1) ** j * math.comb(len_t - len_r, j - len_r) for j in range(len_r, d + 1))
+    m = min(len_t, d)
+    return (-1) ** m * math.comb(len_t - len_r, m - len_r) if m >= len_r else 0
+
+
 def naive_closed(p, a, d, truncation):
     """The closed form of one basis coefficient, by walking every chain
     t <= r <= p of partitions of a's positions: each term is
@@ -171,25 +182,16 @@ def naive_closed(p, a, d, truncation):
             * prod over r-blocks of (value sum + t-blocks inside)!
             / prod over t-blocks of (value sum + 1)!
 
-    with trunc the ``partial_sum`` alternating sum of C(len(t) - len(r),
-    j - len(r)) * (-1)**j over len(r) <= j <= d, or the ``single_binomial``
-    (-1)**m * C(len(t) - len(r), m - len(r)) at m = min(len(t), d).
+    with trunc the factor ``naive_trunc`` computes.
     """
     a = sorted(a)
-
-    def trunc(len_t, len_r):
-        if truncation == "partial_sum":
-            return sum((-1) ** j * math.comb(len_t - len_r, j - len_r) for j in range(len_r, d + 1))
-        m = min(len_t, d)
-        return (-1) ** m * math.comb(len_t - len_r, m - len_r) if m >= len_r else 0
-
     total = Fraction(0)
     for r_locals in itertools.product(*(naive_set_partitions(block) for block in p)):
         r = [block for local in r_locals for block in local]
         factor_p = math.prod(math.factorial(len(local) - 1) for local in r_locals)
         for t_locals in itertools.product(*(naive_set_partitions(block) for block in r)):
             len_t = sum(map(len, t_locals))
-            term = Fraction((-1) ** (len(a) + len_t + len(r)) * trunc(len_t, len(r)) * factor_p)
+            term = Fraction((-1) ** (len(a) + len_t + len(r)) * naive_trunc(truncation, len_t, len(r), d) * factor_p)
             for r_block, local in zip(r, t_locals):
                 term *= math.factorial(sum(a[i] for i in r_block) + len(local))
                 for t_block in local:

@@ -115,6 +115,16 @@ def test_reconcile_identifies_the_partial_sum_variant():
     assert summary["matches"]["single_binomial"] < summary["cases"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cache_sizes_on_stderr_are_labelled_as_this_process(jobs):
+    # a pool's workers fill their own tables, which the parent's count omits
+    result = run_cli("reconcile", "--max-sum", "4", "--max-len", "3", "--jobs", jobs)
+    assert result.returncode == 0, result.stderr
+    last = result.stderr.strip().splitlines()[-1]
+    assert "; this process's cache: " in last and last.endswith(" correction values"), last
+    assert result.stdout == run_cli("reconcile", "--max-sum", "4", "--max-len", "3").stdout
+
+
 def test_invalid_input_exits_2():
     assert run_cli("product", "--a", "1,x", "--marked", "5").returncode == 2
     assert run_cli("product", "--a", "0,1", "--marked", "5").returncode == 2

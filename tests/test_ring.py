@@ -24,7 +24,14 @@ from kapparing.ring import (
     split_weight,
 )
 
-from bruteforce import naive_closed, naive_correction, naive_multinomial, naive_set_partitions, naive_socle
+from bruteforce import (
+    naive_closed,
+    naive_correction,
+    naive_multinomial,
+    naive_set_partitions,
+    naive_socle,
+    naive_trunc,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +218,7 @@ def test_clear_coeff_caches_empties_every_memo():
     assert split_weight((1, 1, 2), 2) == split_weight([2, 1, 1], 2)
     basis_coeff(((0, 1, 2),), (1, 1, 2), 2, method="closed")
     assert ring._SPLIT_WEIGHT and ring._CHAIN_TERMS and partitions._PARTITIONS_BY_SIZE
+    assert ring._BLOCK_CHAINS and ring._SIGNED_TRUNCATION
     snapshot = snapshot_coeff_caches()
     assert set(snapshot) == {"socle", "correction"}
     # the stderr summary and the benchmark tracer consume plain dicts
@@ -218,6 +226,8 @@ def test_clear_coeff_caches_empties_every_memo():
     clear_coeff_caches()
     assert not ring._SPLIT_WEIGHT
     assert not ring._CHAIN_TERMS
+    assert not ring._BLOCK_CHAINS
+    assert not ring._SIGNED_TRUNCATION
     assert not partitions._PARTITIONS_BY_SIZE
     assert snapshot_coeff_caches() == {"socle": {}, "correction": {}}
 
@@ -312,6 +322,15 @@ def test_kernel_tables_hold_ints_and_public_values_are_fractions():
     assert ring._CHAIN_TERMS
     for terms in ring._CHAIN_TERMS.values():
         assert all(type(count) is int and type(weight) is int for count, weight in terms)
+    # one weight per (len(r), len(t)), and a signed factor per pair up to k
+    assert ring._BLOCK_CHAINS
+    for chains in ring._BLOCK_CHAINS.values():
+        assert all(type(j) is int and type(i) is int and type(weight) is int for (j, i), weight in chains)
+    assert ring._SIGNED_TRUNCATION
+    for (truncation, k, d), signed in ring._SIGNED_TRUNCATION.items():
+        assert type(signed) is tuple and len(signed) == k + 1
+        assert all(type(row) is tuple and len(row) == k + 1 for row in signed)
+        assert all(type(factor) is int for row in signed for factor in row)
 
 
 def test_chain_terms_are_grouped_by_block_count():
@@ -325,6 +344,36 @@ def test_chain_terms_are_grouped_by_block_count():
             weight = naive_multinomial(sum(values[i] for i in blk) + 1 for blk in t)
             grouped[len(t)] = grouped.get(len(t), 0) + weight
         assert dict(terms) == grouped, values
+
+
+@pytest.mark.parametrize("values", [(1,) * m for m in range(1, 8)] + list(index_multisets(5, max_entry=3)))
+def test_block_chains_sum_the_chains_inside_one_block(values):
+    # every chain t <= r of the block's positions, grouped by (len(r), len(t))
+    walked = {}
+    for r in naive_set_partitions(range(len(values))):
+        for t_locals in itertools.product(*(naive_set_partitions(blk) for blk in r)):
+            weight = math.factorial(len(r) - 1)
+            for local in t_locals:
+                weight *= naive_multinomial(sum(values[i] for i in blk) + 1 for blk in local)
+            key = (len(r), sum(map(len, t_locals)))
+            walked[key] = walked.get(key, 0) + weight
+    chains = ring._BLOCK_CHAINS[values]
+    assert len({key for key, _ in chains}) == len(chains)
+    assert dict(chains) == walked, values
+
+
+@pytest.mark.parametrize("truncation", ring.TRUNCATION_VARIANTS)
+def test_signed_truncation_is_the_chain_walks_sign_times_trunc(truncation):
+    for k in range(9):
+        for d in range(1, 9):
+            signed = ring._SIGNED_TRUNCATION[truncation, k, d]
+            for len_r in range(k + 1):
+                for len_t in range(k + 1):
+                    # a refinement t of r has at least len(r) blocks
+                    want = 0
+                    if len_t >= len_r:
+                        want = (-1) ** (k + len_t + len_r) * naive_trunc(truncation, len_t, len_r, d)
+                    assert signed[len_r][len_t] == want, (truncation, k, d, len_r, len_t)
 
 
 @given(st.lists(st.integers(1, 3), min_size=2, max_size=6).map(sorted), st.data())
