@@ -38,18 +38,14 @@ def binomial(m: int, j: int) -> int:
 
     For j < 0 the value is 0; for m >= 0 it is the usual C(m, j) (0 when
     j > m); for m < 0 it is the falling factorial m(m-1)...(m-j+1) divided by
-    j!, so binomial(-1, 0) == 1 and binomial(-1, 1) == -1.
+    j!, so binomial(-1, 0) == 1 and binomial(-1, 1) == -1.  That is upper
+    negation, (-1)**j * C(j - m - 1, j).
     """
     if j < 0:
         return 0
-    if m >= 0:
-        if j > m:
-            return 0
-        return factorial(m) // (factorial(j) * factorial(m - j))
-    num = 1
-    for i in range(j):
-        num *= m - i
-    return num // factorial(j)
+    if m < 0:
+        return (-1) ** j * math.comb(j - m - 1, j)
+    return math.comb(m, j)
 
 
 def multinomial(parts: Iterable[int]) -> int:
@@ -77,17 +73,13 @@ def alt_binomial_partial_sum(m: int, lo: int, hi: int) -> int:
 
     This truncated alternating sum is the single source of truth for cutting
     an expansion off at a given number of parts; every closed-form variant of
-    that cutoff is compared against it.  For m >= 0 the terms past
-    k = lo + m are 0, so the loop stops there and its cost does not grow
-    with hi.
+    that cutoff is compared against it.  It telescopes, by Pascal's rule, to
+    (-1)**hi * binomial(m - 1, hi - lo), so its cost does not grow with hi.
     """
     m, lo, hi = natural(m, "m", None), natural(lo, "lo"), natural(hi, "hi", None)
-    if m >= 0:
-        hi = min(hi, lo + m)
-    total = 0
-    for k in range(lo, hi + 1):
-        total += (-1) ** k * binomial(m, k - lo)
-    return total
+    if hi < lo:
+        return 0
+    return (-1) ** hi * binomial(m - 1, hi - lo)
 
 
 def format_rational(x: Union[int, Fraction]) -> str:

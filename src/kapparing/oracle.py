@@ -27,8 +27,10 @@ against the stratum depends only on the multiset of component dimensions.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
+from operator import mul, sub
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -120,27 +122,6 @@ def integrate_kappa_top(a: Iterable[int], n: int) -> Fraction:
 _TOP_CACHE = Memo(lambda b: int(integrate_kappa_top(b, sum(b) + 3)))
 
 
-def _fillings(values: Sequence[int], remaining: Sequence[int], dim: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Sub-multisets of sum ``dim`` of the multiset with ``remaining[j]``
-    copies of ``values[j]`` (values ascending), as (copies taken per value,
-    number of labelled choices = prod C(remaining[j], taken[j]))."""
-    taken = [0] * len(values)
-
-    def extend(j: int, left: int, ways: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        if left == 0:
-            yield tuple(taken), ways
-            return
-        if j == len(values) or values[j] > left:
-            return
-        v, have = values[j], remaining[j]
-        for t in range(min(have, left // v) + 1):
-            taken[j] = t
-            yield from extend(j + 1, left - t * v, ways * comb(have, t))
-        taken[j] = 0
-
-    yield from extend(0, dim, 1)
-
-
 def pair_kappa_stratum(b: Iterable[int], dims: Iterable[int]) -> Fraction:
     """Pair a kappa monomial against a boundary stratum with the given
     component dimensions.
@@ -156,7 +137,10 @@ def pair_kappa_stratum(b: Iterable[int], dims: Iterable[int]) -> Fraction:
     is the count still unassigned of each distinct index value, and a
     component of dimension d takes a sub-multiset of sum d, weighted by
     prod C(count_v, take_v) (the labelled assignments giving that bucket)
-    times the bucket's top evaluation.  Every term is an integer.
+    times the bucket's top evaluation.  The sub-multisets are those of sum
+    d among the takes of at most min(count_v, d // v) copies of each value
+    v, as in the block DP of ``partitions._partition_weight_sums``.  Every
+    term is an integer.
     """
     b = kappa_monomial(b)
     dims = multiset(dims)
@@ -169,9 +153,12 @@ def pair_kappa_stratum(b: Iterable[int], dims: Iterable[int]) -> Fraction:
             continue
         following: dict[tuple[int, ...], int] = {}
         for remaining, weight in states.items():
-            for taken, ways in _fillings(values, remaining, dim):
+            for taken in itertools.product(*(range(min(r, dim // v) + 1) for v, r in zip(values, remaining))):
+                if sum(map(mul, values, taken)) != dim:
+                    continue
                 bucket = tuple(v for v, t in zip(values, taken) for _ in range(t))
-                rest = tuple(r - t for r, t in zip(remaining, taken))
+                rest = tuple(map(sub, remaining, taken))
+                ways = prod(map(comb, remaining, taken))
                 following[rest] = following.get(rest, 0) + weight * ways * _TOP_CACHE[bucket]
         states = following
     # The degrees match, so a state that filled every component has used up b.

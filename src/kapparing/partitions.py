@@ -23,26 +23,30 @@ its bounds, and anything else is a ``ValueError`` naming the argument.
 Every public entry point's integer arguments and the entries of every
 ``multiset`` go through it.  ``kappa_monomial`` is the one validator of
 kappa monomials, and ``quote`` bounds the argument every error message
-echoes.  Every value-only sum over set partitions in the ring streams
-``_local_partitions``: the splits of a sorted value tuple in
-``set_partitions`` order, with ``_split_sums`` as the monomial of a split.
-``kappa_product`` splits the positions 0..k-1 the same way, since it
-hands each partition to ``basis_coeff``; ``set_partitions`` itself serves
-only the table behind ``_local_partitions`` and the verification rows that
-print indices.  The oracle's sums and the three partition-sum identities
-(binomial product, tree sum, vanishing) depend on a split only through its
-blocks' values, so they walk only ``multiset_partitions``: one term per
-orbit of splits that agree up to equal values, weighted by the orbit's size.
+echoes.  A value-only sum over set partitions depends on a split only
+through its blocks' values, so it walks ``multiset_partitions``, one term
+per orbit of splits that agree up to equal values, weighted by the orbit's
+size, or the block DP below: the ring's split weights, chain sums and Faber
+expansions, the oracle's sums and the three partition-sum identities
+(binomial product, tree sum, vanishing) all do.  ``_local_partitions``
+streams the labelled splits of a sorted value tuple in ``set_partitions``
+order, with ``_split_sums`` as the monomial of a split, for the walks where
+positions matter: ``recursive``'s local splits, the labelled reference the
+other methods are checked against, ``kappa_product``'s partitions of the
+positions 0..k-1, which it hands to ``basis_coeff``, and ``refinements``.
+``set_partitions`` itself serves only the table behind ``_local_partitions``
+and the verification rows that print indices.
 
 ``Memo`` is the package's one memo-table type: a dict that computes a missing
 value on lookup and stores it up to ``COEFF_CACHE_LIMIT`` entries.  The
 coefficient tables of :mod:`kapparing.ring`, the top-degree evaluations of
 :mod:`kapparing.oracle` and the per-size partition table here are all Memos.
 
-``_partition_weight_sums`` is the block DP behind the ring's socle and
-correction coefficients: a sum over set partitions of per-block weights,
+``_partition_weight_sums`` is the block DP behind the ring's shifted sums
+and correction coefficients: a sum over set partitions of per-block weights,
 computed from the counts of each distinct value instead of term by term;
-for the socle it also carries the shifted multinomial of the block sums.
+for the shifted sums it also carries the shifted multinomial of the block
+sums.
 """
 
 from __future__ import annotations
@@ -300,10 +304,10 @@ class Memo(dict):
     ``COEFF_CACHE_LIMIT`` entries, and returns it.
 
     Used as a decorator, it turns the function into the table of its values;
-    every value-only partition walk shares the one behind _local_partitions.
-    The tables: ring's socle, correction, split weights, chain terms,
-    per-block chain sums and signed truncation factors and the per-size
-    partitions here, which clear_coeff_caches() empties, and
+    every labelled split shares the one behind _local_partitions.  The
+    tables: ring's shifted sums, socle, correction, split weights, per-block
+    chain sums and signed truncation factors and the per-size partitions
+    here, which clear_coeff_caches() empties, and
     oracle's top integrals (_TOP_CACHE) and pairing columns (_PAIRINGS).
     The tables hold deterministic exact values only, so concurrent lookups
     need no lock: at worst two threads compute the same value, and no

@@ -21,17 +21,22 @@ The expansion coefficient of one basis partition can be computed three ways
 
 The three must agree; the test suite and the ``reconcile`` sweep enforce it.
 ``basis_coeff`` turns p into its shape, the tuple of its blocks' value
-multisets, once; the methods see block values only and split each block
-with ``partitions._local_partitions``.  ``kappa_product`` calls
-``basis_coeff`` on each basis partition of a's positions.
+multisets, once; the methods see block values only.  ``recursive`` splits
+each block with the labelled walk ``partitions._local_partitions``, the
+reference the other methods are checked against; ``ck``'s split weights,
+closed's per-block chain sums, ``faber_expand`` and ``kappa_to_psi`` walk
+the orbits of ``partitions._multiset_partitions`` instead, each weighted
+by its count of set partitions.  ``kappa_product`` calls ``basis_coeff`` on each
+basis partition of a's positions.
 
 Every coefficient is an integer, and the kernels sum ints: the socle,
-correction and split-weight values, closed's per-r-block and per-p-block
+correction and split-weight values, the shifted sums, closed's per-p-block
 chain sums and its signed truncation factors are int ``Memo`` tables (see
 :mod:`kapparing.partitions`), which the loops index directly;
 ``clear_coeff_caches`` empties them.  ``Fraction`` appears only in
-the public functions' results.  The socle and correction coefficients come
-from the block DP ``partitions._partition_weight_sums``.
+the public functions' results.  The shifted sums (and so the socle) and
+the correction coefficients come from the block DP
+``partitions._partition_weight_sums``.
 
 The closed form's truncation factor has two candidate conventions (see
 ``TRUNCATION_VARIANTS``).  ``partial_sum`` evaluates the truncated
@@ -46,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Mapping, Optional, Union
 
 from .numbers import alt_binomial_partial_sum, binomial, factorial, format_rational, multinomial
@@ -55,6 +61,7 @@ from .partitions import (
     Multiset,
     SetPartition,
     _local_partitions,
+    _multiset_partitions,
     _partition_weight_sums,
     _split_sums,
     block_sums,
@@ -191,18 +198,25 @@ def correction_coeff(a: Iterable[int]) -> Fraction:
     return Fraction(_CORRECTION[a] if a else 1)
 
 
-# Memo tables of the two scalar coefficient families, of the split weights
-# built from them and of closed's chain sums, keyed by canonical monomials,
-# so the internal loops, which build their keys canonical, index them without
-# validating again; closed's signed truncation factors are keyed by
-# (truncation, k, d).  Every value is an int or a tuple built of ints.
+# Memo tables of the shifted sums, of the two scalar coefficient families, of
+# the split weights built from them and of closed's chain sums, keyed by
+# canonical monomials, so the internal loops, which build their keys
+# canonical, index them without validating again; closed's signed truncation
+# factors are keyed by (truncation, k, d).  Every value is an int or a tuple
+# built of ints.
+@Memo
+def _SHIFTED_SUMS(a: KappaMonomial) -> tuple[int, ...]:
+    """Entry m: the sum, over the set partitions of a's positions into m
+    blocks, of the shifted multinomial of the block sums, multinomial(s_B + 1).
+    The block DP carries that multinomial itself, so every value it holds
+    stays at the size of the answer."""
+    return tuple(_partition_weight_sums(a, lambda block: 1, shifted=True))
+
+
 @Memo
 def _SOCLE(a: KappaMonomial) -> int:
-    """socle_coeff by canonical monomial.  The block DP carries each split's
-    shifted multinomial, multinomial(s_B + 1), itself, so every value it
-    holds stays at the size of the answer."""
-    sums = _partition_weight_sums(a, lambda block: 1, shifted=True)
-    return sum((-1) ** (len(a) + m) * w for m, w in enumerate(sums))
+    """socle_coeff by canonical monomial: the signed sum of its shifted sums."""
+    return sum((-1) ** (len(a) + m) * w for m, w in enumerate(_SHIFTED_SUMS[a]))
 
 
 @Memo
@@ -216,21 +230,11 @@ def _CORRECTION(a: KappaMonomial) -> int:
 @Memo
 def _SPLIT_WEIGHT(a: KappaMonomial) -> tuple[int, ...]:
     """split_weight of a canonical monomial for every block count, in one
-    walk: entry k - 1 is the weight of the splits into k blocks."""
+    walk of its orbits: entry k - 1 is the weight of the splits into k blocks."""
     weights = [0] * len(a)
-    for q in _local_partitions(a):
-        weights[len(q) - 1] += _group_weight(q)
+    for q, count in _multiset_partitions(a):
+        weights[len(q) - 1] += count * _group_weight(q)
     return tuple(weights)
-
-
-@Memo
-def _CHAIN_TERMS(values: KappaMonomial) -> tuple[tuple[int, int], ...]:
-    """closed's splits t of one r-block with these values, grouped by block
-    count: the pairs (len(t), sum of multinomial(block sum + 1) over t)."""
-    terms: dict[int, int] = {}
-    for sub in _local_partitions(values):
-        terms[len(sub)] = terms.get(len(sub), 0) + multinomial(sum(b) + 1 for b in sub)
-    return tuple(terms.items())
 
 
 @Memo
@@ -239,17 +243,13 @@ def _BLOCK_CHAINS(values: KappaMonomial) -> tuple[tuple[tuple[int, int], int], .
     by (len(r), len(t)): the pairs ((j, i), w) where w sums, over the splits
     r of the block into j r-blocks, (j - 1)! times the sum over the
     refinements t <= r with i t-blocks of the product of the r-blocks'
-    multinomials, each r-block's t-counts convolved from ``_CHAIN_TERMS``."""
-    # the splits r counted by their blocks' values, so each is convolved once
-    splits: dict[tuple[KappaMonomial, ...], int] = {}
-    for r in _local_partitions(values):
-        r = tuple(sorted(r))
-        splits[r] = splits.get(r, 0) + 1
+    multinomials.  The splits r come orbit by orbit, each convolving its
+    r-blocks' ``_SHIFTED_SUMS`` once, times its count of set partitions."""
     chains: dict[tuple[int, int], int] = {}
-    for r, copies in splits.items():
-        table = {(len(r), 0): copies * factorial(len(r) - 1)}
+    for r, count in _multiset_partitions(values):
+        table = {(len(r), 0): count * factorial(len(r) - 1)}
         for block in r:
-            table = _convolve(table, tuple(((0, count), weight) for count, weight in _CHAIN_TERMS[block]))
+            table = _convolve(table, tuple(((0, i), w) for i, w in enumerate(_SHIFTED_SUMS[block]) if w))
         for key, weight in table.items():
             chains[key] = chains.get(key, 0) + weight
     return tuple(chains.items())
@@ -281,7 +281,7 @@ def _convolve(table: dict, pairs: Iterable) -> dict:
 def clear_coeff_caches() -> None:
     """Empty every memo table of the expansion, down to the partition table."""
     for table in (
-        _SOCLE, _CORRECTION, _SPLIT_WEIGHT, _CHAIN_TERMS, _BLOCK_CHAINS, _SIGNED_TRUNCATION, _PARTITIONS_BY_SIZE
+        _SOCLE, _CORRECTION, _SPLIT_WEIGHT, _SHIFTED_SUMS, _BLOCK_CHAINS, _SIGNED_TRUNCATION, _PARTITIONS_BY_SIZE
     ):
         table.clear()
 
@@ -301,12 +301,9 @@ def faber_expand(q: Iterable[int]) -> KappaPoly:
         psi(q) = sum over p of prod_b (len(b) - 1)! * kappa_{block sums}.
     """
     terms: dict[Multiset, int] = {}
-    for blocks in _local_partitions(kappa_monomial(q)):
-        weight = 1
-        for blk in blocks:
-            weight *= factorial(len(blk) - 1)
+    for blocks, count in _multiset_partitions(kappa_monomial(q)):
         key = _split_sums(blocks)
-        terms[key] = terms.get(key, 0) + weight
+        terms[key] = terms.get(key, 0) + count * prod(factorial(len(blk) - 1) for blk in blocks)
     return KappaPoly(terms)
 
 
@@ -318,9 +315,9 @@ def kappa_to_psi(a: Iterable[int]) -> PsiPoly:
     """
     a = kappa_monomial(a)
     terms: dict[Multiset, int] = {}
-    for blocks in _local_partitions(a):
+    for blocks, count in _multiset_partitions(a):
         key = _split_sums(blocks)
-        terms[key] = terms.get(key, 0) + (-1 if (len(a) + len(blocks)) % 2 else 1)
+        terms[key] = terms.get(key, 0) + (-count if (len(a) + len(blocks)) % 2 else count)
     return PsiPoly(terms)
 
 

@@ -42,12 +42,9 @@ def test_binomial_negative_upper_argument():
     assert binomial(-1, 1) == -1
     assert binomial(-1, 2) == 1
     assert binomial(-2, 3) == -4
-    for m in range(-6, 0):
-        for j in range(6):
-            ff = 1
-            for i in range(j):
-                ff *= m - i
-            assert binomial(m, j) * math.factorial(j) == ff
+    for m in range(-9, 0):
+        for j in range(-2, 14):
+            assert binomial(m, j) == _falling_binomial(m, j), (m, j)
 
 
 def test_pascal_rule():
@@ -119,6 +116,23 @@ def test_alt_binomial_cost_does_not_grow_with_hi():
         for lo in range(4):
             assert alt_binomial_partial_sum(m, lo, 10**23) == alt_binomial_partial_sum(m, lo, lo + m)
     assert alt_binomial_partial_sum(-2, 1, 3) == -binomial(-2, 0) + binomial(-2, 1) - binomial(-2, 2)
+    # for m < 0 no term vanishes: (-1)**k * binomial(-2, k) = k + 1, summed to k = 10**4
+    assert alt_binomial_partial_sum(-2, 0, 10**4) == sum(k + 1 for k in range(10**4 + 1)) == math.comb(10**4 + 2, 2)
+
+
+def _falling_binomial(m, j):
+    """m(m-1)...(m-j+1) / j!, for any integer m; 0 for j < 0."""
+    if j < 0:
+        return 0
+    return math.prod(m - i for i in range(j)) // math.factorial(j)
+
+
+def test_alt_binomial_partial_sum_is_the_term_by_term_sum():
+    for m in range(-9, 10):
+        for lo in range(5):
+            for hi in range(-1, 15):
+                want = sum((-1) ** k * _falling_binomial(m, k - lo) for k in range(lo, hi + 1))
+                assert alt_binomial_partial_sum(m, lo, hi) == want, (m, lo, hi)
 
 
 def test_alt_binomial_equals_shifted_single_binomial():

@@ -154,9 +154,32 @@ def round_trip(a):
     return back
 
 
-@pytest.mark.parametrize("a", list(index_multisets(4, max_entry=4)))
+@pytest.mark.parametrize("a", list(index_multisets(4, max_entry=4)) + [(1,) * 12, (1, 1, 1, 1, 2, 2, 2, 2, 3, 3)])
 def test_round_trip_recovers_the_monomial(a):
     assert round_trip(a) == KappaPoly.monomial(a)
+
+
+def _integer_partitions(n, most):
+    """The partitions of n into parts <= most, each an ascending tuple."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, most), 0, -1):
+        for rest in _integer_partitions(n - part, part):
+            yield rest + (part,)
+
+
+def test_kappa_to_psi_of_equal_indices_counts_set_partitions_by_block_sizes():
+    # kappa_1^12: the psi class of block sizes mu collects the sign of every
+    # set partition of 12 points with those block sizes, of which there are
+    # 12! / (prod_i mu_i! * prod_j m_j!) with m_j parts of size j
+    want = {}
+    for mu in _integer_partitions(12, 12):
+        count = math.factorial(12) // math.prod(map(math.factorial, mu + tuple(mu.count(j) for j in set(mu))))
+        want[mu] = (-1) ** (12 + len(mu)) * count
+    assert len(want) == 77
+    assert sum(map(abs, want.values())) == 4_213_597  # Bell(12)
+    assert kappa_to_psi((1,) * 12) == PsiPoly(want)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +240,9 @@ def test_clear_coeff_caches_empties_every_memo():
     clear_coeff_caches()
     assert split_weight((1, 1, 2), 2) == split_weight([2, 1, 1], 2)
     basis_coeff(((0, 1, 2),), (1, 1, 2), 2, method="closed")
-    assert ring._SPLIT_WEIGHT and ring._CHAIN_TERMS and partitions._PARTITIONS_BY_SIZE
+    # only recursive's labelled walk fills the per-size partition table
+    basis_coeff(((0, 1, 2),), (1, 1, 2), 2, method="recursive")
+    assert ring._SPLIT_WEIGHT and ring._SHIFTED_SUMS and partitions._PARTITIONS_BY_SIZE
     assert ring._BLOCK_CHAINS and ring._SIGNED_TRUNCATION
     snapshot = snapshot_coeff_caches()
     assert set(snapshot) == {"socle", "correction"}
@@ -225,7 +250,7 @@ def test_clear_coeff_caches_empties_every_memo():
     assert all(type(table) is dict and table for table in snapshot.values())
     clear_coeff_caches()
     assert not ring._SPLIT_WEIGHT
-    assert not ring._CHAIN_TERMS
+    assert not ring._SHIFTED_SUMS
     assert not ring._BLOCK_CHAINS
     assert not ring._SIGNED_TRUNCATION
     assert not partitions._PARTITIONS_BY_SIZE
@@ -319,9 +344,11 @@ def test_kernel_tables_hold_ints_and_public_values_are_fractions():
     for values, weights in ring._SPLIT_WEIGHT.items():
         assert type(weights) is tuple and len(weights) == len(values)
         assert all(type(weight) is int for weight in weights)
-    assert ring._CHAIN_TERMS
-    for terms in ring._CHAIN_TERMS.values():
-        assert all(type(count) is int and type(weight) is int for count, weight in terms)
+    # one shifted sum per block count, 0 included
+    assert ring._SHIFTED_SUMS
+    for values, sums in ring._SHIFTED_SUMS.items():
+        assert type(sums) is tuple and len(sums) == len(values) + 1
+        assert all(type(weight) is int for weight in sums)
     # one weight per (len(r), len(t)), and a signed factor per pair up to k
     assert ring._BLOCK_CHAINS
     for chains in ring._BLOCK_CHAINS.values():
@@ -333,17 +360,32 @@ def test_kernel_tables_hold_ints_and_public_values_are_fractions():
         assert all(type(factor) is int for row in signed for factor in row)
 
 
-def test_chain_terms_are_grouped_by_block_count():
+def test_shifted_sums_are_grouped_by_block_count():
     # every r-block a closed product of (1,)*9 meets, and mixed blocks
     for values in [(1,) * m for m in range(1, 10)] + list(index_multisets(6, max_entry=3)):
-        terms = ring._CHAIN_TERMS[values]
-        assert len(terms) <= len(values)
-        assert len({count for count, _ in terms}) == len(terms)
-        grouped = {}
-        for t in set_partitions(len(values)):
-            weight = naive_multinomial(sum(values[i] for i in blk) + 1 for blk in t)
-            grouped[len(t)] = grouped.get(len(t), 0) + weight
-        assert dict(terms) == grouped, values
+        walked = [0] * (len(values) + 1)
+        for t in naive_set_partitions(range(len(values))):
+            walked[len(t)] += naive_multinomial(sum(values[i] for i in blk) + 1 for blk in t)
+        assert ring._SHIFTED_SUMS[values] == tuple(walked), values
+        # the socle is their signed sum
+        assert ring._SOCLE[values] == sum((-1) ** (len(values) + m) * w for m, w in enumerate(walked)), values
+
+
+@pytest.mark.parametrize("a", [(1,) * 10, (1, 1, 1, 2, 2, 2, 3, 3, 4, 4)])
+def test_value_only_sums_walk_orbits_not_labelled_splits(monkeypatch, a):
+    # with the labelled walk gone, every table but recursive's splits still fills
+    def labelled(values):
+        raise AssertionError("labelled walk")
+
+    monkeypatch.setattr(ring, "_local_partitions", labelled)
+    clear_coeff_caches()
+    block = (tuple(range(len(a))),)
+    assert split_weight(a, 3)
+    assert faber_expand(a) and kappa_to_psi(a)
+    assert basis_coeff(block, a, 3, method="ck") == basis_coeff(block, a, 3, method="closed")
+    with pytest.raises(AssertionError, match="labelled walk"):
+        basis_coeff(block, a, 3, method="recursive")
+    clear_coeff_caches()
 
 
 @pytest.mark.parametrize("values", [(1,) * m for m in range(1, 8)] + list(index_multisets(5, max_entry=3)))
