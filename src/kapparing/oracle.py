@@ -6,15 +6,16 @@ the multinomial formula, top-degree kappa integrals from the signed sum of
 psi integrals over the multiset partitions of the indices
 (``partitions.multiset_partitions``, each weighted by its count of set
 partitions), pairings against boundary strata from distributing kappa
-indices over stratum components, and expansion coefficients from the
-resulting exact linear system.  A monomial pairs nonzero only with the
-strata whose dimensions coarsen it, so in (length, lex) order the system is
-upper triangular with diagonal prod_v c_v! (c_v copies of index v), and
-only a's coarsenings can have nonzero coefficients.  ``pairing_system``
-keeps just those as unknowns and reads each column off one walk of a
-monomial's multiset partitions, which yields every stratum it fills with
-the pairing; a column does not depend on n, so ``_PAIRINGS`` keeps one walk
-per monomial per process.  ``solve_pairing_system`` substitutes back in
+indices over stratum components, each component's top evaluation read from
+the socle table that :mod:`kapparing.partitions` shares, and expansion
+coefficients from the resulting exact linear system.  A monomial pairs
+nonzero only with the strata whose dimensions coarsen it, so in (length,
+lex) order the system is upper triangular with diagonal prod_v c_v! (c_v
+copies of index v), and only a's coarsenings can have nonzero
+coefficients.  ``pairing_system`` keeps just those as unknowns and reads
+each column off one walk of a monomial's multiset partitions, which yields
+every stratum it fills with the pairing; a column does not depend on n, so
+``_PAIRINGS`` keeps one walk per monomial per process.  ``solve_pairing_system`` substitutes back in
 integers over one common denominator; ``pair_kappa_stratum`` pairs one
 stratum by a dynamic program over its components.  Agreement with the ring
 module is therefore a genuine cross-check, not a tautology.
@@ -36,7 +37,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .numbers import multinomial
 from .partitions import Memo, Multiset, SetPartition, block_sums, ground_size, multiset, natural
-from .partitions import _multiset_partitions, _split_sums, kappa_monomial
+from .partitions import _SOCLE, _multiset_partitions, _split_sums, kappa_monomial
 
 DimensionSequence = Multiset
 
@@ -117,9 +118,9 @@ def integrate_kappa_top(a: Iterable[int], n: int) -> Fraction:
     return Fraction(total)
 
 
-# integrate_kappa_top at the marking count that makes the degree top, by
-# monomial: a signed sum of multinomials, so an integer, stored as one.
-_TOP_CACHE = Memo(lambda b: int(integrate_kappa_top(b, sum(b) + 3)))
+# integrate_kappa_top at the degree's top marking count, by monomial: the same
+# signed sum as the socle, so the shared socle table, not Algorithm M.
+_TOP_CACHE = _SOCLE
 
 
 def pair_kappa_stratum(b: Iterable[int], dims: Iterable[int]) -> Fraction:
@@ -139,8 +140,7 @@ def pair_kappa_stratum(b: Iterable[int], dims: Iterable[int]) -> Fraction:
     prod C(count_v, take_v) (the labelled assignments giving that bucket)
     times the bucket's top evaluation.  The sub-multisets are those of sum
     d among the takes of at most min(count_v, d // v) copies of each value
-    v, as in the block DP of ``partitions._partition_weight_sums``.  Every
-    term is an integer.
+    v.  Every term is an integer.
     """
     b = kappa_monomial(b)
     dims = multiset(dims)

@@ -37,16 +37,12 @@ positions 0..k-1, which it hands to ``basis_coeff``, and ``refinements``.
 ``set_partitions`` itself serves only the table behind ``_local_partitions``
 and the verification rows that print indices.
 
-``Memo`` is the package's one memo-table type: a dict that computes a missing
-value on lookup and stores it up to ``COEFF_CACHE_LIMIT`` entries.  The
-coefficient tables of :mod:`kapparing.ring`, the top-degree evaluations of
-:mod:`kapparing.oracle` and the per-size partition table here are all Memos.
-
-``_partition_weight_sums`` is the block DP behind the ring's shifted sums
-and correction coefficients: a sum over set partitions of per-block weights,
-computed from the counts of each distinct value instead of term by term;
-for the shifted sums it also carries the shifted multinomial of the block
-sums.
+``Memo`` is the package's one memo-table type.  The block DP is two shared
+Memos, ``_SHIFTED_SUMS`` and ``_CORRECTION_SUMS``: by block count, sums over
+set partitions of per-block weights.  A row depends on its multiset alone,
+so each table builds the row of s from its own rows of s minus each block
+holding s's first position (Stanley, EC2 5.1), once per process.
+``_SOCLE``, the ring's socle and the oracle's tops, sums the first.
 """
 
 from __future__ import annotations
@@ -54,8 +50,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb, factorial, prod
-from operator import mul, sub
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 Multiset = tuple[int, ...]
 Block = tuple[int, ...]
@@ -303,12 +298,9 @@ class Memo(dict):
     ``compute(key)``, stores it while the table holds fewer than
     ``COEFF_CACHE_LIMIT`` entries, and returns it.
 
-    Used as a decorator, it turns the function into the table of its values;
-    every labelled split shares the one behind _local_partitions.  The
-    tables: ring's shifted sums, socle, correction, split weights, per-block
-    chain sums and signed truncation factors and the per-size partitions
-    here, which clear_coeff_caches() empties, and
-    oracle's top integrals (_TOP_CACHE) and pairing columns (_PAIRINGS).
+    Used as a decorator, it turns the function into the table of its values.
+    ring's clear_coeff_caches() empties every Memo of the package but
+    oracle's pairing columns (_PAIRINGS).
     The tables hold deterministic exact values only, so concurrent lookups
     need no lock: at worst two threads compute the same value, and no
     interleaving can store a wrong one.
@@ -327,56 +319,83 @@ class Memo(dict):
         return value
 
 
-def _partition_weight_sums(a: Multiset, weight: Callable[[Multiset], int], shifted: bool = False) -> list[int]:
-    """For each m, the sum over the set partitions of a's positions into m
-    blocks of the product of ``weight`` over the blocks' value multisets.
+class _Rows(Memo):
+    """A Memo of rows by canonical multiset whose ``compute(s, rows)`` reads
+    the rows of s's sub-multisets from ``rows``: the table itself or, once it
+    is full, a memo of that one lookup, so each sub-row is still computed once."""
 
-    Entry m of the returned list is that sum; the list runs to m = len(a).
-    The terms depend on each block only through its values, so this is the
-    exponential formula on sub-multisets (Stanley, EC2 5.1) rather than a
-    Bell(len(a))-sized walk: a DP over the count left of each distinct value.
-    The block holding the first remaining position takes t_0 >= 1 of the c_0
-    copies of its value, one of which is that position, and t_j of the c_j
-    copies of each larger value, in C(c_0-1, t_0-1) * prod C(c_j, t_j)
-    labelled ways.  a is trusted canonical, and ``weight`` receives
-    canonical multisets; everything is an integer.
+    __slots__ = ()
 
-    With ``shifted``, each term also carries the shifted multinomial of its
-    block sums, (R + m)! / prod (s_B + 1)! for a state of sum R split into m
-    blocks.  It is built one block at a time: the first block, of sum s,
-    takes C(R + m, s + 1), and the rest of the state the multinomial of
-    its m - 1 blocks.  Every value then stays at the size of the answer.
-    """
-    values = sorted(set(a))
+    def __missing__(self, key):
+        value = self.compute(key, self if len(self) < COEFF_CACHE_LIMIT else _Lookup(self))
+        if len(self) < COEFF_CACHE_LIMIT:
+            self[key] = value
+        return value
 
-    # the weight of each block, by its counts of the distinct values
-    @Memo
-    def block_weight(take: tuple[int, ...]) -> int:
-        return weight(tuple(v for v, t in zip(values, take) for _ in range(t)))
 
-    @Memo
-    def sums(counts: tuple[int, ...]) -> list[int]:
-        if not any(counts):
-            return [1]
-        out = [0] * (sum(counts) + 1)
-        first = next(j for j, c in enumerate(counts) if c)
-        head, c0, tail = counts[:first], counts[first], counts[first + 1 :]
-        remaining = sum(map(mul, values, counts))
-        for take in itertools.product(range(1, c0 + 1), *(range(c + 1) for c in tail)):
-            ways = comb(c0 - 1, take[0] - 1) * block_weight[head + take]
-            for c, t in zip(tail, take[1:]):
-                ways *= comb(c, t)
-            rest = head + tuple(map(sub, counts[first:], take))
-            if shifted:
-                block_sum = sum(map(mul, values[first:], take))
-                for m, s in enumerate(sums[rest], 1):
-                    out[m] += ways * comb(remaining + m, block_sum + 1) * s
-            else:
-                for m, s in enumerate(sums[rest], 1):
-                    out[m] += ways * s
-        return out
+class _Lookup(dict):
+    """One lookup's rows past a full ``_Rows`` table: the table's, or computed here."""
 
-    return sums[tuple(a.count(v) for v in values)]
+    def __init__(self, table: _Rows):
+        self.table = table
+
+    def __missing__(self, key):
+        value = self[key] = self.table.get(key) or self.table.compute(key, self)
+        return value
+
+
+def _first_blocks(s: Multiset) -> Iterator[tuple[Multiset, Multiset, int]]:
+    """Each block B that holds s's first position, as (B, s \\ B, ways): B takes
+    t_0 >= 1 of the c_0 copies of s's first value, that position among them,
+    and t_j of the c_j copies of each larger value, in C(c_0 - 1, t_0 - 1) *
+    prod C(c_j, t_j) labelled ways.  s is trusted canonical and nonempty, and
+    B and s \\ B, joined from slices of it, are canonical too."""
+    starts = [0] + [i for i in range(1, len(s)) if s[i] != s[i - 1]]
+    # each value's run s[i:j] and its first cut, which leaves s[0] in B
+    runs = [(i, max(i, 1), j) for i, j in zip(starts, starts[1:] + [len(s)])]
+    for cuts in itertools.product(*(range(lo, j + 1) for _, lo, j in runs)):
+        block, rest, ways = (), (), 1
+        for (i, lo, j), cut in zip(runs, cuts):
+            block += s[i:cut]
+            rest += s[cut:j]
+            ways *= comb(j - lo, cut - lo)
+        yield block, rest, ways
+
+
+def _shifted_row(s: Multiset, rows) -> tuple[int, ...]:
+    """Entry m: the sum, over the set partitions of s's positions into m
+    blocks, of the shifted multinomial of the block sums, multinomial(s_B + 1).
+    A split of sum R into m blocks has (R + m)! / prod (s_B + 1)!: its first
+    block, of sum b, takes C(R + m, b + 1), and the rest the multinomial of
+    its m - 1 blocks, so every value stays at the size of the answer."""
+    if not s:
+        return (1,)
+    out = [0] * (len(s) + 1)
+    total = sum(s)
+    for block, rest, ways in _first_blocks(s):
+        shift = sum(block) + 1
+        for m, w in enumerate(rows[rest], 1):
+            out[m] += ways * comb(total + m, shift) * w
+    return tuple(out)
+
+
+def _correction_row(s: Multiset, rows) -> tuple[int, ...]:
+    """Entry m: the sum, over the set partitions of s's positions into m
+    blocks, of the product of the blocks' multinomial(v + 1 for v in B)."""
+    if not s:
+        return (1,)
+    out = [0] * (len(s) + 1)
+    for block, rest, ways in _first_blocks(s):
+        ways *= factorial(sum(block) + len(block)) // prod(factorial(v + 1) for v in block)
+        for m, w in enumerate(rows[rest], 1):
+            out[m] += ways * w
+    return tuple(out)
+
+
+# The block DP's shared tables, and the socle, the signed sum of the shifted row.
+_SHIFTED_SUMS = _Rows(_shifted_row)
+_CORRECTION_SUMS = _Rows(_correction_row)
+_SOCLE = Memo(lambda s: sum((-1) ** (len(s) + m) * w for m, w in enumerate(_SHIFTED_SUMS[s])))
 
 
 # Every set partition of {0..m-1} in ``set_partitions`` order, by m.

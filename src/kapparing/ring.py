@@ -34,9 +34,8 @@ correction and split-weight values, the shifted sums, closed's per-p-block
 chain sums and its signed truncation factors are int ``Memo`` tables (see
 :mod:`kapparing.partitions`), which the loops index directly;
 ``clear_coeff_caches`` empties them.  ``Fraction`` appears only in
-the public functions' results.  The shifted sums (and so the socle) and
-the correction coefficients come from the block DP
-``partitions._partition_weight_sums``.
+the public functions' results.  The shifted sums, the socle and the
+correction rows are the block DP's shared tables in ``partitions``.
 
 The closed form's truncation factor has two candidate conventions (see
 ``TRUNCATION_VARIANTS``).  ``partial_sum`` evaluates the truncated
@@ -54,15 +53,17 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Mapping, Optional, Union
 
-from .numbers import alt_binomial_partial_sum, binomial, factorial, format_rational, multinomial
+from .numbers import alt_binomial_partial_sum, binomial, factorial, format_rational
 from .partitions import (
+    _CORRECTION_SUMS,
     _PARTITIONS_BY_SIZE,
+    _SHIFTED_SUMS,
+    _SOCLE,
     Memo,
     Multiset,
     SetPartition,
     _local_partitions,
     _multiset_partitions,
-    _partition_weight_sums,
     _split_sums,
     block_sums,
     canonical_partition,
@@ -198,33 +199,15 @@ def correction_coeff(a: Iterable[int]) -> Fraction:
     return Fraction(_CORRECTION[a] if a else 1)
 
 
-# Memo tables of the shifted sums, of the two scalar coefficient families, of
-# the split weights built from them and of closed's chain sums, keyed by
-# canonical monomials, so the internal loops, which build their keys
-# canonical, index them without validating again; closed's signed truncation
-# factors are keyed by (truncation, k, d).  Every value is an int or a tuple
-# built of ints.
-@Memo
-def _SHIFTED_SUMS(a: KappaMonomial) -> tuple[int, ...]:
-    """Entry m: the sum, over the set partitions of a's positions into m
-    blocks, of the shifted multinomial of the block sums, multinomial(s_B + 1).
-    The block DP carries that multinomial itself, so every value it holds
-    stays at the size of the answer."""
-    return tuple(_partition_weight_sums(a, lambda block: 1, shifted=True))
-
-
-@Memo
-def _SOCLE(a: KappaMonomial) -> int:
-    """socle_coeff by canonical monomial: the signed sum of its shifted sums."""
-    return sum((-1) ** (len(a) + m) * w for m, w in enumerate(_SHIFTED_SUMS[a]))
-
-
+# Memo tables of the correction coefficients, the split weights and closed's
+# chain sums, keyed by canonical monomials, which the internal loops build and
+# index without validating again; closed's signed truncation factors are keyed
+# by (truncation, k, d).  Every value is an int or a tuple built of ints.
 @Memo
 def _CORRECTION(a: KappaMonomial) -> int:
     """correction_coeff by canonical monomial, trusted nonempty: the sum
     has no term for the empty multiset, which correction_coeff answers."""
-    sums = _partition_weight_sums(a, lambda block: multinomial(v + 1 for v in block))
-    return sum((-1) ** (len(a) + m) * factorial(m - 1) * w for m, w in enumerate(sums) if w)
+    return sum((-1) ** (len(a) + m) * factorial(m - 1) * w for m, w in enumerate(_CORRECTION_SUMS[a]) if w)
 
 
 @Memo
@@ -280,9 +263,8 @@ def _convolve(table: dict, pairs: Iterable) -> dict:
 
 def clear_coeff_caches() -> None:
     """Empty every memo table of the expansion, down to the partition table."""
-    for table in (
-        _SOCLE, _CORRECTION, _SPLIT_WEIGHT, _SHIFTED_SUMS, _BLOCK_CHAINS, _SIGNED_TRUNCATION, _PARTITIONS_BY_SIZE
-    ):
+    for table in (_SOCLE, _CORRECTION, _SPLIT_WEIGHT, _SHIFTED_SUMS, _CORRECTION_SUMS, _BLOCK_CHAINS,
+                  _SIGNED_TRUNCATION, _PARTITIONS_BY_SIZE):
         table.clear()
 
 

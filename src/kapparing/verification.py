@@ -146,18 +146,17 @@ def _ring_case(a: Multiset, d: int, genera: tuple[int, ...], reconcile: bool) ->
 def _top_degree_values(a: Multiset) -> tuple[Fraction, Fraction, Fraction]:
     """The top-degree value of kappa_a by two independent computations, in
     three columns: the ring's socle coefficient, the oracle's integral at
-    n = sum(a) + 3 and the pairing against the one-component stratum.  That
-    pairing puts all of a on its one component and returns the oracle's
-    cached integral of a, so it repeats the second computation rather than
-    adding a third."""
+    n = sum(a) + 3 by Algorithm M and the pairing against the one-component
+    stratum.  That pairing puts all of a on its one component and reads the
+    shared socle table, so it repeats the first computation."""
     return socle_coeff(a), integrate_kappa_top(a, sum(a) + 3), pair_kappa_stratum(a, (sum(a),))
 
 
 def check_top_degree(a: Multiset, values: tuple[Fraction, Fraction, Fraction]) -> dict:
     """At degree budget 1 the product collapses to socle_coeff(a) * kappa_{sum a},
     and the three columns of ``values = _top_degree_values(a)`` must give
-    that number; the integral and the pairing are one computation, so this
-    compares the ring with the oracle once."""
+    that number; the socle and the pairing are one computation, so this
+    compares it with the oracle's integral once."""
     n = sum(a) + 3
     poly = kappa_product(a, 0, n)
     lam, integral, paired = values
@@ -334,9 +333,9 @@ def run_suite(
 
     Suites: ``identities`` (the five identity grids), ``ring`` (pinned
     products, method agreement, genus lifts, top degree, round trips),
-    ``oracle`` (the ``socle_three_paths`` rows: the ring's socle against
-    the oracle's integral, which both the integral and the pairing column
-    carry), ``reconcile`` (truncation variants), ``all``.  In ``all`` the
+    ``oracle`` (the ``socle_three_paths`` rows: the shared socle table,
+    which the ring and pairing columns carry, against the oracle's
+    integral), ``reconcile`` (truncation variants), ``all``.  In ``all`` the
     reconcile rows come from the ring cases' walk of the basis values, not
     from a second sweep.
     """

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from kapparing import oracle
+from kapparing import oracle, partitions, ring
 from kapparing.oracle import (
     RankDeficientPairingError,
     dimension_sequences,
@@ -21,8 +22,8 @@ from kapparing.oracle import (
     solve_exact,
     solve_pairing_system,
 )
-from kapparing.partitions import Memo, index_multisets
-from kapparing.ring import kappa_product, socle_coeff
+from kapparing.partitions import Memo, index_multisets, multiset_partitions
+from kapparing.ring import basis_coeff, kappa_product, socle_coeff
 
 from bruteforce import (
     euler_partition_counts,
@@ -31,6 +32,7 @@ from bruteforce import (
     naive_pair_kappa_stratum,
     naive_pairing_system,
     naive_set_partitions,
+    naive_socle,
 )
 
 
@@ -485,3 +487,31 @@ def test_solve_exact_detects_inconsistency():
     matrix = [[Fraction(1)], [Fraction(2)]]
     with pytest.raises(RankDeficientPairingError):
         solve_exact(matrix, [Fraction(1), Fraction(3)])
+
+
+def test_the_solve_reads_its_tops_from_the_socle_table_and_the_integral_does_not(monkeypatch):
+    def raising(*args):
+        raise AssertionError("not this path")
+
+    a, n = (1,) * 12, 20
+    d = n - sum(a) - 2
+    # kappa_product by ck, one basis partition per orbit times its count: the
+    # labelled walk would take minutes over Bell(12) partitions
+    expected = {}
+    for blocks, count in multiset_partitions(a):
+        if len(blocks) <= d:
+            starts = [0, *itertools.accumulate(map(len, blocks))]
+            p = tuple(tuple(range(i, j)) for i, j in zip(starts, starts[1:]))
+            key = tuple(sorted(map(sum, blocks)))
+            expected[key] = expected.get(key, 0) + count * basis_coeff(p, a, d, method="ck")
+    ring.clear_coeff_caches()
+    oracle._PAIRINGS.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "integrate_kappa_top", raising)
+        solved = solve_coeffs_by_pairing(a, n)
+    assert {mu: c for mu, c in solved.items() if c} == {mu: c for mu, c in expected.items() if c}
+    ring.clear_coeff_caches()
+    with monkeypatch.context() as patch:
+        patch.setattr(partitions._SHIFTED_SUMS, "compute", raising)
+        assert integrate_kappa_top((1, 1, 2, 3), 10) == naive_socle((1, 1, 2, 3))
+    ring.clear_coeff_caches()

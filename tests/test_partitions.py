@@ -5,10 +5,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from kapparing import partitions
 from kapparing.partitions import (
     _PARTITIONS_BY_SIZE,
     _local_partitions,
-    _partition_weight_sums,
     bell,
     block_sums,
     block_sum_vector,
@@ -311,23 +311,22 @@ def test_multiset_partitions_collapse_repeated_values():
         multiset_partitions((1, -1))
 
 
-@pytest.mark.parametrize("length", range(7))
-def test_partition_weight_sums_match_the_labelled_sums_by_block_count(length):
-    def weight(block):
-        return len(block) + block[-1]
-
-    for a in itertools.combinations_with_replacement((1, 2, 3), length):
-        plain, shifted = [0] * (length + 1), [0] * (length + 1)
-        for p in naive_set_partitions(range(length)):
+@pytest.mark.parametrize(
+    "cases",
+    [list(index_multisets(n, max_entry=4, min_len=n)) for n in range(1, 7)] + [[(1,) * 9, (1, 2, 3, 4, 5, 6, 7)]],
+)
+def test_shared_row_tables_match_the_labelled_sums_by_block_count(cases):
+    for a in cases:
+        shifted, correction = [0] * (len(a) + 1), [0] * (len(a) + 1)
+        for p in naive_set_partitions(range(len(a))):
             blocks = [[a[i] for i in block] for block in p]
+            shifted[len(p)] += naive_multinomial(sum(block) + 1 for block in blocks)
             term = 1
             for block in blocks:
-                term *= weight(block)
-            plain[len(p)] += term
-            # the shifted multinomial of the block sums rides along
-            shifted[len(p)] += term * naive_multinomial(sum(block) + 1 for block in blocks)
-        assert _partition_weight_sums(a, weight) == plain, a
-        assert _partition_weight_sums(a, weight, shifted=True) == shifted, a
+                term *= naive_multinomial(v + 1 for v in block)
+            correction[len(p)] += term
+        assert partitions._SHIFTED_SUMS[a] == tuple(shifted), a
+        assert partitions._CORRECTION_SUMS[a] == tuple(correction), a
 
 
 def test_quote_bounds_long_arguments():

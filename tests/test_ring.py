@@ -248,9 +248,13 @@ def test_clear_coeff_caches_empties_every_memo():
     assert set(snapshot) == {"socle", "correction"}
     # the stderr summary and the benchmark tracer consume plain dicts
     assert all(type(table) is dict and table for table in snapshot.values())
+    assert partitions._CORRECTION_SUMS and oracle._TOP_CACHE
     clear_coeff_caches()
     assert not ring._SPLIT_WEIGHT
     assert not ring._SHIFTED_SUMS
+    # the shared block-DP rows, and the socle table that is the oracle's tops
+    assert not partitions._CORRECTION_SUMS
+    assert not oracle._TOP_CACHE
     assert not ring._BLOCK_CHAINS
     assert not ring._SIGNED_TRUNCATION
     assert not partitions._PARTITIONS_BY_SIZE
@@ -269,6 +273,30 @@ def test_memo_tables_stop_storing_at_the_limit(monkeypatch):
     assert len(oracle._TOP_CACHE) == 2
     clear_coeff_caches()
     oracle._TOP_CACHE.clear()
+
+
+@pytest.mark.parametrize("coeff, table", [(socle_coeff, "_SHIFTED_SUMS"), (correction_coeff, "_CORRECTION_SUMS")])
+def test_a_lookup_past_the_limit_computes_each_sub_row_once(monkeypatch, coeff, table):
+    a = (1,) * 40
+    clear_coeff_caches()
+    expected = coeff(a)
+    rows = getattr(partitions, table)
+    compute, computed = rows.compute, []
+
+    def counted(key, sub_rows):
+        computed.append(key)
+        # without a memo for the lookup, (1,)*40 would take 2**39 rows
+        assert len(computed) <= 41, "a sub-row computed twice"
+        return compute(key, sub_rows)
+
+    monkeypatch.setattr(partitions, "COEFF_CACHE_LIMIT", 0)
+    monkeypatch.setattr(rows, "compute", counted)
+    clear_coeff_caches()
+    assert coeff(a) == expected
+    # one row for each of (1,)*40 .. (), none of them stored
+    assert len(set(computed)) == len(computed)
+    assert not rows
+    clear_coeff_caches()
 
 
 # ---------------------------------------------------------------------------

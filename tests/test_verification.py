@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kapparing import verification
+from kapparing import oracle, partitions, ring, verification
 from kapparing.verification import check_methods_agree
 
 PASSING_KEYS = ["check", "a", "d", "marked", "methods_agree", "pairing_agrees", "product_agrees", "pass"]
@@ -213,3 +213,36 @@ def test_run_ordered_caps_the_pool_at_the_cases_and_the_cpus(monkeypatch, jobs, 
     if cases == 100:
         # the cases go out in chunks, not one by one
         assert chunks[0] > 1
+
+
+@pytest.fixture
+def cold_tables():
+    def clear():
+        ring.clear_coeff_caches()
+        oracle._PAIRINGS.clear()
+
+    clear()
+    yield
+    clear()
+
+
+def add_one(table, key, entry):
+    row = list(table[key])
+    row[entry] += 1
+    table[key] = tuple(row)
+
+
+def failing_checks():
+    return {row.get("check", row.get("identity")) for row in verification.run_suite("all") if not row["pass"]}
+
+
+def test_a_fault_in_the_shared_shifted_row_fails_the_socle_against_algorithm_m(cold_tables):
+    # the ring, closed's chains and the oracle's tops all read the one row,
+    # so the integral by Algorithm M must catch it
+    add_one(partitions._SHIFTED_SUMS, (1, 1, 2), 1)
+    assert "socle_three_paths" in failing_checks()
+
+
+def test_a_fault_in_the_shared_correction_row_fails_a_row(cold_tables):
+    add_one(partitions._CORRECTION_SUMS, (2, 3), 2)
+    assert failing_checks()
