@@ -21,7 +21,7 @@ the cache sizes of this process (not of its pool's workers) go to stderr so
 they cannot perturb the reports.  No state outlives a run: each process
 computes its coefficient tables afresh.  Exit code 0 means success with
 every check passing, 1 a failed check or internal inconsistency (the report
-is still emitted), 2 invalid input.
+is still emitted) or a reader that closed stdout early, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -304,20 +305,25 @@ def main(argv=None) -> int:
     try:
         report, code = handler(args)
     except RankDeficientPairingError as exc:
-        diagnostic = {
+        report, rows_key, code = {
             "command": args.command,
             "error": "rank_deficient_pairing",
             "detail": str(exc),
             "rank": exc.rank,
             "matrix": [[format_rational(x) for x in row] for row in exc.matrix],
-        }
-        emit(diagnostic, getattr(args, "format", "json"))
-        return 1
+        }, None, 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    emit(report, args.format, rows_key)
+    try:
+        emit(report, args.format, rows_key)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: what is left goes to os.devnull,
+        # so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     snapshot = snapshot_coeff_caches()
     print(
         f"done in {time.monotonic() - started:.3f}s; this process's cache: "

@@ -13,9 +13,9 @@ Conventions:
   partition ``{0..k-1}``.  The empty tuple is the unique partition of the
   empty set.
 
-``set_partitions`` builds every partition of {0..k-1} from those of
-{0..k-2} by inserting k-1 into each block in turn and then into a block of
-its own, which is restricted-growth-string order.
+``_splits`` is the one labelled walk: the set partitions of a value tuple's
+positions in restricted-growth-string order, each as its blocks' values.
+``set_partitions(k)`` is its walk of 0..k-1.
 
 The public helpers validate their input.  ``natural`` is the package's one
 integer rule: an integer argument is an ``int``, never a ``bool``, within
@@ -28,14 +28,13 @@ through its blocks' values, so it walks ``multiset_partitions``, one term
 per orbit of splits that agree up to equal values, weighted by the orbit's
 size, or the block DP below: the ring's split weights, chain sums and Faber
 expansions, the oracle's sums and the three partition-sum identities
-(binomial product, tree sum, vanishing) all do.  ``_local_partitions``
-streams the labelled splits of a sorted value tuple in ``set_partitions``
-order, with ``_split_sums`` as the monomial of a split, for the walks where
-positions matter: ``recursive``'s local splits, the labelled reference the
-other methods are checked against, ``kappa_product``'s partitions of the
-positions 0..k-1, which it hands to ``basis_coeff``, and ``refinements``.
-``set_partitions`` itself serves only the table behind ``_local_partitions``
-and the verification rows that print indices.
+(binomial product, tree sum, vanishing) all do.  The labelled walk serves
+the sums where positions matter, with ``_split_sums`` as the monomial of a
+split: ``recursive``'s splits of each block, the labelled reference the
+other methods are checked against, and ``refinements`` take ``_splits`` of
+each block; ``kappa_product``'s partitions of a's positions, which it hands
+to ``basis_coeff``, and the verification rows that print indices take
+``set_partitions``.
 
 ``Memo`` is the package's one memo-table type.  The block DP is two shared
 Memos, ``_SHIFTED_SUMS`` and ``_CORRECTION_SUMS``: by block count, sums over
@@ -133,18 +132,19 @@ def set_partitions(k: int) -> Iterator[SetPartition]:
     The order is restricted-growth-string order (Knuth, TAOCP 4A, 7.2.1.5),
     and the stream never materializes the full Bell-sized family.
     """
-    return _set_partitions(natural(k, "k"))
+    return _splits(tuple(range(natural(k, "k"))))
 
 
-def _set_partitions(k: int) -> Iterator[SetPartition]:
-    """Insert the last element: each partition of {0..k-2} in turn, with k-1
-    put into each of its blocks and then into a block of its own.  Block j
-    is the growth-string value j, so this is growth-string order."""
-    if k == 0:
+def _splits(values: tuple) -> Iterator[tuple[tuple, ...]]:
+    """Stream every set partition of values' positions, as the tuple of its
+    blocks' values: each split of values[:-1] in turn, with the last value
+    put into each of its blocks and then into a block of its own, so block j
+    is growth-string value j.  Positions ascend within a block."""
+    if not values:
         yield ()
         return
-    last = k - 1
-    for p in _set_partitions(last):
+    last = values[-1]
+    for p in _splits(values[:-1]):
         for j, blk in enumerate(p):
             yield p[:j] + (blk + (last,),) + p[j + 1 :]
         yield p + ((last,),)
@@ -283,7 +283,7 @@ def refinements(p: SetPartition) -> Iterator[SetPartition]:
     """
     blocks = [tuple(blk) for blk in p]
     canonical_partition(blocks)
-    for choice in itertools.product(*map(_local_partitions, blocks)):
+    for choice in itertools.product(*map(_splits, blocks)):
         # p's blocks may be unsorted; sorted disjoint sub-blocks order by minimum
         yield tuple(sorted(tuple(sorted(sub)) for local in choice for sub in local))
 
@@ -299,8 +299,7 @@ class Memo(dict):
     ``COEFF_CACHE_LIMIT`` entries, and returns it.
 
     Used as a decorator, it turns the function into the table of its values.
-    ring's clear_coeff_caches() empties every Memo of the package but
-    oracle's pairing columns (_PAIRINGS).
+    ring's clear_coeff_caches() empties every Memo of the package.
     The tables hold deterministic exact values only, so concurrent lookups
     need no lock: at worst two threads compute the same value, and no
     interleaving can store a wrong one.
@@ -396,25 +395,6 @@ def _correction_row(s: Multiset, rows) -> tuple[int, ...]:
 _SHIFTED_SUMS = _Rows(_shifted_row)
 _CORRECTION_SUMS = _Rows(_correction_row)
 _SOCLE = Memo(lambda s: sum((-1) ** (len(s) + m) * w for m, w in enumerate(_SHIFTED_SUMS[s])))
-
-
-# Every set partition of {0..m-1} in ``set_partitions`` order, by m.
-_PARTITIONS_BY_SIZE = Memo(lambda m: tuple(set_partitions(m)))
-
-
-def _local_partitions(values: tuple) -> Iterator[tuple[tuple, ...]]:
-    """Stream every set partition of values' positions in ``set_partitions``
-    order, as the tuple of its blocks' values.
-
-    Positions ascend within a block, so the sorted values every caller
-    passes give sorted blocks.  Applied to every block of p, one split per
-    block makes one refinement of p.  Only up to 8 values go through the shared
-    table: the 21,147 partitions of 9 elements take about 6.5 MB, which the
-    table would hold for the life of the process; longer tuples stream.
-    """
-    m = len(values)
-    parts = _PARTITIONS_BY_SIZE[m] if m <= 8 else set_partitions(m)
-    return (tuple(tuple(values[i] for i in sub) for sub in local) for local in parts)
 
 
 def _split_sums(split: Iterable[tuple]) -> Multiset:

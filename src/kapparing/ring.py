@@ -22,12 +22,12 @@ The expansion coefficient of one basis partition can be computed three ways
 The three must agree; the test suite and the ``reconcile`` sweep enforce it.
 ``basis_coeff`` turns p into its shape, the tuple of its blocks' value
 multisets, once; the methods see block values only.  ``recursive`` splits
-each block with the labelled walk ``partitions._local_partitions``, the
-reference the other methods are checked against; ``ck``'s split weights,
+each block with the labelled walk ``partitions._splits``, the reference
+the other methods are checked against; ``ck``'s split weights,
 closed's per-block chain sums, ``faber_expand`` and ``kappa_to_psi`` walk
 the orbits of ``partitions._multiset_partitions`` instead, each weighted
-by its count of set partitions.  ``kappa_product`` calls ``basis_coeff`` on each
-basis partition of a's positions.
+by its count of set partitions.  ``kappa_product`` calls ``basis_coeff`` on
+each basis partition of a's positions, from ``set_partitions``.
 
 Every coefficient is an integer, and the kernels sum ints: the socle,
 correction and split-weight values, the shifted sums, closed's per-p-block
@@ -54,23 +54,24 @@ from math import prod
 from typing import Iterable, Mapping, Optional, Union
 
 from .numbers import alt_binomial_partial_sum, binomial, factorial, format_rational
+from .oracle import _PAIRINGS
 from .partitions import (
     _CORRECTION_SUMS,
-    _PARTITIONS_BY_SIZE,
     _SHIFTED_SUMS,
     _SOCLE,
     Memo,
     Multiset,
     SetPartition,
-    _local_partitions,
     _multiset_partitions,
     _split_sums,
+    _splits,
     block_sums,
     canonical_partition,
     ground_size,
     kappa_monomial,
     multiset,
     natural,
+    set_partitions,
 )
 
 METHODS = ("recursive", "ck", "closed")
@@ -262,9 +263,9 @@ def _convolve(table: dict, pairs: Iterable) -> dict:
 
 
 def clear_coeff_caches() -> None:
-    """Empty every memo table of the expansion, down to the partition table."""
+    """Empty every memo table of the package, the oracle's pairing columns too."""
     for table in (_SOCLE, _CORRECTION, _SPLIT_WEIGHT, _SHIFTED_SUMS, _CORRECTION_SUMS, _BLOCK_CHAINS,
-                  _SIGNED_TRUNCATION, _PARTITIONS_BY_SIZE):
+                  _SIGNED_TRUNCATION, _PAIRINGS):
         table.clear()
 
 
@@ -336,7 +337,7 @@ def _coeff_recursive(shape: tuple[Multiset, ...], d: int) -> int:
     total = 0
     # q <= p as one local partition per p-block; each local partition is
     # the group of q-blocks that one correction factor regroups
-    for q in itertools.product(*map(_local_partitions, shape)):
+    for q in itertools.product(*map(_splits, shape)):
         if sum(map(len, q)) > d:
             continue
         weight = 1
@@ -439,8 +440,7 @@ def kappa_product(
     if d <= 0:
         return KappaPoly.zero()
     terms: dict[Multiset, Fraction] = {}
-    # the splits of a's positions 0..k-1 are its set partitions, canonical
-    for p in _local_partitions(tuple(range(len(a)))):
+    for p in set_partitions(len(a)):
         if len(p) <= d:
             key = block_sums(p, a)
             terms[key] = terms.get(key, 0) + basis_coeff(p, a, d, method=method)

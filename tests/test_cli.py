@@ -1,4 +1,5 @@
 import contextlib
+import fcntl
 import hashlib
 import io
 import json
@@ -391,3 +392,20 @@ def test_solve_builds_the_pairing_system_once(monkeypatch, capsys):
     assert len(calls) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["matrix"] == {"rows": 4, "cols": 4, "rank": 4}
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs Linux pipe sizing")
+def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_traceback():
+    # a one-page pipe holds only part of the 27,874-byte report, so the solve
+    # is still writing when the reader closes it, whatever the timing
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(read_end, fcntl.F_SETPIPE_SZ, 4096)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    argv = [sys.executable, "-m", "kapparing", "solve", "--a", ",".join("1" * 16), "--marked", "26"]
+    proc = subprocess.Popen(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=REPO)
+    os.close(write_end)
+    assert len(os.read(read_end, 100)) == 100
+    os.close(read_end)
+    _, stderr = proc.communicate(timeout=120)
+    assert (proc.returncode, stderr) == (1, b"")

@@ -505,7 +505,6 @@ def test_the_solve_reads_its_tops_from_the_socle_table_and_the_integral_does_not
             key = tuple(sorted(map(sum, blocks)))
             expected[key] = expected.get(key, 0) + count * basis_coeff(p, a, d, method="ck")
     ring.clear_coeff_caches()
-    oracle._PAIRINGS.clear()
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "integrate_kappa_top", raising)
         solved = solve_coeffs_by_pairing(a, n)

@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 
 from kapparing import partitions
 from kapparing.partitions import (
-    _PARTITIONS_BY_SIZE,
-    _local_partitions,
+    _splits,
     bell,
     block_sums,
     block_sum_vector,
@@ -47,12 +46,13 @@ LOCAL_VALUES = {"repeats": (1, 1, 2, 2, 2, 3, 3, 5, 5), "distinct": (1, 2, 3, 4,
 @pytest.mark.parametrize("values", LOCAL_VALUES.values(), ids=LOCAL_VALUES.keys())
 @pytest.mark.parametrize("m", range(10))
 def test_local_partitions_are_the_labelled_value_splits_in_order(values, m):
-    # sizes 0-9 cross the switch from the shared table (up to 8) to streaming
+    # each block's local splits, as _splits walks them
     values = values[:m]
-    splits = list(_local_partitions(values))
+    splits = list(_splits(values))
     assert splits == [tuple(tuple(values[i] for i in blk) for blk in p) for p in rgs_partitions(m)]
     assert all(list(blk) == sorted(blk) for split in splits for blk in split)
-    assert (m in _PARTITIONS_BY_SIZE) == (m <= 8)
+    # set_partitions is the same walk of the positions themselves
+    assert list(set_partitions(m)) == list(_splits(tuple(range(m))))
 
 
 def test_empty_ground_set_has_one_partition():

@@ -240,9 +240,8 @@ def test_clear_coeff_caches_empties_every_memo():
     clear_coeff_caches()
     assert split_weight((1, 1, 2), 2) == split_weight([2, 1, 1], 2)
     basis_coeff(((0, 1, 2),), (1, 1, 2), 2, method="closed")
-    # only recursive's labelled walk fills the per-size partition table
-    basis_coeff(((0, 1, 2),), (1, 1, 2), 2, method="recursive")
-    assert ring._SPLIT_WEIGHT and ring._SHIFTED_SUMS and partitions._PARTITIONS_BY_SIZE
+    oracle.solve_coeffs_by_pairing((1, 1, 2), 8)
+    assert ring._SPLIT_WEIGHT and ring._SHIFTED_SUMS and oracle._PAIRINGS
     assert ring._BLOCK_CHAINS and ring._SIGNED_TRUNCATION
     snapshot = snapshot_coeff_caches()
     assert set(snapshot) == {"socle", "correction"}
@@ -257,7 +256,7 @@ def test_clear_coeff_caches_empties_every_memo():
     assert not oracle._TOP_CACHE
     assert not ring._BLOCK_CHAINS
     assert not ring._SIGNED_TRUNCATION
-    assert not partitions._PARTITIONS_BY_SIZE
+    assert not oracle._PAIRINGS
     assert snapshot_coeff_caches() == {"socle": {}, "correction": {}}
 
 
@@ -405,7 +404,7 @@ def test_value_only_sums_walk_orbits_not_labelled_splits(monkeypatch, a):
     def labelled(values):
         raise AssertionError("labelled walk")
 
-    monkeypatch.setattr(ring, "_local_partitions", labelled)
+    monkeypatch.setattr(ring, "_splits", labelled)
     clear_coeff_caches()
     block = (tuple(range(len(a))),)
     assert split_weight(a, 3)

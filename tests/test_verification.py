@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kapparing import oracle, partitions, ring, verification
+from kapparing import partitions, ring, verification
 from kapparing.verification import check_methods_agree
 
 PASSING_KEYS = ["check", "a", "d", "marked", "methods_agree", "pairing_agrees", "product_agrees", "pass"]
@@ -217,13 +217,9 @@ def test_run_ordered_caps_the_pool_at_the_cases_and_the_cpus(monkeypatch, jobs, 
 
 @pytest.fixture
 def cold_tables():
-    def clear():
-        ring.clear_coeff_caches()
-        oracle._PAIRINGS.clear()
-
-    clear()
+    ring.clear_coeff_caches()
     yield
-    clear()
+    ring.clear_coeff_caches()
 
 
 def add_one(table, key, entry):
