@@ -33,7 +33,7 @@ from math import prod
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .numbers import binomial, factorial, falling_factorial, format_rational, multinomial
-from .partitions import _multiset_partitions, _split_sums, kappa_monomial, multiset, natural, stirling2
+from .partitions import _multiset_partitions, _split_sums, _stirling_row, kappa_monomial, multiset, natural
 from .ring import _CORRECTION, _SOCLE
 
 
@@ -173,7 +173,8 @@ def _check_tree_sum(a: Iterable[int], k: int) -> IdentityReport:
 
 
 def _check_stirling_alternating(n: int) -> IdentityReport:
-    lhs = sum((-1) ** k * factorial(k - 1) * stirling2(n, k) for k in range(1, natural(n, "n", 1) + 1))
+    row = _stirling_row(natural(n, "n", 1), n)
+    lhs = sum((-1) ** k * factorial(k - 1) * row[k] for k in range(1, n + 1))
     rhs = -1 if n == 1 else 0
     return IdentityReport(
         identity="stirling_alternating",

@@ -26,9 +26,9 @@ kappa monomials, and ``quote`` bounds the argument every error message
 echoes.  A value-only sum over set partitions depends on a split only
 through its blocks' values, so it walks ``multiset_partitions``, one term
 per orbit of splits that agree up to equal values, weighted by the orbit's
-size, or the block DP below: the ring's split weights, chain sums and Faber
+size, or the block DP below: the ring's split weights and Faber
 expansions, the oracle's sums and the three partition-sum identities
-(binomial product, tree sum, vanishing) all do.  The labelled walk serves
+(binomial product, tree sum, vanishing) walk orbits.  The labelled walk serves
 the sums where positions matter, with ``_split_sums`` as the monomial of a
 split: ``recursive``'s splits of each block, the labelled reference the
 other methods are checked against, and ``refinements`` take ``_splits`` of
@@ -36,18 +36,18 @@ each block; ``kappa_product``'s partitions of a's positions, which it hands
 to ``basis_coeff``, and the verification rows that print indices take
 ``set_partitions``.
 
-``Memo`` is the package's one memo-table type.  The block DP is two shared
-Memos, ``_SHIFTED_SUMS`` and ``_CORRECTION_SUMS``: by block count, sums over
-set partitions of per-block weights.  A row depends on its multiset alone,
-so each table builds the row of s from its own rows of s minus each block
-holding s's first position (Stanley, EC2 5.1), once per process.
-``_SOCLE``, the ring's socle and the oracle's tops, sums the first.
+``Memo`` is the package's one memo-table type.  The block DP is three shared
+Memos of sums over set partitions by block count: ``_SHIFTED_SUMS``, and
+``_chain_row``'s ``_CHAIN_SUMS`` and ``_CORRECTION_SUMS``.  A row depends on
+its multiset alone, so each table builds the row of s from its own rows of s
+minus each block holding s's first position (Stanley, EC2 5.1), once per
+process.  ``_SOCLE``, the ring's socle and the oracle's tops, sums the first.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial, prod
 from typing import Iterable, Iterator, Optional
 
@@ -378,22 +378,32 @@ def _shifted_row(s: Multiset, rows) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _correction_row(s: Multiset, rows) -> tuple[int, ...]:
-    """Entry m: the sum, over the set partitions of s's positions into m
-    blocks, of the product of the blocks' multinomial(v + 1 for v in B)."""
+def _chain_row(weights, s: Multiset, rows) -> tuple[tuple[tuple[int, int], int], ...]:
+    """Pairs ((j, i), w): w sums (j - 1)! times the product of the blocks'
+    weights over the set partitions of s's positions into j blocks, where a
+    block B weighs v at m for each (m, v) of weights(B) and the m add up to
+    i.  Adding B to a partition of s \\ B with j blocks turns (j - 1)! into j!."""
     if not s:
-        return (1,)
-    out = [0] * (len(s) + 1)
+        return (((0, 0), 1),)
+    out: dict[tuple[int, int], int] = {}
     for block, rest, ways in _first_blocks(s):
-        ways *= factorial(sum(block) + len(block)) // prod(factorial(v + 1) for v in block)
-        for m, w in enumerate(rows[rest], 1):
-            out[m] += ways * w
-    return tuple(out)
+        terms = [(m, ways * v) for m, v in weights(block) if v]
+        for (j, i), w in rows[rest]:
+            w *= j or 1
+            for m, v in terms:
+                key = j + 1, i + m
+                out[key] = out.get(key, 0) + w * v
+    return tuple(out.items())
 
 
 # The block DP's shared tables, and the socle, the signed sum of the shifted row.
+# closed's chain rows weigh a block by its shifted row, the correction rows by
+# that row's top entry, at len(B): the multinomial of B's entries plus one.
 _SHIFTED_SUMS = _Rows(_shifted_row)
-_CORRECTION_SUMS = _Rows(_correction_row)
+_CHAIN_SUMS = _Rows(partial(_chain_row, lambda b: enumerate(_SHIFTED_SUMS[b])))
+_CORRECTION_SUMS = _Rows(
+    partial(_chain_row, lambda b: ((len(b), factorial(sum(b) + len(b)) // prod(factorial(v + 1) for v in b)),))
+)
 _SOCLE = Memo(lambda s: sum((-1) ** (len(s) + m) * w for m, w in enumerate(_SHIFTED_SUMS[s])))
 
 
@@ -439,16 +449,20 @@ def stirling2(n: int, k: int) -> int:
     """Number of partitions of an n-set into exactly k nonempty blocks."""
     natural(n, "n")
     natural(k, "k")
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    return _stirling_row(n, k)[k] if k <= n else 0
+
+
+def _stirling_row(n: int, k: int) -> list[int]:
+    """stirling2(n, j) for j = 0..k, row by row from n = 0, not by recursion."""
+    row = [1] + [0] * k
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row
 
 
 def bell(n: int) -> int:
     """Number of partitions of an n-set."""
-    return sum(stirling2(n, k) for k in range(natural(n, "n") + 1))
+    return sum(_stirling_row(natural(n, "n"), n))
 
 
 def index_multisets(

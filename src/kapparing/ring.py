@@ -24,9 +24,9 @@ The three must agree; the test suite and the ``reconcile`` sweep enforce it.
 multisets, once; the methods see block values only.  ``recursive`` splits
 each block with the labelled walk ``partitions._splits``, the reference
 the other methods are checked against; ``ck``'s split weights,
-closed's per-block chain sums, ``faber_expand`` and ``kappa_to_psi`` walk
-the orbits of ``partitions._multiset_partitions`` instead, each weighted
-by its count of set partitions.  ``kappa_product`` calls ``basis_coeff`` on
+``faber_expand`` and ``kappa_to_psi`` walk the orbits of
+``partitions._multiset_partitions`` instead, each weighted by its count of
+set partitions.  ``kappa_product`` calls ``basis_coeff`` on
 each basis partition of a's positions, from ``set_partitions``.
 
 Every coefficient is an integer, and the kernels sum ints: the socle,
@@ -34,8 +34,8 @@ correction and split-weight values, the shifted sums, closed's per-p-block
 chain sums and its signed truncation factors are int ``Memo`` tables (see
 :mod:`kapparing.partitions`), which the loops index directly;
 ``clear_coeff_caches`` empties them.  ``Fraction`` appears only in
-the public functions' results.  The shifted sums, the socle and the
-correction rows are the block DP's shared tables in ``partitions``.
+the public functions' results.  The shifted sums, the socle, the chain
+sums and the correction rows are the block DP's tables in ``partitions``.
 
 The closed form's truncation factor has two candidate conventions (see
 ``TRUNCATION_VARIANTS``).  ``partial_sum`` evaluates the truncated
@@ -56,6 +56,7 @@ from typing import Iterable, Mapping, Optional, Union
 from .numbers import alt_binomial_partial_sum, binomial, factorial, format_rational
 from .oracle import _PAIRINGS
 from .partitions import (
+    _CHAIN_SUMS,
     _CORRECTION_SUMS,
     _SHIFTED_SUMS,
     _SOCLE,
@@ -200,15 +201,15 @@ def correction_coeff(a: Iterable[int]) -> Fraction:
     return Fraction(_CORRECTION[a] if a else 1)
 
 
-# Memo tables of the correction coefficients, the split weights and closed's
-# chain sums, keyed by canonical monomials, which the internal loops build and
-# index without validating again; closed's signed truncation factors are keyed
-# by (truncation, k, d).  Every value is an int or a tuple built of ints.
+# Memo tables of the correction coefficients and the split weights, keyed by
+# canonical monomials, which the internal loops build and index without
+# validating again; closed's signed truncation factors are keyed by
+# (truncation, k, d).  Every value is an int or a tuple built of ints.
 @Memo
 def _CORRECTION(a: KappaMonomial) -> int:
     """correction_coeff by canonical monomial, trusted nonempty: the sum
     has no term for the empty multiset, which correction_coeff answers."""
-    return sum((-1) ** (len(a) + m) * factorial(m - 1) * w for m, w in enumerate(_CORRECTION_SUMS[a]) if w)
+    return sum((-1) ** (len(a) + j) * w for (j, _), w in _CORRECTION_SUMS[a])
 
 
 @Memo
@@ -219,24 +220,6 @@ def _SPLIT_WEIGHT(a: KappaMonomial) -> tuple[int, ...]:
     for q, count in _multiset_partitions(a):
         weights[len(q) - 1] += count * _group_weight(q)
     return tuple(weights)
-
-
-@Memo
-def _BLOCK_CHAINS(values: KappaMonomial) -> tuple[tuple[tuple[int, int], int], ...]:
-    """closed's chains t <= r inside one p-block with these values, grouped
-    by (len(r), len(t)): the pairs ((j, i), w) where w sums, over the splits
-    r of the block into j r-blocks, (j - 1)! times the sum over the
-    refinements t <= r with i t-blocks of the product of the r-blocks'
-    multinomials.  The splits r come orbit by orbit, each convolving its
-    r-blocks' ``_SHIFTED_SUMS`` once, times its count of set partitions."""
-    chains: dict[tuple[int, int], int] = {}
-    for r, count in _multiset_partitions(values):
-        table = {(len(r), 0): count * factorial(len(r) - 1)}
-        for block in r:
-            table = _convolve(table, tuple(((0, i), w) for i, w in enumerate(_SHIFTED_SUMS[block]) if w))
-        for key, weight in table.items():
-            chains[key] = chains.get(key, 0) + weight
-    return tuple(chains.items())
 
 
 @Memo
@@ -251,20 +234,9 @@ def _SIGNED_TRUNCATION(key: tuple[str, int, int]) -> tuple[tuple[int, ...], ...]
     )
 
 
-def _convolve(table: dict, pairs: Iterable) -> dict:
-    """The product of two weight tables keyed by (len(r), len(t)): counts add
-    and weights multiply; ``pairs`` is iterated once per entry of ``table``."""
-    product: dict[tuple[int, int], int] = {}
-    for (len_r, len_t), weight in table.items():
-        for (more_r, more_t), more in pairs:
-            key = (len_r + more_r, len_t + more_t)
-            product[key] = product.get(key, 0) + weight * more
-    return product
-
-
 def clear_coeff_caches() -> None:
     """Empty every memo table of the package, the oracle's pairing columns too."""
-    for table in (_SOCLE, _CORRECTION, _SPLIT_WEIGHT, _SHIFTED_SUMS, _CORRECTION_SUMS, _BLOCK_CHAINS,
+    for table in (_SOCLE, _CORRECTION, _SPLIT_WEIGHT, _SHIFTED_SUMS, _CORRECTION_SUMS, _CHAIN_SUMS,
                   _SIGNED_TRUNCATION, _PAIRINGS):
         table.clear()
 
@@ -373,13 +345,18 @@ def _coeff_closed(shape: tuple[Multiset, ...], d: int, truncation: str) -> int:
     factorials is a multinomial and every term is an integer.  r is chosen
     blockwise in p and t blockwise in r, and the sign and truncation factor
     depend on the chain only through (len(r), len(t)).  So each p-block's
-    chains enter summed by (r-block count, t-block count), as its
-    ``_BLOCK_CHAINS`` table; the product of those tables over p's blocks is
+    chains enter summed by (r-block count, t-block count), as its block-DP
+    row in ``_CHAIN_SUMS``; the product of those rows over p's blocks is
     summed against the signed factors of ``_SIGNED_TRUNCATION``.
     """
     table = {(0, 0): 1}
     for values in shape:
-        table = _convolve(table, _BLOCK_CHAINS[values])
+        # the product of the rows so far and this block's: counts add, weights multiply
+        row, so_far, table = _CHAIN_SUMS[values], table, {}
+        for (len_r, len_t), weight in so_far.items():
+            for (more_r, more_t), more in row:
+                key = len_r + more_r, len_t + more_t
+                table[key] = table.get(key, 0) + weight * more
     signed = _SIGNED_TRUNCATION[truncation, sum(map(len, shape)), d]
     return sum(signed[len_r][len_t] * weight for (len_r, len_t), weight in table.items())
 

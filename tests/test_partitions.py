@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -218,6 +219,13 @@ def test_stirling_numbers():
         assert stirling2(n, n) == 1
         for k in range(n + 2):
             assert stirling2(n, k) == naive_stirling2(n, k)
+    # past the interpreter's default recursion depth
+    assert stirling2(3000, 2) == 2**2999 - 1
+    # B(n + 1) = sum_k C(n, k) B(k)
+    bells = [1]
+    for n in range(600):
+        bells.append(sum(math.comb(n, k) * b for k, b in enumerate(bells)))
+    assert bell(600) == bells[600]
 
 
 @given(st.integers(1, 12), st.integers(0, 13))
@@ -317,16 +325,19 @@ def test_multiset_partitions_collapse_repeated_values():
 )
 def test_shared_row_tables_match_the_labelled_sums_by_block_count(cases):
     for a in cases:
-        shifted, correction = [0] * (len(a) + 1), [0] * (len(a) + 1)
+        shifted, correction = [0] * (len(a) + 1), {}
         for p in naive_set_partitions(range(len(a))):
             blocks = [[a[i] for i in block] for block in p]
             shifted[len(p)] += naive_multinomial(sum(block) + 1 for block in blocks)
-            term = 1
+            # (len(p) - 1)! times the blocks' multinomials, keyed by
+            # (block count, the blocks' entry count)
+            term = math.factorial(len(p) - 1)
             for block in blocks:
                 term *= naive_multinomial(v + 1 for v in block)
-            correction[len(p)] += term
+            correction[len(p), len(a)] = correction.get((len(p), len(a)), 0) + term
         assert partitions._SHIFTED_SUMS[a] == tuple(shifted), a
-        assert partitions._CORRECTION_SUMS[a] == tuple(correction), a
+        row = partitions._CORRECTION_SUMS[a]
+        assert len(dict(row)) == len(row) and dict(row) == correction, a
 
 
 def test_quote_bounds_long_arguments():

@@ -242,7 +242,7 @@ def test_clear_coeff_caches_empties_every_memo():
     basis_coeff(((0, 1, 2),), (1, 1, 2), 2, method="closed")
     oracle.solve_coeffs_by_pairing((1, 1, 2), 8)
     assert ring._SPLIT_WEIGHT and ring._SHIFTED_SUMS and oracle._PAIRINGS
-    assert ring._BLOCK_CHAINS and ring._SIGNED_TRUNCATION
+    assert partitions._CHAIN_SUMS and ring._SIGNED_TRUNCATION
     snapshot = snapshot_coeff_caches()
     assert set(snapshot) == {"socle", "correction"}
     # the stderr summary and the benchmark tracer consume plain dicts
@@ -254,7 +254,7 @@ def test_clear_coeff_caches_empties_every_memo():
     # the shared block-DP rows, and the socle table that is the oracle's tops
     assert not partitions._CORRECTION_SUMS
     assert not oracle._TOP_CACHE
-    assert not ring._BLOCK_CHAINS
+    assert not partitions._CHAIN_SUMS
     assert not ring._SIGNED_TRUNCATION
     assert not oracle._PAIRINGS
     assert snapshot_coeff_caches() == {"socle": {}, "correction": {}}
@@ -274,7 +274,15 @@ def test_memo_tables_stop_storing_at_the_limit(monkeypatch):
     oracle._TOP_CACHE.clear()
 
 
-@pytest.mark.parametrize("coeff, table", [(socle_coeff, "_SHIFTED_SUMS"), (correction_coeff, "_CORRECTION_SUMS")])
+def one_block_closed(a):
+    # closed's coefficient of the one-block partition reads a's chain row
+    return basis_coeff((tuple(range(len(a))),), a, 3, method="closed")
+
+
+@pytest.mark.parametrize(
+    "coeff, table",
+    [(socle_coeff, "_SHIFTED_SUMS"), (correction_coeff, "_CORRECTION_SUMS"), (one_block_closed, "_CHAIN_SUMS")],
+)
 def test_a_lookup_past_the_limit_computes_each_sub_row_once(monkeypatch, coeff, table):
     a = (1,) * 40
     clear_coeff_caches()
@@ -377,8 +385,8 @@ def test_kernel_tables_hold_ints_and_public_values_are_fractions():
         assert type(sums) is tuple and len(sums) == len(values) + 1
         assert all(type(weight) is int for weight in sums)
     # one weight per (len(r), len(t)), and a signed factor per pair up to k
-    assert ring._BLOCK_CHAINS
-    for chains in ring._BLOCK_CHAINS.values():
+    assert partitions._CHAIN_SUMS and partitions._CORRECTION_SUMS
+    for chains in (*partitions._CHAIN_SUMS.values(), *partitions._CORRECTION_SUMS.values()):
         assert all(type(j) is int and type(i) is int and type(weight) is int for (j, i), weight in chains)
     assert ring._SIGNED_TRUNCATION
     for (truncation, k, d), signed in ring._SIGNED_TRUNCATION.items():
@@ -415,7 +423,15 @@ def test_value_only_sums_walk_orbits_not_labelled_splits(monkeypatch, a):
     clear_coeff_caches()
 
 
-@pytest.mark.parametrize("values", [(1,) * m for m in range(1, 8)] + list(index_multisets(5, max_entry=3)))
+BLOCK_CHAIN_CASES = [(1,) * m for m in range(1, 8)] + list(index_multisets(5, max_entry=3))
+
+
+@pytest.mark.parametrize(
+    "values",
+    BLOCK_CHAIN_CASES
+    + [values for values in index_multisets(6, max_entry=4) if values not in BLOCK_CHAIN_CASES]
+    + [(1,) * 8, (1, 2, 3, 4, 5, 6, 7)],
+)
 def test_block_chains_sum_the_chains_inside_one_block(values):
     # every chain t <= r of the block's positions, grouped by (len(r), len(t))
     walked = {}
@@ -426,7 +442,7 @@ def test_block_chains_sum_the_chains_inside_one_block(values):
                 weight *= naive_multinomial(sum(values[i] for i in blk) + 1 for blk in local)
             key = (len(r), sum(map(len, t_locals)))
             walked[key] = walked.get(key, 0) + weight
-    chains = ring._BLOCK_CHAINS[values]
+    chains = partitions._CHAIN_SUMS[values]
     assert len({key for key, _ in chains}) == len(chains)
     assert dict(chains) == walked, values
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -228,17 +229,31 @@ def add_one(table, key, entry):
     table[key] = tuple(row)
 
 
-def failing_checks():
-    return {row.get("check", row.get("identity")) for row in verification.run_suite("all") if not row["pass"]}
+def add_one_at(table, key, at):
+    """+1 at the pair keyed ``at`` of a row of ((j, i), w) pairs."""
+    row = dict(table[key])
+    row[at] += 1
+    table[key] = tuple(row.items())
+
+
+def failing_counts():
+    return Counter(row.get("check", row.get("identity")) for row in verification.run_suite("all") if not row["pass"])
 
 
 def test_a_fault_in_the_shared_shifted_row_fails_the_socle_against_algorithm_m(cold_tables):
     # the ring, closed's chains and the oracle's tops all read the one row,
     # so the integral by Algorithm M must catch it
     add_one(partitions._SHIFTED_SUMS, (1, 1, 2), 1)
-    assert "socle_three_paths" in failing_checks()
+    assert "socle_three_paths" in failing_counts()
 
 
 def test_a_fault_in_the_shared_correction_row_fails_a_row(cold_tables):
-    add_one(partitions._CORRECTION_SUMS, (2, 3), 2)
-    assert failing_checks()
+    # the two-block entry of (2, 3)'s correction row
+    add_one_at(partitions._CORRECTION_SUMS, (2, 3), (2, 2))
+    assert failing_counts() == {"vanishing": 35, "method_agreement": 18, "reconcile_summary": 1}
+
+
+def test_a_fault_in_the_chain_row_fails_the_method_agreement(cold_tables):
+    # only closed reads the chain rows, so the other methods must catch it
+    add_one_at(partitions._CHAIN_SUMS, (2, 3), (2, 2))
+    assert failing_counts() == {"method_agreement": 5, "reconcile_summary": 1}
