@@ -32,9 +32,10 @@ expansions, the oracle's sums and the three partition-sum identities
 the sums where positions matter, with ``_split_sums`` as the monomial of a
 split: ``recursive``'s splits of each block, the labelled reference the
 other methods are checked against, and ``refinements`` take ``_splits`` of
-each block; ``kappa_product``'s partitions of a's positions, which it hands
-to ``basis_coeff``, and the verification rows that print indices take
-``set_partitions``.
+each block; ``recursive``'s ``kappa_product`` and the verification rows
+that print indices take ``set_partitions``.  ``kappa_product`` by ``ck``
+and ``closed`` takes ``_first_block_paths``: the set partitions with at
+most d blocks up to equal values, each path weighted by its count.
 
 ``Memo`` is the package's one memo-table type.  The block DP is three shared
 Memos of sums over set partitions by block count: ``_SHIFTED_SUMS``, and
@@ -343,22 +344,71 @@ class _Lookup(dict):
         return value
 
 
-def _first_blocks(s: Multiset) -> Iterator[tuple[Multiset, Multiset, int]]:
-    """Each block B that holds s's first position, as (B, s \\ B, ways): B takes
-    t_0 >= 1 of the c_0 copies of s's first value, that position among them,
-    and t_j of the c_j copies of each larger value, in C(c_0 - 1, t_0 - 1) *
-    prod C(c_j, t_j) labelled ways.  s is trusted canonical and nonempty, and
-    B and s \\ B, joined from slices of it, are canonical too."""
-    starts = [0] + [i for i in range(1, len(s)) if s[i] != s[i - 1]]
-    # each value's run s[i:j] and its first cut, which leaves s[0] in B
-    runs = [(i, max(i, 1), j) for i, j in zip(starts, starts[1:] + [len(s)])]
-    for cuts in itertools.product(*(range(lo, j + 1) for _, lo, j in runs)):
-        block, rest, ways = (), (), 1
-        for (i, lo, j), cut in zip(runs, cuts):
-            block += s[i:cut]
-            rest += s[cut:j]
-            ways *= comb(j - lo, cut - lo)
-        yield block, rest, ways
+def _first_blocks(s: Multiset, at: Optional[tuple] = None) -> list[tuple[int, tuple, tuple, int]]:
+    """Each block B that holds s's first position, as (sum(B), B's entries
+    of ``at``, the rest's entries of ``at``, ways); ``at`` is a tuple
+    aligned with s, s itself by default, which gives (sum(B), B, s \\ B, ways).
+
+    B takes t_0 >= 1 of the c_0 copies of s's first value, that position
+    among them, and t_j of the c_j copies of each larger value, in
+    C(c_0 - 1, t_0 - 1) * prod C(c_j, t_j) labelled ways.  It takes each
+    value's first copies, so B and s \\ B, joined from slices of s, are
+    canonical.  Each run of one value extends the blocks built from the
+    runs before it.  s is trusted canonical and nonempty."""
+    if at is None:
+        at = s
+    out = [(0, (), (), 1)]
+    i = 0
+    while i < len(s):
+        j = i + 1
+        while j < len(s) and s[j] == s[i]:
+            j += 1
+        # the run s[i:j] of one value; its first cut leaves s[0] in B
+        value, lo = s[i], max(i, 1)
+        out = [
+            (total + value * (cut - i), block + at[i:cut], rest + at[cut:j], ways * comb(j - lo, cut - lo))
+            for total, block, rest, ways in out
+            for cut in range(lo, j + 1)
+        ]
+        i = j
+    return out
+
+
+def _first_block_paths(
+    a: Multiset, d: int, at: Optional[tuple[int, ...]] = None
+) -> Iterator[tuple[SetPartition, tuple[int, ...], int]]:
+    """The set partitions of the positions ``at`` of a (all of them by
+    default) into at most d blocks, up to equal values, as (blocks, sums, ways).
+
+    A path cuts off a block that holds the first position left, as
+    ``_first_blocks`` does, and walks what is left; its d-th block takes
+    everything.  ``blocks`` are its blocks of positions, in canonical
+    order, ``sums`` their value sums and ``ways`` the product of the cuts'
+    labelled counts.  Each set partition orders its blocks by least
+    position and is counted by exactly one path: the one whose blocks have
+    its blocks' values.  So the ways of the paths of one shape, the
+    multiset of the blocks' value multisets, add up to its count of set
+    partitions, and all of them to sum(stirling2(len(a), j) for j <= d).
+    a is trusted canonical, and d >= 1."""
+    if at is None:
+        at = tuple(range(len(a)))
+    if not at:
+        yield (), (), 1
+        return
+    values = tuple(map(a.__getitem__, at))
+    if d == 1:
+        yield (at,), (sum(values),), 1
+        return
+    total = sum(values)
+    for block_sum, block, rest, ways in _first_blocks(values, at):
+        if not rest:
+            yield (block,), (block_sum,), ways
+        elif d == 2:
+            # the last block, inline: a generator per path costs more than the path
+            yield (block, rest), (block_sum, total - block_sum), ways
+        else:
+            for blocks, sums, more in _first_block_paths(a, d - 1, rest):
+                yield (block,) + blocks, (block_sum,) + sums, ways * more
 
 
 def _shifted_row(s: Multiset, rows) -> tuple[int, ...]:
@@ -371,8 +421,8 @@ def _shifted_row(s: Multiset, rows) -> tuple[int, ...]:
         return (1,)
     out = [0] * (len(s) + 1)
     total = sum(s)
-    for block, rest, ways in _first_blocks(s):
-        shift = sum(block) + 1
+    for block_sum, _, rest, ways in _first_blocks(s):
+        shift = block_sum + 1
         for m, w in enumerate(rows[rest], 1):
             out[m] += ways * comb(total + m, shift) * w
     return tuple(out)
@@ -381,13 +431,13 @@ def _shifted_row(s: Multiset, rows) -> tuple[int, ...]:
 def _chain_row(weights, s: Multiset, rows) -> tuple[tuple[tuple[int, int], int], ...]:
     """Pairs ((j, i), w): w sums (j - 1)! times the product of the blocks'
     weights over the set partitions of s's positions into j blocks, where a
-    block B weighs v at m for each (m, v) of weights(B) and the m add up to
-    i.  Adding B to a partition of s \\ B with j blocks turns (j - 1)! into j!."""
+    block B weighs v at m for each (m, v) of weights(B, s \\ B) and the m add
+    up to i.  Adding B to a partition of s \\ B with j blocks turns (j - 1)! into j!."""
     if not s:
         return (((0, 0), 1),)
     out: dict[tuple[int, int], int] = {}
-    for block, rest, ways in _first_blocks(s):
-        terms = [(m, ways * v) for m, v in weights(block) if v]
+    for _, block, rest, ways in _first_blocks(s):
+        terms = [(m, ways * v) for m, v in weights(block, rest) if v]
         for (j, i), w in rows[rest]:
             w *= j or 1
             for m, v in terms:
@@ -396,14 +446,36 @@ def _chain_row(weights, s: Multiset, rows) -> tuple[tuple[tuple[int, int], int],
     return tuple(out.items())
 
 
+def _shifted_multinomial(s: Multiset) -> int:
+    """multinomial(s + 1), of s's entries each plus one."""
+    return factorial(sum(s) + len(s)) // prod(factorial(v + 1) for v in s)
+
+
+def _correction_row(s: Multiset, rows) -> tuple[tuple[tuple[int, int], int], ...]:
+    """``_chain_row`` with a block B weighing multinomial(B + 1) at len(B).
+    Splitting s's shifted entries into B's and the rest R's gives
+    multinomial(s + 1) = C(sum(s) + len(s), sum(B) + len(B)) * multinomial(B + 1)
+    * multinomial(R + 1), and R's is the last pair of R's row, its one-block
+    term.  So B's weight is a quotient of values at hand, and each row
+    computes one multinomial, its own."""
+    if not s:
+        return (((0, 0), 1),)
+    top, size = _shifted_multinomial(s), sum(s) + len(s)
+
+    def weights(block, rest):
+        if not rest:
+            return ((len(block), top),)
+        return ((len(block), top // (comb(size, sum(block) + len(block)) * rows[rest][-1][1])),)
+
+    return _chain_row(weights, s, rows)
+
+
 # The block DP's shared tables, and the socle, the signed sum of the shifted row.
 # closed's chain rows weigh a block by its shifted row, the correction rows by
-# that row's top entry, at len(B): the multinomial of B's entries plus one.
+# multinomial(B + 1) at len(B), which is also that row's top entry.
 _SHIFTED_SUMS = _Rows(_shifted_row)
-_CHAIN_SUMS = _Rows(partial(_chain_row, lambda b: enumerate(_SHIFTED_SUMS[b])))
-_CORRECTION_SUMS = _Rows(
-    partial(_chain_row, lambda b: ((len(b), factorial(sum(b) + len(b)) // prod(factorial(v + 1) for v in b)),))
-)
+_CHAIN_SUMS = _Rows(partial(_chain_row, lambda block, rest: enumerate(_SHIFTED_SUMS[block])))
+_CORRECTION_SUMS = _Rows(_correction_row)
 _SOCLE = Memo(lambda s: sum((-1) ** (len(s) + m) * w for m, w in enumerate(_SHIFTED_SUMS[s])))
 
 

@@ -26,8 +26,10 @@ each block with the labelled walk ``partitions._splits``, the reference
 the other methods are checked against; ``ck``'s split weights,
 ``faber_expand`` and ``kappa_to_psi`` walk the orbits of
 ``partitions._multiset_partitions`` instead, each weighted by its count of
-set partitions.  ``kappa_product`` calls ``basis_coeff`` on
-each basis partition of a's positions, from ``set_partitions``.
+set partitions.  ``kappa_product`` calls ``basis_coeff`` once per term:
+by ``recursive`` on each basis partition of a's positions, from
+``set_partitions``; by ``ck`` and ``closed`` on one partition per path of
+``partitions._first_block_paths``, times the path's labelled count.
 
 Every coefficient is an integer, and the kernels sum ints: the socle,
 correction and split-weight values, the shifted sums, closed's per-p-block
@@ -63,6 +65,7 @@ from .partitions import (
     Memo,
     Multiset,
     SetPartition,
+    _first_block_paths,
     _multiset_partitions,
     _split_sums,
     _splits,
@@ -410,6 +413,12 @@ def kappa_product(
     of block sums, aggregated over equal monomials.  Every surviving monomial
     has degree sum(a) and at most d indices.  An unknown method is rejected
     in every degree.
+
+    A term depends on p only through its blocks' value multisets.
+    ``recursive``, the labelled reference, walks ``set_partitions(len(a))``;
+    ``ck`` and ``closed`` add ways * basis_coeff(p) over the paths of
+    ``_first_block_paths(a, d)``: 67 terms for twelve 1s at d = 3, where
+    Bell(12) is 4,213,597.
     """
     _check_method(method)
     a = kappa_monomial(a)
@@ -417,10 +426,17 @@ def kappa_product(
     if d <= 0:
         return KappaPoly.zero()
     terms: dict[Multiset, Fraction] = {}
-    for p in set_partitions(len(a)):
-        if len(p) <= d:
-            key = block_sums(p, a)
-            terms[key] = terms.get(key, 0) + basis_coeff(p, a, d, method=method)
+    if method == "recursive":
+        for p in set_partitions(len(a)):
+            if len(p) <= d:
+                key = block_sums(p, a)
+                terms[key] = terms.get(key, 0) + basis_coeff(p, a, d, method=method)
+    else:
+        for p, sums, ways in _first_block_paths(a, d):
+            key = tuple(sorted(sums))
+            term = basis_coeff(p, a, d, method=method)
+            # a Fraction product costs microseconds, and distinct values have ways 1
+            terms[key] = terms.get(key, 0) + (term if ways == 1 else ways * term)
     return KappaPoly(terms)
 
 

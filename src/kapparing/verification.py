@@ -62,8 +62,11 @@ def check_methods_agree(a: Iterable[int], d: int, poly: KappaPoly | None = None,
     Compares recursive/ck/closed per basis partition (``walk`` if given, from
     ``_basis_values``), then aggregates equal block-sum monomials and compares
     against the coefficients recovered from stratum pairings alone and against
-    kappa_product itself (``poly`` if given).  A failing row also lists the
-    values that disagree: ``method_mismatches`` and ``monomial_mismatches``.
+    kappa_product itself (``poly`` if given).  The product by ``closed`` walks
+    the first-block paths, not the labelled partitions aggregated here, so
+    ``product_agrees`` checks one walk against the other.  A failing row also
+    lists the values that disagree: ``method_mismatches`` and
+    ``monomial_mismatches``.
     """
     a, d = multiset(a), natural(d, "d", 1)
     n = sum(a) + d + 2

@@ -60,6 +60,11 @@ def as_block_sets(partition):
     return frozenset(frozenset(block) for block in partition)
 
 
+def value_shape(partition, a):
+    """The sorted tuple of a partition's blocks' sorted values in a."""
+    return tuple(sorted(tuple(sorted(a[i] for i in block)) for block in partition))
+
+
 def naive_stirling2(n, k):
     return sum(1 for p in naive_set_partitions(range(n)) if len(p) == k)
 

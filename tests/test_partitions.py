@@ -33,6 +33,7 @@ from bruteforce import (
     naive_set_partitions,
     naive_stirling2,
     rgs_partitions,
+    value_shape,
 )
 
 
@@ -319,6 +320,29 @@ def test_multiset_partitions_collapse_repeated_values():
         multiset_partitions((1, -1))
 
 
+@pytest.mark.parametrize("length", range(7))
+def test_first_block_paths_count_each_set_partition_once(length):
+    # entries 1..3, so every length mixes repeated and distinct values
+    for a in itertools.combinations_with_replacement((1, 2, 3), length):
+        for d in range(1, length + 2):
+            walked = Counter()
+            for p, sums, ways in partitions._first_block_paths(a, d):
+                assert p == canonical_partition(p) and ground_size(p) == length and len(p) <= d
+                assert sums == block_sum_vector(p, a)
+                walked[value_shape(p, a)] += ways
+            assert walked == Counter(value_shape(p, a) for p in set_partitions(length) if len(p) <= d), (a, d)
+
+
+def test_first_block_paths_ways_add_up_to_the_stirling_numbers():
+    for a in [*index_multisets(6, max_entry=3), (1,) * 12, (1, 1, 2, 2, 3, 3, 4)]:
+        for d in range(1, len(a) + 2):
+            total = sum(ways for *_, ways in partitions._first_block_paths(a, d))
+            assert total == sum(stirling2(len(a), j) for j in range(1, d + 1)), (a, d)
+    # twelve 1s at d = 3: 88,574 set partitions, one path per composition
+    # of 12 into at most 3 parts
+    assert sum(1 for _ in partitions._first_block_paths((1,) * 12, 3)) == 1 + 11 + 55
+
+
 @pytest.mark.parametrize(
     "cases",
     [list(index_multisets(n, max_entry=4, min_len=n)) for n in range(1, 7)] + [[(1,) * 9, (1, 2, 3, 4, 5, 6, 7)]],
@@ -338,6 +362,8 @@ def test_shared_row_tables_match_the_labelled_sums_by_block_count(cases):
         assert partitions._SHIFTED_SUMS[a] == tuple(shifted), a
         row = partitions._CORRECTION_SUMS[a]
         assert len(dict(row)) == len(row) and dict(row) == correction, a
+        # the one-block term comes last, where a larger row reads it
+        assert row[-1] == ((1, len(a)), naive_multinomial(v + 1 for v in a)), a
 
 
 def test_quote_bounds_long_arguments():

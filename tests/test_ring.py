@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from bruteforce import (
     naive_set_partitions,
     naive_socle,
     naive_trunc,
+    value_shape,
 )
 
 
@@ -73,7 +75,9 @@ def test_kappa_monomial_validation():
 
 
 def test_kappa_product_calls_basis_coeff_once_per_basis_partition(monkeypatch):
-    # the product's per-partition work is reachable through basis_coeff
+    # the product's per-partition work is reachable through basis_coeff:
+    # recursive once per labelled partition, ck and closed once per path of
+    # the first-block walk, whose ways make up each shape's labelled count
     calls = []
 
     def recording(p, a, d, method):
@@ -81,8 +85,38 @@ def test_kappa_product_calls_basis_coeff_once_per_basis_partition(monkeypatch):
         return basis_coeff(p, a, d, method=method)
 
     monkeypatch.setattr(ring, "basis_coeff", recording)
-    kappa_product((2, 1, 1), 0, 8, method="ck")
-    assert calls == [(p, (1, 1, 2), 2, "ck") for p in set_partitions(3) if len(p) <= 2]
+    a, d = (1, 1, 1, 2, 2, 3), 3
+    labelled = [p for p in set_partitions(len(a)) if len(p) <= d]
+    paths = list(partitions._first_block_paths(a, d))
+    assert len(paths) < len(labelled)
+    walked = Counter()
+    for p, _, ways in paths:
+        walked[value_shape(p, a)] += ways
+    assert walked == Counter(value_shape(p, a) for p in labelled)
+    for method in METHODS:
+        calls.clear()
+        kappa_product((2, 3, 1, 2, 1, 1), 0, sum(a) + d + 2, method=method)
+        walk = labelled if method == "recursive" else [p for p, _, _ in paths]
+        assert calls == [(p, a, d, method) for p in walk]
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_orbit_walked_products_equal_the_labelled_recursive_product(d):
+    for a in index_multisets(6, max_entry=3):
+        labelled = kappa_product(a, 0, sum(a) + d + 2, method="recursive")
+        for method in ("ck", "closed"):
+            for genus in (0, 1):
+                assert kappa_product(a, genus, sum(a) + d + 2 - 2 * genus, method=method) == labelled, (a, method)
+
+
+@pytest.mark.parametrize("method", ["ck", "closed"])
+def test_twelve_ones_at_d_three_match_the_pairing_oracle(method):
+    # the pairing solve shares no walk with the product: it recovers every
+    # coefficient from stratum integrals alone
+    solved = oracle.solve_coeffs_by_pairing((1,) * 12, 17)
+    product = kappa_product((1,) * 12, 0, 17, method=method)
+    assert product == KappaPoly(solved)
+    assert len(product.terms) == 19
 
 
 def test_kappa_product_rejects_negative_genus_or_markings():
@@ -198,6 +232,35 @@ def test_correction_coeff_values():
     assert correction_coeff((1, 1)) == -5
     assert correction_coeff((1, 2)) == -9
     assert correction_coeff(()) == 1
+
+
+def test_each_correction_row_computes_one_multinomial(monkeypatch):
+    # (1,)*60 meets 1,830 (row, first block) pairs but only sixty distinct
+    # blocks; each row computes its own multinomial once, and a block's
+    # weight is a quotient of that and its rest's
+    calls = []
+    shifted = partitions._shifted_multinomial
+
+    def counting(s):
+        calls.append(s)
+        return shifted(s)
+
+    monkeypatch.setattr(partitions, "_shifted_multinomial", counting)
+    clear_coeff_caches()
+    value = correction_coeff((1,) * 60)
+    assert sorted(calls) == [(1,) * m for m in range(1, 61)]
+    clear_coeff_caches()
+    # by block count j: the set partitions of n ones, the first block of b
+    # ones in C(n - 1, b - 1) ways and weighing (2b)! / 2**b
+    n = 60
+    by_blocks = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
+    for size in range(1, n + 1):
+        for j in range(1, size + 1):
+            by_blocks[size][j] = sum(
+                math.comb(size - 1, b - 1) * (math.factorial(2 * b) // 2**b) * by_blocks[size - b][j - 1]
+                for b in range(1, size + 1)
+            )
+    assert value == sum((-1) ** (n + j) * math.factorial(j - 1) * by_blocks[n][j] for j in range(1, n + 1))
 
 
 @pytest.mark.parametrize("a", list(index_multisets(6, max_sum=9)))

@@ -257,3 +257,26 @@ def test_a_fault_in_the_chain_row_fails_the_method_agreement(cold_tables):
     # only closed reads the chain rows, so the other methods must catch it
     add_one_at(partitions._CHAIN_SUMS, (2, 3), (2, 2))
     assert failing_counts() == {"method_agreement": 5, "reconcile_summary": 1}
+
+
+def test_a_fault_in_the_first_block_walk_fails_the_product_against_the_labelled_sum(monkeypatch, cold_tables):
+    # kappa_product by closed walks the first-block paths, and
+    # _basis_values the labelled partitions, so doubling the ways of every
+    # path with two or more blocks must show in the product column alone
+    walk = partitions._first_block_paths
+
+    def doubled(a, d):
+        for p, sums, ways in walk(a, d):
+            yield p, sums, 2 * ways if len(p) >= 2 else ways
+
+    monkeypatch.setattr(ring, "_first_block_paths", doubled)
+    rows = [row for row in verification.run_suite("all") if not row["pass"]]
+    assert Counter(row.get("check", row.get("identity")) for row in rows) == {
+        "method_agreement": 57,
+        "pinned_product": 1,
+    }
+    assert all(
+        row["methods_agree"] and row["pairing_agrees"] and not row["product_agrees"]
+        for row in rows
+        if row["check"] == "method_agreement"
+    )
