@@ -322,7 +322,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader closed stdout early: what is left goes to os.devnull,
         # so the flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     snapshot = snapshot_coeff_caches()
     print(

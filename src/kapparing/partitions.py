@@ -37,18 +37,18 @@ that print indices take ``set_partitions``.  ``kappa_product`` by ``ck``
 and ``closed`` takes ``_first_block_paths``: the set partitions with at
 most d blocks up to equal values, each path weighted by its count.
 
-``Memo`` is the package's one memo-table type.  The block DP is three shared
-Memos of sums over set partitions by block count: ``_SHIFTED_SUMS``, and
-``_chain_row``'s ``_CHAIN_SUMS`` and ``_CORRECTION_SUMS``.  A row depends on
-its multiset alone, so each table builds the row of s from its own rows of s
-minus each block holding s's first position (Stanley, EC2 5.1), once per
-process.  ``_SOCLE``, the ring's socle and the oracle's tops, sums the first.
+``Memo`` is the package's one memo-table type; a full one empties itself.
+The block DP is three shared Memos of sums over set partitions by block
+count: ``_SHIFTED_SUMS``, and ``_chain_sums``' ``_CHAIN_SUMS`` and
+``_CORRECTION_SUMS``.  A row depends on its multiset alone, so each table
+builds the row of s from its own rows of s minus each block holding s's
+first position (Stanley, EC2 5.1), once per process.  ``_SOCLE``, the
+ring's socle and the oracle's tops, sums the first.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, partial
 from math import comb, factorial, prod
 from typing import Iterable, Iterator, Optional
 
@@ -289,21 +289,22 @@ def refinements(p: SetPartition) -> Iterator[SetPartition]:
         yield tuple(sorted(tuple(sorted(sub)) for local in choice for sub in local))
 
 
-# The size limit of every memo table, so a long sweep cannot grow one without
-# bound; a lookup past it is computed and returned but not stored.
+# The size limit of every Memo, so that a long sweep cannot grow one without bound
 COEFF_CACHE_LIMIT = 1_000_000
 
 
 class Memo(dict):
     """A memo table: looking up a missing key computes its value with
-    ``compute(key)``, stores it while the table holds fewer than
-    ``COEFF_CACHE_LIMIT`` entries, and returns it.
+    ``compute(key)``, stores it, and returns it.  A table that already holds
+    ``COEFF_CACHE_LIMIT`` entries is emptied first, so none grows past the
+    limit and none stops caching for good.
 
     Used as a decorator, it turns the function into the table of its values.
     ring's clear_coeff_caches() empties every Memo of the package.
     The tables hold deterministic exact values only, so concurrent lookups
     need no lock: at worst two threads compute the same value, and no
-    interleaving can store a wrong one.
+    interleaving can store a wrong one.  A table emptied in the middle of a
+    lookup only costs its rows again: a row, once read, is a local value.
     """
 
     __slots__ = ("compute",)
@@ -314,33 +315,9 @@ class Memo(dict):
 
     def __missing__(self, key):
         value = self.compute(key)
-        if len(self) < COEFF_CACHE_LIMIT:
-            self[key] = value
-        return value
-
-
-class _Rows(Memo):
-    """A Memo of rows by canonical multiset whose ``compute(s, rows)`` reads
-    the rows of s's sub-multisets from ``rows``: the table itself or, once it
-    is full, a memo of that one lookup, so each sub-row is still computed once."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        value = self.compute(key, self if len(self) < COEFF_CACHE_LIMIT else _Lookup(self))
-        if len(self) < COEFF_CACHE_LIMIT:
-            self[key] = value
-        return value
-
-
-class _Lookup(dict):
-    """One lookup's rows past a full ``_Rows`` table: the table's, or computed here."""
-
-    def __init__(self, table: _Rows):
-        self.table = table
-
-    def __missing__(self, key):
-        value = self[key] = self.table.get(key) or self.table.compute(key, self)
+        if len(self) >= COEFF_CACHE_LIMIT:
+            self.clear()
+        self[key] = value
         return value
 
 
@@ -411,7 +388,7 @@ def _first_block_paths(
                 yield (block,) + blocks, (block_sum,) + sums, ways * more
 
 
-def _shifted_row(s: Multiset, rows) -> tuple[int, ...]:
+def _shifted_row(s: Multiset) -> tuple[int, ...]:
     """Entry m: the sum, over the set partitions of s's positions into m
     blocks, of the shifted multinomial of the block sums, multinomial(s_B + 1).
     A split of sum R into m blocks has (R + m)! / prod (s_B + 1)!: its first
@@ -423,27 +400,33 @@ def _shifted_row(s: Multiset, rows) -> tuple[int, ...]:
     total = sum(s)
     for block_sum, _, rest, ways in _first_blocks(s):
         shift = block_sum + 1
-        for m, w in enumerate(rows[rest], 1):
+        for m, w in enumerate(_SHIFTED_SUMS[rest], 1):
             out[m] += ways * comb(total + m, shift) * w
     return tuple(out)
 
 
-def _chain_row(weights, s: Multiset, rows) -> tuple[tuple[tuple[int, int], int], ...]:
-    """Pairs ((j, i), w): w sums (j - 1)! times the product of the blocks'
-    weights over the set partitions of s's positions into j blocks, where a
-    block B weighs v at m for each (m, v) of weights(B, s \\ B) and the m add
-    up to i.  Adding B to a partition of s \\ B with j blocks turns (j - 1)! into j!."""
-    if not s:
-        return (((0, 0), 1),)
-    out: dict[tuple[int, int], int] = {}
-    for _, block, rest, ways in _first_blocks(s):
-        terms = [(m, ways * v) for m, v in weights(block, rest) if v]
-        for (j, i), w in rows[rest]:
-            w *= j or 1
-            for m, v in terms:
-                key = j + 1, i + m
-                out[key] = out.get(key, 0) + w * v
-    return tuple(out.items())
+def _chain_sums(weights) -> Memo:
+    """The Memo of chain rows by canonical multiset s.  s's row is the pairs
+    ((j, i), w): w sums (j - 1)! times the product of the blocks' weights
+    over the set partitions of s's positions into j blocks, where a block B
+    weighs v at m for each (m, v) of weights(s)(B, s \\ B) and the m add up
+    to i.  Adding B to a partition of s \\ B with j blocks turns (j - 1)! into j!."""
+
+    def chain_row(s: Multiset) -> tuple[tuple[tuple[int, int], int], ...]:
+        if not s:
+            return (((0, 0), 1),)
+        weigh, out = weights(s), {}
+        for _, block, rest, ways in _first_blocks(s):
+            terms = [(m, ways * v) for m, v in weigh(block, rest) if v]
+            for (j, i), w in rows[rest]:
+                w *= j or 1
+                for m, v in terms:
+                    key = j + 1, i + m
+                    out[key] = out.get(key, 0) + w * v
+        return tuple(out.items())
+
+    rows = Memo(chain_row)
+    return rows
 
 
 def _shifted_multinomial(s: Multiset) -> int:
@@ -451,31 +434,25 @@ def _shifted_multinomial(s: Multiset) -> int:
     return factorial(sum(s) + len(s)) // prod(factorial(v + 1) for v in s)
 
 
-def _correction_row(s: Multiset, rows) -> tuple[tuple[tuple[int, int], int], ...]:
-    """``_chain_row`` with a block B weighing multinomial(B + 1) at len(B).
-    Splitting s's shifted entries into B's and the rest R's gives
+def _correction_weights(s: Multiset):
+    """The correction rows' weights in s: a block B weighs multinomial(B + 1)
+    at len(B).  Splitting s's shifted entries into B's and the rest R's gives
     multinomial(s + 1) = C(sum(s) + len(s), sum(B) + len(B)) * multinomial(B + 1)
     * multinomial(R + 1), and R's is the last pair of R's row, its one-block
     term.  So B's weight is a quotient of values at hand, and each row
-    computes one multinomial, its own."""
-    if not s:
-        return (((0, 0), 1),)
+    computes one multinomial, its own.  B = s leaves R empty, and both divisors 1."""
     top, size = _shifted_multinomial(s), sum(s) + len(s)
-
-    def weights(block, rest):
-        if not rest:
-            return ((len(block), top),)
-        return ((len(block), top // (comb(size, sum(block) + len(block)) * rows[rest][-1][1])),)
-
-    return _chain_row(weights, s, rows)
+    return lambda block, rest: (
+        (len(block), top // (comb(size, sum(block) + len(block)) * _CORRECTION_SUMS[rest][-1][1])),
+    )
 
 
 # The block DP's shared tables, and the socle, the signed sum of the shifted row.
 # closed's chain rows weigh a block by its shifted row, the correction rows by
 # multinomial(B + 1) at len(B), which is also that row's top entry.
-_SHIFTED_SUMS = _Rows(_shifted_row)
-_CHAIN_SUMS = _Rows(partial(_chain_row, lambda block, rest: enumerate(_SHIFTED_SUMS[block])))
-_CORRECTION_SUMS = _Rows(_correction_row)
+_SHIFTED_SUMS = Memo(_shifted_row)
+_CHAIN_SUMS = _chain_sums(lambda s: lambda block, rest: enumerate(_SHIFTED_SUMS[block]))
+_CORRECTION_SUMS = _chain_sums(_correction_weights)
 _SOCLE = Memo(lambda s: sum((-1) ** (len(s) + m) * w for m, w in enumerate(_SHIFTED_SUMS[s])))
 
 
@@ -515,13 +492,15 @@ def block_values(p: SetPartition, a: Multiset, j: int) -> Multiset:
     return multiset(a[i] for i in p[j])
 
 
-# typed, so that 2.0 or True never hits the entry cached for 2 or 1
-@lru_cache(maxsize=None, typed=True)
 def stirling2(n: int, k: int) -> int:
     """Number of partitions of an n-set into exactly k nonempty blocks."""
     natural(n, "n")
     natural(k, "k")
     return _stirling_row(n, k)[k] if k <= n else 0
+
+
+# stirling2 keeps no cache, but perfbench/run.py still resets its former lru_cache
+stirling2.cache_clear = lambda: None
 
 
 def _stirling_row(n: int, k: int) -> list[int]:

@@ -87,19 +87,18 @@ KappaMonomial = Multiset
 class _Combination:
     """A finite formal sum of monomial keys with exact rational coefficients.
 
+    Keys equal up to order name one monomial, so their coefficients add up.
     Zero coefficients are never stored; equality is term-by-term.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Mapping[Multiset, Union[int, Fraction]]] = None):
-        cleaned: dict[Multiset, Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    cleaned[multiset(key)] = coeff
-        self.terms = cleaned
+        summed: dict[Multiset, Fraction] = {}
+        for key, coeff in (terms or {}).items():
+            key, coeff = multiset(key), Fraction(coeff)
+            summed[key] = summed[key] + coeff if key in summed else coeff
+        self.terms = {key: coeff for key, coeff in summed.items() if coeff}
 
     @classmethod
     def zero(cls):

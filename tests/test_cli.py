@@ -394,6 +394,22 @@ def test_solve_builds_the_pairing_system_once(monkeypatch, capsys):
     assert report["matrix"] == {"rows": 4, "cols": 4, "rank": 4}
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/fd")
+def test_an_in_process_broken_pipe_leaks_no_file_descriptor(monkeypatch):
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(["product", "--a", "1,1", "--marked", "5"]) == 1
+        monkeypatch.undo()
+    # main pointed the pipe's descriptor at os.devnull, which the close above shut
+    assert open_fds() == before
+
+
 @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs Linux pipe sizing")
 def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_traceback():
     # a one-page pipe holds only part of the 27,874-byte report, so the solve

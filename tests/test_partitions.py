@@ -229,6 +229,14 @@ def test_stirling_numbers():
     assert bell(600) == bells[600]
 
 
+def test_stirling2_keeps_no_cache():
+    # a cache here would grow without bound, out of clear_coeff_caches' reach;
+    # cache_clear is a no-op that perfbench/run.py's reset still calls
+    assert not hasattr(stirling2, "cache_info")
+    assert stirling2.cache_clear() is None
+    assert stirling2(6, 3) == naive_stirling2(6, 3) == 90
+
+
 @given(st.integers(1, 12), st.integers(0, 13))
 def test_stirling_recurrence(n, k):
     if 1 <= k:

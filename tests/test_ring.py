@@ -47,6 +47,13 @@ def test_kappa_poly_drops_zero_coefficients():
     assert not KappaPoly.zero()
 
 
+@pytest.mark.parametrize("cls", [KappaPoly, PsiPoly])
+def test_keys_equal_up_to_order_add_their_coefficients(cls):
+    assert cls({(1, 2): 1, (2, 1): 1}).terms == {(1, 2): Fraction(2)}
+    assert cls({(1, 2): 1, (2, 1): -1}) == cls.zero()
+    assert cls({(2, 1): 3, (1, 2): -1, (3,): 0}).terms == {(1, 2): Fraction(2)}
+
+
 def test_kappa_poly_algebra():
     p = KappaPoly.monomial((1, 2), 2)
     q = KappaPoly.monomial((2, 1), -2) + KappaPoly.monomial((3,))
@@ -323,18 +330,23 @@ def test_clear_coeff_caches_empties_every_memo():
     assert snapshot_coeff_caches() == {"socle": {}, "correction": {}}
 
 
-def test_memo_tables_stop_storing_at_the_limit(monkeypatch):
+def memo_tables():
+    return [table for module in (partitions, ring, oracle) for table in vars(module).values()
+            if isinstance(table, partitions.Memo)]
+
+
+def test_memo_tables_empty_themselves_when_full(monkeypatch):
     monkeypatch.setattr(partitions, "COEFF_CACHE_LIMIT", 2)
     clear_coeff_caches()
-    oracle._TOP_CACHE.clear()
-    for b in ((1, 1), (1, 2), (2, 2, 3)):
+    for b in ((1, 1), (1, 2), (2, 2, 3), (1, 1, 2, 3)):
         assert socle_coeff(b) == naive_socle(b)
         # one component of dimension sum(b) takes all of b: its top evaluation
         assert oracle.pair_kappa_stratum(b, (sum(b),)) == oracle.integrate_kappa_top(b, sum(b) + 3)
-    assert len(ring._SOCLE) == 2
-    assert len(oracle._TOP_CACHE) == 2
+        assert correction_coeff(b) == naive_correction(b)
+        assert max(map(len, memo_tables())) <= 2
+    # a full table empties itself and keeps caching: the last lookup is stored
+    assert (1, 1, 2, 3) in ring._SOCLE
     clear_coeff_caches()
-    oracle._TOP_CACHE.clear()
 
 
 def one_block_closed(a):
@@ -342,30 +354,43 @@ def one_block_closed(a):
     return basis_coeff((tuple(range(len(a))),), a, 3, method="closed")
 
 
-@pytest.mark.parametrize(
-    "coeff, table",
-    [(socle_coeff, "_SHIFTED_SUMS"), (correction_coeff, "_CORRECTION_SUMS"), (one_block_closed, "_CHAIN_SUMS")],
-)
-def test_a_lookup_past_the_limit_computes_each_sub_row_once(monkeypatch, coeff, table):
+ROW_TABLES = [(socle_coeff, "_SHIFTED_SUMS"), (correction_coeff, "_CORRECTION_SUMS"), (one_block_closed, "_CHAIN_SUMS")]
+
+
+@pytest.mark.parametrize("coeff, table", ROW_TABLES)
+def test_a_table_of_exactly_its_rows_computes_each_row_once(monkeypatch, coeff, table):
     a = (1,) * 40
     clear_coeff_caches()
     expected = coeff(a)
     rows = getattr(partitions, table)
     compute, computed = rows.compute, []
 
-    def counted(key, sub_rows):
+    def counted(key):
         computed.append(key)
-        # without a memo for the lookup, (1,)*40 would take 2**39 rows
-        assert len(computed) <= 41, "a sub-row computed twice"
-        return compute(key, sub_rows)
+        # a table that emptied itself mid-lookup would recompute rows, and
+        # without the recursion's table (1,)*40 would take 2**39 rows
+        assert len(computed) <= 41, "a row computed twice"
+        return compute(key)
 
-    monkeypatch.setattr(partitions, "COEFF_CACHE_LIMIT", 0)
+    # the 41 rows of (1,)*40 .. () fill the table without emptying it
+    monkeypatch.setattr(partitions, "COEFF_CACHE_LIMIT", 41)
     monkeypatch.setattr(rows, "compute", counted)
     clear_coeff_caches()
     assert coeff(a) == expected
-    # one row for each of (1,)*40 .. (), none of them stored
-    assert len(set(computed)) == len(computed)
-    assert not rows
+    assert sorted(computed) == [(1,) * m for m in range(41)]
+    assert len(rows) == 41
+    clear_coeff_caches()
+
+
+@pytest.mark.parametrize("coeff, table", ROW_TABLES)
+def test_tables_that_empty_mid_lookup_give_the_same_values(monkeypatch, coeff, table):
+    a = (1,) * 8
+    clear_coeff_caches()
+    expected = coeff(a)
+    monkeypatch.setattr(partitions, "COEFF_CACHE_LIMIT", 3)
+    clear_coeff_caches()
+    assert coeff(a) == expected
+    assert len(getattr(partitions, table)) <= 3
     clear_coeff_caches()
 
 
