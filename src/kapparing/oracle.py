@@ -8,17 +8,14 @@ psi integrals over the multiset partitions of the indices
 partitions), pairings against boundary strata from distributing kappa
 indices over stratum components, each component's top evaluation read from
 the socle table that :mod:`kapparing.partitions` shares, and expansion
-coefficients from the resulting exact linear system.  A monomial pairs
-nonzero only with the strata whose dimensions coarsen it, so in (length,
-lex) order the system is upper triangular with diagonal prod_v c_v! (c_v
-copies of index v), and only a's coarsenings can have nonzero
-coefficients.  ``pairing_system`` keeps just those as unknowns and reads
-each column off one walk of a monomial's multiset partitions, which yields
-every stratum it fills with the pairing; a column does not depend on n, so
-``_PAIRINGS`` keeps one walk per monomial per process.  ``solve_pairing_system`` substitutes back in
-integers over one common denominator; ``pair_kappa_stratum`` pairs one
-stratum by a dynamic program over its components.  Agreement with the ring
-module is therefore a genuine cross-check, not a tautology.
+coefficients from the resulting exact linear system, which
+``pairing_system`` restricts to a's coarsenings and
+``solve_pairing_system`` substitutes back in integers.  Its columns do not
+depend on n: they are rows of the shared socle-split table, each built once
+per process by ``_PAIRINGS``.  ``pair_kappa_stratum`` pairs one stratum by
+a dynamic program over its components.  ``ck``'s split weights read the same rows, but
+``recursive`` and ``closed`` do not, so agreement with the ring module is a
+genuine cross-check, not a tautology.
 
 A boundary stratum of the genus-zero space is a tree of components; by the
 perfect-pairing structure of its Chow ring, the pairing of a kappa-ring class
@@ -37,7 +34,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .numbers import multinomial
 from .partitions import Memo, Multiset, SetPartition, block_sums, ground_size, multiset, natural
-from .partitions import _SOCLE, _multiset_partitions, _split_sums, kappa_monomial
+from .partitions import _SOCLE, _SOCLE_SPLITS, _multiset_partitions, kappa_monomial
 
 DimensionSequence = Multiset
 
@@ -238,22 +235,14 @@ def _partition_count(total: int, max_parts: int) -> int:
 
 def _pairings(mu: Multiset) -> Mapping[Multiset, int]:
     """``pair_kappa_stratum(mu, dims)`` at every dims that mu's indices can
-    fill, from one walk of mu's multiset partitions: a partition with count
-    set partitions adds count * prod_B top(B) at its block sums, and each
-    total is then multiplied by prod_e m_e!, the ways its m_e blocks of sum e
-    go to the m_e distinct components of dimension e.  The map is read-only,
-    since :data:`_PAIRINGS` hands the same one to every caller."""
-    totals: dict[Multiset, int] = {}
-    for blocks, count in _multiset_partitions(mu):
-        dims = _split_sums(blocks)
-        totals[dims] = totals.get(dims, 0) + count * prod(_TOP_CACHE[block] for block in blocks)
-    for dims, total in totals.items():
-        totals[dims] = total * prod(factorial(dims.count(e)) for e in set(dims))
-    return MappingProxyType(totals)
+    fill: mu's socle-split row at dims times prod_e m_e!, the ways its m_e
+    blocks of sum e go to the m_e distinct components of dimension e.  The
+    map is read-only, since :data:`_PAIRINGS` hands it to every caller."""
+    return MappingProxyType(
+        {dims: total * prod(factorial(dims.count(e)) for e in set(dims)) for dims, total in _SOCLE_SPLITS[mu]}
+    )
 
 
-# mu's pairing column, by monomial: it does not depend on n, so each
-# monomial is walked once per process.
 _PAIRINGS = Memo(_pairings)
 
 

@@ -26,9 +26,9 @@ kappa monomials, and ``quote`` bounds the argument every error message
 echoes.  A value-only sum over set partitions depends on a split only
 through its blocks' values, so it walks ``multiset_partitions``, one term
 per orbit of splits that agree up to equal values, weighted by the orbit's
-size, or the block DP below: the ring's split weights and Faber
-expansions, the oracle's sums and the three partition-sum identities
-(binomial product, tree sum, vanishing) walk orbits.  The labelled walk serves
+size, or the block DP below: the ring's Faber expansions, the oracle's
+integral and the three partition-sum identities (binomial product, tree
+sum, vanishing) walk orbits.  The labelled walk serves
 the sums where positions matter, with ``_split_sums`` as the monomial of a
 split: ``recursive``'s splits of each block, the labelled reference the
 other methods are checked against, and ``refinements`` take ``_splits`` of
@@ -38,12 +38,12 @@ and ``closed`` takes ``_first_block_paths``: the set partitions with at
 most d blocks up to equal values, each path weighted by its count.
 
 ``Memo`` is the package's one memo-table type; a full one empties itself.
-The block DP is three shared Memos of sums over set partitions by block
-count: ``_SHIFTED_SUMS``, and ``_chain_sums``' ``_CHAIN_SUMS`` and
-``_CORRECTION_SUMS``.  A row depends on its multiset alone, so each table
-builds the row of s from its own rows of s minus each block holding s's
-first position (Stanley, EC2 5.1), once per process.  ``_SOCLE``, the
-ring's socle and the oracle's tops, sums the first.
+The block DP is four shared Memos of sums over set partitions: by block
+count ``_SHIFTED_SUMS``, ``_chain_sums``' ``_CHAIN_SUMS`` and
+``_CORRECTION_SUMS``, and by block sums ``_SOCLE_SPLITS``.  A row depends on
+its multiset alone, so each table builds the row of s from its own rows of
+s minus each block holding s's first position (Stanley, EC2 5.1), once per
+process.  ``_SOCLE`` sums the first; ``_SOCLE_SPLITS`` weighs a block by it.
 """
 
 from __future__ import annotations
@@ -447,6 +447,21 @@ def _correction_weights(s: Multiset):
     )
 
 
+def _socle_split_row(s: Multiset) -> tuple[tuple[Multiset, int], ...]:
+    """The pairs (sums, w): w sums prod _SOCLE[B] over the set partitions of
+    s's positions with sorted block sums ``sums``.  ck's split weights and
+    the oracle's pairing columns read these rows."""
+    if not s:
+        return (((), 1),)
+    out = {}
+    for block_sum, block, rest, ways in _first_blocks(s):
+        weight = ways * _SOCLE[block]
+        for sums, w in _SOCLE_SPLITS[rest]:
+            key = tuple(sorted(sums + (block_sum,)))
+            out[key] = out.get(key, 0) + weight * w
+    return tuple(out.items())
+
+
 # The block DP's shared tables, and the socle, the signed sum of the shifted row.
 # closed's chain rows weigh a block by its shifted row, the correction rows by
 # multinomial(B + 1) at len(B), which is also that row's top entry.
@@ -454,6 +469,7 @@ _SHIFTED_SUMS = Memo(_shifted_row)
 _CHAIN_SUMS = _chain_sums(lambda s: lambda block, rest: enumerate(_SHIFTED_SUMS[block]))
 _CORRECTION_SUMS = _chain_sums(_correction_weights)
 _SOCLE = Memo(lambda s: sum((-1) ** (len(s) + m) * w for m, w in enumerate(_SHIFTED_SUMS[s])))
+_SOCLE_SPLITS = Memo(_socle_split_row)
 
 
 def _split_sums(split: Iterable[tuple]) -> Multiset:

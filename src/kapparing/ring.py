@@ -23,21 +23,21 @@ The three must agree; the test suite and the ``reconcile`` sweep enforce it.
 ``basis_coeff`` turns p into its shape, the tuple of its blocks' value
 multisets, once; the methods see block values only.  ``recursive`` splits
 each block with the labelled walk ``partitions._splits``, the reference
-the other methods are checked against; ``ck``'s split weights,
+the other methods are checked against; ``ck``'s split weights contract a
+row of the block DP's ``_SOCLE_SPLITS`` with the correction values, and
 ``faber_expand`` and ``kappa_to_psi`` walk the orbits of
-``partitions._multiset_partitions`` instead, each weighted by its count of
-set partitions.  ``kappa_product`` calls ``basis_coeff`` once per term:
+``partitions._multiset_partitions``, each weighted by its count of set
+partitions.  ``kappa_product`` calls ``basis_coeff`` once per term:
 by ``recursive`` on each basis partition of a's positions, from
 ``set_partitions``; by ``ck`` and ``closed`` on one partition per path of
 ``partitions._first_block_paths``, times the path's labelled count.
 
 Every coefficient is an integer, and the kernels sum ints: the socle,
-correction and split-weight values, the shifted sums, closed's per-p-block
-chain sums and its signed truncation factors are int ``Memo`` tables (see
-:mod:`kapparing.partitions`), which the loops index directly;
-``clear_coeff_caches`` empties them.  ``Fraction`` appears only in
-the public functions' results.  The shifted sums, the socle, the chain
-sums and the correction rows are the block DP's tables in ``partitions``.
+correction and split-weight values, closed's signed truncation factors and
+the block DP's rows in :mod:`kapparing.partitions` (shifted sums, chain
+sums, correction rows, socle splits) are int ``Memo`` tables, which the
+loops index directly; ``clear_coeff_caches`` empties them.  ``Fraction``
+appears only in the public functions' results.
 
 The closed form's truncation factor has two candidate conventions (see
 ``TRUNCATION_VARIANTS``).  ``partial_sum`` evaluates the truncated
@@ -62,6 +62,7 @@ from .partitions import (
     _CORRECTION_SUMS,
     _SHIFTED_SUMS,
     _SOCLE,
+    _SOCLE_SPLITS,
     Memo,
     Multiset,
     SetPartition,
@@ -216,11 +217,11 @@ def _CORRECTION(a: KappaMonomial) -> int:
 
 @Memo
 def _SPLIT_WEIGHT(a: KappaMonomial) -> tuple[int, ...]:
-    """split_weight of a canonical monomial for every block count, in one
-    walk of its orbits: entry k - 1 is the weight of the splits into k blocks."""
+    """split_weight of a canonical monomial for every block count: entry
+    k - 1 contracts a's socle-split row at k blocks with the correction."""
     weights = [0] * len(a)
-    for q, count in _multiset_partitions(a):
-        weights[len(q) - 1] += count * _group_weight(q)
+    for sums, w in _SOCLE_SPLITS[a]:
+        weights[len(sums) - 1] += w * _CORRECTION[sums]
     return tuple(weights)
 
 
@@ -239,7 +240,7 @@ def _SIGNED_TRUNCATION(key: tuple[str, int, int]) -> tuple[tuple[int, ...], ...]
 def clear_coeff_caches() -> None:
     """Empty every memo table of the package, the oracle's pairing columns too."""
     for table in (_SOCLE, _CORRECTION, _SPLIT_WEIGHT, _SHIFTED_SUMS, _CORRECTION_SUMS, _CHAIN_SUMS,
-                  _SIGNED_TRUNCATION, _PAIRINGS):
+                  _SOCLE_SPLITS, _SIGNED_TRUNCATION, _PAIRINGS):
         table.clear()
 
 
@@ -291,15 +292,6 @@ def split_weight(a: Iterable[int], k: int) -> Fraction:
     return Fraction(_SPLIT_WEIGHT[a][k - 1])
 
 
-def _group_weight(blocks: tuple[KappaMonomial, ...]) -> int:
-    """Product of the blocks' socle coefficients times the correction
-    coefficient of their block sums; blocks are canonical value multisets."""
-    weight = 1
-    for values in blocks:
-        weight *= _SOCLE[values]
-    return weight * _CORRECTION[_split_sums(blocks)]
-
-
 def _truncation_factor(variant: str, len_t: int, len_r: int, d: int) -> int:
     if variant == "partial_sum":
         return alt_binomial_partial_sum(len_t - len_r, len_r, d)
@@ -316,7 +308,9 @@ def _coeff_recursive(shape: tuple[Multiset, ...], d: int) -> int:
             continue
         weight = 1
         for local in q:
-            weight *= _group_weight(local)
+            for values in local:
+                weight *= _SOCLE[values]
+            weight *= _CORRECTION[_split_sums(local)]
         total += weight
     return total
 

@@ -1,21 +1,34 @@
-"""Anchors from outside the package: Zograf's recursion for kappa_1 volumes.
+"""Anchors from outside the package's set-partition formulas.
 
-v_n is the integral of kappa_1^(n-3) over the genus-zero moduli space with n
-markings (Zograf 1993; Kaufmann, Manin and Zagier, CMP 181, 1996):
+Zograf's recursion for kappa_1 volumes: v_n is the integral of
+kappa_1^(n-3) over the genus-zero moduli space with n markings (Zograf
+1993; Kaufmann, Manin and Zagier, CMP 181, 1996):
 
     v_3 = 1,
     v_n = 1/2 sum_{i=1}^{n-3} i(n-i-2)/(n-1) C(n-4,i-1) C(n,i+1) v_{i+2} v_{n-i}.
 
-It is computed here with the standard library only and shares no code with
-``ring`` or ``oracle``.
+The Arbarello-Cornalba recursion for every top kappa integral (J. Algebraic
+Geom. 5, 1996): forgetting the last of n + 1 markings pulls kappa_a back to
+kappa_a - psi_{n+1}^a and pushes psi_{n+1}^s forward to kappa_{s-1}, with
+kappa_0 = n - 2 on the n-pointed space.  So for A of sum n - 2, the integral
+of kappa_A over n + 1 markings sums, over the nonempty labelled S in A of
+sum s, the integral of kappa_{A - S} kappa_{s-1} over n markings, from the
+one point of the 3-pointed space.
+
+Both are computed here with the standard library only and share no code
+with ``ring``, ``oracle`` or ``partitions``.
 """
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from kapparing import partitions, ring
 from kapparing.oracle import integrate_kappa_top, pair_kappa_stratum, solve_coeffs_by_pairing
+from kapparing.partitions import index_multisets
 from kapparing.ring import socle_coeff
 
 from bruteforce import naive_multinomial, naive_multisets
@@ -83,3 +96,78 @@ def test_kappa_1_power_pairing_is_a_product_of_volumes(k, dims):
     for d in dims:
         expected *= V[d + 3]
     assert pair_kappa_stratum((1,) * k, dims) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def arbarello_cornalba_top(a):
+    """The integral of kappa_a over the genus-zero space with sum(a) + 3
+    markings, for a sorted tuple a: the labelled subsets S of a taken by how
+    many copies of each value they hold."""
+    if not a:
+        return 1
+    values = sorted(set(a))
+    counts = [a.count(v) for v in values]
+    total = 0
+    for takes in itertools.product(*(range(c + 1) for c in counts)):
+        s = sum(v * t for v, t in zip(values, takes))
+        if not s:
+            continue
+        ways = math.prod(math.comb(c, t) for c, t in zip(counts, takes))
+        rest = tuple(v for v, c, t in zip(values, counts, takes) for _ in range(c - t))
+        if s == 1:
+            # kappa_0 is n - 2 = sum(a) on the space with n = sum(a) + 2 markings
+            total += ways * sum(a) * arbarello_cornalba_top(rest)
+        else:
+            total += ways * arbarello_cornalba_top(tuple(sorted(rest + (s - 1,))))
+    return total
+
+
+ANCHOR_GRID = list(index_multisets(7, max_sum=12))
+ANCHOR_LARGE = [(1,) * 15, (1, 2, 3, 4, 5), (1, 1, 2, 2, 3, 3)]
+
+
+def anchor_mismatches(cases):
+    """The cases whose socle or oracle integral differs from the anchor, as
+    (a, which) pairs."""
+    out = []
+    for a in cases:
+        want = arbarello_cornalba_top(a)
+        if socle_coeff(a) != want:
+            out.append((a, "socle"))
+        if integrate_kappa_top(a, sum(a) + 3) != want:
+            out.append((a, "integral"))
+    return out
+
+
+def test_arbarello_cornalba_first_values():
+    # kappa_1^2 and kappa_2 on five points; on six, kappa_1 kappa_2 is
+    # 3 * top(2) + top(1, 1) + top(2) = 9 by the three choices of S
+    cases = [(), (1,), (1, 1), (2,), (1, 1, 1), (1, 2), (3,)]
+    assert [arbarello_cornalba_top(a) for a in cases] == [1, 1, 5, 1, 61, 9, 1]
+    for k in range(1, 12):
+        assert arbarello_cornalba_top((1,) * k) == V[k + 3]
+
+
+def test_every_top_integral_on_the_grid_is_the_arbarello_cornalba_value():
+    assert len(ANCHOR_GRID) == 245
+    assert anchor_mismatches(ANCHOR_GRID) == []
+
+
+@pytest.mark.parametrize("a", ANCHOR_LARGE)
+def test_large_top_integrals_are_the_arbarello_cornalba_value(a):
+    assert anchor_mismatches([a]) == []
+
+
+def test_a_fault_in_the_shared_shifted_row_fails_the_anchor():
+    # the anchor reads no package table, so +1 in one shifted row must show;
+    # the oracle's integral walks Algorithm M, not the row, and still agrees
+    ring.clear_coeff_caches()
+    try:
+        row = list(partitions._SHIFTED_SUMS[(1, 1, 2)])
+        row[1] += 1
+        partitions._SHIFTED_SUMS[(1, 1, 2)] = tuple(row)
+        found = anchor_mismatches(ANCHOR_GRID)
+    finally:
+        ring.clear_coeff_caches()
+    assert ((1, 1, 2), "socle") in found
+    assert {which for _, which in found} == {"socle"}

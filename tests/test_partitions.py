@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -31,6 +32,7 @@ from bruteforce import (
     naive_bell,
     naive_multinomial,
     naive_set_partitions,
+    naive_socle,
     naive_stirling2,
     rgs_partitions,
     value_shape,
@@ -372,6 +374,19 @@ def test_shared_row_tables_match_the_labelled_sums_by_block_count(cases):
         assert len(dict(row)) == len(row) and dict(row) == correction, a
         # the one-block term comes last, where a larger row reads it
         assert row[-1] == ((1, len(a)), naive_multinomial(v + 1 for v in a)), a
+
+
+@pytest.mark.parametrize("cases", [list(index_multisets(6, max_sum=10)), [(1,) * 9], [(1, 2, 3, 4, 5, 6, 7)]])
+def test_socle_split_rows_match_the_labelled_sums_by_block_sums(cases):
+    socle = functools.lru_cache(maxsize=None)(naive_socle)
+    for a in cases:
+        walked = {}
+        for p in naive_set_partitions(range(len(a))):
+            sums = tuple(sorted(sum(a[i] for i in block) for block in p))
+            term = math.prod(socle(tuple(a[i] for i in block)) for block in p)
+            walked[sums] = walked.get(sums, 0) + term
+        row = partitions._SOCLE_SPLITS[a]
+        assert len(dict(row)) == len(row) and dict(row) == walked, a
 
 
 def test_quote_bounds_long_arguments():

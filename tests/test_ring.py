@@ -312,7 +312,7 @@ def test_clear_coeff_caches_empties_every_memo():
     basis_coeff(((0, 1, 2),), (1, 1, 2), 2, method="closed")
     oracle.solve_coeffs_by_pairing((1, 1, 2), 8)
     assert ring._SPLIT_WEIGHT and ring._SHIFTED_SUMS and oracle._PAIRINGS
-    assert partitions._CHAIN_SUMS and ring._SIGNED_TRUNCATION
+    assert partitions._CHAIN_SUMS and partitions._SOCLE_SPLITS and ring._SIGNED_TRUNCATION
     snapshot = snapshot_coeff_caches()
     assert set(snapshot) == {"socle", "correction"}
     # the stderr summary and the benchmark tracer consume plain dicts
@@ -325,6 +325,7 @@ def test_clear_coeff_caches_empties_every_memo():
     assert not partitions._CORRECTION_SUMS
     assert not oracle._TOP_CACHE
     assert not partitions._CHAIN_SUMS
+    assert not partitions._SOCLE_SPLITS
     assert not ring._SIGNED_TRUNCATION
     assert not oracle._PAIRINGS
     assert snapshot_coeff_caches() == {"socle": {}, "correction": {}}
@@ -472,6 +473,13 @@ def test_kernel_tables_hold_ints_and_public_values_are_fractions():
     for values, sums in ring._SHIFTED_SUMS.items():
         assert type(sums) is tuple and len(sums) == len(values) + 1
         assert all(type(weight) is int for weight in sums)
+    # one weight per sorted tuple of block sums, each a canonical monomial of a's degree
+    assert partitions._SOCLE_SPLITS
+    for values, splits in partitions._SOCLE_SPLITS.items():
+        assert type(splits) is tuple and len(dict(splits)) == len(splits)
+        for sums, weight in splits:
+            assert type(sums) is tuple and sums == tuple(sorted(sums)) and sum(sums) == sum(values)
+            assert all(type(v) is int for v in sums) and type(weight) is int
     # one weight per (len(r), len(t)), and a signed factor per pair up to k
     assert partitions._CHAIN_SUMS and partitions._CORRECTION_SUMS
     for chains in (*partitions._CHAIN_SUMS.values(), *partitions._CORRECTION_SUMS.values()):

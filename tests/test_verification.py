@@ -230,7 +230,7 @@ def add_one(table, key, entry):
 
 
 def add_one_at(table, key, at):
-    """+1 at the pair keyed ``at`` of a row of ((j, i), w) pairs."""
+    """+1 at the pair keyed ``at`` of a row of (key, w) pairs."""
     row = dict(table[key])
     row[at] += 1
     table[key] = tuple(row.items())
@@ -257,6 +257,20 @@ def test_a_fault_in_the_chain_row_fails_the_method_agreement(cold_tables):
     # only closed reads the chain rows, so the other methods must catch it
     add_one_at(partitions._CHAIN_SUMS, (2, 3), (2, 2))
     assert failing_counts() == {"method_agreement": 5, "reconcile_summary": 1}
+
+
+def test_a_fault_in_the_socle_split_row_fails_ck_and_the_pairing_against_recursive(cold_tables):
+    # ck's split weights and the pairing columns both read the two-block
+    # entry of (1, 2)'s row; recursive and closed do not, so ck must
+    # disagree with them, and the pairing solve with the closed aggregate
+    add_one_at(partitions._SOCLE_SPLITS, (1, 2), (1, 2))
+    rows = [row for row in verification.run_suite("all") if not row["pass"]]
+    assert Counter(row.get("check", row.get("identity")) for row in rows) == {"method_agreement": 15}
+    assert sum(not row["methods_agree"] for row in rows) == 13
+    assert sum(not row["pairing_agrees"] for row in rows) == 4
+    for row in rows:
+        for mismatch in row.get("method_mismatches", []):
+            assert mismatch["recursive"] == mismatch["closed"] != mismatch["ck"]
 
 
 def test_a_fault_in_the_first_block_walk_fails_the_product_against_the_labelled_sum(monkeypatch, cold_tables):
