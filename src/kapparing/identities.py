@@ -6,8 +6,8 @@ form, and where a third independent route exists (the labeled-tree oracle)
 all of them must coincide.  A check never proves anything symbolically; it
 confirms instances, which is what the sweeps are for.  The three sums over
 set partitions (binomial product, tree sum, vanishing) are taken orbit-wise,
-over ``partitions._multiset_partitions``: one term per multiset partition,
-times its count of set partitions.
+over ``partitions._orbits``: one term per multiset partition, times its
+count of set partitions.
 
 Identity names:
 
@@ -33,7 +33,7 @@ from math import prod
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .numbers import binomial, factorial, falling_factorial, format_rational, multinomial
-from .partitions import _multiset_partitions, _split_sums, _stirling_row, kappa_monomial, multiset, natural
+from .partitions import _orbits, _split_sums, _stirling_row, kappa_monomial, multiset, natural
 from .ring import _CORRECTION, _SOCLE
 
 
@@ -134,7 +134,7 @@ def _check_binomial_product(a: Iterable[int], k: int) -> IdentityReport:
     a = multiset(a)
     natural(k, "k", 1, len(a))
     lhs = 0
-    for blocks, count in _multiset_partitions(a):
+    for blocks, count in _orbits(a, len(a)):
         if len(blocks) != k:
             continue
         term = count * multinomial(sum(blk) + 1 for blk in blocks)
@@ -154,7 +154,7 @@ def _check_tree_sum(a: Iterable[int], k: int) -> IdentityReport:
     a = multiset(a)
     natural(k, "k", 1, len(a))
     lhs = 0
-    for blocks, count in _multiset_partitions(a):
+    for blocks, count in _orbits(a, len(a)):
         if len(blocks) != k:
             continue
         term = count
@@ -190,7 +190,7 @@ def _check_vanishing(b: Iterable[int]) -> IdentityReport:
         raise ValueError("multiset must be nonempty")
     # blocks and block sums come canonical: the ring's int tables take them
     total = 0
-    for blocks, count in _multiset_partitions(b):
+    for blocks, count in _orbits(b, len(b)):
         term = count * _SOCLE[_split_sums(blocks)]
         for blk in blocks:
             term *= _CORRECTION[blk]

@@ -4,9 +4,9 @@ Everything in this module is deliberately computed without touching the
 expansion formulas in :mod:`kapparing.ring`: psi-monomial integrals come from
 the multinomial formula, top-degree kappa integrals from the signed sum of
 psi integrals over the multiset partitions of the indices
-(``partitions.multiset_partitions``, each weighted by its count of set
-partitions), pairings against boundary strata from distributing kappa
-indices over stratum components, each component's top evaluation read from
+(``partitions._orbits``, each weighted by its count of set partitions),
+pairings against boundary strata from distributing kappa indices over
+stratum components, each component's top evaluation read from
 the socle table that :mod:`kapparing.partitions` shares, and expansion
 coefficients from the resulting exact linear system, which
 ``pairing_system`` restricts to a's coarsenings and
@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .numbers import multinomial
 from .partitions import Memo, Multiset, SetPartition, block_sums, ground_size, multiset, natural
-from .partitions import _SOCLE, _SOCLE_SPLITS, _multiset_partitions, kappa_monomial
+from .partitions import _SOCLE, _SOCLE_SPLITS, _orbits, kappa_monomial
 
 DimensionSequence = Multiset
 
@@ -109,14 +109,14 @@ def integrate_kappa_top(a: Iterable[int], n: int) -> Fraction:
     if sum(a) != natural(n, "n") - 3:
         return Fraction(0)
     total = 0
-    for blocks, count in _multiset_partitions(a):
+    for blocks, count in _orbits(a, len(a)):
         sign = -1 if (len(a) + len(blocks)) % 2 else 1
         total += sign * count * multinomial([sum(blk) + 1 for blk in blocks])
     return Fraction(total)
 
 
 # integrate_kappa_top at the degree's top marking count, by monomial: the same
-# signed sum as the socle, so the shared socle table, not Algorithm M.
+# signed sum as the socle, so the shared socle table, not the orbit walk.
 _TOP_CACHE = _SOCLE
 
 

@@ -23,33 +23,36 @@ its bounds, and anything else is a ``ValueError`` naming the argument.
 Every public entry point's integer arguments and the entries of every
 ``multiset`` go through it.  ``kappa_monomial`` is the one validator of
 kappa monomials, and ``quote`` bounds the argument every error message
-echoes.  A value-only sum over set partitions depends on a split only
-through its blocks' values, so it walks ``multiset_partitions``, one term
-per orbit of splits that agree up to equal values, weighted by the orbit's
-size, or the block DP below: the ring's Faber expansions, the oracle's
-integral and the three partition-sum identities (binomial product, tree
-sum, vanishing) walk orbits.  The labelled walk serves
-the sums where positions matter, with ``_split_sums`` as the monomial of a
-split: ``recursive``'s splits of each block, the labelled reference the
-other methods are checked against, and ``refinements`` take ``_splits`` of
-each block; ``recursive``'s ``kappa_product`` and the verification rows
-that print indices take ``set_partitions``.  ``kappa_product`` by ``ck``
-and ``closed`` takes ``_first_block_paths``: the set partitions with at
-most d blocks up to equal values, each path weighted by its count.
+echoes.
 
-``Memo`` is the package's one memo-table type; a full one empties itself.
-The block DP is four shared Memos of sums over set partitions: by block
-count ``_SHIFTED_SUMS``, ``_chain_sums``' ``_CHAIN_SUMS`` and
-``_CORRECTION_SUMS``, and by block sums ``_SOCLE_SPLITS``.  A row depends on
-its multiset alone, so each table builds the row of s from its own rows of
-s minus each block holding s's first position (Stanley, EC2 5.1), once per
-process.  ``_SOCLE`` sums the first; ``_SOCLE_SPLITS`` weighs a block by it.
+A value-only sum over set partitions depends on a split only through its
+blocks' values, so it walks ``_orbits``, one term per orbit of splits that
+agree up to equal values, weighted by the orbit's size, or the block DP
+below: the ring's Faber expansions, the oracle's integral and the three
+partition-sum identities (binomial product, tree sum, vanishing) walk all
+orbits, ``multiset_partitions`` is that walk, and ``kappa_product`` by
+``ck`` and ``closed`` walks the orbits with at most d blocks.  The labelled
+walk serves the sums where positions matter, with ``_split_sums`` as the
+monomial of a split: ``recursive``'s splits of each block, the labelled
+reference the other methods are checked against, and ``refinements`` take
+``_splits`` of each block; ``recursive``'s ``kappa_product`` and the
+verification rows that print indices take ``set_partitions``.
+
+``_first_blocks(s)`` is the one cut behind the orbits and the block DP: the
+blocks that hold s's first position (Stanley, EC2 5.1).  ``Memo`` is the
+package's one memo-table type; a full one empties itself.  The block DP is
+four shared Memos of sums over set partitions: by block count
+``_SHIFTED_SUMS``, ``_chain_sums``' ``_CHAIN_SUMS`` and ``_CORRECTION_SUMS``,
+and by block sums ``_SOCLE_SPLITS``, whose keys ``_SPLIT_KEYS`` interns.  A
+row depends on its multiset alone, so each table builds the row of s from
+its own rows of s minus each first block, once per process.  ``_SOCLE``
+sums the first; ``_SOCLE_SPLITS`` weighs a block by it.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb, factorial, prod
+from math import comb, factorial, inf, prod
 from typing import Iterable, Iterator, Optional
 
 Multiset = tuple[int, ...]
@@ -163,82 +166,13 @@ def multiset_partitions(a: Iterable[int]) -> Iterator[tuple[tuple[Multiset, ...]
         prod_v c_v! / (prod_B prod_v s_{B,v}! * prod_i m_i!),
 
     so the counts sum to Bell(len(a)), while the partitions number only 42
-    for ten equal values.  The enumerator is Knuth's Algorithm M (TAOCP 4A,
-    7.2.1.5): the blocks come in decreasing lexicographic order of their
-    multiplicity vectors, so equal blocks are adjacent.
+    for ten equal values.  The blocks come in decreasing lexicographic order
+    of their multiplicity vectors, so equal blocks are adjacent, and the
+    partitions in decreasing order of their blocks' vectors, the order of
+    Knuth's Algorithm M (TAOCP 4A, 7.2.1.5); ``_orbits`` walks them.
     """
-    return _multiset_partitions(multiset(a))
-
-
-def _multiset_partitions(a: Multiset) -> Iterator[tuple[tuple[Multiset, ...], int]]:
-    """Algorithm M on the counts of a's distinct values.
-
-    The stack holds the blocks as vectors: block t gives value number c[j]
-    the multiplicity v[j] for f[t] <= j < f[t + 1], out of the u[j] copies
-    the blocks before it left over; [lo, hi) is the top block's range.  A
-    visit rebuilds only the blocks that changed since the previous one, with
-    denom[t + 1], the orbit count's denominator over blocks 0..t, and run[t],
-    how many blocks before and including t equal block t.
-    """
-    if not a:
-        yield (), 1
-        return
-    values = sorted(set(a))
-    counts = [a.count(v) for v in values]
-    numerator = prod(map(factorial, counts))
-    size = len(values) * len(a) + 1
-    c, u, v = [0] * size, [0] * size, [0] * size
-    f = [0] * (len(a) + 2)
-    # M1: the first block takes everything
-    for j, count in enumerate(counts):
-        c[j], u[j], v[j] = j, count, count
-    lo, hi, level = 0, len(values), 0
-    f[1] = hi
-    blocks: list[Multiset] = []
-    denom, run = [1], []
-    while True:
-        # M2-M3: push the largest block that fits in what is left, until
-        # nothing is left
-        while True:
-            j, k, shrunk = lo, hi, False
-            while j < hi:
-                u[k] = u[j] - v[j]
-                if u[k] == 0:
-                    shrunk = True
-                else:
-                    c[k] = c[j]
-                    v[k] = u[k] if shrunk else min(v[j], u[k])
-                    shrunk = shrunk or u[k] < v[j]
-                    k += 1
-                j += 1
-            if k == hi:
-                break
-            lo, hi, level = hi, k, level + 1
-            f[level + 1] = hi
-        # M4: visit
-        for t in range(len(blocks), level + 1):
-            span = range(f[t], f[t + 1])
-            block = tuple(values[c[j]] for j in span for _ in range(v[j]))
-            run[t:] = [run[t - 1] + 1 if t and blocks[t - 1] == block else 1]
-            denom[t + 1 :] = [denom[t] * run[t] * prod(factorial(v[j]) for j in span)]
-            blocks.append(block)
-        yield tuple(blocks), numerator // denom[level + 1]
-        # M5-M6: shrink the last block that can shrink, backtracking past
-        # blocks that cannot, and let the blocks after it take the rest
-        while True:
-            j = hi - 1
-            while v[j] == 0:
-                j -= 1
-            if j != lo or v[j] != 1:
-                break
-            if level == 0:
-                return
-            level -= 1
-            lo, hi = f[level], lo
-        v[j] -= 1
-        for k in range(j + 1, hi):
-            v[k] = u[k]
-        del blocks[level:]
+    a = multiset(a)
+    return _orbits(a, len(a))
 
 
 def refines(q: SetPartition, p: SetPartition) -> bool:
@@ -321,19 +255,16 @@ class Memo(dict):
         return value
 
 
-def _first_blocks(s: Multiset, at: Optional[tuple] = None) -> list[tuple[int, tuple, tuple, int]]:
-    """Each block B that holds s's first position, as (sum(B), B's entries
-    of ``at``, the rest's entries of ``at``, ways); ``at`` is a tuple
-    aligned with s, s itself by default, which gives (sum(B), B, s \\ B, ways).
+def _first_blocks(s: Multiset) -> list[tuple[int, Multiset, Multiset, int]]:
+    """Each block B that holds s's first position, as (sum(B), B, s \\ B, ways).
 
     B takes t_0 >= 1 of the c_0 copies of s's first value, that position
     among them, and t_j of the c_j copies of each larger value, in
     C(c_0 - 1, t_0 - 1) * prod C(c_j, t_j) labelled ways.  It takes each
     value's first copies, so B and s \\ B, joined from slices of s, are
     canonical.  Each run of one value extends the blocks built from the
-    runs before it.  s is trusted canonical and nonempty."""
-    if at is None:
-        at = s
+    runs before it, so the blocks come in increasing lexicographic order of
+    their multiplicity vectors.  s is trusted canonical and nonempty."""
     out = [(0, (), (), 1)]
     i = 0
     while i < len(s):
@@ -343,7 +274,7 @@ def _first_blocks(s: Multiset, at: Optional[tuple] = None) -> list[tuple[int, tu
         # the run s[i:j] of one value; its first cut leaves s[0] in B
         value, lo = s[i], max(i, 1)
         out = [
-            (total + value * (cut - i), block + at[i:cut], rest + at[cut:j], ways * comb(j - lo, cut - lo))
+            (total + value * (cut - i), block + s[i:cut], rest + s[cut:j], ways * comb(j - lo, cut - lo))
             for total, block, rest, ways in out
             for cut in range(lo, j + 1)
         ]
@@ -351,41 +282,46 @@ def _first_blocks(s: Multiset, at: Optional[tuple] = None) -> list[tuple[int, tu
     return out
 
 
-def _first_block_paths(
-    a: Multiset, d: int, at: Optional[tuple[int, ...]] = None
-) -> Iterator[tuple[SetPartition, tuple[int, ...], int]]:
-    """The set partitions of the positions ``at`` of a (all of them by
-    default) into at most d blocks, up to equal values, as (blocks, sums, ways).
+# A marker above every value: block B's multiplicity vector is at most C's
+# exactly when B + _END >= C + _END as tuples
+_END = (inf,)
 
-    A path cuts off a block that holds the first position left, as
-    ``_first_blocks`` does, and walks what is left; its d-th block takes
-    everything.  ``blocks`` are its blocks of positions, in canonical
-    order, ``sums`` their value sums and ``ways`` the product of the cuts'
-    labelled counts.  Each set partition orders its blocks by least
-    position and is counted by exactly one path: the one whose blocks have
-    its blocks' values.  So the ways of the paths of one shape, the
-    multiset of the blocks' value multisets, add up to its count of set
-    partitions, and all of them to sum(stirling2(len(a), j) for j <= d).
-    a is trusted canonical, and d >= 1."""
-    if at is None:
-        at = tuple(range(len(a)))
-    if not at:
-        yield (), (), 1
+
+def _orbits(
+    s: Multiset, most: int, blocks: tuple = (), count: int = 1, run: int = 0
+) -> Iterator[tuple[tuple[Multiset, ...], int]]:
+    """The partitions of s into at most ``most`` >= 1 blocks up to equal
+    values, as (blocks, count): one per orbit of the set partitions of s's
+    positions, with the orbit's size, in ``multiset_partitions``' order.
+
+    A partition lists its blocks by decreasing multiplicity vector, so each
+    block holds the first position of what the blocks before it leave.  The
+    walk cuts off each of ``_first_blocks(s)``, in decreasing order, that is
+    at most the block before, and walks what is left; the last block allowed
+    takes everything.  A cut block is one of ways * c_0 / t_0 =
+    C(c_0, t_0) * prod C(c_j, t_j) labelled blocks, and dividing by the
+    length of each run of equal blocks as it grows leaves the orbit's size.
+    ``blocks`` and ``count`` are the partition cut so far and its count, and
+    its last ``run`` blocks are equal.  s is trusted canonical."""
+    if most == 1 or not s:
+        # only a call from outside gets here: the walk takes its last block inline
+        yield (s,) if s else (), 1
         return
-    values = tuple(map(a.__getitem__, at))
-    if d == 1:
-        yield (at,), (sum(values),), 1
-        return
-    total = sum(values)
-    for block_sum, block, rest, ways in _first_blocks(values, at):
+    last = blocks[-1] + _END if blocks else ()
+    first, copies = s[0], s.count(s[0])
+    for _, block, rest, ways in reversed(_first_blocks(s)):
+        key = block + _END
+        if key < last:
+            continue
+        same = run + 1 if key == last else 1
+        more = count * ways * copies // block.count(first) // same
         if not rest:
-            yield (block,), (block_sum,), ways
-        elif d == 2:
-            # the last block, inline: a generator per path costs more than the path
-            yield (block, rest), (block_sum, total - block_sum), ways
-        else:
-            for blocks, sums, more in _first_block_paths(a, d - 1, rest):
-                yield (block,) + blocks, (block_sum,) + sums, ways * more
+            yield blocks + (block,), more
+        elif most > 2:
+            yield from _orbits(rest, most - 1, blocks + (block,), more, same)
+        elif (tail := rest + _END) >= key:
+            # the last block takes the rest inline: a generator per orbit costs more than the orbit
+            yield blocks + (block, rest), more // (same + 1) if tail == key else more
 
 
 def _shifted_row(s: Multiset) -> tuple[int, ...]:
@@ -457,7 +393,7 @@ def _socle_split_row(s: Multiset) -> tuple[tuple[Multiset, int], ...]:
     for block_sum, block, rest, ways in _first_blocks(s):
         weight = ways * _SOCLE[block]
         for sums, w in _SOCLE_SPLITS[rest]:
-            key = tuple(sorted(sums + (block_sum,)))
+            key = _SPLIT_KEYS[tuple(sorted(sums + (block_sum,)))]
             out[key] = out.get(key, 0) + weight * w
     return tuple(out.items())
 
@@ -470,6 +406,9 @@ _CHAIN_SUMS = _chain_sums(lambda s: lambda block, rest: enumerate(_SHIFTED_SUMS[
 _CORRECTION_SUMS = _chain_sums(_correction_weights)
 _SOCLE = Memo(lambda s: sum((-1) ** (len(s) + m) * w for m, w in enumerate(_SHIFTED_SUMS[s])))
 _SOCLE_SPLITS = Memo(_socle_split_row)
+# One object per distinct block-sum key of the socle-split rows: a cold
+# solve of twenty 1s stores 248,537 keys, of which 2,714 are distinct
+_SPLIT_KEYS = Memo(lambda key: key)
 
 
 def _split_sums(split: Iterable[tuple]) -> Multiset:

@@ -24,13 +24,12 @@ The three must agree; the test suite and the ``reconcile`` sweep enforce it.
 multisets, once; the methods see block values only.  ``recursive`` splits
 each block with the labelled walk ``partitions._splits``, the reference
 the other methods are checked against; ``ck``'s split weights contract a
-row of the block DP's ``_SOCLE_SPLITS`` with the correction values, and
-``faber_expand`` and ``kappa_to_psi`` walk the orbits of
-``partitions._multiset_partitions``, each weighted by its count of set
-partitions.  ``kappa_product`` calls ``basis_coeff`` once per term:
-by ``recursive`` on each basis partition of a's positions, from
-``set_partitions``; by ``ck`` and ``closed`` on one partition per path of
-``partitions._first_block_paths``, times the path's labelled count.
+row of the block DP's ``_SOCLE_SPLITS`` with the correction values.
+``faber_expand``, ``kappa_to_psi`` and ``kappa_product`` by ``ck`` and
+``closed`` walk ``partitions._orbits``, each orbit times its count of set
+partitions; ``kappa_product`` calls ``basis_coeff`` once per term: by
+``recursive`` on each basis partition of a's positions, from
+``set_partitions``, and by ``ck`` and ``closed`` on one partition per orbit.
 
 Every coefficient is an integer, and the kernels sum ints: the socle,
 correction and split-weight values, closed's signed truncation factors and
@@ -63,11 +62,11 @@ from .partitions import (
     _SHIFTED_SUMS,
     _SOCLE,
     _SOCLE_SPLITS,
+    _SPLIT_KEYS,
     Memo,
     Multiset,
     SetPartition,
-    _first_block_paths,
-    _multiset_partitions,
+    _orbits,
     _split_sums,
     _splits,
     block_sums,
@@ -240,7 +239,7 @@ def _SIGNED_TRUNCATION(key: tuple[str, int, int]) -> tuple[tuple[int, ...], ...]
 def clear_coeff_caches() -> None:
     """Empty every memo table of the package, the oracle's pairing columns too."""
     for table in (_SOCLE, _CORRECTION, _SPLIT_WEIGHT, _SHIFTED_SUMS, _CORRECTION_SUMS, _CHAIN_SUMS,
-                  _SOCLE_SPLITS, _SIGNED_TRUNCATION, _PAIRINGS):
+                  _SOCLE_SPLITS, _SPLIT_KEYS, _SIGNED_TRUNCATION, _PAIRINGS):
         table.clear()
 
 
@@ -259,7 +258,8 @@ def faber_expand(q: Iterable[int]) -> KappaPoly:
         psi(q) = sum over p of prod_b (len(b) - 1)! * kappa_{block sums}.
     """
     terms: dict[Multiset, int] = {}
-    for blocks, count in _multiset_partitions(kappa_monomial(q)):
+    q = kappa_monomial(q)
+    for blocks, count in _orbits(q, len(q)):
         key = _split_sums(blocks)
         terms[key] = terms.get(key, 0) + count * prod(factorial(len(blk) - 1) for blk in blocks)
     return KappaPoly(terms)
@@ -273,7 +273,7 @@ def kappa_to_psi(a: Iterable[int]) -> PsiPoly:
     """
     a = kappa_monomial(a)
     terms: dict[Multiset, int] = {}
-    for blocks, count in _multiset_partitions(a):
+    for blocks, count in _orbits(a, len(a)):
         key = _split_sums(blocks)
         terms[key] = terms.get(key, 0) + (-count if (len(a) + len(blocks)) % 2 else count)
     return PsiPoly(terms)
@@ -409,9 +409,9 @@ def kappa_product(
 
     A term depends on p only through its blocks' value multisets.
     ``recursive``, the labelled reference, walks ``set_partitions(len(a))``;
-    ``ck`` and ``closed`` add ways * basis_coeff(p) over the paths of
-    ``_first_block_paths(a, d)``: 67 terms for twelve 1s at d = 3, where
-    Bell(12) is 4,213,597.
+    ``ck`` and ``closed`` add count * basis_coeff(p) over the orbits of
+    ``_orbits(a, d)``: 19 terms for twelve 1s at d = 3, where Bell(12) is
+    4,213,597.
     """
     _check_method(method)
     a = kappa_monomial(a)
@@ -425,11 +425,21 @@ def kappa_product(
                 key = block_sums(p, a)
                 terms[key] = terms.get(key, 0) + basis_coeff(p, a, d, method=method)
     else:
-        for p, sums, ways in _first_block_paths(a, d):
-            key = tuple(sorted(sums))
-            term = basis_coeff(p, a, d, method=method)
-            # a Fraction product costs microseconds, and distinct values have ways 1
-            terms[key] = terms.get(key, 0) + (term if ways == 1 else ways * term)
+        # each value's first position; an orbit's block takes its values' next unused ones,
+        # so the blocks come in canonical order, each led by the least position left
+        first = {value: i for i, value in reversed(tuple(enumerate(a)))}
+        for blocks, count in _orbits(a, d):
+            taken, p = dict(first), []
+            for block in blocks:
+                positions = []
+                for value in block:
+                    positions.append(taken[value])
+                    taken[value] += 1
+                p.append(tuple(positions))
+            key = _split_sums(blocks)
+            term = basis_coeff(tuple(p), a, d, method=method)
+            # a Fraction product costs microseconds, and distinct values have count 1
+            terms[key] = terms.get(key, 0) + (term if count == 1 else count * term)
     return KappaPoly(terms)
 
 

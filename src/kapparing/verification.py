@@ -63,7 +63,7 @@ def check_methods_agree(a: Iterable[int], d: int, poly: KappaPoly | None = None,
     ``_basis_values``), then aggregates equal block-sum monomials and compares
     against the coefficients recovered from stratum pairings alone and against
     kappa_product itself (``poly`` if given).  The product by ``closed`` walks
-    the first-block paths, not the labelled partitions aggregated here, so
+    the orbits of equal values, not the labelled partitions aggregated here, so
     ``product_agrees`` checks one walk against the other.  A failing row also
     lists the values that disagree: ``method_mismatches`` and
     ``monomial_mismatches``.
@@ -147,10 +147,10 @@ def _ring_case(a: Multiset, d: int, genera: tuple[int, ...], reconcile: bool) ->
 
 
 def _top_degree_values(a: Multiset) -> tuple[Fraction, Fraction, Fraction]:
-    """The top-degree value of kappa_a by two independent computations, in
-    three columns: the ring's socle coefficient, the oracle's integral at
-    n = sum(a) + 3 by Algorithm M and the pairing against the one-component
-    stratum.  That pairing puts all of a on its one component and reads the
+    """The top-degree value of kappa_a by two computations that share only
+    ``partitions._first_blocks``, in three columns: the ring's socle
+    coefficient, the oracle's integral at n = sum(a) + 3 over the orbits and
+    the pairing against the one-component stratum.  That pairing puts all of a on its one component and reads the
     shared socle table, so it repeats the first computation."""
     return socle_coeff(a), integrate_kappa_top(a, sum(a) + 3), pair_kappa_stratum(a, (sum(a),))
 

@@ -14,6 +14,7 @@ pairing itself (``naive_pair_kappa_stratum`` does that).
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 from kapparing.oracle import pair_kappa_stratum, solve_exact
@@ -63,6 +64,24 @@ def as_block_sets(partition):
 def value_shape(partition, a):
     """The sorted tuple of a partition's blocks' sorted values in a."""
     return tuple(sorted(tuple(sorted(a[i] for i in block)) for block in partition))
+
+
+def naive_orbits(a):
+    """The partitions of a's positions up to equal values, with their counts
+    of labelled partitions, from the labelled walk: each block a sorted value
+    tuple, the blocks in decreasing order of their multiplicity vectors (the
+    count of each distinct value, smallest value first), and the partitions
+    in decreasing order of their blocks' vectors."""
+    a = sorted(a)
+    values = sorted(set(a))
+    counts = Counter()
+    for p in naive_set_partitions(range(len(a))):
+        blocks = [[a[i] for i in block] for block in p]
+        counts[tuple(sorted((tuple(map(block.count, values)) for block in blocks), reverse=True))] += 1
+    return [
+        (tuple(tuple(v for v, c in zip(values, vector) for _ in range(c)) for vector in vectors), count)
+        for vectors, count in sorted(counts.items(), reverse=True)
+    ]
 
 
 def naive_stirling2(n, k):

@@ -160,7 +160,7 @@ def test_large_top_integrals_are_the_arbarello_cornalba_value(a):
 
 def test_a_fault_in_the_shared_shifted_row_fails_the_anchor():
     # the anchor reads no package table, so +1 in one shifted row must show;
-    # the oracle's integral walks Algorithm M, not the row, and still agrees
+    # the oracle's integral walks the orbits, not the row, and still agrees
     ring.clear_coeff_caches()
     try:
         row = list(partitions._SHIFTED_SUMS[(1, 1, 2)])

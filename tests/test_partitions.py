@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from kapparing import partitions
+from kapparing import oracle, partitions, ring
 from kapparing.partitions import (
     _splits,
     bell,
@@ -31,6 +31,7 @@ from bruteforce import (
     as_block_sets,
     naive_bell,
     naive_multinomial,
+    naive_orbits,
     naive_set_partitions,
     naive_socle,
     naive_stirling2,
@@ -330,27 +331,41 @@ def test_multiset_partitions_collapse_repeated_values():
         multiset_partitions((1, -1))
 
 
+def test_multiset_partitions_come_in_decreasing_multiplicity_vector_order():
+    assert list(multiset_partitions((1, 1, 2))) == [
+        (((1, 1, 2),), 1),
+        (((1, 1), (2,)), 1),
+        (((1, 2), (1,)), 2),
+        (((1,), (1,), (2,)), 1),
+    ]
+    for a in [*index_multisets(6, max_sum=10), (1,) * 8]:
+        assert list(multiset_partitions(a)) == naive_orbits(a), a
+
+
 @pytest.mark.parametrize("length", range(7))
 def test_first_block_paths_count_each_set_partition_once(length):
-    # entries 1..3, so every length mixes repeated and distinct values
+    # the orbit walk cuts first blocks in decreasing order, one path per
+    # orbit: at each d, the counts are the labelled counts of each shape
     for a in itertools.combinations_with_replacement((1, 2, 3), length):
         for d in range(1, length + 2):
-            walked = Counter()
-            for p, sums, ways in partitions._first_block_paths(a, d):
-                assert p == canonical_partition(p) and ground_size(p) == length and len(p) <= d
-                assert sums == block_sum_vector(p, a)
-                walked[value_shape(p, a)] += ways
+            walked = {}
+            for blocks, count in partitions._orbits(a, d):
+                assert len(blocks) <= d and all(blocks) and sorted(sum(blocks, ())) == list(a)
+                shape = tuple(sorted(blocks))
+                assert shape not in walked, (a, d, blocks)
+                walked[shape] = count
             assert walked == Counter(value_shape(p, a) for p in set_partitions(length) if len(p) <= d), (a, d)
 
 
 def test_first_block_paths_ways_add_up_to_the_stirling_numbers():
     for a in [*index_multisets(6, max_entry=3), (1,) * 12, (1, 1, 2, 2, 3, 3, 4)]:
         for d in range(1, len(a) + 2):
-            total = sum(ways for *_, ways in partitions._first_block_paths(a, d))
+            total = sum(count for _, count in partitions._orbits(a, d))
             assert total == sum(stirling2(len(a), j) for j in range(1, d + 1)), (a, d)
-    # twelve 1s at d = 3: 88,574 set partitions, one path per composition
-    # of 12 into at most 3 parts
-    assert sum(1 for _ in partitions._first_block_paths((1,) * 12, 3)) == 1 + 11 + 55
+    # twelve 1s: 88,574 set partitions at d = 3 in 19 orbits, one per
+    # partition of 12 into at most 3 parts, and 65 orbits at d = 7
+    assert sum(1 for _ in partitions._orbits((1,) * 12, 3)) == 19
+    assert sum(1 for _ in partitions._orbits((1,) * 12, 7)) == 65
 
 
 @pytest.mark.parametrize(
@@ -387,6 +402,17 @@ def test_socle_split_rows_match_the_labelled_sums_by_block_sums(cases):
             walked[sums] = walked.get(sums, 0) + term
         row = partitions._SOCLE_SPLITS[a]
         assert len(dict(row)) == len(row) and dict(row) == walked, a
+
+
+def test_a_cold_solve_stores_one_object_per_distinct_socle_split_key():
+    ring.clear_coeff_caches()
+    try:
+        oracle.solve_coeffs_by_pairing((1,) * 16, 26)
+        keys = [sums for row in partitions._SOCLE_SPLITS.values() for sums, _ in row]
+        assert len(keys) > 10 * len(set(keys))
+        assert len({id(sums) for sums in keys}) == len(set(keys))
+    finally:
+        ring.clear_coeff_caches()
 
 
 def test_quote_bounds_long_arguments():

@@ -81,10 +81,24 @@ def test_kappa_monomial_validation():
     assert kappa_monomial is partitions.kappa_monomial
 
 
+def orbit_positions(blocks, a):
+    """The partition of a's positions in which each block, in turn, takes
+    the least unused positions of its values."""
+    left, p = list(range(len(a))), []
+    for block in blocks:
+        taken = []
+        for v in block:
+            taken.append(next(i for i in left if a[i] == v))
+            left.remove(taken[-1])
+        p.append(tuple(taken))
+    return tuple(p)
+
+
 def test_kappa_product_calls_basis_coeff_once_per_basis_partition(monkeypatch):
     # the product's per-partition work is reachable through basis_coeff:
-    # recursive once per labelled partition, ck and closed once per path of
-    # the first-block walk, whose ways make up each shape's labelled count
+    # recursive once per labelled partition, ck and closed once per orbit of
+    # the orbit walk, in its order, whose counts make up each shape's
+    # labelled count
     calls = []
 
     def recording(p, a, d, method):
@@ -94,17 +108,15 @@ def test_kappa_product_calls_basis_coeff_once_per_basis_partition(monkeypatch):
     monkeypatch.setattr(ring, "basis_coeff", recording)
     a, d = (1, 1, 1, 2, 2, 3), 3
     labelled = [p for p in set_partitions(len(a)) if len(p) <= d]
-    paths = list(partitions._first_block_paths(a, d))
-    assert len(paths) < len(labelled)
-    walked = Counter()
-    for p, _, ways in paths:
-        walked[value_shape(p, a)] += ways
-    assert walked == Counter(value_shape(p, a) for p in labelled)
+    orbits = list(partitions._orbits(a, d))
+    assert len(orbits) < len(labelled)
+    assert {tuple(sorted(blocks)): count for blocks, count in orbits} == Counter(value_shape(p, a) for p in labelled)
+    walk = [orbit_positions(blocks, a) for blocks, _ in orbits]
+    assert all(p == canonical_partition(p) for p in walk)
     for method in METHODS:
         calls.clear()
         kappa_product((2, 3, 1, 2, 1, 1), 0, sum(a) + d + 2, method=method)
-        walk = labelled if method == "recursive" else [p for p, _, _ in paths]
-        assert calls == [(p, a, d, method) for p in walk]
+        assert calls == [(p, a, d, method) for p in (labelled if method == "recursive" else walk)]
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -312,7 +324,7 @@ def test_clear_coeff_caches_empties_every_memo():
     basis_coeff(((0, 1, 2),), (1, 1, 2), 2, method="closed")
     oracle.solve_coeffs_by_pairing((1, 1, 2), 8)
     assert ring._SPLIT_WEIGHT and ring._SHIFTED_SUMS and oracle._PAIRINGS
-    assert partitions._CHAIN_SUMS and partitions._SOCLE_SPLITS and ring._SIGNED_TRUNCATION
+    assert partitions._CHAIN_SUMS and partitions._SOCLE_SPLITS and partitions._SPLIT_KEYS and ring._SIGNED_TRUNCATION
     snapshot = snapshot_coeff_caches()
     assert set(snapshot) == {"socle", "correction"}
     # the stderr summary and the benchmark tracer consume plain dicts
@@ -326,6 +338,7 @@ def test_clear_coeff_caches_empties_every_memo():
     assert not oracle._TOP_CACHE
     assert not partitions._CHAIN_SUMS
     assert not partitions._SOCLE_SPLITS
+    assert not partitions._SPLIT_KEYS
     assert not ring._SIGNED_TRUNCATION
     assert not oracle._PAIRINGS
     assert snapshot_coeff_caches() == {"socle": {}, "correction": {}}

@@ -8,6 +8,9 @@ import pytest
 from kapparing import partitions, ring, verification
 from kapparing.verification import check_methods_agree
 
+from test_anchors import ANCHOR_GRID, anchor_mismatches
+from test_partitions import test_multiset_partitions_are_the_orbits_of_set_partitions as orbits_are_the_labelled_shapes
+
 PASSING_KEYS = ["check", "a", "d", "marked", "methods_agree", "pairing_agrees", "product_agrees", "pass"]
 
 # identity grids kept small where only the ring and reconcile rows matter
@@ -240,9 +243,9 @@ def failing_counts():
     return Counter(row.get("check", row.get("identity")) for row in verification.run_suite("all") if not row["pass"])
 
 
-def test_a_fault_in_the_shared_shifted_row_fails_the_socle_against_algorithm_m(cold_tables):
+def test_a_fault_in_the_shared_shifted_row_fails_the_socle_against_the_orbits(cold_tables):
     # the ring, closed's chains and the oracle's tops all read the one row,
-    # so the integral by Algorithm M must catch it
+    # so the integral, a sum over the orbits that reads no row, must catch it
     add_one(partitions._SHIFTED_SUMS, (1, 1, 2), 1)
     assert "socle_three_paths" in failing_counts()
 
@@ -274,19 +277,21 @@ def test_a_fault_in_the_socle_split_row_fails_ck_and_the_pairing_against_recursi
 
 
 def test_a_fault_in_the_first_block_walk_fails_the_product_against_the_labelled_sum(monkeypatch, cold_tables):
-    # kappa_product by closed walks the first-block paths, and
-    # _basis_values the labelled partitions, so doubling the ways of every
-    # path with two or more blocks must show in the product column alone
-    walk = partitions._first_block_paths
+    # kappa_product by ck and closed walks the orbits, and _basis_values the
+    # labelled partitions, so doubling the count of every orbit with two or
+    # more blocks must show in the product column; faber_expand and
+    # kappa_to_psi walk the orbits too, so the round trips fail as well
+    walk = partitions._orbits
 
-    def doubled(a, d):
-        for p, sums, ways in walk(a, d):
-            yield p, sums, 2 * ways if len(p) >= 2 else ways
+    def doubled(s, most):
+        for blocks, count in walk(s, most):
+            yield blocks, 2 * count if len(blocks) >= 2 else count
 
-    monkeypatch.setattr(ring, "_first_block_paths", doubled)
+    monkeypatch.setattr(ring, "_orbits", doubled)
     rows = [row for row in verification.run_suite("all") if not row["pass"]]
     assert Counter(row.get("check", row.get("identity")) for row in rows) == {
         "method_agreement": 57,
+        "round_trip": 17,
         "pinned_product": 1,
     }
     assert all(
@@ -294,3 +299,31 @@ def test_a_fault_in_the_first_block_walk_fails_the_product_against_the_labelled_
         for row in rows
         if row["check"] == "method_agreement"
     )
+
+
+def test_a_fault_in_the_shared_first_blocks_fails_the_anchor_the_orbits_and_recursive(monkeypatch, cold_tables):
+    # every block-DP table and the orbit walk cut their blocks with
+    # _first_blocks; dropping the whole-s block of every s of three or more
+    # entries must fail the outside anchor, the orbits against the labelled
+    # walk, and ck and closed against recursive's labelled walk
+    cut = partitions._first_blocks
+    monkeypatch.setattr(partitions, "_first_blocks", lambda s: [blk for blk in cut(s) if blk[2] or len(s) < 3])
+    found = anchor_mismatches(ANCHOR_GRID)
+    assert len(found) == 394 and Counter(which for _, which in found) == {"socle": 197, "integral": 197}
+    for length in range(8):
+        if length < 3:
+            orbits_are_the_labelled_shapes(length)
+        else:
+            with pytest.raises(AssertionError):
+                orbits_are_the_labelled_shapes(length)
+    # the pairing system cannot even be assembled from the faulty rows, so
+    # the method rows are read with the pairing solve left out
+    with pytest.raises(KeyError):
+        verification.run_suite("all")
+    monkeypatch.setattr(verification, "solve_coeffs_by_pairing", lambda a, n: {})
+    rows = [row for row in verification.run_suite("all") if row.get("check") == "method_agreement"]
+    assert (len(rows), sum(not row["methods_agree"] for row in rows)) == (92, 44)
+    # recursive's values come off the faulty socle and correction rows by another walk
+    mismatches = [mismatch for row in rows for mismatch in row.get("method_mismatches", [])]
+    assert len(mismatches) == 92
+    assert all(mismatch["recursive"] not in (mismatch["ck"], mismatch["closed"]) for mismatch in mismatches)
