@@ -206,7 +206,8 @@ def pairing_system(a: Iterable[int], n: int) -> tuple[list[Multiset], list[list[
     triangular of rank ``size``, and back substitution sets every unknown
     outside a's coarsenings to 0 while its row reads 0 = 0: the restricted
     system has the full system's solution.  The matrix and the right-hand
-    side are fresh lists of ints, copied out of the columns of a and mu.
+    side are fresh lists of ints, copied out of the columns of a and mu.  A
+    column of mu outside a's raises RankDeficientPairingError, naming both.
     """
     a = kappa_monomial(a)
     d = natural(n, "n") - sum(a) - 2
@@ -218,7 +219,11 @@ def pairing_system(a: Iterable[int], n: int) -> tuple[list[Multiset], list[list[
     matrix = [[0] * len(unknowns) for _ in unknowns]
     for j, mu in enumerate(unknowns):
         for dims, value in _PAIRINGS[mu].items():
-            matrix[position[dims]][j] = value
+            try:
+                matrix[position[dims]][j] = value
+            except KeyError:
+                message = f"the column of {mu} pairs with dims {dims}, which the column of {a} lacks"
+                raise RankDeficientPairingError(message, matrix, 0) from None
     rhs = [paired[dims] for dims in unknowns]
     return unknowns, matrix, rhs, _partition_count(sum(a), d)
 

@@ -41,18 +41,19 @@ verification rows that print indices take ``set_partitions``.
 ``_first_blocks(s)`` is the one cut behind the orbits and the block DP: the
 blocks that hold s's first position (Stanley, EC2 5.1).  ``Memo`` is the
 package's one memo-table type; a full one empties itself.  The block DP is
-four shared Memos of sums over set partitions: by block count
-``_SHIFTED_SUMS``, ``_chain_sums``' ``_CHAIN_SUMS`` and ``_CORRECTION_SUMS``,
-and by block sums ``_SOCLE_SPLITS``, whose keys ``_SPLIT_KEYS`` interns.  A
-row depends on its multiset alone, so each table builds the row of s from
-its own rows of s minus each first block, once per process.  ``_SOCLE``
-sums the first; ``_SOCLE_SPLITS`` weighs a block by it.
+three shared Memos of sums over set partitions: by block count
+``_SHIFTED_SUMS`` and closed's ``_CHAIN_SUMS``, which weighs a block by its
+shifted row, and by block sums ``_SOCLE_SPLITS``, whose keys
+``_SPLIT_KEYS`` interns.  A row depends on its multiset alone, so each
+table builds the row of s from its own rows of s minus each first block,
+once per process.  ``_SOCLE`` sums the first; ``_SOCLE_SPLITS`` weighs a
+block by it.  ring's correction table cuts the same first blocks.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb, factorial, inf, prod
+from math import comb, inf
 from typing import Iterable, Iterator, Optional
 
 Multiset = tuple[int, ...]
@@ -341,46 +342,22 @@ def _shifted_row(s: Multiset) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _chain_sums(weights) -> Memo:
-    """The Memo of chain rows by canonical multiset s.  s's row is the pairs
-    ((j, i), w): w sums (j - 1)! times the product of the blocks' weights
-    over the set partitions of s's positions into j blocks, where a block B
-    weighs v at m for each (m, v) of weights(s)(B, s \\ B) and the m add up
-    to i.  Adding B to a partition of s \\ B with j blocks turns (j - 1)! into j!."""
-
-    def chain_row(s: Multiset) -> tuple[tuple[tuple[int, int], int], ...]:
-        if not s:
-            return (((0, 0), 1),)
-        weigh, out = weights(s), {}
-        for _, block, rest, ways in _first_blocks(s):
-            terms = [(m, ways * v) for m, v in weigh(block, rest) if v]
-            for (j, i), w in rows[rest]:
-                w *= j or 1
-                for m, v in terms:
-                    key = j + 1, i + m
-                    out[key] = out.get(key, 0) + w * v
-        return tuple(out.items())
-
-    rows = Memo(chain_row)
-    return rows
-
-
-def _shifted_multinomial(s: Multiset) -> int:
-    """multinomial(s + 1), of s's entries each plus one."""
-    return factorial(sum(s) + len(s)) // prod(factorial(v + 1) for v in s)
-
-
-def _correction_weights(s: Multiset):
-    """The correction rows' weights in s: a block B weighs multinomial(B + 1)
-    at len(B).  Splitting s's shifted entries into B's and the rest R's gives
-    multinomial(s + 1) = C(sum(s) + len(s), sum(B) + len(B)) * multinomial(B + 1)
-    * multinomial(R + 1), and R's is the last pair of R's row, its one-block
-    term.  So B's weight is a quotient of values at hand, and each row
-    computes one multinomial, its own.  B = s leaves R empty, and both divisors 1."""
-    top, size = _shifted_multinomial(s), sum(s) + len(s)
-    return lambda block, rest: (
-        (len(block), top // (comb(size, sum(block) + len(block)) * _CORRECTION_SUMS[rest][-1][1])),
-    )
+def _chain_row(s: Multiset) -> tuple[tuple[tuple[int, int], int], ...]:
+    """closed's chain row of s: the pairs ((j, i), w), where w sums (j - 1)!
+    times the product of entry m_B of each block B's shifted row over the
+    set partitions of s's positions into j blocks and the m_B adding up to
+    i.  Adding B to a partition of s \\ B with j blocks turns (j - 1)! into j!."""
+    if not s:
+        return (((0, 0), 1),)
+    out = {}
+    for _, block, rest, ways in _first_blocks(s):
+        terms = [(m, ways * v) for m, v in enumerate(_SHIFTED_SUMS[block]) if v]
+        for (j, i), w in _CHAIN_SUMS[rest]:
+            w *= j or 1
+            for m, v in terms:
+                key = j + 1, i + m
+                out[key] = out.get(key, 0) + w * v
+    return tuple(out.items())
 
 
 def _socle_split_row(s: Multiset) -> tuple[tuple[Multiset, int], ...]:
@@ -398,12 +375,9 @@ def _socle_split_row(s: Multiset) -> tuple[tuple[Multiset, int], ...]:
     return tuple(out.items())
 
 
-# The block DP's shared tables, and the socle, the signed sum of the shifted row.
-# closed's chain rows weigh a block by its shifted row, the correction rows by
-# multinomial(B + 1) at len(B), which is also that row's top entry.
+# The block DP's shared tables, and the socle, the signed sum of the shifted row
 _SHIFTED_SUMS = Memo(_shifted_row)
-_CHAIN_SUMS = _chain_sums(lambda s: lambda block, rest: enumerate(_SHIFTED_SUMS[block]))
-_CORRECTION_SUMS = _chain_sums(_correction_weights)
+_CHAIN_SUMS = Memo(_chain_row)
 _SOCLE = Memo(lambda s: sum((-1) ** (len(s) + m) * w for m, w in enumerate(_SHIFTED_SUMS[s])))
 _SOCLE_SPLITS = Memo(_socle_split_row)
 # One object per distinct block-sum key of the socle-split rows: a cold

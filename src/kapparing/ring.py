@@ -34,9 +34,9 @@ partitions; ``kappa_product`` calls ``basis_coeff`` once per term: by
 Every coefficient is an integer, and the kernels sum ints: the socle,
 correction and split-weight values, closed's signed truncation factors and
 the block DP's rows in :mod:`kapparing.partitions` (shifted sums, chain
-sums, correction rows, socle splits) are int ``Memo`` tables, which the
-loops index directly; ``clear_coeff_caches`` empties them.  ``Fraction``
-appears only in the public functions' results.
+sums, socle splits) are int ``Memo`` tables, which the loops index
+directly; ``clear_coeff_caches`` empties them.  ``Fraction`` appears only
+in the public functions' results.
 
 The closed form's truncation factor has two candidate conventions (see
 ``TRUNCATION_VARIANTS``).  ``partial_sum`` evaluates the truncated
@@ -54,11 +54,10 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Mapping, Optional, Union
 
-from .numbers import alt_binomial_partial_sum, binomial, factorial, format_rational
+from .numbers import alt_binomial_partial_sum, binomial, factorial, format_rational, multinomial
 from .oracle import _PAIRINGS
 from .partitions import (
     _CHAIN_SUMS,
-    _CORRECTION_SUMS,
     _SHIFTED_SUMS,
     _SOCLE,
     _SOCLE_SPLITS,
@@ -66,6 +65,7 @@ from .partitions import (
     Memo,
     Multiset,
     SetPartition,
+    _first_blocks,
     _orbits,
     _split_sums,
     _splits,
@@ -209,9 +209,16 @@ def correction_coeff(a: Iterable[int]) -> Fraction:
 # (truncation, k, d).  Every value is an int or a tuple built of ints.
 @Memo
 def _CORRECTION(a: KappaMonomial) -> int:
-    """correction_coeff by canonical monomial, trusted nonempty: the sum
-    has no term for the empty multiset, which correction_coeff answers."""
-    return sum((-1) ** (len(a) + j) * w for (j, _), w in _CORRECTION_SUMS[a])
+    """correction_coeff by canonical monomial, trusted nonempty: (-1)**(len(a) - 1)
+    times the cumulant of m(B) = multinomial(B + 1) (Speed, "Cumulants and
+    partition lattices", 1983).  m(a) sums ways * cumulant(B) * m(a \\ B) over
+    the blocks B that hold a's first position, so a's cumulant is m(a) less
+    the terms of the smaller blocks, whose cumulants this table holds."""
+    cumulant = multinomial(v + 1 for v in a)
+    for _, block, rest, ways in _first_blocks(a):
+        if rest:
+            cumulant -= (-1) ** (len(block) - 1) * ways * _CORRECTION[block] * multinomial(v + 1 for v in rest)
+    return (-1) ** (len(a) - 1) * cumulant
 
 
 @Memo
@@ -238,8 +245,8 @@ def _SIGNED_TRUNCATION(key: tuple[str, int, int]) -> tuple[tuple[int, ...], ...]
 
 def clear_coeff_caches() -> None:
     """Empty every memo table of the package, the oracle's pairing columns too."""
-    for table in (_SOCLE, _CORRECTION, _SPLIT_WEIGHT, _SHIFTED_SUMS, _CORRECTION_SUMS, _CHAIN_SUMS,
-                  _SOCLE_SPLITS, _SPLIT_KEYS, _SIGNED_TRUNCATION, _PAIRINGS):
+    for table in (_SOCLE, _CORRECTION, _SPLIT_WEIGHT, _SHIFTED_SUMS, _CHAIN_SUMS, _SOCLE_SPLITS, _SPLIT_KEYS,
+                  _SIGNED_TRUNCATION, _PAIRINGS):
         table.clear()
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 from .identities import SweepBounds, check_identity, identity_sweep_cases
 from .numbers import format_rational
-from .oracle import integrate_kappa_top, pair_kappa_stratum, solve_coeffs_by_pairing
+from .oracle import RankDeficientPairingError, integrate_kappa_top, pair_kappa_stratum, solve_coeffs_by_pairing
 from .partitions import Multiset, SetPartition, block_sums, index_multisets, multiset, natural, set_partitions
 from .ring import (
     METHODS,
@@ -66,7 +66,8 @@ def check_methods_agree(a: Iterable[int], d: int, poly: KappaPoly | None = None,
     the orbits of equal values, not the labelled partitions aggregated here, so
     ``product_agrees`` checks one walk against the other.  A failing row also
     lists the values that disagree: ``method_mismatches`` and
-    ``monomial_mismatches``.
+    ``monomial_mismatches``.  A pairing system that cannot be built or solved
+    fails ``pairing_agrees``, its message in ``pairing_error``.
     """
     a, d = multiset(a), natural(d, "d", 1)
     n = sum(a) + d + 2
@@ -79,25 +80,24 @@ def check_methods_agree(a: Iterable[int], d: int, poly: KappaPoly | None = None,
             )
         key = block_sums(p, a)
         aggregated[key] = aggregated.get(key, Fraction(0)) + values["closed"]
-    solved = solve_coeffs_by_pairing(a, n)
+    try:
+        solved, pairing_error = solve_coeffs_by_pairing(a, n), None
+    except RankDeficientPairingError as exc:
+        solved, pairing_error = None, str(exc)
     poly = kappa_product(a, 0, n) if poly is None else poly
-    pairing_ok = product_ok = True
+    pairing_ok, product_ok = solved is not None, True
     monomial_mismatches = []
-    for mu in sorted(set(aggregated) | set(solved) | set(poly.terms), key=lambda m: (-len(m), m)):
-        paired = solved.get(mu, Fraction(0))
-        summed = aggregated.get(mu, Fraction(0))
-        product = poly.coefficient(mu)
-        pairing_ok = pairing_ok and summed == paired
-        product_ok = product_ok and product == paired
-        if not summed == paired == product:
-            monomial_mismatches.append(
-                {
-                    "monomial": list(mu),
-                    "aggregated": format_rational(summed),
-                    "pairing": format_rational(paired),
-                    "product": format_rational(product),
-                }
-            )
+    for mu in sorted(set(aggregated) | set(solved or ()) | set(poly.terms), key=lambda m: (-len(m), m)):
+        columns = {"aggregated": aggregated.get(mu, Fraction(0))}
+        if solved is not None:
+            columns["pairing"] = solved.get(mu, Fraction(0))
+        columns["product"] = poly.coefficient(mu)
+        # without a pairing solve, the product is checked against the aggregate
+        reference = columns.get("pairing", columns["aggregated"])
+        agrees, matches = columns["aggregated"] == reference, columns["product"] == reference
+        pairing_ok, product_ok = pairing_ok and agrees, product_ok and matches
+        if not (agrees and matches):
+            monomial_mismatches.append({"monomial": list(mu), **{k: format_rational(v) for k, v in columns.items()}})
     methods_ok = not method_mismatches
     row = {
         "check": "method_agreement",
@@ -111,6 +111,8 @@ def check_methods_agree(a: Iterable[int], d: int, poly: KappaPoly | None = None,
     }
     if method_mismatches:
         row["method_mismatches"] = method_mismatches
+    if pairing_error:
+        row["pairing_error"] = pairing_error
     if monomial_mismatches:
         row["monomial_mismatches"] = monomial_mismatches
     return row
@@ -118,23 +120,25 @@ def check_methods_agree(a: Iterable[int], d: int, poly: KappaPoly | None = None,
 
 def check_genus_lift(a: Iterable[int], d: int, genera: Iterable[int], base: KappaPoly | None = None) -> list[dict]:
     """kappa_product at each genus g must equal the genus-zero product at
-    n + 2g (``base`` if given): one row per genus, in order, against it."""
+    n + 2g (``base`` if given): one row per genus, in order, against it.  A
+    failing row carries both products' terms."""
     a, d = multiset(a), natural(d, "d", 1)
     n = sum(a) + d + 2
     base = kappa_product(a, 0, n) if base is None else base
     rows = []
     for genus in genera:
         lifted = kappa_product(a, genus, n - 2 * genus) if n - 2 * genus >= 0 else None
-        rows.append(
-            {
-                "check": "genus_lift",
-                "a": list(a),
-                "d": d,
-                "genus": genus,
-                "marked": n - 2 * genus,
-                "pass": bool(lifted is not None and lifted == base),
-            }
-        )
+        row = {
+            "check": "genus_lift",
+            "a": list(a),
+            "d": d,
+            "genus": genus,
+            "marked": n - 2 * genus,
+            "pass": bool(lifted is not None and lifted == base),
+        }
+        if not row["pass"]:
+            row.update(lifted_terms=None if lifted is None else lifted.to_json_rows(), base_terms=base.to_json_rows())
+        rows.append(row)
     return rows
 
 
@@ -159,30 +163,38 @@ def check_top_degree(a: Multiset, values: tuple[Fraction, Fraction, Fraction]) -
     """At degree budget 1 the product collapses to socle_coeff(a) * kappa_{sum a},
     and the three columns of ``values = _top_degree_values(a)`` must give
     that number; the socle and the pairing are one computation, so this
-    compares it with the oracle's integral once."""
+    compares it with the oracle's integral once.  A failing row carries the
+    product's terms and the integral and pairing columns next to the socle."""
     n = sum(a) + 3
     poly = kappa_product(a, 0, n)
     lam, integral, paired = values
     expected = KappaPoly({(sum(a),): lam}) if lam else KappaPoly.zero()
     ok = poly == expected and integral == lam and paired == lam
-    return {
+    row = {
         "check": "top_degree",
         "a": list(a),
         "marked": n,
         "socle": format_rational(lam),
         "pass": bool(ok),
     }
+    if not ok:
+        row.update(terms=poly.to_json_rows(), integral=format_rational(integral), pairing=format_rational(paired))
+    return row
 
 
 def check_round_trip(a: Iterable[int]) -> dict:
-    """kappa -> psi -> kappa must reproduce the monomial exactly."""
+    """kappa -> psi -> kappa must reproduce the monomial exactly; a failing
+    row carries the nonzero residual."""
     a = multiset(a)
     psi = kappa_to_psi(a)
     back = KappaPoly.zero()
     for key, coeff in psi.terms.items():
         back = back + coeff * faber_expand(key)
-    ok = back == KappaPoly.monomial(a)
-    return {"check": "round_trip", "a": list(a), "pass": bool(ok)}
+    residual = back - KappaPoly.monomial(a)
+    row = {"check": "round_trip", "a": list(a), "pass": not residual}
+    if residual:
+        row["residual"] = residual.to_json_rows()
+    return row
 
 
 def random_round_trip_cases(count: int = 20, seed: int = 20240211) -> list[Multiset]:

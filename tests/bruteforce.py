@@ -9,7 +9,9 @@ on lists, and the tests compare it with the package as sets of partitions
 only.  ``naive_pairing_system`` is the dense form of the package's pairing
 system: it uses the package's pairing and its general Bareiss solver, so it
 checks what the sparse triangular build and solve leave out, not the
-pairing itself (``naive_pair_kappa_stratum`` does that).
+pairing itself (``naive_pair_kappa_stratum`` does that).  ``naive_expansion``
+is the dense system again with no package code at all: assignments,
+Gauss-Jordan elimination, and the top evaluations its caller passes.
 """
 
 import itertools
@@ -131,14 +133,15 @@ def naive_correction(a):
     return Fraction(total)
 
 
-def naive_pair_kappa_stratum(b, dims):
+def naive_pair_kappa_stratum(b, dims, top=naive_socle):
     """Stratum pairing by enumerating every assignment of the indices of b to
     the components: those giving each component exactly its dimension
-    contribute the product of the components' top evaluations."""
+    contribute the product of the components' top evaluations, ``top`` of
+    each component's sorted indices."""
     b, dims = list(b), list(dims)
     if sum(b) != sum(dims):
         return Fraction(0)
-    top = {}
+    tops = {}
     total = Fraction(0)
     for assignment in itertools.product(range(len(dims)), repeat=len(b)):
         buckets = [[] for _ in dims]
@@ -149,11 +152,39 @@ def naive_pair_kappa_stratum(b, dims):
         term = Fraction(1)
         for bucket in buckets:
             key = tuple(sorted(bucket))
-            if key not in top:
-                top[key] = naive_socle(key)
-            term *= top[key]
+            if key not in tops:
+                tops[key] = top(key)
+            term *= tops[key]
         total += term
     return total
+
+
+def naive_solve(matrix, rhs):
+    """The unique solution of a square system, by Gauss-Jordan elimination
+    over Fractions with the first nonzero pivot of each column."""
+    rows = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(len(rows)):
+        pivot = next(r for r in range(col, len(rows)) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r, row in enumerate(rows):
+            if r != col and row[col]:
+                rows[r] = [x - row[col] * y for x, y in zip(row, rows[col])]
+    return [row[-1] for row in rows]
+
+
+def naive_expansion(a, n, top):
+    """The nonzero coefficients of kappa_a at n markings, keyed by basis
+    monomial, from the dense pairing system: the unknowns and the strata are
+    every partition of sum(a) into at most d = n - sum(a) - 2 parts, every
+    entry pairs by ``naive_pair_kappa_stratum`` with the top evaluations
+    ``top``, and ``naive_solve`` solves it."""
+    total = sum(a)
+    d = n - total - 2
+    basis = [mu for length in range(1, min(d, total) + 1) for mu in naive_multisets(total, length, smallest=1)]
+    matrix = [[naive_pair_kappa_stratum(mu, dims, top) for mu in basis] for dims in basis]
+    rhs = [naive_pair_kappa_stratum(a, dims, top) for dims in basis]
+    return {mu: c for mu, c in zip(basis, naive_solve(matrix, rhs)) if c}
 
 
 def naive_pairing_system(a, n):

@@ -16,7 +16,9 @@ sum s, the integral of kappa_{A - S} kappa_{s-1} over n markings, from the
 one point of the 3-pointed space.
 
 Both are computed here with the standard library only and share no code
-with ``ring``, ``oracle`` or ``partitions``.
+with ``ring``, ``oracle`` or ``partitions``.  The second's tops also feed
+``bruteforce.naive_expansion``, a dense pairing solve, which anchors whole
+expansions by every method.
 """
 
 import functools
@@ -29,9 +31,9 @@ import pytest
 from kapparing import partitions, ring
 from kapparing.oracle import integrate_kappa_top, pair_kappa_stratum, solve_coeffs_by_pairing
 from kapparing.partitions import index_multisets
-from kapparing.ring import socle_coeff
+from kapparing.ring import METHODS, kappa_product, socle_coeff
 
-from bruteforce import naive_multinomial, naive_multisets
+from bruteforce import naive_expansion, naive_multinomial, naive_multisets
 
 
 def zograf_volumes(n_max):
@@ -167,7 +169,46 @@ def test_a_fault_in_the_shared_shifted_row_fails_the_anchor():
         row[1] += 1
         partitions._SHIFTED_SUMS[(1, 1, 2)] = tuple(row)
         found = anchor_mismatches(ANCHOR_GRID)
+        products = {method: len(anchored_product_mismatches(method)) for method in METHODS}
     finally:
         ring.clear_coeff_caches()
     assert ((1, 1, 2), "socle") in found
     assert {which for _, which in found} == {"socle"}
+    # every method reads the socle, so every method's products fail the pairing solve
+    assert products == {"recursive": 9, "ck": 9, "closed": 9}
+
+
+# Whole expansions against the dense pairing solve, whose stratum pairings
+# enumerate the assignments and read their tops from the recursion above
+ANCHORED_PRODUCTS = [(a, d) for a in index_multisets(4, max_sum=6) for d in range(2, 5)]
+
+
+@functools.lru_cache(maxsize=None)
+def anchored_expansion(a, n):
+    return naive_expansion(a, n, arbarello_cornalba_top)
+
+
+def anchored_product_mismatches(method):
+    """The (a, d) of ANCHORED_PRODUCTS whose kappa_product by ``method``
+    differs from the anchored pairing solve."""
+    return [
+        (a, d)
+        for a, d in ANCHORED_PRODUCTS
+        if kappa_product(a, 0, sum(a) + d + 2, method=method).terms != anchored_expansion(a, sum(a) + d + 2)
+    ]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_products_are_the_pairing_solve_on_the_arbarello_cornalba_tops(method):
+    assert anchored_product_mismatches(method) == []
+
+
+def test_a_fault_in_the_correction_fails_the_anchored_products_of_recursive_and_ck():
+    # recursive and ck's split weights read the correction; closed's chain rows do not
+    ring.clear_coeff_caches()
+    try:
+        ring._CORRECTION[(2, 3)] += 1
+        found = {method: anchored_product_mismatches(method) for method in METHODS}
+    finally:
+        ring.clear_coeff_caches()
+    assert (len(found["recursive"]), len(found["ck"]), found["closed"]) == (18, 18, [])

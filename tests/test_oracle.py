@@ -324,6 +324,21 @@ def test_pairing_system_pairs_only_the_coarsenings(monkeypatch):
     assert oracle._PAIRINGS == shared
 
 
+def test_a_column_outside_the_coarsenings_raises_naming_it(monkeypatch):
+    def wrong_pairings(mu):
+        found = dict(oracle._pairings(mu))
+        if mu == (1, 2):
+            # (1, 1, 1) at 7 markings keeps the strata (3,) and (1, 2) only
+            found[(1, 1, 1)] = 1
+        return found
+
+    monkeypatch.setattr(oracle, "_PAIRINGS", Memo(wrong_pairings))
+    message = r"the column of \(1, 2\) pairs with dims \(1, 1, 1\), which the column of \(1, 1, 1\) lacks"
+    with pytest.raises(RankDeficientPairingError, match=message) as err:
+        solve_coeffs_by_pairing((1, 1, 1), 7)
+    assert err.value.rank == 0
+
+
 def test_zero_diagonal_pairing_raises(monkeypatch):
     shared = dict(oracle._PAIRINGS)
 

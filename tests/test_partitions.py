@@ -374,21 +374,21 @@ def test_first_block_paths_ways_add_up_to_the_stirling_numbers():
 )
 def test_shared_row_tables_match_the_labelled_sums_by_block_count(cases):
     for a in cases:
-        shifted, correction = [0] * (len(a) + 1), {}
+        shifted, correction, moment = [0] * (len(a) + 1), 0, 0
         for p in naive_set_partitions(range(len(a))):
-            blocks = [[a[i] for i in block] for block in p]
+            blocks = [tuple(a[i] for i in block) for block in p]
             shifted[len(p)] += naive_multinomial(sum(block) + 1 for block in blocks)
-            # (len(p) - 1)! times the blocks' multinomials, keyed by
-            # (block count, the blocks' entry count)
-            term = math.factorial(len(p) - 1)
+            # (len(p) - 1)! times the blocks' multinomials, signed by the block count
+            term = (-1) ** (len(a) + len(p)) * math.factorial(len(p) - 1)
             for block in blocks:
                 term *= naive_multinomial(v + 1 for v in block)
-            correction[len(p), len(a)] = correction.get((len(p), len(a)), 0) + term
+            correction += term
+            # the moment multinomial(a + 1) sums its cumulants, each block's
+            # read off the correction table, over every set partition
+            moment += math.prod((-1) ** (len(block) - 1) * ring._CORRECTION[block] for block in blocks)
         assert partitions._SHIFTED_SUMS[a] == tuple(shifted), a
-        row = partitions._CORRECTION_SUMS[a]
-        assert len(dict(row)) == len(row) and dict(row) == correction, a
-        # the one-block term comes last, where a larger row reads it
-        assert row[-1] == ((1, len(a)), naive_multinomial(v + 1 for v in a)), a
+        assert ring._CORRECTION[a] == correction, a
+        assert moment == naive_multinomial(v + 1 for v in a), a
 
 
 @pytest.mark.parametrize("cases", [list(index_multisets(6, max_sum=10)), [(1,) * 9], [(1, 2, 3, 4, 5, 6, 7)]])

@@ -253,18 +253,17 @@ def test_correction_coeff_values():
     assert correction_coeff(()) == 1
 
 
-def test_each_correction_row_computes_one_multinomial(monkeypatch):
-    # (1,)*60 meets 1,830 (row, first block) pairs but only sixty distinct
-    # blocks; each row computes its own multinomial once, and a block's
-    # weight is a quotient of that and its rest's
+def test_the_correction_of_sixty_ones_computes_each_run_of_ones_once(monkeypatch):
+    # (1,)*60 meets 1,830 (value, first block) pairs but only sixty distinct
+    # blocks, each a run of ones whose correction the table computes once
     calls = []
-    shifted = partitions._shifted_multinomial
+    compute = ring._CORRECTION.compute
 
     def counting(s):
         calls.append(s)
-        return shifted(s)
+        return compute(s)
 
-    monkeypatch.setattr(partitions, "_shifted_multinomial", counting)
+    monkeypatch.setattr(ring._CORRECTION, "compute", counting)
     clear_coeff_caches()
     value = correction_coeff((1,) * 60)
     assert sorted(calls) == [(1,) * m for m in range(1, 61)]
@@ -323,24 +322,16 @@ def test_clear_coeff_caches_empties_every_memo():
     assert split_weight((1, 1, 2), 2) == split_weight([2, 1, 1], 2)
     basis_coeff(((0, 1, 2),), (1, 1, 2), 2, method="closed")
     oracle.solve_coeffs_by_pairing((1, 1, 2), 8)
-    assert ring._SPLIT_WEIGHT and ring._SHIFTED_SUMS and oracle._PAIRINGS
-    assert partitions._CHAIN_SUMS and partitions._SOCLE_SPLITS and partitions._SPLIT_KEYS and ring._SIGNED_TRUNCATION
+    # every Memo of the package, the socle table that is the oracle's tops counted once
+    tables = {id(table): table for table in memo_tables()}.values()
+    assert len(tables) == 9 and oracle._TOP_CACHE is ring._SOCLE
+    assert all(tables)
     snapshot = snapshot_coeff_caches()
     assert set(snapshot) == {"socle", "correction"}
     # the stderr summary and the benchmark tracer consume plain dicts
     assert all(type(table) is dict and table for table in snapshot.values())
-    assert partitions._CORRECTION_SUMS and oracle._TOP_CACHE
     clear_coeff_caches()
-    assert not ring._SPLIT_WEIGHT
-    assert not ring._SHIFTED_SUMS
-    # the shared block-DP rows, and the socle table that is the oracle's tops
-    assert not partitions._CORRECTION_SUMS
-    assert not oracle._TOP_CACHE
-    assert not partitions._CHAIN_SUMS
-    assert not partitions._SOCLE_SPLITS
-    assert not partitions._SPLIT_KEYS
-    assert not ring._SIGNED_TRUNCATION
-    assert not oracle._PAIRINGS
+    assert not any(tables)
     assert snapshot_coeff_caches() == {"socle": {}, "correction": {}}
 
 
@@ -368,7 +359,8 @@ def one_block_closed(a):
     return basis_coeff((tuple(range(len(a))),), a, 3, method="closed")
 
 
-ROW_TABLES = [(socle_coeff, "_SHIFTED_SUMS"), (correction_coeff, "_CORRECTION_SUMS"), (one_block_closed, "_CHAIN_SUMS")]
+# the tables that recurse on their own entries of sub-multisets, as named in ring
+ROW_TABLES = [(socle_coeff, "_SHIFTED_SUMS"), (correction_coeff, "_CORRECTION"), (one_block_closed, "_CHAIN_SUMS")]
 
 
 @pytest.mark.parametrize("coeff, table", ROW_TABLES)
@@ -376,7 +368,7 @@ def test_a_table_of_exactly_its_rows_computes_each_row_once(monkeypatch, coeff, 
     a = (1,) * 40
     clear_coeff_caches()
     expected = coeff(a)
-    rows = getattr(partitions, table)
+    rows = getattr(ring, table)
     compute, computed = rows.compute, []
 
     def counted(key):
@@ -386,13 +378,15 @@ def test_a_table_of_exactly_its_rows_computes_each_row_once(monkeypatch, coeff, 
         assert len(computed) <= 41, "a row computed twice"
         return compute(key)
 
-    # the 41 rows of (1,)*40 .. () fill the table without emptying it
+    # the 41 rows of (1,)*40 .. () fill the table without emptying it; the
+    # correction has no entry for (), so it fills 40
     monkeypatch.setattr(partitions, "COEFF_CACHE_LIMIT", 41)
     monkeypatch.setattr(rows, "compute", counted)
     clear_coeff_caches()
     assert coeff(a) == expected
-    assert sorted(computed) == [(1,) * m for m in range(41)]
-    assert len(rows) == 41
+    least = 1 if table == "_CORRECTION" else 0
+    assert sorted(computed) == [(1,) * m for m in range(least, 41)]
+    assert len(rows) == 41 - least
     clear_coeff_caches()
 
 
@@ -404,7 +398,7 @@ def test_tables_that_empty_mid_lookup_give_the_same_values(monkeypatch, coeff, t
     monkeypatch.setattr(partitions, "COEFF_CACHE_LIMIT", 3)
     clear_coeff_caches()
     assert coeff(a) == expected
-    assert len(getattr(partitions, table)) <= 3
+    assert len(getattr(ring, table)) <= 3
     clear_coeff_caches()
 
 
@@ -494,8 +488,8 @@ def test_kernel_tables_hold_ints_and_public_values_are_fractions():
             assert type(sums) is tuple and sums == tuple(sorted(sums)) and sum(sums) == sum(values)
             assert all(type(v) is int for v in sums) and type(weight) is int
     # one weight per (len(r), len(t)), and a signed factor per pair up to k
-    assert partitions._CHAIN_SUMS and partitions._CORRECTION_SUMS
-    for chains in (*partitions._CHAIN_SUMS.values(), *partitions._CORRECTION_SUMS.values()):
+    assert partitions._CHAIN_SUMS
+    for chains in partitions._CHAIN_SUMS.values():
         assert all(type(j) is int and type(i) is int and type(weight) is int for (j, i), weight in chains)
     assert ring._SIGNED_TRUNCATION
     for (truncation, k, d), signed in ring._SIGNED_TRUNCATION.items():

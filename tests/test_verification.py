@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from kapparing import partitions, ring, verification
+from kapparing.ring import KappaPoly
 from kapparing.verification import check_methods_agree
 
 from test_anchors import ANCHOR_GRID, anchor_mismatches
@@ -45,6 +46,54 @@ def test_failing_method_row_carries_the_disagreeing_values(monkeypatch):
     assert row["monomial_mismatches"] == [
         {"monomial": [1, 1], "aggregated": "1/1", "pairing": "3/2", "product": "1/1"}
     ]
+
+
+def test_failing_genus_lift_row_carries_both_products(monkeypatch):
+    kappa_product = verification.kappa_product
+
+    def skewed_kappa_product(a, genus, n, **kwargs):
+        poly = kappa_product(a, genus, n, **kwargs)
+        return poly + KappaPoly.monomial((2,)) if genus == 1 else poly
+
+    monkeypatch.setattr(verification, "kappa_product", skewed_kappa_product)
+    passing, failing = verification.check_genus_lift((1, 1), 2, (2, 1))
+    assert list(passing) == ["check", "a", "d", "genus", "marked", "pass"] and passing["pass"] is True
+    assert failing["pass"] is False
+    assert failing["lifted_terms"] == [
+        {"monomial": [1, 1], "coefficient": "1/1"},
+        {"monomial": [2], "coefficient": "1/1"},
+    ]
+    assert failing["base_terms"] == [{"monomial": [1, 1], "coefficient": "1/1"}]
+
+
+def test_failing_top_degree_row_carries_the_product_and_the_three_tops():
+    values = verification._top_degree_values((1, 1))
+    assert values == (5, 5, 5)
+    passing = verification.check_top_degree((1, 1), values)
+    assert list(passing) == ["check", "a", "marked", "socle", "pass"] and passing["pass"] is True
+    failing = verification.check_top_degree((1, 1), (5, 6, 5))
+    assert failing == {
+        **passing,
+        "pass": False,
+        "terms": [{"monomial": [2], "coefficient": "5/1"}],
+        "integral": "6/1",
+        "pairing": "5/1",
+    }
+
+
+def test_failing_round_trip_row_carries_the_residual(monkeypatch):
+    faber_expand = verification.faber_expand
+
+    def skewed_faber_expand(q):
+        poly = faber_expand(q)
+        return poly + KappaPoly.monomial((7,)) if tuple(q) == (2,) else poly
+
+    passing = verification.check_round_trip((1, 1))
+    assert passing == {"check": "round_trip", "a": [1, 1], "pass": True}
+    monkeypatch.setattr(verification, "faber_expand", skewed_faber_expand)
+    # kappa_1^2 = psi(1, 1) - psi(2), so the skew comes back with sign -1
+    failing = verification.check_round_trip((1, 1))
+    assert failing == {**passing, "pass": False, "residual": [{"monomial": [7], "coefficient": "-1/1"}]}
 
 
 def test_reconcile_sweep_is_the_same_on_one_or_two_processes_and_in_run_suite():
@@ -251,9 +300,18 @@ def test_a_fault_in_the_shared_shifted_row_fails_the_socle_against_the_orbits(co
 
 
 def test_a_fault_in_the_shared_correction_row_fails_a_row(cold_tables):
-    # the two-block entry of (2, 3)'s correction row
-    add_one_at(partitions._CORRECTION_SUMS, (2, 3), (2, 2))
-    assert failing_counts() == {"vanishing": 35, "method_agreement": 18, "reconcile_summary": 1}
+    # recursive and ck's split weights read the correction, which larger
+    # corrections read in turn; closed's chain rows do not
+    ring._CORRECTION[(2, 3)] += 1
+    rows = [row for row in verification.run_suite("all") if not row["pass"]]
+    assert Counter(row.get("check", row.get("identity")) for row in rows) == {
+        "vanishing": 35,
+        "method_agreement": 18,
+        "reconcile_summary": 1,
+    }
+    mismatches = [mismatch for row in rows for mismatch in row.get("method_mismatches", [])]
+    assert len(mismatches) == 24
+    assert all(mismatch["recursive"] == mismatch["ck"] != mismatch["closed"] for mismatch in mismatches)
 
 
 def test_a_fault_in_the_chain_row_fails_the_method_agreement(cold_tables):
@@ -316,14 +374,19 @@ def test_a_fault_in_the_shared_first_blocks_fails_the_anchor_the_orbits_and_recu
         else:
             with pytest.raises(AssertionError):
                 orbits_are_the_labelled_shapes(length)
-    # the pairing system cannot even be assembled from the faulty rows, so
-    # the method rows are read with the pairing solve left out
-    with pytest.raises(KeyError):
-        verification.run_suite("all")
-    monkeypatch.setattr(verification, "solve_coeffs_by_pairing", lambda a, n: {})
-    rows = [row for row in verification.run_suite("all") if row.get("check") == "method_agreement"]
+    # the pairing system cannot be assembled from the faulty rows: its method
+    # rows fail with the error's detail, and every row is still there
+    rows = verification.run_suite("all")
+    assert len(rows) == 2672
+    rows = [row for row in rows if row.get("check") == "method_agreement"]
     assert (len(rows), sum(not row["methods_agree"] for row in rows)) == (92, 44)
-    # recursive's values come off the faulty socle and correction rows by another walk
+    broken = [row for row in rows if "pairing_error" in row]
+    assert len(broken) == sum(not row["pairing_agrees"] for row in rows) == 33
+    assert broken[0]["pairing_error"] == "the column of (1, 2) pairs with dims (3,), which the column of (1, 1, 1) lacks"
+    # recursive reads the faulty socle by another walk, and the correction,
+    # which never cuts a whole block, intact
     mismatches = [mismatch for row in rows for mismatch in row.get("method_mismatches", [])]
     assert len(mismatches) == 92
-    assert all(mismatch["recursive"] not in (mismatch["ck"], mismatch["closed"]) for mismatch in mismatches)
+    assert all(mismatch["recursive"] != mismatch["ck"] for mismatch in mismatches)
+    assert sum(mismatch["recursive"] == mismatch["closed"] for mismatch in mismatches) == 30
+    assert sum(mismatch["ck"] == mismatch["closed"] for mismatch in mismatches) == 27
