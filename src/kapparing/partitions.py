@@ -23,7 +23,9 @@ its bounds, and anything else is a ``ValueError`` naming the argument.
 Every public entry point's integer arguments and the entries of every
 ``multiset`` go through it.  ``kappa_monomial`` is the one validator of
 kappa monomials, and ``quote`` bounds the argument every error message
-echoes.
+echoes.  ``_Trusted`` marks a monomial or partition that package code has
+just validated or built canonical, so ``ring.basis_coeff`` does not check
+it again.
 
 A value-only sum over set partitions depends on a split only through its
 blocks' values, so it walks ``_orbits``, one term per orbit of splits that
@@ -59,6 +61,16 @@ from typing import Iterable, Iterator, Optional
 Multiset = tuple[int, ...]
 Block = tuple[int, ...]
 SetPartition = tuple[Block, ...]
+
+
+class _Trusted(tuple):
+    """A kappa monomial or set partition that package code has just
+    validated or built in canonical form.  ``ring.basis_coeff`` validates
+    no argument of exactly this type again.  Values of it go to
+    ``basis_coeff`` only: no public function returns one, and no memo
+    table keeps one."""
+
+    __slots__ = ()
 
 
 def natural(value, what: str, least: Optional[int] = 0, most: Optional[int] = None) -> int:

@@ -31,11 +31,21 @@ partitions; ``kappa_product`` calls ``basis_coeff`` once per term: by
 ``recursive`` on each basis partition of a's positions, from
 ``set_partitions``, and by ``ck`` and ``closed`` on one partition per orbit.
 
+``basis_coeff`` is public and validates its arguments, with one exception:
+it does not check again an a or a p of the type ``partitions._Trusted``,
+which marks a value that package code has just validated or built
+canonical.  Two callers hand it such values: ``kappa_product``, with a
+validated once and every partition it walks, and the verify walk in
+:mod:`kapparing.verification`, with a validated once and the
+``set_partitions`` output.  The method, truncation, ground size and degree
+budget are checked on every call.
+
 Every coefficient is an integer, and the kernels sum ints: the socle,
-correction and split-weight values, closed's signed truncation factors and
-the block DP's rows in :mod:`kapparing.partitions` (shifted sums, chain
-sums, socle splits) are int ``Memo`` tables, which the loops index
-directly; ``clear_coeff_caches`` empties them.  ``Fraction`` appears only
+correction and split-weight values, the correction's moments, closed's
+signed truncation factors and the block DP's rows in
+:mod:`kapparing.partitions` (shifted sums, chain sums, socle splits) are
+int ``Memo`` tables, which the loops index directly;
+``clear_coeff_caches`` empties them.  ``Fraction`` appears only
 in the public functions' results.
 
 The closed form's truncation factor has two candidate conventions (see
@@ -66,10 +76,10 @@ from .partitions import (
     Multiset,
     SetPartition,
     _first_blocks,
+    _Trusted,
     _orbits,
     _split_sums,
     _splits,
-    block_sums,
     canonical_partition,
     ground_size,
     kappa_monomial,
@@ -203,21 +213,26 @@ def correction_coeff(a: Iterable[int]) -> Fraction:
     return Fraction(_CORRECTION[a] if a else 1)
 
 
-# Memo tables of the correction coefficients and the split weights, keyed by
-# canonical monomials, which the internal loops build and index without
-# validating again; closed's signed truncation factors are keyed by
-# (truncation, k, d).  Every value is an int or a tuple built of ints.
+# Memo tables of the correction coefficients, their moments and the split
+# weights, keyed by canonical monomials, which the internal loops build and
+# index without validating again; closed's signed truncation factors are
+# keyed by (truncation, k, d).  Every value is an int or a tuple built of ints.
+_MOMENT = Memo(lambda s: multinomial(v + 1 for v in s))
+
+
 @Memo
 def _CORRECTION(a: KappaMonomial) -> int:
     """correction_coeff by canonical monomial, trusted nonempty: (-1)**(len(a) - 1)
     times the cumulant of m(B) = multinomial(B + 1) (Speed, "Cumulants and
     partition lattices", 1983).  m(a) sums ways * cumulant(B) * m(a \\ B) over
     the blocks B that hold a's first position, so a's cumulant is m(a) less
-    the terms of the smaller blocks, whose cumulants this table holds."""
-    cumulant = multinomial(v + 1 for v in a)
+    the terms of the smaller blocks, whose cumulants this table holds.  The
+    moments come from ``_MOMENT``: one rest is left by the first blocks of
+    many monomials."""
+    cumulant = _MOMENT[a]
     for _, block, rest, ways in _first_blocks(a):
         if rest:
-            cumulant -= (-1) ** (len(block) - 1) * ways * _CORRECTION[block] * multinomial(v + 1 for v in rest)
+            cumulant -= (-1) ** (len(block) - 1) * ways * _CORRECTION[block] * _MOMENT[rest]
     return (-1) ** (len(a) - 1) * cumulant
 
 
@@ -245,7 +260,7 @@ def _SIGNED_TRUNCATION(key: tuple[str, int, int]) -> tuple[tuple[int, ...], ...]
 
 def clear_coeff_caches() -> None:
     """Empty every memo table of the package, the oracle's pairing columns too."""
-    for table in (_SOCLE, _CORRECTION, _SPLIT_WEIGHT, _SHIFTED_SUMS, _CHAIN_SUMS, _SOCLE_SPLITS, _SPLIT_KEYS,
+    for table in (_SOCLE, _MOMENT, _CORRECTION, _SPLIT_WEIGHT, _SHIFTED_SUMS, _CHAIN_SUMS, _SOCLE_SPLITS, _SPLIT_KEYS,
                   _SIGNED_TRUNCATION, _PAIRINGS):
         table.clear()
 
@@ -386,8 +401,11 @@ def basis_coeff(
     _check_method(method)
     if truncation not in TRUNCATION_VARIANTS:
         raise ValueError(f"unknown truncation variant {truncation!r}")
-    a = kappa_monomial(a)
-    p = canonical_partition(p)
+    # what kappa_product and the verify walk built canonical is not checked again
+    if type(a) is not _Trusted:
+        a = kappa_monomial(a)
+    if type(p) is not _Trusted:
+        p = canonical_partition(p)
     if ground_size(p) != len(a):
         raise ValueError(f"partition covers {ground_size(p)} indices but the multiset has {len(a)}")
     if len(p) > natural(d, "d", 1):
@@ -425,12 +443,14 @@ def kappa_product(
     d = 2 * natural(genus, "genus") + natural(markings, "markings") - sum(a) - 2
     if d <= 0:
         return KappaPoly.zero()
+    # a is canonical and every p below is built canonical, so basis_coeff trusts them
+    trusted = _Trusted(a)
     terms: dict[Multiset, Fraction] = {}
     if method == "recursive":
         for p in set_partitions(len(a)):
             if len(p) <= d:
-                key = block_sums(p, a)
-                terms[key] = terms.get(key, 0) + basis_coeff(p, a, d, method=method)
+                key = _split_sums([a[i] for i in blk] for blk in p)
+                terms[key] = terms.get(key, 0) + basis_coeff(_Trusted(p), trusted, d, method=method)
     else:
         # each value's first position; an orbit's block takes its values' next unused ones,
         # so the blocks come in canonical order, each led by the least position left
@@ -444,7 +464,7 @@ def kappa_product(
                     taken[value] += 1
                 p.append(tuple(positions))
             key = _split_sums(blocks)
-            term = basis_coeff(tuple(p), a, d, method=method)
+            term = basis_coeff(_Trusted(p), trusted, d, method=method)
             # a Fraction product costs microseconds, and distinct values have count 1
             terms[key] = terms.get(key, 0) + (term if count == 1 else count * term)
     return KappaPoly(terms)

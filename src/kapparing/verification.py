@@ -17,7 +17,17 @@ from typing import Iterable, NamedTuple
 from .identities import SweepBounds, check_identity, identity_sweep_cases
 from .numbers import format_rational
 from .oracle import RankDeficientPairingError, integrate_kappa_top, pair_kappa_stratum, solve_coeffs_by_pairing
-from .partitions import Multiset, SetPartition, block_sums, index_multisets, multiset, natural, set_partitions
+from .partitions import (
+    Multiset,
+    SetPartition,
+    _Trusted,
+    block_sums,
+    index_multisets,
+    kappa_monomial,
+    multiset,
+    natural,
+    set_partitions,
+)
 from .ring import (
     METHODS,
     TRUNCATION_VARIANTS,
@@ -52,8 +62,16 @@ def ring_sweep_cases(bounds: RingSweepBounds = RingSweepBounds()) -> list[tuple[
 
 def _basis_values(a: Multiset, d: int, methods: tuple[str, ...]) -> list[tuple[SetPartition, dict[str, Fraction]]]:
     """Each basis partition of a's positions (at most d blocks, in
-    ``set_partitions`` order) with its ``basis_coeff`` by each of ``methods``."""
-    return [(p, {m: basis_coeff(p, a, d, method=m) for m in methods}) for p in set_partitions(len(a)) if len(p) <= d]
+    ``set_partitions`` order) with its ``basis_coeff`` by each of ``methods``.
+    a is validated once and each partition is built canonical, so both go
+    to ``basis_coeff`` trusted; the partitions stay trusted in the walk,
+    which ``reconcile_case`` hands on."""
+    a = _Trusted(kappa_monomial(a))
+    return [
+        (p, {m: basis_coeff(p, a, d, method=m) for m in methods})
+        for p in map(_Trusted, set_partitions(len(a)))
+        if len(p) <= d
+    ]
 
 
 def check_methods_agree(a: Iterable[int], d: int, poly: KappaPoly | None = None, walk: list | None = None) -> dict:
@@ -209,8 +227,11 @@ def random_round_trip_cases(count: int = 20, seed: int = 20240211) -> list[Multi
 def reconcile_case(a: Iterable[int], d: int, walk: list | None = None) -> list[dict]:
     """Compare every closed-form truncation variant against the recursive value,
     one row per basis partition.  ``partial_sum`` is the ``closed`` value of
-    ``walk`` (a ring case's ``_basis_values``) if given, else of its own walk."""
-    a, d = multiset(a), natural(d, "d", 1)
+    ``walk`` (a ring case's ``_basis_values``) if given, else of its own walk.
+    The other variants' ``basis_coeff`` calls trust a, validated here once,
+    and the walk's partitions that ``_basis_values`` built."""
+    a, d = kappa_monomial(a), natural(d, "d", 1)
+    trusted = _Trusted(a)
     rows = []
     for p, values in _basis_values(a, d, ("recursive", "closed")) if walk is None else walk:
         reference = values["recursive"]
@@ -223,7 +244,7 @@ def reconcile_case(a: Iterable[int], d: int, walk: list | None = None) -> list[d
         for variant in TRUNCATION_VARIANTS:
             value = values["closed"]
             if variant != "partial_sum":
-                value = basis_coeff(p, a, d, method="closed", truncation=variant)
+                value = basis_coeff(p, trusted, d, method="closed", truncation=variant)
             row[variant] = format_rational(value)
             row[f"{variant}_matches"] = value == reference
         rows.append(row)

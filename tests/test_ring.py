@@ -112,11 +112,57 @@ def test_kappa_product_calls_basis_coeff_once_per_basis_partition(monkeypatch):
     assert len(orbits) < len(labelled)
     assert {tuple(sorted(blocks)): count for blocks, count in orbits} == Counter(value_shape(p, a) for p in labelled)
     walk = [orbit_positions(blocks, a) for blocks, _ in orbits]
-    assert all(p == canonical_partition(p) for p in walk)
     for method in METHODS:
         calls.clear()
         kappa_product((2, 3, 1, 2, 1, 1), 0, sum(a) + d + 2, method=method)
         assert calls == [(p, a, d, method) for p in (labelled if method == "recursive" else walk)]
+        # basis_coeff trusts what it is handed, which is sound only because
+        # every partition the product builds is canonical, and so is a
+        for p, trusted_a, _, _ in calls:
+            assert type(p) is type(trusted_a) is partitions._Trusted
+            assert p == canonical_partition(p) and trusted_a == kappa_monomial(trusted_a)
+
+
+@pytest.mark.parametrize("genus", [0, 1])
+@pytest.mark.parametrize("method", METHODS)
+def test_kappa_product_hands_basis_coeff_values_it_does_not_validate_again(monkeypatch, method, genus):
+    a, d = (1, 1, 2, 2, 3, 3), 3
+    inside, counts = [False], Counter()
+
+    def recording(p, a, d, method):
+        counts["basis_coeff"] += 1
+        inside[0] = True
+        try:
+            return basis_coeff(p, a, d, method=method)
+        finally:
+            inside[0] = False
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name, inside[0]] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(ring, "basis_coeff", recording)
+    for name in ("canonical_partition", "kappa_monomial"):
+        monkeypatch.setattr(ring, name, counted(name, getattr(ring, name)))
+    kappa_product(a, genus, sum(a) + d + 2 - 2 * genus, method=method)
+    # the product validates a once itself, and basis_coeff never again
+    assert counts["canonical_partition", True] == counts["kappa_monomial", True] == 0
+    assert counts["kappa_monomial", False] == 1
+    labelled = sum(1 for p in set_partitions(len(a)) if len(p) <= d)
+    assert counts["basis_coeff"] == (labelled if method == "recursive" else len(list(partitions._orbits(a, d))))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_no_trusted_value_leaves_kappa_product(method):
+    for a in [(1, 1, 2, 2, 3, 3), (4,), (1,) * 5, (1, 2, 3)]:
+        for d in (1, 2, 3):
+            poly = kappa_product(a, 0, sum(a) + d + 2, method=method)
+            assert poly.terms and all(type(key) is tuple for key in poly.terms)
+    for table in memo_tables():
+        assert not any(type(key) is partitions._Trusted for key in table)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -324,7 +370,8 @@ def test_clear_coeff_caches_empties_every_memo():
     oracle.solve_coeffs_by_pairing((1, 1, 2), 8)
     # every Memo of the package, the socle table that is the oracle's tops counted once
     tables = {id(table): table for table in memo_tables()}.values()
-    assert len(tables) == 9 and oracle._TOP_CACHE is ring._SOCLE
+    assert len(tables) == 10 and oracle._TOP_CACHE is ring._SOCLE
+    assert any(table is ring._MOMENT for table in tables)
     assert all(tables)
     snapshot = snapshot_coeff_caches()
     assert set(snapshot) == {"socle", "correction"}
@@ -417,12 +464,47 @@ def test_basis_coeff_pinned_values():
 
 
 def test_basis_coeff_rejects_partitions_outside_the_basis():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the basis range d=1"):
         basis_coeff(((0,), (1,)), (1, 1), 1)
+    with pytest.raises(ValueError, match="outside the basis range d=2"):
+        basis_coeff(((0,), (1,), (2,)), (1, 1, 1), 2)
     with pytest.raises(ValueError):
         basis_coeff(((0, 1),), (1, 1), 0)
     with pytest.raises(ValueError):
         basis_coeff(((0, 1),), (1, 1), 2, method="simplex")
+
+
+class _OtherTuple(tuple):
+    pass
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_public_basis_coeff_validates_and_canonicalises_what_it_is_handed(method):
+    a, d = (1, 2, 3), 2
+    expected = basis_coeff(((0, 2), (1,)), a, d, method=method)
+    # lists, unsorted blocks, blocks out of order, an unsorted a and tuple
+    # subclasses other than the package's trusted type are canonicalised
+    for p, values in [
+        ([[0, 2], [1]], a),
+        (((2, 0), (1,)), a),
+        (((1,), (0, 2)), a),
+        ([[1], [2, 0]], [3, 1, 2]),
+        (_OtherTuple(((2, 0), (1,))), _OtherTuple((2, 3, 1))),
+    ]:
+        assert basis_coeff(p, values, d, method=method) == expected, (p, values)
+    for p, values, message in [
+        (((0, True), (2,)), a, "set partition indices"),
+        (_OtherTuple(((0, True), (2,))), a, "set partition indices"),
+        (((0, 1), (1, 2)), a, "pairwise disjoint"),
+        (((0, 1), (3,)), a, "must cover"),
+        (((0, 1),), a, "partition covers 2 indices but the multiset has 3"),
+        (((0, 2), (1,)), (1, 2, 3, 4), "partition covers 3 indices but the multiset has 4"),
+        (((0, 2), (1,)), (1, 0, 3), "kappa indices must be >= 1"),
+        (((0, 2), (1,)), _OtherTuple((1, True, 3)), "multiset entries"),
+        (((0,), (1,), (2,)), a, "outside the basis range d=2"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            basis_coeff(p, values, d, method=method)
 
 
 def test_rejected_truncation_variant_disagrees():

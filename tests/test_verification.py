@@ -157,6 +157,8 @@ def test_each_suite_computes_each_basis_value_once(monkeypatch, suite, values):
     # and closed in ring; recursive, closed and single_binomial in reconcile;
     # all four in all
     assert len(calls) == len(set(calls)) == values
+    # the walk's partitions and a, validated once, go to basis_coeff trusted
+    assert all(type(p) is type(a) is partitions._Trusted for p, a, *_ in calls)
     # one walk of the basis partitions per sweep case
     assert len(walks) == len(verification.ring_sweep_cases())
     assert len(sweeps) == (suite == "reconcile")
