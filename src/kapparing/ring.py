@@ -32,21 +32,18 @@ partitions; ``kappa_product`` calls ``basis_coeff`` once per term: by
 ``set_partitions``, and by ``ck`` and ``closed`` on one partition per orbit.
 
 ``basis_coeff`` is public and validates its arguments, with one exception:
-it does not check again an a or a p of the type ``partitions._Trusted``,
-which marks a value that package code has just validated or built
-canonical.  Two callers hand it such values: ``kappa_product``, with a
-validated once and every partition it walks, and the verify walk in
-:mod:`kapparing.verification`, with a validated once and the
-``set_partitions`` output.  The method, truncation, ground size and degree
-budget are checked on every call.
+it does not check again an a or a p of the private type ``_Trusted``, which
+only ``kappa_product`` makes, for a validated once and every partition it
+walks.  The method, truncation, ground size and degree budget are checked
+on every call.
 
 Every coefficient is an integer, and the kernels sum ints: the socle,
 correction and split-weight values, the correction's moments, closed's
-signed truncation factors and the block DP's rows in
-:mod:`kapparing.partitions` (shifted sums, chain sums, socle splits) are
-int ``Memo`` tables, which the loops index directly;
-``clear_coeff_caches`` empties them.  ``Fraction`` appears only
-in the public functions' results.
+chain rows and signed truncation factors and the block DP's rows in
+:mod:`kapparing.partitions` (shifted sums, socle splits) are int ``Memo``
+tables, which the loops index directly; ``clear_coeff_caches`` empties
+every ``Memo`` made.  ``Fraction`` appears only in the public functions'
+results.
 
 The closed form's truncation factor has two candidate conventions (see
 ``TRUNCATION_VARIANTS``).  ``partial_sum`` evaluates the truncated
@@ -65,18 +62,15 @@ from math import prod
 from typing import Iterable, Mapping, Optional, Union
 
 from .numbers import alt_binomial_partial_sum, binomial, factorial, format_rational, multinomial
-from .oracle import _PAIRINGS
 from .partitions import (
-    _CHAIN_SUMS,
+    _MEMOS,
     _SHIFTED_SUMS,
     _SOCLE,
     _SOCLE_SPLITS,
-    _SPLIT_KEYS,
     Memo,
     Multiset,
     SetPartition,
     _first_blocks,
-    _Trusted,
     _orbits,
     _split_sums,
     _splits,
@@ -92,6 +86,16 @@ METHODS = ("recursive", "ck", "closed")
 TRUNCATION_VARIANTS = ("partial_sum", "single_binomial")
 
 KappaMonomial = Multiset
+
+
+class _Trusted(tuple):
+    """A kappa monomial or set partition that ``kappa_product`` has just
+    validated or built in canonical form.  ``basis_coeff`` validates no
+    argument of exactly this type again.  Values of it go to
+    ``basis_coeff`` only: no public function returns one, and no memo
+    table keeps one."""
+
+    __slots__ = ()
 
 
 class _Combination:
@@ -260,8 +264,7 @@ def _SIGNED_TRUNCATION(key: tuple[str, int, int]) -> tuple[tuple[int, ...], ...]
 
 def clear_coeff_caches() -> None:
     """Empty every memo table of the package, the oracle's pairing columns too."""
-    for table in (_SOCLE, _MOMENT, _CORRECTION, _SPLIT_WEIGHT, _SHIFTED_SUMS, _CHAIN_SUMS, _SOCLE_SPLITS, _SPLIT_KEYS,
-                  _SIGNED_TRUNCATION, _PAIRINGS):
+    for table in _MEMOS:
         table.clear()
 
 
@@ -350,6 +353,27 @@ def _coeff_ck(shape: tuple[Multiset, ...], d: int) -> int:
     return total
 
 
+def _chain_row(s: Multiset) -> tuple[tuple[tuple[int, int], int], ...]:
+    """closed's chain row of s: the pairs ((j, i), w), where w sums (j - 1)!
+    times the product of entry m_B of each block B's shifted row over the
+    set partitions of s's positions into j blocks and the m_B adding up to
+    i.  Adding B to a partition of s \\ B with j blocks turns (j - 1)! into j!."""
+    if not s:
+        return (((0, 0), 1),)
+    out = {}
+    for _, block, rest, ways in _first_blocks(s):
+        terms = [(m, ways * v) for m, v in enumerate(_SHIFTED_SUMS[block]) if v]
+        for (j, i), w in _CHAIN_SUMS[rest]:
+            w *= j or 1
+            for m, v in terms:
+                key = j + 1, i + m
+                out[key] = out.get(key, 0) + w * v
+    return tuple(out.items())
+
+
+_CHAIN_SUMS = Memo(_chain_row)
+
+
 def _coeff_closed(shape: tuple[Multiset, ...], d: int, truncation: str) -> int:
     """The sum over chains t <= r <= p of
 
@@ -401,7 +425,7 @@ def basis_coeff(
     _check_method(method)
     if truncation not in TRUNCATION_VARIANTS:
         raise ValueError(f"unknown truncation variant {truncation!r}")
-    # what kappa_product and the verify walk built canonical is not checked again
+    # what kappa_product built canonical is not checked again
     if type(a) is not _Trusted:
         a = kappa_monomial(a)
     if type(p) is not _Trusted:

@@ -3,7 +3,8 @@
 Each function returns JSON-ready rows (dicts with a "pass" key) in a
 deterministic order, so the CLI can emit them directly and fan the work out
 to processes without changing the output.  A ring-sweep case walks its basis
-partitions once, and in ``all`` its reconcile rows read that walk's values.
+partitions once, and in ``all`` its reconcile rows read that walk's values;
+``basis_coeff`` validates each value the walk hands it, as for any caller.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .oracle import RankDeficientPairingError, integrate_kappa_top, pair_kappa_s
 from .partitions import (
     Multiset,
     SetPartition,
-    _Trusted,
     block_sums,
     index_multisets,
     kappa_monomial,
@@ -62,14 +62,11 @@ def ring_sweep_cases(bounds: RingSweepBounds = RingSweepBounds()) -> list[tuple[
 
 def _basis_values(a: Multiset, d: int, methods: tuple[str, ...]) -> list[tuple[SetPartition, dict[str, Fraction]]]:
     """Each basis partition of a's positions (at most d blocks, in
-    ``set_partitions`` order) with its ``basis_coeff`` by each of ``methods``.
-    a is validated once and each partition is built canonical, so both go
-    to ``basis_coeff`` trusted; the partitions stay trusted in the walk,
-    which ``reconcile_case`` hands on."""
-    a = _Trusted(kappa_monomial(a))
+    ``set_partitions`` order) with its ``basis_coeff`` by each of ``methods``."""
+    a = kappa_monomial(a)
     return [
         (p, {m: basis_coeff(p, a, d, method=m) for m in methods})
-        for p in map(_Trusted, set_partitions(len(a)))
+        for p in set_partitions(len(a))
         if len(p) <= d
     ]
 
@@ -227,11 +224,8 @@ def random_round_trip_cases(count: int = 20, seed: int = 20240211) -> list[Multi
 def reconcile_case(a: Iterable[int], d: int, walk: list | None = None) -> list[dict]:
     """Compare every closed-form truncation variant against the recursive value,
     one row per basis partition.  ``partial_sum`` is the ``closed`` value of
-    ``walk`` (a ring case's ``_basis_values``) if given, else of its own walk.
-    The other variants' ``basis_coeff`` calls trust a, validated here once,
-    and the walk's partitions that ``_basis_values`` built."""
+    ``walk`` (a ring case's ``_basis_values``) if given, else of its own walk."""
     a, d = kappa_monomial(a), natural(d, "d", 1)
-    trusted = _Trusted(a)
     rows = []
     for p, values in _basis_values(a, d, ("recursive", "closed")) if walk is None else walk:
         reference = values["recursive"]
@@ -244,7 +238,7 @@ def reconcile_case(a: Iterable[int], d: int, walk: list | None = None) -> list[d
         for variant in TRUNCATION_VARIANTS:
             value = values["closed"]
             if variant != "partial_sum":
-                value = basis_coeff(p, trusted, d, method="closed", truncation=variant)
+                value = basis_coeff(p, a, d, method="closed", truncation=variant)
             row[variant] = format_rational(value)
             row[f"{variant}_matches"] = value == reference
         rows.append(row)
@@ -276,46 +270,20 @@ def summarize_reconcile(rows: list[dict]) -> dict:
 
 
 def pinned_product_checks() -> list[dict]:
-    """The two hand-pinned expansions, cross-checked by every oracle route."""
-    rows = []
-
+    """The two hand-pinned expansions of kappa_1^2, cross-checked by every oracle route."""
     a = (1, 1)
-    poly5 = kappa_product(a, 0, 5)
-    lam = socle_coeff(a)
-    ok5 = (
-        poly5 == KappaPoly({(2,): Fraction(5)})
-        and lam == 5
-        and integrate_kappa_top(a, 5) == 5
-        and pair_kappa_stratum(a, (2,)) == 5
+    # marked points, the expected product, and the oracle comparisons that must hold
+    pins = (
+        (5, {(2,): 5}, lambda _: (socle_coeff(a), integrate_kappa_top(a, 5), pair_kappa_stratum(a, (2,))) == (5, 5, 5)),
+        (6, {(1, 1): 1},
+         lambda poly: poly.coefficient((2,)) == 0 and solve_coeffs_by_pairing(a, 6) == {(1, 1): 1, (2,): 0}),
     )
-    rows.append(
-        {
-            "check": "pinned_product",
-            "a": [1, 1],
-            "genus": 0,
-            "marked": 5,
-            "terms": poly5.to_json_rows(),
-            "pass": bool(ok5),
-        }
-    )
-
-    poly6 = kappa_product(a, 0, 6)
-    solved = solve_coeffs_by_pairing(a, 6)
-    ok6 = (
-        poly6 == KappaPoly({(1, 1): Fraction(1)})
-        and poly6.coefficient((2,)) == 0
-        and solved == {(1, 1): Fraction(1), (2,): Fraction(0)}
-    )
-    rows.append(
-        {
-            "check": "pinned_product",
-            "a": [1, 1],
-            "genus": 0,
-            "marked": 6,
-            "terms": poly6.to_json_rows(),
-            "pass": bool(ok6),
-        }
-    )
+    rows = []
+    for marked, expected, oracles_agree in pins:
+        poly = kappa_product(a, 0, marked)
+        ok = poly == KappaPoly(expected) and oracles_agree(poly)
+        rows.append({"check": "pinned_product", "a": list(a), "genus": 0, "marked": marked,
+                     "terms": poly.to_json_rows(), "pass": ok})
     return rows
 
 

@@ -116,6 +116,34 @@ def test_reconcile_identifies_the_partial_sum_variant():
     assert summary["matches"]["single_binomial"] < summary["cases"]
 
 
+IDENTITY_DEFAULTS = {"max_len": 5, "max_sum": 8, "max_entry": 4, "tree_max_len": 5, "tree_max_entry": 3,
+                     "stirling_max_n": 10, "vanishing_max_len": 5, "vanishing_max_entry": 4, "ff_bound": 5,
+                     "ff_max_n": 8, "ff3_bound": 2, "ff3_max_n": 5}
+RING_DEFAULTS = {"max_len": 4, "max_sum": 6, "max_entry": 4, "max_budget": 4, "genus_lifts": [1, 2]}
+SHORT = {"max_len": 2, "tree_max_len": 2, "vanishing_max_len": 2}
+
+
+@pytest.mark.parametrize(
+    "flags, identities, ring",
+    [
+        (["--max-sum", "3"], {"max_sum": 3}, {"max_sum": 3}),
+        (["--max-len", "2"], SHORT, {"max_len": 2}),
+        (["--max-sum", "3", "--max-len", "2"], {**SHORT, "max_sum": 3}, {"max_len": 2, "max_sum": 3}),
+    ],
+)
+def test_sweep_flags_set_the_bounds_blocks(flags, identities, ring):
+    # each flag moves only its own fields of the default bounds; --max-len caps the tree and vanishing lengths
+    reports = {}
+    for command in (["verify", "--suite", "oracle"], ["reconcile"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(command + flags) == 0
+        reports[command[0]] = json.loads(out.getvalue())["bounds"]
+    expected_ring = {**RING_DEFAULTS, **ring}
+    assert reports["verify"] == {"identities": {**IDENTITY_DEFAULTS, **identities}, "ring": expected_ring}
+    assert reports["reconcile"] == expected_ring
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cache_sizes_on_stderr_are_labelled_as_this_process(jobs):
     # a pool's workers fill their own tables, which the parent's count omits

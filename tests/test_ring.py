@@ -1,5 +1,8 @@
+import ast
 import itertools
 import math
+import pathlib
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -119,7 +122,7 @@ def test_kappa_product_calls_basis_coeff_once_per_basis_partition(monkeypatch):
         # basis_coeff trusts what it is handed, which is sound only because
         # every partition the product builds is canonical, and so is a
         for p, trusted_a, _, _ in calls:
-            assert type(p) is type(trusted_a) is partitions._Trusted
+            assert type(p) is type(trusted_a) is ring._Trusted
             assert p == canonical_partition(p) and trusted_a == kappa_monomial(trusted_a)
 
 
@@ -162,7 +165,7 @@ def test_no_trusted_value_leaves_kappa_product(method):
             poly = kappa_product(a, 0, sum(a) + d + 2, method=method)
             assert poly.terms and all(type(key) is tuple for key in poly.terms)
     for table in memo_tables():
-        assert not any(type(key) is partitions._Trusted for key in table)
+        assert not any(type(key) is ring._Trusted for key in table)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -383,8 +386,34 @@ def test_clear_coeff_caches_empties_every_memo():
 
 
 def memo_tables():
-    return [table for module in (partitions, ring, oracle) for table in vars(module).values()
-            if isinstance(table, partitions.Memo)]
+    modules = [module for name, module in sys.modules.items() if name.split(".")[0] == "kapparing"]
+    return [table for module in modules for table in vars(module).values() if isinstance(table, partitions.Memo)]
+
+
+def test_the_memo_registry_holds_every_table_and_one_made_later():
+    # clear_coeff_caches empties the registry, so no table can be missed by a list kept by hand
+    registered = {id(table) for table in partitions._MEMOS}
+    assert all(id(table) in registered for table in memo_tables())
+    later = partitions.Memo(lambda key: key)
+    assert later[3] == 3 and any(table is later for table in partitions._MEMOS)
+    clear_coeff_caches()
+    assert not later
+
+
+SOURCES = pathlib.Path(ring.__file__).parent
+
+
+def test_ring_imports_nothing_from_the_oracle():
+    # the oracle's pairing columns are emptied through the Memo registry, not by name
+    imported = [node.module for node in ast.walk(ast.parse((SOURCES / "ring.py").read_text()))
+                if isinstance(node, ast.ImportFrom)]
+    assert "partitions" in imported and not any(module and "oracle" in module for module in imported)
+
+
+def test_only_ring_names_the_trusted_type():
+    # kappa_product makes the one trusted value basis_coeff skips validating
+    naming = sorted(path.name for path in SOURCES.glob("*.py") if "_Trusted" in path.read_text())
+    assert naming == ["ring.py"]
 
 
 def test_memo_tables_empty_themselves_when_full(monkeypatch):
@@ -570,8 +599,8 @@ def test_kernel_tables_hold_ints_and_public_values_are_fractions():
             assert type(sums) is tuple and sums == tuple(sorted(sums)) and sum(sums) == sum(values)
             assert all(type(v) is int for v in sums) and type(weight) is int
     # one weight per (len(r), len(t)), and a signed factor per pair up to k
-    assert partitions._CHAIN_SUMS
-    for chains in partitions._CHAIN_SUMS.values():
+    assert ring._CHAIN_SUMS
+    for chains in ring._CHAIN_SUMS.values():
         assert all(type(j) is int and type(i) is int and type(weight) is int for (j, i), weight in chains)
     assert ring._SIGNED_TRUNCATION
     for (truncation, k, d), signed in ring._SIGNED_TRUNCATION.items():
@@ -627,7 +656,7 @@ def test_block_chains_sum_the_chains_inside_one_block(values):
                 weight *= naive_multinomial(sum(values[i] for i in blk) + 1 for blk in local)
             key = (len(r), sum(map(len, t_locals)))
             walked[key] = walked.get(key, 0) + weight
-    chains = partitions._CHAIN_SUMS[values]
+    chains = ring._CHAIN_SUMS[values]
     assert len({key for key, _ in chains}) == len(chains)
     assert dict(chains) == walked, values
 

@@ -157,8 +157,6 @@ def test_each_suite_computes_each_basis_value_once(monkeypatch, suite, values):
     # and closed in ring; recursive, closed and single_binomial in reconcile;
     # all four in all
     assert len(calls) == len(set(calls)) == values
-    # the walk's partitions and a, validated once, go to basis_coeff trusted
-    assert all(type(p) is type(a) is partitions._Trusted for p, a, *_ in calls)
     # one walk of the basis partitions per sweep case
     assert len(walks) == len(verification.ring_sweep_cases())
     assert len(sweeps) == (suite == "reconcile")
@@ -318,7 +316,7 @@ def test_a_fault_in_the_shared_correction_row_fails_a_row(cold_tables):
 
 def test_a_fault_in_the_chain_row_fails_the_method_agreement(cold_tables):
     # only closed reads the chain rows, so the other methods must catch it
-    add_one_at(partitions._CHAIN_SUMS, (2, 3), (2, 2))
+    add_one_at(ring._CHAIN_SUMS, (2, 3), (2, 2))
     assert failing_counts() == {"method_agreement": 5, "reconcile_summary": 1}
 
 
@@ -362,12 +360,18 @@ def test_a_fault_in_the_first_block_walk_fails_the_product_against_the_labelled_
 
 
 def test_a_fault_in_the_shared_first_blocks_fails_the_anchor_the_orbits_and_recursive(monkeypatch, cold_tables):
-    # every block-DP table and the orbit walk cut their blocks with
-    # _first_blocks; dropping the whole-s block of every s of three or more
-    # entries must fail the outside anchor, the orbits against the labelled
-    # walk, and ck and closed against recursive's labelled walk
+    # every block-DP table, closed's chain rows in ring and the orbit walk cut
+    # their blocks with _first_blocks; dropping the whole-s block of every s
+    # of three or more entries must fail the outside anchor, the orbits
+    # against the labelled walk, and ck and closed against recursive's
+    # labelled walk
     cut = partitions._first_blocks
-    monkeypatch.setattr(partitions, "_first_blocks", lambda s: [blk for blk in cut(s) if blk[2] or len(s) < 3])
+
+    def faulty(s):
+        return [blk for blk in cut(s) if blk[2] or len(s) < 3]
+
+    for module in (partitions, ring):
+        monkeypatch.setattr(module, "_first_blocks", faulty)
     found = anchor_mismatches(ANCHOR_GRID)
     assert len(found) == 394 and Counter(which for _, which in found) == {"socle": 197, "integral": 197}
     for length in range(8):
