@@ -40,7 +40,6 @@ from .oracle import (
 from .partitions import (
     Multiset,
     SetPartition,
-    bell,
     block_sums,
     canonical_partition,
     induced_partition,
@@ -53,7 +52,6 @@ from .partitions import (
 )
 from .ring import (
     METHODS,
-    TRUNCATION_VARIANTS,
     KappaPoly,
     PsiPoly,
     basis_coeff,
@@ -96,7 +94,6 @@ __all__ = [
     "solve_exact",
     "Multiset",
     "SetPartition",
-    "bell",
     "block_sums",
     "canonical_partition",
     "induced_partition",
@@ -107,7 +104,6 @@ __all__ = [
     "set_partitions",
     "stirling2",
     "METHODS",
-    "TRUNCATION_VARIANTS",
     "KappaPoly",
     "PsiPoly",
     "basis_coeff",

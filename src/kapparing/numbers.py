@@ -71,9 +71,9 @@ def falling_factorial(x: Union[int, Fraction], n: int) -> Union[int, Fraction]:
 def alt_binomial_partial_sum(m: int, lo: int, hi: int) -> int:
     """sum((-1)**k * binomial(m, k - lo) for k in lo..hi); 0 when hi < lo.
 
-    This truncated alternating sum is the single source of truth for cutting
-    an expansion off at a given number of parts; every closed-form variant of
-    that cutoff is compared against it.  It telescopes, by Pascal's rule, to
+    It sums the z**0 .. z**hi coefficients of (-z)**lo * (1 - z)**m: the
+    closed form's cutoff, which ``ring`` takes as a truncated product over
+    blocks instead of calling this.  It telescopes, by Pascal's rule, to
     (-1)**hi * binomial(m - 1, hi - lo), so its cost does not grow with hi.
     """
     m, lo, hi = natural(m, "m", None), natural(lo, "lo"), natural(hi, "hi", None)

@@ -426,11 +426,6 @@ def _stirling_row(n: int, k: int) -> list[int]:
     return row
 
 
-def bell(n: int) -> int:
-    """Number of partitions of an n-set."""
-    return sum(_stirling_row(natural(n, "n"), n))
-
-
 def index_multisets(
     max_len: int,
     max_sum: Optional[int] = None,

@@ -16,15 +16,17 @@ The expansion coefficient of one basis partition can be computed three ways
 * ``ck``        - per-block aggregation: sum over compositions (k_i) with
   sum <= d of the product of per-block split weights.
 * ``closed``    - the fully explicit sum over chains t <= r <= p, with an
-  alternating truncation factor cutting the expansion at d parts; each
-  p-block's chains are summed once, by (len(r), len(t)).
+  alternating factor cutting the expansion at d parts; each p-block's
+  chains are summed once, into a polynomial.
 
 The three must agree; the test suite and the ``reconcile`` sweep enforce it.
 ``basis_coeff`` turns p into its shape, the tuple of its blocks' value
 multisets, once; the methods see block values only.  ``recursive`` splits
 each block with the labelled walk ``partitions._splits``, the reference
-the other methods are checked against; ``ck``'s split weights contract a
-row of the block DP's ``_SOCLE_SPLITS`` with the correction values.
+the other methods are checked against.  ``ck`` and ``closed`` share one
+kernel, ``_truncated_total``, the product of per-block polynomials cut at
+z**d: ``ck``'s split weights, which contract a row of the block DP's
+``_SOCLE_SPLITS`` with the correction values, and ``closed``'s chain rows.
 ``faber_expand``, ``kappa_to_psi`` and ``kappa_product`` by ``ck`` and
 ``closed`` walk ``partitions._orbits``, each orbit times its count of set
 partitions; ``kappa_product`` calls ``basis_coeff`` once per term: by
@@ -34,34 +36,30 @@ partitions; ``kappa_product`` calls ``basis_coeff`` once per term: by
 ``basis_coeff`` is public and validates its arguments, with one exception:
 it does not check again an a or a p of the private type ``_Trusted``, which
 only ``kappa_product`` makes, for a validated once and every partition it
-walks.  The method, truncation, ground size and degree budget are checked
-on every call.
+walks.  The method, ground size and degree budget are checked on every
+call.
 
 Every coefficient is an integer, and the kernels sum ints: the socle,
 correction and split-weight values, the correction's moments, closed's
-chain rows and signed truncation factors and the block DP's rows in
+chain rows and per-block polynomials and the block DP's rows in
 :mod:`kapparing.partitions` (shifted sums, socle splits) are int ``Memo``
 tables, which the loops index directly; ``clear_coeff_caches`` empties
 every ``Memo`` made.  ``Fraction`` appears only in the public functions'
 results.
 
-The closed form's truncation factor has two candidate conventions (see
-``TRUNCATION_VARIANTS``).  ``partial_sum`` evaluates the truncated
-alternating binomial sum directly and is the pinned default; the
-``single_binomial`` convention, which replaces the sum by a single binomial
-with top index len(t) - len(r) evaluated at min(len(t), d), does not
-reproduce the recursive values and is kept only so the reconciliation sweep
-can demonstrate that with data.
+The cutoff at d parts is the truncated alternating binomial sum.  The
+rejected ``single_binomial`` cutoff does not multiply over blocks; only the
+reconcile sweep in :mod:`kapparing.verification` computes it.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 from typing import Iterable, Mapping, Optional, Union
 
-from .numbers import alt_binomial_partial_sum, binomial, factorial, format_rational, multinomial
+from .numbers import factorial, format_rational, multinomial
 from .partitions import (
     _MEMOS,
     _SHIFTED_SUMS,
@@ -83,7 +81,6 @@ from .partitions import (
 )
 
 METHODS = ("recursive", "ck", "closed")
-TRUNCATION_VARIANTS = ("partial_sum", "single_binomial")
 
 KappaMonomial = Multiset
 
@@ -219,8 +216,7 @@ def correction_coeff(a: Iterable[int]) -> Fraction:
 
 # Memo tables of the correction coefficients, their moments and the split
 # weights, keyed by canonical monomials, which the internal loops build and
-# index without validating again; closed's signed truncation factors are
-# keyed by (truncation, k, d).  Every value is an int or a tuple built of ints.
+# index without validating again.  Every value is an int or a tuple of ints.
 _MOMENT = Memo(lambda s: multinomial(v + 1 for v in s))
 
 
@@ -248,18 +244,6 @@ def _SPLIT_WEIGHT(a: KappaMonomial) -> tuple[int, ...]:
     for sums, w in _SOCLE_SPLITS[a]:
         weights[len(sums) - 1] += w * _CORRECTION[sums]
     return tuple(weights)
-
-
-@Memo
-def _SIGNED_TRUNCATION(key: tuple[str, int, int]) -> tuple[tuple[int, ...], ...]:
-    """closed's signed truncation factors for (truncation, k, d): entry [j][i]
-    is (-1)**(k + i + j) * trunc(i, j, d) for len(r) = j and len(t) = i, and
-    0 where i < j, which no chain has."""
-    truncation, k, d = key
-    return tuple(
-        tuple((-1) ** (k + i + j) * _truncation_factor(truncation, i, j, d) if i >= j else 0 for i in range(k + 1))
-        for j in range(k + 1)
-    )
 
 
 def clear_coeff_caches() -> None:
@@ -317,13 +301,6 @@ def split_weight(a: Iterable[int], k: int) -> Fraction:
     return Fraction(_SPLIT_WEIGHT[a][k - 1])
 
 
-def _truncation_factor(variant: str, len_t: int, len_r: int, d: int) -> int:
-    if variant == "partial_sum":
-        return alt_binomial_partial_sum(len_t - len_r, len_r, d)
-    m = min(len_t, d)
-    return (-1) ** m * binomial(len_t - len_r, m - len_r)
-
-
 def _coeff_recursive(shape: tuple[Multiset, ...], d: int) -> int:
     total = 0
     # q <= p as one local partition per p-block; each local partition is
@@ -340,17 +317,23 @@ def _coeff_recursive(shape: tuple[Multiset, ...], d: int) -> int:
     return total
 
 
+def _truncated_total(vectors: list[tuple[int, ...]], d: int) -> int:
+    """The sum of the z**0 .. z**d coefficients of the product of the blocks'
+    sum_k vector[k - 1] * z**k, whose degree is at most len(a)."""
+    top = min(d, sum(map(len, vectors)))
+    product = [1] + [0] * top
+    for vector in vectors:
+        so_far, product = product, [0] * (top + 1)
+        for k, c in enumerate(so_far):
+            if c:
+                # z**k times the block's z**(m - k), for m <= top
+                for m, w in enumerate(vector[: top - k], k + 1):
+                    product[m] += c * w
+    return sum(product)
+
+
 def _coeff_ck(shape: tuple[Multiset, ...], d: int) -> int:
-    per_block = [_SPLIT_WEIGHT[values] for values in shape]
-    total = 0
-    for ks in itertools.product(*(range(1, len(w) + 1) for w in per_block)):
-        if sum(ks) > d:
-            continue
-        term = 1
-        for j, k in enumerate(ks):
-            term *= per_block[j][k - 1]
-        total += term
-    return total
+    return _truncated_total([_SPLIT_WEIGHT[values] for values in shape], d)
 
 
 def _chain_row(s: Multiset) -> tuple[tuple[tuple[int, int], int], ...]:
@@ -374,7 +357,19 @@ def _chain_row(s: Multiset) -> tuple[tuple[tuple[int, int], int], ...]:
 _CHAIN_SUMS = Memo(_chain_row)
 
 
-def _coeff_closed(shape: tuple[Multiset, ...], d: int, truncation: str) -> int:
+@Memo
+def _CLOSED_WEIGHT(s: Multiset) -> tuple[int, ...]:
+    """closed's polynomial of one p-block s, as ``_SPLIT_WEIGHT`` holds ck's:
+    entry k - 1 is the z**k coefficient of (-1)**len(s) times the sum of
+    w * (-1)**i * z**j * (1 - z)**(i - j) over s's chain row ((j, i), w)."""
+    weights = [0] * len(s)
+    for (j, i), w in _CHAIN_SUMS[s]:
+        for m in range(i - j + 1):
+            weights[j + m - 1] += (-1) ** (len(s) + i + m) * comb(i - j, m) * w
+    return tuple(weights)
+
+
+def _coeff_closed(shape: tuple[Multiset, ...], d: int) -> int:
     """The sum over chains t <= r <= p of
 
         (-1)**(k + len(t) + len(r)) * trunc(len(t), len(r))
@@ -384,23 +379,14 @@ def _coeff_closed(shape: tuple[Multiset, ...], d: int, truncation: str) -> int:
 
     Within one r-block the shifted t-block sums add up to the r-block's sum
     plus its t-block count, so each r-block's factorial over its t-blocks'
-    factorials is a multinomial and every term is an integer.  r is chosen
-    blockwise in p and t blockwise in r, and the sign and truncation factor
-    depend on the chain only through (len(r), len(t)).  So each p-block's
-    chains enter summed by (r-block count, t-block count), as its block-DP
-    row in ``_CHAIN_SUMS``; the product of those rows over p's blocks is
-    summed against the signed factors of ``_SIGNED_TRUNCATION``.
+    factorials is a multinomial and every term is an integer.  With
+    trunc(i, j) the sum of (-1)**c * C(i - j, c - j) over c <= d, the signed
+    factor sums the z**c coefficients of (-1)**(k + i) * z**j * (1 - z)**(i - j)
+    over c <= d, which multiplies over p's blocks: r is chosen blockwise in
+    p and t in r.  So each p-block enters as ``_CLOSED_WEIGHT`` of its
+    chain row, and the shared kernel takes their truncated product.
     """
-    table = {(0, 0): 1}
-    for values in shape:
-        # the product of the rows so far and this block's: counts add, weights multiply
-        row, so_far, table = _CHAIN_SUMS[values], table, {}
-        for (len_r, len_t), weight in so_far.items():
-            for (more_r, more_t), more in row:
-                key = len_r + more_r, len_t + more_t
-                table[key] = table.get(key, 0) + weight * more
-    signed = _SIGNED_TRUNCATION[truncation, sum(map(len, shape)), d]
-    return sum(signed[len_r][len_t] * weight for (len_r, len_t), weight in table.items())
+    return _truncated_total([_CLOSED_WEIGHT[values] for values in shape], d)
 
 
 def _check_method(method: str) -> None:
@@ -408,23 +394,14 @@ def _check_method(method: str) -> None:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def basis_coeff(
-    p: SetPartition,
-    a: Iterable[int],
-    d: int,
-    method: str = "closed",
-    truncation: str = "partial_sum",
-) -> Fraction:
+def basis_coeff(p: SetPartition, a: Iterable[int], d: int, method: str = "closed") -> Fraction:
     """Coefficient of the basis monomial indexed by p in the expansion of kappa_A.
 
     ``d`` is the degree budget (basis monomials have at most d indices);
     partitions with more than d blocks are outside the basis and rejected.
-    All methods return the same value; ``truncation`` selects the closed
-    form's cutoff convention and exists for the reconciliation sweep.
+    All methods return the same value.
     """
     _check_method(method)
-    if truncation not in TRUNCATION_VARIANTS:
-        raise ValueError(f"unknown truncation variant {truncation!r}")
     # what kappa_product built canonical is not checked again
     if type(a) is not _Trusted:
         a = kappa_monomial(a)
@@ -437,7 +414,7 @@ def basis_coeff(
     # the blocks' value multisets, canonical since a is sorted and blocks ascend
     shape = tuple(tuple(a[i] for i in blk) for blk in p)
     if method == "closed":
-        return Fraction(_coeff_closed(shape, d, truncation))
+        return Fraction(_coeff_closed(shape, d))
     return Fraction((_coeff_recursive if method == "recursive" else _coeff_ck)(shape, d))
 
 

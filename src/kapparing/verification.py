@@ -5,6 +5,10 @@ deterministic order, so the CLI can emit them directly and fan the work out
 to processes without changing the output.  A ring-sweep case walks its basis
 partitions once, and in ``all`` its reconcile rows read that walk's values;
 ``basis_coeff`` validates each value the walk hands it, as for any caller.
+
+The reconcile sweep sets two cutoffs (``TRUNCATION_VARIANTS``) against the
+recursive value: ``partial_sum`` is the ``closed`` method, and the rejected
+``single_binomial``, computed here only, shows with data that it is wrong.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .identities import SweepBounds, check_identity, identity_sweep_cases
-from .numbers import format_rational
+from .numbers import binomial, format_rational
 from .oracle import RankDeficientPairingError, integrate_kappa_top, pair_kappa_stratum, solve_coeffs_by_pairing
 from .partitions import (
     Multiset,
@@ -29,8 +33,8 @@ from .partitions import (
     set_partitions,
 )
 from .ring import (
+    _CHAIN_SUMS,
     METHODS,
-    TRUNCATION_VARIANTS,
     KappaPoly,
     basis_coeff,
     faber_expand,
@@ -38,6 +42,9 @@ from .ring import (
     kappa_to_psi,
     socle_coeff,
 )
+
+
+TRUNCATION_VARIANTS = ("partial_sum", "single_binomial")
 
 
 class RingSweepBounds(NamedTuple):
@@ -221,6 +228,24 @@ def random_round_trip_cases(count: int = 20, seed: int = 20240211) -> list[Multi
     return cases
 
 
+def _single_binomial(p: SetPartition, a: Multiset, d: int) -> int:
+    """closed's chain sum with trunc(len(t), len(r)) = (-1)**m * C(len(t) -
+    len(r), m - len(r)) at m = min(len(t), d), which reads len(t) whole: the
+    product of p's blocks' chain rows, summed by (len(r), len(t)), then the factor."""
+    table = {(0, 0): 1}
+    for blk in p:
+        row, so_far, table = _CHAIN_SUMS[tuple(a[i] for i in blk)], table, {}
+        for (len_r, len_t), weight in so_far.items():
+            for (more_r, more_t), more in row:
+                key = len_r + more_r, len_t + more_t
+                table[key] = table.get(key, 0) + weight * more
+    total = 0
+    for (len_r, len_t), weight in table.items():
+        m = min(len_t, d)
+        total += (-1) ** (len(a) + len_t + len_r + m) * binomial(len_t - len_r, m - len_r) * weight
+    return total
+
+
 def reconcile_case(a: Iterable[int], d: int, walk: list | None = None) -> list[dict]:
     """Compare every closed-form truncation variant against the recursive value,
     one row per basis partition.  ``partial_sum`` is the ``closed`` value of
@@ -235,10 +260,7 @@ def reconcile_case(a: Iterable[int], d: int, walk: list | None = None) -> list[d
             "partition": [list(blk) for blk in p],
             "recursive": format_rational(reference),
         }
-        for variant in TRUNCATION_VARIANTS:
-            value = values["closed"]
-            if variant != "partial_sum":
-                value = basis_coeff(p, a, d, method="closed", truncation=variant)
+        for variant, value in zip(TRUNCATION_VARIANTS, (values["closed"], _single_binomial(p, a, d))):
             row[variant] = format_rational(value)
             row[f"{variant}_matches"] = value == reference
         rows.append(row)

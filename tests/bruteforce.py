@@ -90,10 +90,6 @@ def naive_stirling2(n, k):
     return sum(1 for p in naive_set_partitions(range(n)) if len(p) == k)
 
 
-def naive_bell(n):
-    return len(naive_set_partitions(range(n)))
-
-
 def naive_multisets(total, length, smallest=0):
     """Sorted tuples of ``length`` entries >= smallest summing to total."""
     entries = range(smallest, total + 1)

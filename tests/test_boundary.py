@@ -22,7 +22,6 @@ from kapparing.oracle import (
     solve_coeffs_by_pairing,
 )
 from kapparing.partitions import (
-    bell,
     canonical_partition,
     index_multisets,
     multiset,
@@ -45,7 +44,6 @@ CASES = [
     ("index_multisets negative max_len", lambda: index_multisets(-1, max_sum=2), "max_len"),
     ("stirling2 float n", lambda: stirling2(2.5, 1), "n"),
     ("stirling2 float n equal to a cached int", lambda: (stirling2(2, 1), stirling2(2.0, 1)), "n"),
-    ("bell negative n", lambda: bell(-1), "n"),
     ("multiset bool entry", lambda: multiset((1, True)), "multiset entries"),
     ("canonical_partition float index", lambda: canonical_partition([[0], [1.0]]), "set partition indices"),
     ("falling_factorial float n", lambda: falling_factorial(3, 1.0), "n"),

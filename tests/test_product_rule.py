@@ -7,9 +7,9 @@ so multiplying both sides by kappa_b must commute with reducing to the basis:
 
 Every expansion coefficient is built from the socle and correction
 coefficients, so a wrong value in either family breaks this identity for
-some A.  The closed form's ``single_binomial`` truncation breaks it too, so
-the check tells the two truncation conventions apart without the recursive
-method.
+some A.  The closed form with the rejected ``single_binomial`` cutoff, which
+only the reconcile sweep computes, breaks it too, so the check tells the two
+truncation conventions apart without the recursive method.
 """
 
 from hypothesis import given, settings, strategies as st

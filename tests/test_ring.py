@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kapparing import oracle, partitions, ring
+from kapparing import oracle, partitions, ring, verification
 from kapparing.partitions import canonical_partition, index_multisets, multiset, set_partitions
 from kapparing.ring import (
     METHODS,
@@ -34,7 +34,6 @@ from bruteforce import (
     naive_multinomial,
     naive_set_partitions,
     naive_socle,
-    naive_trunc,
     value_shape,
 )
 
@@ -410,6 +409,19 @@ def test_ring_imports_nothing_from_the_oracle():
     assert "partitions" in imported and not any(module and "oracle" in module for module in imported)
 
 
+def test_only_verification_names_the_rejected_cutoff():
+    # the single-binomial cutoff left ring with its variant list, and ring
+    # cuts the product at d parts by its kernel, not by the partial sum
+    cutoff = {"single_binomial", "TRUNCATION_VARIANTS"}
+    for path in SOURCES.glob("*.py"):
+        words = {getattr(node, field, None) for node in ast.walk(ast.parse(path.read_text()))
+                 for field in ("id", "attr", "name", "value")}
+        assert cutoff & words == (cutoff if path.name == "verification.py" else set()), path.name
+    imported = [alias.name for node in ast.walk(ast.parse((SOURCES / "ring.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert "alt_binomial_partial_sum" not in imported
+
+
 def test_only_ring_names_the_trusted_type():
     # kappa_product makes the one trusted value basis_coeff skips validating
     naming = sorted(path.name for path in SOURCES.glob("*.py") if "_Trusted" in path.read_text())
@@ -537,17 +549,10 @@ def test_public_basis_coeff_validates_and_canonicalises_what_it_is_handed(method
 
 
 def test_rejected_truncation_variant_disagrees():
-    # the single-binomial cutoff overshoots on the first nontrivial case
-    value = basis_coeff(((0, 1),), (1, 1), 2, method="closed", truncation="single_binomial")
-    assert value == -6
-    with pytest.raises(ValueError):
-        basis_coeff(((0, 1),), (1, 1), 2, method="closed", truncation="midpoint")
-
-
-@pytest.mark.parametrize("method", METHODS)
-def test_unknown_truncation_variant_is_rejected_by_every_method(method):
-    with pytest.raises(ValueError, match="unknown truncation variant 'midpoint'"):
-        basis_coeff(((0,), (1,)), (1, 1), 2, method=method, truncation="midpoint")
+    # the single-binomial cutoff, which only the reconcile sweep computes,
+    # overshoots on the first nontrivial case
+    assert verification._single_binomial(((0, 1),), (1, 1), 2) == -6
+    assert basis_coeff(((0, 1),), (1, 1), 2, method="closed") == 0
 
 
 @pytest.mark.parametrize("a", [(1, 1), (1, 2), (1, 1, 1), (1, 1, 2), (2, 2), (1,) * 7, (1, 1, 2, 2, 3, 3)])
@@ -562,12 +567,24 @@ def test_methods_agree_pointwise(a, d):
 
 @pytest.mark.parametrize("a", list(index_multisets(5, max_sum=8)))
 def test_closed_matches_chain_walk(a):
-    # both truncation variants, on every basis partition at every budget
+    # closed, and reconcile's rejected cutoff, on every basis partition at every budget
     for p in naive_set_partitions(range(len(a))):
         for d in range(len(p), len(a) + 1):
-            for truncation in ("partial_sum", "single_binomial"):
-                got = basis_coeff(p, a, d, method="closed", truncation=truncation)
-                assert got == naive_closed(p, a, d, truncation), (a, p, d, truncation)
+            got = basis_coeff(p, a, d, method="closed")
+            assert got == naive_closed(p, a, d, "partial_sum"), (a, p, d)
+            got = verification._single_binomial(canonical_partition(p), a, d)
+            assert got == naive_closed(p, a, d, "single_binomial"), (a, p, d)
+
+
+@pytest.mark.parametrize(
+    "values", list(index_multisets(8, max_sum=14)) + [(1,) * 20, (1, 2, 3, 4, 5, 6, 7, 8), (1, 1, 2, 2, 3, 3, 4, 4)]
+)
+def test_closed_block_polynomial_is_the_split_weight_vector(values):
+    # ck and closed agree at every budget exactly when their per-block
+    # polynomials do: chain rows over shifted sums against socle splits times
+    # corrections, two derivations of one vector, on blocks far larger than
+    # the verify sweep's
+    assert ring._CLOSED_WEIGHT[values] == ring._SPLIT_WEIGHT[values]
 
 
 def test_kernel_tables_hold_ints_and_public_values_are_fractions():
@@ -598,15 +615,14 @@ def test_kernel_tables_hold_ints_and_public_values_are_fractions():
         for sums, weight in splits:
             assert type(sums) is tuple and sums == tuple(sorted(sums)) and sum(sums) == sum(values)
             assert all(type(v) is int for v in sums) and type(weight) is int
-    # one weight per (len(r), len(t)), and a signed factor per pair up to k
+    # one weight per (len(r), len(t)), and closed's polynomial, one weight per block count
     assert ring._CHAIN_SUMS
     for chains in ring._CHAIN_SUMS.values():
         assert all(type(j) is int and type(i) is int and type(weight) is int for (j, i), weight in chains)
-    assert ring._SIGNED_TRUNCATION
-    for (truncation, k, d), signed in ring._SIGNED_TRUNCATION.items():
-        assert type(signed) is tuple and len(signed) == k + 1
-        assert all(type(row) is tuple and len(row) == k + 1 for row in signed)
-        assert all(type(factor) is int for row in signed for factor in row)
+    assert ring._CLOSED_WEIGHT
+    for values, weights in ring._CLOSED_WEIGHT.items():
+        assert type(weights) is tuple and len(weights) == len(values)
+        assert all(type(weight) is int for weight in weights)
 
 
 def test_shifted_sums_are_grouped_by_block_count():
@@ -659,20 +675,6 @@ def test_block_chains_sum_the_chains_inside_one_block(values):
     chains = ring._CHAIN_SUMS[values]
     assert len({key for key, _ in chains}) == len(chains)
     assert dict(chains) == walked, values
-
-
-@pytest.mark.parametrize("truncation", ring.TRUNCATION_VARIANTS)
-def test_signed_truncation_is_the_chain_walks_sign_times_trunc(truncation):
-    for k in range(9):
-        for d in range(1, 9):
-            signed = ring._SIGNED_TRUNCATION[truncation, k, d]
-            for len_r in range(k + 1):
-                for len_t in range(k + 1):
-                    # a refinement t of r has at least len(r) blocks
-                    want = 0
-                    if len_t >= len_r:
-                        want = (-1) ** (k + len_t + len_r) * naive_trunc(truncation, len_t, len_r, d)
-                    assert signed[len_r][len_t] == want, (truncation, k, d, len_r, len_t)
 
 
 @given(st.lists(st.integers(1, 3), min_size=2, max_size=6).map(sorted), st.data())

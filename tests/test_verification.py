@@ -113,9 +113,9 @@ def test_reconcile_sweep_is_the_same_on_one_or_two_processes_and_in_run_suite():
 def test_all_reads_partial_sum_off_the_closed_column(monkeypatch):
     basis_coeff = verification.basis_coeff
 
-    def skewed_basis_coeff(p, a, d, method="closed", truncation="partial_sum"):
-        value = basis_coeff(p, a, d, method=method, truncation=truncation)
-        return value + 1 if (method, truncation, p) == ("closed", "partial_sum", ((0, 1),)) else value
+    def skewed_basis_coeff(p, a, d, method="closed"):
+        value = basis_coeff(p, a, d, method=method)
+        return value + 1 if (method, p) == ("closed", ((0, 1),)) else value
 
     monkeypatch.setattr(verification, "basis_coeff", skewed_basis_coeff)
     bounds = verification.RingSweepBounds(max_len=2, max_sum=3, max_budget=2)
@@ -130,16 +130,16 @@ def test_all_reads_partial_sum_off_the_closed_column(monkeypatch):
     assert {"check": "reconcile_summary", **summary} in verification.run_suite("all", SMALL_IDENTITIES, bounds)
 
 
-@pytest.mark.parametrize("suite, values", [("all", 1316), ("ring", 987), ("reconcile", 987)])
+@pytest.mark.parametrize("suite, values", [("all", 987), ("ring", 987), ("reconcile", 658)])
 def test_each_suite_computes_each_basis_value_once(monkeypatch, suite, values):
     calls, walks, sweeps = [], [], []
     basis_coeff = verification.basis_coeff
     set_partitions = verification.set_partitions
     reconcile_sweep = verification.reconcile_sweep
 
-    def counting_basis_coeff(p, a, d, method="closed", truncation="partial_sum"):
-        calls.append((p, a, d, method, truncation))
-        return basis_coeff(p, a, d, method=method, truncation=truncation)
+    def counting_basis_coeff(p, a, d, method="closed"):
+        calls.append((p, a, d, method))
+        return basis_coeff(p, a, d, method=method)
 
     def counting_set_partitions(k):
         walks.append(k)
@@ -154,8 +154,9 @@ def test_each_suite_computes_each_basis_value_once(monkeypatch, suite, values):
     monkeypatch.setattr(verification, "reconcile_sweep", counting_reconcile_sweep)
     verification.run_suite(suite, SMALL_IDENTITIES)
     # one call per distinct argument: 329 basis partitions by recursive, ck
-    # and closed in ring; recursive, closed and single_binomial in reconcile;
-    # all four in all
+    # and closed in ring and in all, whose reconcile rows read that walk;
+    # recursive and closed in reconcile, whose rejected cutoff is no
+    # basis_coeff method
     assert len(calls) == len(set(calls)) == values
     # one walk of the basis partitions per sweep case
     assert len(walks) == len(verification.ring_sweep_cases())
@@ -318,6 +319,19 @@ def test_a_fault_in_the_chain_row_fails_the_method_agreement(cold_tables):
     # only closed reads the chain rows, so the other methods must catch it
     add_one_at(ring._CHAIN_SUMS, (2, 3), (2, 2))
     assert failing_counts() == {"method_agreement": 5, "reconcile_summary": 1}
+
+
+def test_a_fault_in_the_shared_kernel_fails_ck_and_closed_against_recursive(monkeypatch, cold_tables):
+    # ck and closed take their truncated product from one kernel, recursive
+    # from its own labelled walk; so +1 in the kernel leaves ck and closed
+    # agreeing, and recursive and the pairing solve must both catch it
+    kernel = ring._truncated_total
+    monkeypatch.setattr(ring, "_truncated_total", lambda vectors, d: kernel(vectors, d) + 1)
+    row = check_methods_agree((1, 1, 2), 2)
+    assert not (row["methods_agree"] or row["pairing_agrees"] or row["product_agrees"])
+    mismatches = row["method_mismatches"]
+    assert all(mismatch["recursive"] != mismatch["ck"] == mismatch["closed"] for mismatch in mismatches)
+    assert {"partition": [[0, 1, 2]], "recursive": "-186/1", "ck": "-185/1", "closed": "-185/1"} in mismatches
 
 
 def test_a_fault_in_the_socle_split_row_fails_ck_and_the_pairing_against_recursive(cold_tables):
