@@ -35,8 +35,9 @@ orbits, ``multiset_partitions`` is that walk, and ``kappa_product`` by
 walk serves the sums where positions matter, with ``_split_sums`` as the
 monomial of a split: ``recursive``'s splits of each block, the labelled
 reference the other methods are checked against, and ``refinements`` take
-``_splits`` of each block; ``recursive``'s ``kappa_product`` and the
-verification rows that print indices take ``set_partitions``.
+``_splits`` of each block, and ``recursive``'s ``kappa_product`` walks
+``_splits`` of a; only the verification rows that print indices take
+``set_partitions``.
 
 ``_first_blocks(s)`` is the one cut behind the orbits and the block DP: the
 blocks that hold s's first position (Stanley, EC2 5.1).  ``Memo`` is the

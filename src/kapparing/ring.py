@@ -20,24 +20,23 @@ The expansion coefficient of one basis partition can be computed three ways
   chains are summed once, into a polynomial.
 
 The three must agree; the test suite and the ``reconcile`` sweep enforce it.
-``basis_coeff`` turns p into its shape, the tuple of its blocks' value
-multisets, once; the methods see block values only.  ``recursive`` splits
-each block with the labelled walk ``partitions._splits``, the reference
-the other methods are checked against.  ``ck`` and ``closed`` share one
-kernel, ``_truncated_total``, the product of per-block polynomials cut at
-z**d: ``ck``'s split weights, which contract a row of the block DP's
+A coefficient depends on p only through its shape, the tuple of its blocks'
+value multisets, and the methods see only that.  ``recursive`` splits each
+block with the labelled walk ``partitions._splits``, the reference the
+other methods are checked against.  ``ck`` and ``closed`` share one kernel,
+``_truncated_total``, the product of per-block polynomials cut at z**d:
+``ck``'s split weights, which contract a row of the block DP's
 ``_SOCLE_SPLITS`` with the correction values, and ``closed``'s chain rows.
 ``faber_expand``, ``kappa_to_psi`` and ``kappa_product`` by ``ck`` and
 ``closed`` walk ``partitions._orbits``, each orbit times its count of set
-partitions; ``kappa_product`` calls ``basis_coeff`` once per term: by
-``recursive`` on each basis partition of a's positions, from
-``set_partitions``, and by ``ck`` and ``closed`` on one partition per orbit.
+partitions, and ``kappa_product`` by ``recursive`` walks ``_splits(a)``;
+``kappa_product`` calls ``basis_coeff`` once per term, on the walked shape.
 
 ``basis_coeff`` is public and validates its arguments, with one exception:
-it does not check again an a or a p of the private type ``_Trusted``, which
-only ``kappa_product`` makes, for a validated once and every partition it
-walks.  The method, ground size and degree budget are checked on every
-call.
+it reads a p of the private type ``_Shape``, which only ``kappa_product``
+makes, of the a it validated once, as the shape.  Any other p is a
+partition of a's positions, validated with a.  The method and degree
+budget are checked on every call.
 
 Every coefficient is an integer, and the kernels sum ints: the socle,
 correction and split-weight values, the correction's moments, closed's
@@ -77,7 +76,6 @@ from .partitions import (
     kappa_monomial,
     multiset,
     natural,
-    set_partitions,
 )
 
 METHODS = ("recursive", "ck", "closed")
@@ -85,12 +83,13 @@ METHODS = ("recursive", "ck", "closed")
 KappaMonomial = Multiset
 
 
-class _Trusted(tuple):
-    """A kappa monomial or set partition that ``kappa_product`` has just
-    validated or built in canonical form.  ``basis_coeff`` validates no
-    argument of exactly this type again.  Values of it go to
-    ``basis_coeff`` only: no public function returns one, and no memo
-    table keeps one."""
+class _Shape(tuple):
+    """The shape of a basis partition: its blocks' value multisets, each
+    canonical, as ``kappa_product``'s walk of a validated monomial yields
+    them.  ``basis_coeff`` reads a p of exactly this type as the shape,
+    with no partition of positions to validate.  Values of it go to
+    ``basis_coeff`` only: no public function returns one, and no memo table
+    keeps one."""
 
     __slots__ = ()
 
@@ -402,17 +401,18 @@ def basis_coeff(p: SetPartition, a: Iterable[int], d: int, method: str = "closed
     All methods return the same value.
     """
     _check_method(method)
-    # what kappa_product built canonical is not checked again
-    if type(a) is not _Trusted:
+    if type(p) is _Shape:
+        # kappa_product's walk hands the shape itself, of the a it validated
+        shape = p
+    else:
         a = kappa_monomial(a)
-    if type(p) is not _Trusted:
         p = canonical_partition(p)
-    if ground_size(p) != len(a):
-        raise ValueError(f"partition covers {ground_size(p)} indices but the multiset has {len(a)}")
-    if len(p) > natural(d, "d", 1):
-        raise ValueError(f"partition has {len(p)} blocks, outside the basis range d={d}")
-    # the blocks' value multisets, canonical since a is sorted and blocks ascend
-    shape = tuple(tuple(a[i] for i in blk) for blk in p)
+        if ground_size(p) != len(a):
+            raise ValueError(f"partition covers {ground_size(p)} indices but the multiset has {len(a)}")
+        # the blocks' value multisets, canonical since a is sorted and blocks ascend
+        shape = tuple(tuple(a[i] for i in blk) for blk in p)
+    if len(shape) > natural(d, "d", 1):
+        raise ValueError(f"partition has {len(shape)} blocks, outside the basis range d={d}")
     if method == "closed":
         return Fraction(_coeff_closed(shape, d))
     return Fraction((_coeff_recursive if method == "recursive" else _coeff_ck)(shape, d))
@@ -433,41 +433,29 @@ def kappa_product(
     has degree sum(a) and at most d indices.  An unknown method is rejected
     in every degree.
 
-    A term depends on p only through its blocks' value multisets.
-    ``recursive``, the labelled reference, walks ``set_partitions(len(a))``;
-    ``ck`` and ``closed`` add count * basis_coeff(p) over the orbits of
-    ``_orbits(a, d)``: 19 terms for twelve 1s at d = 3, where Bell(12) is
-    4,213,597.
+    A term depends on p only through its shape, its blocks' value
+    multisets, and both walks yield shapes.  ``recursive``, the labelled
+    reference, walks ``_splits(a)``, the set partitions of a's positions in
+    ``set_partitions`` order; ``ck`` and ``closed`` add count * basis_coeff(p)
+    over the orbits of ``_orbits(a, d)``: 19 terms for twelve 1s at d = 3,
+    where Bell(12) is 4,213,597.
     """
     _check_method(method)
     a = kappa_monomial(a)
     d = 2 * natural(genus, "genus") + natural(markings, "markings") - sum(a) - 2
     if d <= 0:
         return KappaPoly.zero()
-    # a is canonical and every p below is built canonical, so basis_coeff trusts them
-    trusted = _Trusted(a)
-    terms: dict[Multiset, Fraction] = {}
     if method == "recursive":
-        for p in set_partitions(len(a)):
-            if len(p) <= d:
-                key = _split_sums([a[i] for i in blk] for blk in p)
-                terms[key] = terms.get(key, 0) + basis_coeff(_Trusted(p), trusted, d, method=method)
+        walk = ((blocks, 1) for blocks in _splits(a) if len(blocks) <= d)
     else:
-        # each value's first position; an orbit's block takes its values' next unused ones,
-        # so the blocks come in canonical order, each led by the least position left
-        first = {value: i for i, value in reversed(tuple(enumerate(a)))}
-        for blocks, count in _orbits(a, d):
-            taken, p = dict(first), []
-            for block in blocks:
-                positions = []
-                for value in block:
-                    positions.append(taken[value])
-                    taken[value] += 1
-                p.append(tuple(positions))
-            key = _split_sums(blocks)
-            term = basis_coeff(_Trusted(p), trusted, d, method=method)
-            # a Fraction product costs microseconds, and distinct values have count 1
-            terms[key] = terms.get(key, 0) + (term if count == 1 else count * term)
+        walk = _orbits(a, d)
+    terms: dict[Multiset, Fraction] = {}
+    for blocks, count in walk:
+        key = _split_sums(blocks)
+        # a is canonical, so every walked block is: basis_coeff reads the shape as it is
+        term = basis_coeff(_Shape(blocks), a, d, method=method)
+        # a Fraction product costs microseconds, and distinct values have count 1
+        terms[key] = terms.get(key, 0) + (term if count == 1 else count * term)
     return KappaPoly(terms)
 
 

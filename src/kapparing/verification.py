@@ -296,7 +296,7 @@ def pinned_product_checks() -> list[dict]:
     a = (1, 1)
     # marked points, the expected product, and the oracle comparisons that must hold
     pins = (
-        (5, {(2,): 5}, lambda _: (socle_coeff(a), integrate_kappa_top(a, 5), pair_kappa_stratum(a, (2,))) == (5, 5, 5)),
+        (5, {(2,): 5}, lambda _: _top_degree_values(a) == (5, 5, 5)),
         (6, {(1, 1): 1},
          lambda poly: poly.coefficient((2,)) == 0 and solve_coeffs_by_pairing(a, 6) == {(1, 1): 1, (2,): 0}),
     )

@@ -83,24 +83,11 @@ def test_kappa_monomial_validation():
     assert kappa_monomial is partitions.kappa_monomial
 
 
-def orbit_positions(blocks, a):
-    """The partition of a's positions in which each block, in turn, takes
-    the least unused positions of its values."""
-    left, p = list(range(len(a))), []
-    for block in blocks:
-        taken = []
-        for v in block:
-            taken.append(next(i for i in left if a[i] == v))
-            left.remove(taken[-1])
-        p.append(tuple(taken))
-    return tuple(p)
-
-
 def test_kappa_product_calls_basis_coeff_once_per_basis_partition(monkeypatch):
-    # the product's per-partition work is reachable through basis_coeff:
-    # recursive once per labelled partition, ck and closed once per orbit of
-    # the orbit walk, in its order, whose counts make up each shape's
-    # labelled count
+    # the product's per-partition work is reachable through basis_coeff, on
+    # each partition's shape: recursive once per labelled partition, in
+    # set_partitions order, ck and closed once per orbit of the orbit walk,
+    # in its order, whose counts make up each shape's labelled count
     calls = []
 
     def recording(p, a, d, method):
@@ -109,20 +96,22 @@ def test_kappa_product_calls_basis_coeff_once_per_basis_partition(monkeypatch):
 
     monkeypatch.setattr(ring, "basis_coeff", recording)
     a, d = (1, 1, 1, 2, 2, 3), 3
-    labelled = [p for p in set_partitions(len(a)) if len(p) <= d]
+    positions = [p for p in set_partitions(len(a)) if len(p) <= d]
+    labelled = [tuple(tuple(a[i] for i in blk) for blk in p) for p in positions]
     orbits = list(partitions._orbits(a, d))
     assert len(orbits) < len(labelled)
-    assert {tuple(sorted(blocks)): count for blocks, count in orbits} == Counter(value_shape(p, a) for p in labelled)
-    walk = [orbit_positions(blocks, a) for blocks, _ in orbits]
+    assert {tuple(sorted(blocks)): count for blocks, count in orbits} == Counter(value_shape(p, a) for p in positions)
+    walk = [blocks for blocks, _ in orbits]
     for method in METHODS:
         calls.clear()
         kappa_product((2, 3, 1, 2, 1, 1), 0, sum(a) + d + 2, method=method)
-        assert calls == [(p, a, d, method) for p in (labelled if method == "recursive" else walk)]
-        # basis_coeff trusts what it is handed, which is sound only because
-        # every partition the product builds is canonical, and so is a
-        for p, trusted_a, _, _ in calls:
-            assert type(p) is type(trusted_a) is ring._Trusted
-            assert p == canonical_partition(p) and trusted_a == kappa_monomial(trusted_a)
+        assert calls == [(shape, a, d, method) for shape in (labelled if method == "recursive" else walk)]
+        # basis_coeff reads a shape as it is, which is sound only because
+        # every shape the product walks has canonical blocks covering a
+        for shape, _, _, _ in calls:
+            assert type(shape) is ring._Shape and len(shape) <= d
+            assert all(block == multiset(block) for block in shape)
+            assert sorted(v for block in shape for v in block) == list(a)
 
 
 @pytest.mark.parametrize("genus", [0, 1])
@@ -164,7 +153,7 @@ def test_no_trusted_value_leaves_kappa_product(method):
             poly = kappa_product(a, 0, sum(a) + d + 2, method=method)
             assert poly.terms and all(type(key) is tuple for key in poly.terms)
     for table in memo_tables():
-        assert not any(type(key) is ring._Trusted for key in table)
+        assert not any(type(key) is ring._Shape for key in table)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -423,8 +412,8 @@ def test_only_verification_names_the_rejected_cutoff():
 
 
 def test_only_ring_names_the_trusted_type():
-    # kappa_product makes the one trusted value basis_coeff skips validating
-    naming = sorted(path.name for path in SOURCES.glob("*.py") if "_Trusted" in path.read_text())
+    # kappa_product makes the one value basis_coeff reads without validating
+    naming = sorted(path.name for path in SOURCES.glob("*.py") if "_Shape" in path.read_text())
     assert naming == ["ring.py"]
 
 
@@ -538,6 +527,10 @@ def test_public_basis_coeff_validates_and_canonicalises_what_it_is_handed(method
         (_OtherTuple(((0, True), (2,))), a, "set partition indices"),
         (((0, 1), (1, 2)), a, "pairwise disjoint"),
         (((0, 1), (3,)), a, "must cover"),
+        # a shape handed as anything but the product's own type is read as
+        # positions; kappa indices are >= 1, so it never holds position 0
+        (((1, 3), (2,)), a, "must cover"),
+        (_OtherTuple(((1, 3), (2,))), a, "must cover"),
         (((0, 1),), a, "partition covers 2 indices but the multiset has 3"),
         (((0, 2), (1,)), (1, 2, 3, 4), "partition covers 3 indices but the multiset has 4"),
         (((0, 2), (1,)), (1, 0, 3), "kappa indices must be >= 1"),
