@@ -12,12 +12,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from kapparing.numbers import format_rational
-from kapparing.ring import kappa_product
+from kapparing.ring import _product_request, kappa_product
 
 
 def show(a, genus, markings):
     poly = kappa_product(a, genus, markings)
-    d = 2 * genus + markings - sum(a) - 2
+    _, _, d = _product_request(a, genus, markings)
     label = "*".join(f"k{i}" for i in a) or "1"
     if not poly:
         print(f"  g={genus} n={markings} (d={d}): {label} = 0")

@@ -10,10 +10,10 @@ Subcommands:
 * ``reconcile`` - compare closed-form truncation variants against the
   recursive method and report which one matches everywhere.
 
-The CLI parses and the library validates: each command turns its arguments
-into values and hands them to the library, whose ``ValueError`` is the one
-invalid-input signal.  The CLI checks only what no library call sees, such
-as the JSON shape of ``--partition`` and the sweep bounds.
+The CLI parses and the library validates, and its ``ValueError`` is the one
+invalid-input signal: both ``product`` routes go through ``ring``'s one
+request check, and ``verification.SUITES`` names the suites.  The CLI checks
+only what no library call sees: ``--partition``'s JSON shape, sweep bounds.
 
 Reports go to stdout as JSON (default) or CSV and are byte-deterministic for
 identical requests, including under ``--jobs > 1``; wall-clock timing and
@@ -45,9 +45,9 @@ from .oracle import (
     solve_coeffs_by_pairing,
     solve_pairing_system,
 )
-from .partitions import block_sums, canonical_partition, kappa_monomial, multiset, natural, quote
-from .ring import METHODS, KappaPoly, basis_coeff, kappa_product, snapshot_coeff_caches
-from .verification import RingSweepBounds, reconcile_sweep, run_suite
+from .partitions import block_sums, canonical_partition, multiset, natural, quote
+from .ring import METHODS, KappaPoly, _product_request, basis_coeff, kappa_product, snapshot_coeff_caches
+from .verification import SUITES, RingSweepBounds, reconcile_sweep, run_suite
 
 
 def parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -135,11 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_solve)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument(
-        "--suite",
-        choices=("identities", "ring", "oracle", "reconcile", "all"),
-        default="all",
-    )
+    p_verify.add_argument("--suite", choices=SUITES, default="all")
     p_verify.add_argument("--max-sum", type=int, default=None, help="cap on sum of sweep multisets")
     p_verify.add_argument("--max-len", type=int, default=None, help="cap on length of sweep multisets")
     add_common(p_verify, jobs=True)
@@ -153,15 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_product(args) -> tuple[dict, int]:
-    a = kappa_monomial(parse_int_list(args.a, "--a"))
-    d = 2 * args.genus + args.marked - sum(a) - 2
+    a, n, d = _product_request(parse_int_list(args.a, "--a"), args.genus, args.marked)
     if args.method != "pairing":
         poly = kappa_product(a, args.genus, args.marked, method=args.method)
     else:
-        # kappa_product's checks: the pairing route calls nothing that makes them
-        natural(args.genus, "genus")
-        natural(args.marked, "markings")
-        n = args.marked + 2 * args.genus
         poly = KappaPoly(solve_coeffs_by_pairing(a, n)) if d > 0 else KappaPoly.zero()
     report = {
         "command": "product",
@@ -221,7 +212,7 @@ def cmd_solve(args) -> tuple[dict, int]:
     report = {
         "command": "solve",
         "inputs": {"a": list(a), "marked": args.marked},
-        "degree_budget": args.marked - sum(a) - 2,
+        "degree_budget": _product_request(a, 0, args.marked)[2],
         "coefficients": [
             {"monomial": list(mu), "coefficient": format_rational(solution[mu])}
             for mu in sorted(solution, key=lambda m: (-len(m), m))
@@ -259,7 +250,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         "suite": args.suite,
         "bounds": {
             "identities": identity_bounds._asdict(),
-            "ring": {**ring_bounds._asdict(), "genus_lifts": list(ring_bounds.genus_lifts)},
+            "ring": ring_bounds._asdict(),
         },
         "reports": rows,
         "counts": {"total": len(rows), "failed": failed},
@@ -273,7 +264,7 @@ def cmd_reconcile(args) -> tuple[dict, int]:
     rows, summary = reconcile_sweep(ring_bounds, args.jobs)
     report = {
         "command": "reconcile",
-        "bounds": {**ring_bounds._asdict(), "genus_lifts": list(ring_bounds.genus_lifts)},
+        "bounds": ring_bounds._asdict(),
         "cases": rows,
         "summary": summary,
     }

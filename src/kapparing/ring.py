@@ -32,11 +32,11 @@ other methods are checked against.  ``ck`` and ``closed`` share one kernel,
 partitions, and ``kappa_product`` by ``recursive`` walks ``_splits(a)``;
 ``kappa_product`` calls ``basis_coeff`` once per term, on the walked shape.
 
-``basis_coeff`` is public and validates its arguments, with one exception:
-it reads a p of the private type ``_Shape``, which only ``kappa_product``
-makes, of the a it validated once, as the shape.  Any other p is a
-partition of a's positions, validated with a.  The method and degree
-budget are checked on every call.
+One owner, ``_product_request``, checks a product request (a, genus and
+marking count) and returns its degree budget.  ``basis_coeff`` is public
+and validates its arguments, with one exception: it reads a p of the
+private type ``_Shape``, which only ``kappa_product`` makes, as final.  Any
+other p is a partition of a's positions, validated with a, method and d.
 
 Every coefficient is an integer, and the kernels sum ints: the socle,
 correction and split-weight values, the correction's moments, closed's
@@ -85,9 +85,9 @@ KappaMonomial = Multiset
 
 class _Shape(tuple):
     """The shape of a basis partition: its blocks' value multisets, each
-    canonical, as ``kappa_product``'s walk of a validated monomial yields
-    them.  ``basis_coeff`` reads a p of exactly this type as the shape,
-    with no partition of positions to validate.  Values of it go to
+    canonical, as ``kappa_product``'s walk of a checked request yields them,
+    with at most d blocks.  ``basis_coeff`` reads a p of exactly this type
+    as final, checking neither it nor the method and d.  Values of it go to
     ``basis_coeff`` only: no public function returns one, and no memo table
     keeps one."""
 
@@ -393,6 +393,14 @@ def _check_method(method: str) -> None:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
+def _product_request(a: Iterable[int], genus: int, markings: int) -> tuple[KappaMonomial, int, int]:
+    """Check a product request (a, then genus, then markings) and return the
+    canonical a, the genus-zero marking count n + 2g and the budget d."""
+    a = kappa_monomial(a)
+    n = 2 * natural(genus, "genus") + natural(markings, "markings")
+    return a, n, n - sum(a) - 2
+
+
 def basis_coeff(p: SetPartition, a: Iterable[int], d: int, method: str = "closed") -> Fraction:
     """Coefficient of the basis monomial indexed by p in the expansion of kappa_A.
 
@@ -400,19 +408,19 @@ def basis_coeff(p: SetPartition, a: Iterable[int], d: int, method: str = "closed
     partitions with more than d blocks are outside the basis and rejected.
     All methods return the same value.
     """
-    _check_method(method)
     if type(p) is _Shape:
-        # kappa_product's walk hands the shape itself, of the a it validated
+        # kappa_product's walk hands the shape itself, of the request it checked
         shape = p
     else:
+        _check_method(method)
         a = kappa_monomial(a)
         p = canonical_partition(p)
         if ground_size(p) != len(a):
             raise ValueError(f"partition covers {ground_size(p)} indices but the multiset has {len(a)}")
         # the blocks' value multisets, canonical since a is sorted and blocks ascend
         shape = tuple(tuple(a[i] for i in blk) for blk in p)
-    if len(shape) > natural(d, "d", 1):
-        raise ValueError(f"partition has {len(shape)} blocks, outside the basis range d={d}")
+        if len(shape) > natural(d, "d", 1):
+            raise ValueError(f"partition has {len(shape)} blocks, outside the basis range d={d}")
     if method == "closed":
         return Fraction(_coeff_closed(shape, d))
     return Fraction((_coeff_recursive if method == "recursive" else _coeff_ck)(shape, d))
@@ -441,8 +449,7 @@ def kappa_product(
     where Bell(12) is 4,213,597.
     """
     _check_method(method)
-    a = kappa_monomial(a)
-    d = 2 * natural(genus, "genus") + natural(markings, "markings") - sum(a) - 2
+    a, _, d = _product_request(a, genus, markings)
     if d <= 0:
         return KappaPoly.zero()
     if method == "recursive":
@@ -452,7 +459,7 @@ def kappa_product(
     terms: dict[Multiset, Fraction] = {}
     for blocks, count in walk:
         key = _split_sums(blocks)
-        # a is canonical, so every walked block is: basis_coeff reads the shape as it is
+        # a checked request's walk yields canonical shapes of at most d blocks: basis_coeff trusts them
         term = basis_coeff(_Shape(blocks), a, d, method=method)
         # a Fraction product costs microseconds, and distinct values have count 1
         terms[key] = terms.get(key, 0) + (term if count == 1 else count * term)
@@ -466,8 +473,7 @@ def reduce_to_basis(poly: KappaPoly, genus: int, markings: int, method: str = "c
     """
     # reject a bad method, genus or marking count even when poly is zero
     _check_method(method)
-    natural(genus, "genus")
-    natural(markings, "markings")
+    _product_request((), genus, markings)
     result = KappaPoly.zero()
     for mono, coeff in poly.terms.items():
         result = result + coeff * kappa_product(mono, genus, markings, method=method)

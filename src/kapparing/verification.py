@@ -45,6 +45,7 @@ from .ring import (
 
 
 TRUNCATION_VARIANTS = ("partial_sum", "single_binomial")
+SUITES = ("identities", "ring", "oracle", "reconcile", "all")
 
 
 class RingSweepBounds(NamedTuple):
@@ -357,14 +358,16 @@ def run_suite(
 ) -> list[dict]:
     """Run one verification suite and return its rows.
 
-    Suites: ``identities`` (the five identity grids), ``ring`` (pinned
+    Suites (``SUITES``): ``identities`` (the five identity grids), ``ring`` (pinned
     products, method agreement, genus lifts, top degree, round trips),
     ``oracle`` (the ``socle_three_paths`` rows: the shared socle table,
     which the ring and pairing columns carry, against the oracle's
     integral), ``reconcile`` (truncation variants), ``all``.  In ``all`` the
     reconcile rows come from the ring cases' walk of the basis values, not
-    from a second sweep.
+    from a second sweep.  An unknown suite raises ``ValueError``.
     """
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     rows: list[dict] = []
     top = {}
     if suite in ("ring", "oracle", "all"):

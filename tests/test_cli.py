@@ -159,7 +159,11 @@ def test_invalid_input_exits_2():
     assert run_cli("product", "--a", "0,1", "--marked", "5").returncode == 2
     # the pairing route rejects a bad index even where the basis is empty
     assert run_cli("product", "--a", "0,1", "--marked", "1", "--method", "pairing").returncode == 2
-    assert run_cli("product", "--a", "1,1", "--genus", "-1", "--marked", "9", "--method", "pairing").returncode == 2
+    # both routes check a product request alike: the same message for a bad genus or marking count
+    for bad in (("--genus", "-1", "--marked", "9"), ("--marked", "-1"), ("--genus", "1", "--marked", "-3")):
+        by_pairing = run_cli("product", "--a", "1,1", *bad, "--method", "pairing")
+        assert by_pairing.returncode == 2 and by_pairing.stdout == ""
+        assert by_pairing.stderr == run_cli("product", "--a", "1,1", *bad, "--method", "ck").stderr, bad
     assert run_cli("xcoeff", "--a", "1,1", "--partition", "[[0]]", "--d", "2").returncode == 2
     assert run_cli("xcoeff", "--a", "1,1", "--partition", "[[0],[1]]", "--d", "0").returncode == 2
     assert run_cli("solve", "--a", "1,1", "--marked", "4").returncode == 2

@@ -349,7 +349,7 @@ def test_first_block_paths_count_each_set_partition_once(length):
             assert walked == Counter(value_shape(p, a) for p in set_partitions(length) if len(p) <= d), (a, d)
 
 
-def test_first_block_paths_ways_add_up_to_the_stirling_numbers():
+def test_orbit_counts_add_up_to_the_stirling_numbers():
     for a in [*index_multisets(6, max_entry=3), (1,) * 12, (1, 1, 2, 2, 3, 3, 4)]:
         for d in range(1, len(a) + 2):
             total = sum(count for _, count in partitions._orbits(a, d))

@@ -136,12 +136,15 @@ def test_kappa_product_hands_basis_coeff_values_it_does_not_validate_again(monke
         return wrapper
 
     monkeypatch.setattr(ring, "basis_coeff", recording)
-    for name in ("canonical_partition", "kappa_monomial"):
+    for name in ("canonical_partition", "kappa_monomial", "_check_method", "natural"):
         monkeypatch.setattr(ring, name, counted(name, getattr(ring, name)))
     kappa_product(a, genus, sum(a) + d + 2 - 2 * genus, method=method)
-    # the product validates a once itself, and basis_coeff never again
-    assert counts["canonical_partition", True] == counts["kappa_monomial", True] == 0
-    assert counts["kappa_monomial", False] == 1
+    # the product checks its request once itself (a, method, genus and
+    # markings), and basis_coeff checks none of it, nor the budget, again
+    for name in ("canonical_partition", "kappa_monomial", "_check_method", "natural"):
+        assert counts[name, True] == 0, name
+    assert counts["kappa_monomial", False] == counts["_check_method", False] == 1
+    assert counts["natural", False] == 2
     labelled = sum(1 for p in set_partitions(len(a)) if len(p) <= d)
     assert counts["basis_coeff"] == (labelled if method == "recursive" else len(list(partitions._orbits(a, d))))
 

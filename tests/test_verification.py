@@ -202,6 +202,14 @@ def test_ring_and_oracle_suites_share_one_top_degree_integral_per_multiset(monke
     assert all(row["pass"] for row in top + three_paths)
 
 
+def test_run_suite_refuses_an_unknown_suite_naming_the_valid_ones():
+    # an unknown suite is an error, not an empty report that passes
+    with pytest.raises(ValueError, match="unknown suite 'bogus'") as info:
+        verification.run_suite("bogus")
+    for suite in ("identities", "ring", "oracle", "reconcile", "all"):
+        assert repr(suite) in str(info.value), suite
+
+
 def test_run_ordered_unpacks_each_case_as_arguments():
     cases = [((1, 1), 2, (1, 2)), ((1, 2), 3, (1,))]
     expected = [verification.check_genus_lift(*case) for case in cases]
