@@ -12,7 +12,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from kapparing.numbers import format_rational
-from kapparing.ring import _product_request, kappa_product
+from kapparing.partitions import _product_request
+from kapparing.ring import kappa_product
 
 
 def show(a, genus, markings):

@@ -11,9 +11,9 @@ Subcommands:
   recursive method and report which one matches everywhere.
 
 The CLI parses and the library validates, and its ``ValueError`` is the one
-invalid-input signal: both ``product`` routes go through ``ring``'s one
-request check, and ``verification.SUITES`` names the suites.  The CLI checks
-only what no library call sees: ``--partition``'s JSON shape, sweep bounds.
+invalid-input signal: ``product`` and ``solve`` share one request check, and
+``verification.SUITES`` names the suites.  The CLI checks only what no
+library call sees: ``--partition``'s JSON shape, sweep bounds.
 
 Reports go to stdout as JSON (default) or CSV and are byte-deterministic for
 identical requests, including under ``--jobs > 1``; wall-clock timing and
@@ -45,8 +45,8 @@ from .oracle import (
     solve_coeffs_by_pairing,
     solve_pairing_system,
 )
-from .partitions import block_sums, canonical_partition, multiset, natural, quote
-from .ring import METHODS, KappaPoly, _product_request, basis_coeff, kappa_product, snapshot_coeff_caches
+from .partitions import _product_request, block_sums, canonical_partition, multiset, natural, quote
+from .ring import METHODS, KappaPoly, basis_coeff, kappa_product, snapshot_coeff_caches
 from .verification import SUITES, RingSweepBounds, reconcile_sweep, run_suite
 
 
@@ -205,14 +205,14 @@ def cmd_pair(args) -> tuple[dict, int]:
 
 
 def cmd_solve(args) -> tuple[dict, int]:
-    a = multiset(parse_int_list(args.a, "--a"))
-    system = pairing_system(a, args.marked)
+    a, n, d = _product_request(parse_int_list(args.a, "--a"), 0, args.marked)
+    system = pairing_system(a, n)
     solution = solve_pairing_system(system)
     size = system[3]
     report = {
         "command": "solve",
         "inputs": {"a": list(a), "marked": args.marked},
-        "degree_budget": _product_request(a, 0, args.marked)[2],
+        "degree_budget": d,
         "coefficients": [
             {"monomial": list(mu), "coefficient": format_rational(solution[mu])}
             for mu in sorted(solution, key=lambda m: (-len(m), m))

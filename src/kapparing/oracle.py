@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .numbers import multinomial
 from .partitions import Memo, Multiset, SetPartition, block_sums, ground_size, multiset, natural
-from .partitions import _SOCLE, _SOCLE_SPLITS, _orbits, kappa_monomial
+from .partitions import _SOCLE, _SOCLE_SPLITS, _orbits, _product_request, kappa_monomial
 
 DimensionSequence = Multiset
 
@@ -186,12 +186,12 @@ def dimension_sequences(total: int, length: int) -> Iterator[DimensionSequence]:
     return (multiset((0,) * (length - len(p)) + p) for p in integer_partitions(total, length))
 
 
-def pairing_system(a: Iterable[int], n: int) -> tuple[list[Multiset], list[list[int]], list[int], int]:
-    """Assemble the exact linear system (unknowns, matrix, rhs, size) that
-    determines the expansion coefficients of a at n markings.
+def pairing_system(a: Iterable[int], markings: int) -> tuple[list[Multiset], list[list[int]], list[int], int]:
+    """The exact linear system (unknowns, matrix, rhs, size) that determines
+    a's expansion at n = ``markings`` points, checked by ``_product_request``.
 
-    The basis monomials are the partitions of sum(a) into at most
-    d = n - sum(a) - 2 parts, and the strata of d components whose dimensions
+    The basis monomials are the partitions of sum(a) into at most d parts, d
+    the request's budget, and the strata of d components whose dimensions
     sum to sum(a) are named by their positive dimensions, which are again
     those partitions: pairing the expansion against a stratum must reproduce
     the pairing of a.  In (length, lex) order this full system is square, of
@@ -208,8 +208,7 @@ def pairing_system(a: Iterable[int], n: int) -> tuple[list[Multiset], list[list[
     side are fresh lists of ints, copied out of the columns of a and mu.  A
     column of mu outside a's raises RankDeficientPairingError, naming both.
     """
-    a = kappa_monomial(a)
-    d = natural(n, "n") - sum(a) - 2
+    a, _, d = _product_request(a, 0, markings)
     if d < 1:
         raise ValueError(f"degree budget d={d} leaves no basis to solve for")
     paired = _PAIRINGS[a]
@@ -319,11 +318,11 @@ def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -
     return solution
 
 
-def solve_coeffs_by_pairing(a: Iterable[int], n: int) -> dict[Multiset, Fraction]:
+def solve_coeffs_by_pairing(a: Iterable[int], markings: int) -> dict[Multiset, Fraction]:
     """Recover the basis expansion of a kappa monomial from stratum pairings:
     :func:`solve_pairing_system` of :func:`pairing_system`, which validates a
-    and n."""
-    return solve_pairing_system(pairing_system(a, n))
+    and markings."""
+    return solve_pairing_system(pairing_system(a, markings))
 
 
 def solve_pairing_system(system: tuple) -> dict[Multiset, Fraction]:

@@ -23,7 +23,9 @@ its bounds, and anything else is a ``ValueError`` naming the argument.
 Every public entry point's integer arguments and the entries of every
 ``multiset`` go through it.  ``kappa_monomial`` is the one validator of
 kappa monomials, and ``quote`` bounds the argument every error message
-echoes.
+echoes.  ``_product_request`` is the one check of a product request (a,
+then genus, then markings) and owns its budget d = 2g + n - sum(a) - 2:
+``ring``'s product, the pairing solve and the CLI all call it.
 
 A value-only sum over set partitions depends on a split only through its
 blocks' values, so it walks ``_orbits``, one term per orbit of splits that
@@ -90,6 +92,14 @@ def kappa_monomial(indices: Iterable[int]) -> Multiset:
     if any(v < 1 for v in ms):
         raise ValueError(f"kappa indices must be >= 1, got {quote(ms)}")
     return ms
+
+
+def _product_request(a: Iterable[int], genus: int, markings: int) -> tuple[Multiset, int, int]:
+    """Check a product request (a, then genus, then markings) and return the
+    canonical a, the genus-zero marking count n + 2g and the budget d."""
+    a = kappa_monomial(a)
+    n = 2 * natural(genus, "genus") + natural(markings, "markings")
+    return a, n, n - sum(a) - 2
 
 
 def quote(value: str | tuple) -> str:
@@ -393,6 +403,7 @@ def blocks_within(fine: SetPartition, coarse: SetPartition) -> tuple[int, ...]:
 
 def block_sum_vector(p: SetPartition, a: Multiset) -> tuple[int, ...]:
     """Per-block sums of a-values, aligned with p's canonical block order."""
+    p = canonical_partition(p)
     if ground_size(p) != len(a):
         raise ValueError(f"partition of {ground_size(p)} indices against multiset of size {len(a)}")
     return tuple(sum(a[i] for i in blk) for blk in p)

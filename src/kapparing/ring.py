@@ -32,11 +32,9 @@ other methods are checked against.  ``ck`` and ``closed`` share one kernel,
 partitions, and ``kappa_product`` by ``recursive`` walks ``_splits(a)``;
 ``kappa_product`` calls ``basis_coeff`` once per term, on the walked shape.
 
-One owner, ``_product_request``, checks a product request (a, genus and
-marking count) and returns its degree budget.  ``basis_coeff`` is public
-and validates its arguments, with one exception: it reads a p of the
-private type ``_Shape``, which only ``kappa_product`` makes, as final.  Any
-other p is a partition of a's positions, validated with a, method and d.
+``basis_coeff`` is public and validates its arguments, but it reads a p of
+the private type ``_Shape``, which only ``kappa_product`` makes, as final;
+any other p is a partition of a's positions, checked with a, method and d.
 
 Every coefficient is an integer, and the kernels sum ints: the socle,
 correction and split-weight values, the correction's moments, closed's
@@ -69,6 +67,7 @@ from .partitions import (
     SetPartition,
     _first_blocks,
     _orbits,
+    _product_request,
     _split_sums,
     _splits,
     canonical_partition,
@@ -391,14 +390,6 @@ def _coeff_closed(shape: tuple[Multiset, ...], d: int) -> int:
 def _check_method(method: str) -> None:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-
-
-def _product_request(a: Iterable[int], genus: int, markings: int) -> tuple[KappaMonomial, int, int]:
-    """Check a product request (a, then genus, then markings) and return the
-    canonical a, the genus-zero marking count n + 2g and the budget d."""
-    a = kappa_monomial(a)
-    n = 2 * natural(genus, "genus") + natural(markings, "markings")
-    return a, n, n - sum(a) - 2
 
 
 def basis_coeff(p: SetPartition, a: Iterable[int], d: int, method: str = "closed") -> Fraction:

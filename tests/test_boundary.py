@@ -51,8 +51,8 @@ CASES = [
     ("alt_binomial_partial_sum float m", lambda: alt_binomial_partial_sum(0.5, 0, 2), "m"),
     ("psi_integral float exponents", lambda: psi_integral((0.5, 0.5, 1.0)), "psi exponents"),
     ("integrate_kappa_top float n", lambda: integrate_kappa_top((1,), 4.0), "n"),
-    ("pairing_system float n", lambda: pairing_system((1,), 6.0), "n"),
-    ("solve_coeffs_by_pairing float n", lambda: solve_coeffs_by_pairing((1,), 6.0), "n"),
+    ("pairing_system float n", lambda: pairing_system((1,), 6.0), "markings"),
+    ("solve_coeffs_by_pairing float n", lambda: solve_coeffs_by_pairing((1,), 6.0), "markings"),
     ("integer_partitions float max_parts", lambda: integer_partitions(3, 1.5), "max_parts"),
     ("integer_partitions bool max_parts", lambda: integer_partitions(3, True), "max_parts"),
     ("dimension_sequences negative length", lambda: dimension_sequences(2, -1), "length"),

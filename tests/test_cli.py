@@ -164,6 +164,10 @@ def test_invalid_input_exits_2():
         by_pairing = run_cli("product", "--a", "1,1", *bad, "--method", "pairing")
         assert by_pairing.returncode == 2 and by_pairing.stdout == ""
         assert by_pairing.stderr == run_cli("product", "--a", "1,1", *bad, "--method", "ck").stderr, bad
+    # solve checks its request by the same rule as product
+    by_solve = run_cli("solve", "--a", "1,2,3", "--marked", "-1")
+    assert by_solve.returncode == 2 and by_solve.stdout == ""
+    assert by_solve.stderr == run_cli("product", "--a", "1,2,3", "--marked", "-1").stderr
     assert run_cli("xcoeff", "--a", "1,1", "--partition", "[[0]]", "--d", "2").returncode == 2
     assert run_cli("xcoeff", "--a", "1,1", "--partition", "[[0],[1]]", "--d", "0").returncode == 2
     assert run_cli("solve", "--a", "1,1", "--marked", "4").returncode == 2

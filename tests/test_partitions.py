@@ -204,6 +204,18 @@ def test_block_sum_vector_keeps_block_order():
     assert block_sum_vector(((0, 2), (1,)), (1, 1, 4)) == (5, 1)
 
 
+def test_block_sum_vector_canonicalises_and_validates_its_partition():
+    # blocks in any order give the vector in canonical block order
+    assert block_sum_vector(((1,), (2, 0)), (1, 1, 4)) == (5, 1)
+    for bad in (((0, 0),), ((0, 5),), ((1,), (2,))):
+        with pytest.raises(ValueError, match="set partition"):
+            block_sum_vector(bad, (1, 1))
+        with pytest.raises(ValueError, match="set partition"):
+            block_sums(bad, (1, 1))
+        with pytest.raises(ValueError, match="set partition"):
+            oracle.integrate_psi_pushforward(bad, (1, 1), 5)
+
+
 def test_blocks_within_counts_nested_blocks():
     coarse = ((0, 1, 2), (3,))
     fine = ((0,), (1, 2), (3,))

@@ -135,16 +135,16 @@ def test_kappa_product_hands_basis_coeff_values_it_does_not_validate_again(monke
 
         return wrapper
 
+    checks = ("canonical_partition", "kappa_monomial", "_check_method", "natural", "_product_request")
     monkeypatch.setattr(ring, "basis_coeff", recording)
-    for name in ("canonical_partition", "kappa_monomial", "_check_method", "natural"):
+    for name in checks:
         monkeypatch.setattr(ring, name, counted(name, getattr(ring, name)))
     kappa_product(a, genus, sum(a) + d + 2 - 2 * genus, method=method)
-    # the product checks its request once itself (a, method, genus and
-    # markings), and basis_coeff checks none of it, nor the budget, again
-    for name in ("canonical_partition", "kappa_monomial", "_check_method", "natural"):
+    # the product checks its method and its request (a, genus and markings)
+    # once itself, and basis_coeff checks none of it, nor the budget, again
+    for name in checks:
         assert counts[name, True] == 0, name
-    assert counts["kappa_monomial", False] == counts["_check_method", False] == 1
-    assert counts["natural", False] == 2
+    assert counts["_product_request", False] == counts["_check_method", False] == 1
     labelled = sum(1 for p in set_partitions(len(a)) if len(p) <= d)
     assert counts["basis_coeff"] == (labelled if method == "recursive" else len(list(partitions._orbits(a, d))))
 
