@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kapparing import cli, oracle
+from kapparing.partitions import Memo
 
 from bruteforce import euler_partition_counts
 
@@ -428,6 +429,52 @@ def test_solve_builds_the_pairing_system_once(monkeypatch, capsys):
     assert len(calls) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["matrix"] == {"rows": 4, "cols": 4, "rank": 4}
+
+
+RANK_DEFICIENT_JSON = """{
+  "command": "%s",
+  "error": "rank_deficient_pairing",
+  "detail": "zero diagonal in row 1 for dims (1, 2)",
+  "rank": 0,
+  "matrix": [
+    [
+      "1/1",
+      "9/1"
+    ],
+    [
+      "0/1",
+      "0/1"
+    ]
+  ]
+}
+"""
+
+RANK_DEFICIENT_CSV = """command,error,detail,rank,matrix
+solve,rank_deficient_pairing,"zero diagonal in row 1 for dims (1, 2)",0,"[[""1/1"", ""9/1""], [""0/1"", ""0/1""]]"
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["solve", "--a", "1,1,1", "--marked", "7"], RANK_DEFICIENT_JSON % "solve"),
+        (["solve", "--a", "1,1,1", "--marked", "7", "--format", "csv"], RANK_DEFICIENT_CSV),
+        (["product", "--a", "1,1,1", "--marked", "7", "--method", "pairing"], RANK_DEFICIENT_JSON % "product"),
+    ],
+)
+def test_a_rank_deficient_pairing_report_is_pinned_byte_for_byte(monkeypatch, capsys, argv, expected):
+    # a zero pairing of kappa_1 kappa_2 with its own stratum: the report
+    # names the row, the unknowns solved (none: (1, 2) is solved first) and
+    # the system as dense rows, strata by unknowns in (length, lex) order
+    def wrong_pairings(mu):
+        found = dict(oracle._pairings(mu))
+        if mu == (1, 2):
+            found[mu] = 0
+        return found
+
+    monkeypatch.setattr(oracle, "_PAIRINGS", Memo(wrong_pairings))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/fd")
