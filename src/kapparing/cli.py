@@ -217,9 +217,9 @@ def cmd_solve(args) -> tuple[dict, int]:
             {"monomial": list(mu), "coefficient": format_rational(solution[mu])}
             for mu in sorted(solution, key=lambda m: (-len(m), m))
         ],
-        # the full system, one row per basis monomial, is triangular of full
-        # rank; the solve over a's coarsenings raises unless its diagonal is
-        # nonzero and every residual is zero, so on success these hold.
+        # the full system, one row per basis monomial, is triangular of full rank: the
+        # solve over a's coarsenings raises on a column key that names no unknown, a nonzero
+        # below the diagonal, a zero diagonal or a nonzero residual, so on success these hold.
         "matrix": {"rows": size, "cols": size, "rank": size},
         "residual_zero": True,
     }

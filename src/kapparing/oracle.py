@@ -10,10 +10,10 @@ stratum components, each component's top evaluation read from
 the socle table that :mod:`kapparing.partitions` shares, and expansion
 coefficients from the resulting exact linear system, which
 ``pairing_system`` restricts to a's coarsenings and
-``solve_pairing_system`` substitutes back in integers.  Its columns do not
-depend on n: they are rows of the shared socle-split table, each built once
-per process by ``_PAIRINGS``.  ``pair_kappa_stratum`` pairs one stratum by
-a dynamic program over its components.  ``ck``'s split weights read the same rows, but
+``solve_pairing_system`` substitutes back in integers, column by column, on
+the maps ``_PAIRINGS`` builds once per process, not copies: rows of the shared
+socle-split table, which do not depend on n.  ``pair_kappa_stratum`` pairs one
+stratum by a dynamic program over its components.  ``ck``'s split weights read the same rows, but
 ``recursive`` and ``closed`` do not, so agreement with the ring module is a
 genuine cross-check, not a tautology.
 
@@ -44,11 +44,11 @@ class RankDeficientPairingError(RuntimeError):
 
     At desk scale this would contradict the perfect-pairing premise, so it is
     surfaced loudly together with the offending matrix instead of being
-    papered over with a pseudo-inverse.  ``matrix`` is the solver's input
-    (integer rows from :func:`solve_pairing_system`), and ``rank`` the number
-    of unknowns the solver determined: the pivots :func:`solve_exact` found,
-    or the unknowns :func:`solve_pairing_system` had substituted when it
-    stopped (all of them when a residual fails).
+    papered over with a pseudo-inverse.  ``matrix`` is the solver's input as
+    rows, which :func:`solve_pairing_system` lays out from its columns only
+    once it fails, and ``rank`` the number of unknowns the solver determined:
+    the pivots :func:`solve_exact` found, or the columns the pairing solve
+    had substituted when it stopped (all of them when a residual fails).
     """
 
     def __init__(self, message: str, matrix: Sequence[Sequence[int | Fraction]], rank: int):
@@ -186,8 +186,8 @@ def dimension_sequences(total: int, length: int) -> Iterator[DimensionSequence]:
     return (multiset((0,) * (length - len(p)) + p) for p in integer_partitions(total, length))
 
 
-def pairing_system(a: Iterable[int], markings: int) -> tuple[list[Multiset], list[list[int]], list[int], int]:
-    """The exact linear system (unknowns, matrix, rhs, size) that determines
+def pairing_system(a: Iterable[int], markings: int) -> tuple[list[Multiset], list[Mapping[Multiset, int]], list[int], int]:
+    """The exact linear system (unknowns, columns, rhs, size) that determines
     a's expansion at n = ``markings`` points, checked by ``_product_request``.
 
     The basis monomials are the partitions of sum(a) into at most d parts, d
@@ -204,26 +204,18 @@ def pairing_system(a: Iterable[int], markings: int) -> tuple[list[Multiset], lis
     coarsening of mu other than mu is shorter, so the full matrix is upper
     triangular of rank ``size``, and back substitution sets every unknown
     outside a's coarsenings to 0 while its row reads 0 = 0: the restricted
-    system has the full system's solution.  The matrix and the right-hand
-    side are fresh lists of ints, copied out of the columns of a and mu.  A
-    column of mu outside a's raises RankDeficientPairingError, naming both.
+    system has the full system's solution.  ``columns[j]`` is the map
+    ``_PAIRINGS[unknowns[j]]`` itself, not a copy, and ``rhs`` is read off
+    a's column; :func:`solve_pairing_system` checks that they fit.
     """
     a, _, d = _product_request(a, 0, markings)
     if d < 1:
         raise ValueError(f"degree budget d={d} leaves no basis to solve for")
     paired = _PAIRINGS[a]
     unknowns = sorted((mu for mu in paired if len(mu) <= d), key=lambda mu: (len(mu), mu))
-    position = {dims: i for i, dims in enumerate(unknowns)}
-    matrix = [[0] * len(unknowns) for _ in unknowns]
-    for j, mu in enumerate(unknowns):
-        for dims, value in _PAIRINGS[mu].items():
-            try:
-                matrix[position[dims]][j] = value
-            except KeyError:
-                message = f"the column of {mu} pairs with dims {dims}, which the column of {a} lacks"
-                raise RankDeficientPairingError(message, matrix, 0) from None
+    columns = [_PAIRINGS[mu] for mu in unknowns]
     rhs = [paired[dims] for dims in unknowns]
-    return unknowns, matrix, rhs, _partition_count(sum(a), d)
+    return unknowns, columns, rhs, _partition_count(sum(a), d)
 
 
 def _partition_count(total: int, max_parts: int) -> int:
@@ -261,11 +253,10 @@ def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -
     RankDeficientPairingError, carrying the caller's matrix and the rank,
     when the columns are not independent or the system is inconsistent.
 
-    The pairing solve does not call this: its system, restricted to a's
-    coarsenings, is triangular, and :func:`solve_pairing_system` substitutes
-    directly.  It stays public as the general dense solver with which the
-    tests solve the full system over every basis monomial, and because the
-    benchmark's tracer binds it by name.
+    The pairing solve, triangular on a's coarsenings, does not call this.
+    It stays public as the dense solver with which the tests solve the full
+    system over every basis monomial, and because the benchmark's tracer
+    binds it by name.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
@@ -326,45 +317,54 @@ def solve_coeffs_by_pairing(a: Iterable[int], markings: int) -> dict[Multiset, F
 
 
 def solve_pairing_system(system: tuple) -> dict[Multiset, Fraction]:
-    """Solve the system ``(unknowns, matrix, rhs, size)`` that
+    """Solve the system ``(unknowns, columns, rhs, size)`` that
     :func:`pairing_system` returns, which carries everything the solve reads.
 
-    Row i is the stratum named by unknown i, in (length, lex) order, so the
-    matrix must be upper triangular with a nonzero diagonal (pair(mu, mu) =
-    prod_v c_v!).  It is solved by back substitution, from the longest
-    unknowns down, and verified to have an exactly-zero residual.  A nonzero
-    below the diagonal or a zero on it breaks the premise that the pairing
-    is perfect and raises RankDeficientPairingError, as does a nonzero
-    residual.  The returned map is keyed by the unknowns, sorted.
-
-    The entries are integers, and so is the substitution: unknown j is
-    num[j] / common.  Row i's numerator is rhs_i * common minus the solved
-    terms; its gcd with the diagonal is divided out, and what is left of the
-    diagonal scales common and the numerators already solved.  The residual
-    is checked in these integers; only the returned values are Fractions.
+    Row i is the stratum named by unknown i and column j maps the strata it
+    pairs with to their pairings.  In (length, lex) order the system is
+    upper triangular with diagonal prod_v c_v!, so it is solved column by
+    column from the longest unknown down, in integers: unknown j is num[j] /
+    common, row j's residual (rhs_j * common less the solved columns'
+    terms) and the diagonal lose their gcd, and the rest of the diagonal
+    scales common, the solved numerators and the residuals.  A zero
+    diagonal, a column key that names no unknown or sits below the diagonal
+    with a nonzero value, and a nonzero final residual break the premise
+    that the pairing is perfect and raise RankDeficientPairingError.  The
+    returned map is keyed by the unknowns, sorted.
     """
-    unknowns, matrix, rhs, _ = system
+    unknowns, columns, rhs, _ = system
     size = len(unknowns)
+    position = {mu: i for i, mu in enumerate(unknowns)}
+
+    def fault(detail: str, solved: int) -> RankDeficientPairingError:
+        matrix = [[column.get(dims, 0) for column in columns] for dims in unknowns]
+        return RankDeficientPairingError(detail, matrix, solved)
+
+    residual = list(rhs)
     num = [0] * size
     common = 1
-    for i in range(size - 1, -1, -1):
-        row = matrix[i]
-        solved = size - 1 - i
-        if any(row[:i]):
-            raise RankDeficientPairingError(
-                f"nonzero below the diagonal in row {i} for dims {unknowns[i]}", matrix, solved
-            )
-        if not row[i]:
-            raise RankDeficientPairingError(f"zero diagonal in row {i} for dims {unknowns[i]}", matrix, solved)
-        top = rhs[i] * common - sum(row[j] * num[j] for j in range(i + 1, size) if row[j])
-        g = gcd(top, row[i])
-        left = row[i] // g
+    for j in range(size - 1, -1, -1):
+        mu, column = unknowns[j], columns[j]
+        solved = size - 1 - j
+        pivot = column.get(mu, 0)
+        if not pivot:
+            raise fault(f"zero diagonal in row {j} for dims {mu}", solved)
+        g = gcd(residual[j], pivot)
+        num[j], left = residual[j] // g, pivot // g
         if left != 1:
-            for j in range(i + 1, size):
-                num[j] *= left
+            for k in range(j + 1, size):
+                num[k] *= left
+            for i in range(j + 1):
+                residual[i] *= left
             common *= left
-        num[i] = top // g
-    for i, row in enumerate(matrix):
-        if sum(x * num[j] for j, x in enumerate(row) if x) != rhs[i] * common:
-            raise RankDeficientPairingError(f"nonzero residual in row {i} for dims {unknowns[i]}", matrix, size)
+        for dims, value in column.items():
+            i = position.get(dims)
+            if i is None:
+                raise fault(f"the column of {mu} pairs with dims {dims}, which names no unknown", solved)
+            if i > j and value:
+                raise fault(f"nonzero below the diagonal in row {i} for dims {dims}, column {j}", solved)
+            residual[i] -= value * num[j]
+    for i, left_over in enumerate(residual):
+        if left_over:
+            raise fault(f"nonzero residual in row {i} for dims {unknowns[i]}", size)
     return dict(sorted(zip(unknowns, (Fraction(x, common) for x in num))))

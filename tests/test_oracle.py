@@ -210,23 +210,29 @@ def test_solve_requires_room_for_a_basis():
 
 
 def test_pairing_system_is_square():
-    unknowns, matrix, rhs, size = pairing_system((1, 1, 2), 9)
+    unknowns, columns, rhs, size = pairing_system((1, 1, 2), 9)
     # row i is the stratum named by unknown i; here every stratum of d = 3
     # components, named by its positive dimensions, coarsens a
     assert {tuple(v for v in dims if v) for dims in dimension_sequences(4, 3)} == set(unknowns)
     assert size == len(list(dimension_sequences(4, 3))) == 4
-    assert len(unknowns) == len(matrix)
-    assert all(len(row) == len(unknowns) for row in matrix)
     assert len(rhs) == len(unknowns)
     assert unknowns == [(4,), (1, 3), (2, 2), (1, 1, 2)]
 
 
 def test_pairing_system_never_builds_the_full_basis():
     # the full system has 1,958 unknowns; a's coarsenings are 7 of them
-    unknowns, matrix, rhs, size = pairing_system((5,) * 5, 52)
+    unknowns, columns, rhs, size = pairing_system((5,) * 5, 52)
     assert unknowns == [(25,), (5, 20), (10, 15), (5, 5, 15), (5, 10, 10), (5, 5, 5, 10), (5,) * 5]
-    assert len(matrix) == len(rhs) == 7 and all(len(row) == 7 for row in matrix)
+    assert len(rhs) == 7
     assert size == 1958
+
+
+@pytest.mark.parametrize("a, n", [((1, 1, 2), 9), ((5,) * 5, 52), ((3, 4, 5), 18), ((1, 1, 2, 2, 3), 21), ((1,) * 6, 9)])
+def test_the_system_hands_out_the_columns_the_table_holds(a, n):
+    # one column per unknown, each the table's own read-only map, not a copy
+    unknowns, columns, _, _ = pairing_system(a, n)
+    assert len(columns) == len(unknowns)
+    assert all(columns[j] is oracle._PAIRINGS[mu] for j, mu in enumerate(unknowns))
 
 
 @pytest.mark.parametrize("a", list(index_multisets(3, max_sum=5)))
@@ -245,13 +251,15 @@ def test_solver_agrees_with_the_product_expansion(a, d):
 def test_sparse_system_and_triangular_solve_match_the_dense_reference(a):
     for d in range(1, len(a) + 2):
         n = sum(a) + d + 2
-        unknowns, matrix, rhs, size = system = pairing_system(a, n)
+        unknowns, columns, rhs, size = system = pairing_system(a, n)
         dense_matrix, dense_rhs, dense_solution = naive_pairing_system(a, n)
         assert size == len(dense_solution)
-        # the restricted system is the dense one at a's coarsenings
-        assert {(dims, mu): matrix[i][j] for i, dims in enumerate(unknowns) for j, mu in enumerate(unknowns)} == {
+        # the restricted system is the dense one at a's coarsenings, and no
+        # column pairs with a stratum outside them
+        assert {(dims, mu): columns[j].get(dims, 0) for dims in unknowns for j, mu in enumerate(unknowns)} == {
             (dims, mu): dense_matrix[dims, mu] for dims in unknowns for mu in unknowns
         }
+        assert set().union(*columns) <= set(unknowns)
         assert dict(zip(unknowns, rhs)) == {dims: dense_rhs[dims] for dims in unknowns}
         # and has the dense solution there, which is 0 everywhere else
         assert solve_pairing_system(system) == {mu: dense_solution[mu] for mu in sorted(unknowns)}
@@ -284,11 +292,12 @@ def test_solve_pairing_system_takes_the_system_alone():
 
 
 def test_pairing_matrix_is_upper_triangular_with_factorial_diagonal():
-    unknowns, matrix, _, _ = pairing_system((1, 1, 2, 2, 3), 21)
+    unknowns, columns, _, _ = pairing_system((1, 1, 2, 2, 3), 21)
     assert unknowns == sorted(unknowns, key=lambda mu: (len(mu), mu))
-    for i, mu in enumerate(unknowns):
-        assert not any(matrix[i][:i])
-        assert matrix[i][i] == math.prod(math.factorial(mu.count(v)) for v in set(mu))
+    for j, mu in enumerate(unknowns):
+        # column j pairs only with strata at positions up to its own
+        assert all(unknowns.index(dims) <= j for dims in columns[j])
+        assert columns[j][mu] == math.prod(math.factorial(mu.count(v)) for v in set(mu))
 
 
 def counting_table(walks):
@@ -307,13 +316,13 @@ def test_pairing_system_pairs_only_the_coarsenings(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_PAIRINGS", counting_table(walks))
         patch.setattr(oracle, "pair_kappa_stratum", lambda *args: dp_calls.append(args))
-        unknowns, matrix, rhs, size = pairing_system((3, 4, 5), 18)
+        unknowns, columns, rhs, size = pairing_system((3, 4, 5), 18)
         # the unknowns are the 5 coarsenings of (3, 4, 5), a last, read off
         # a's column, which is also the right-hand side; their 12 matrix
         # nonzeros come from one walk per other unknown, with no stratum DP
         # and none of the other 29 monomials of the full basis
         assert size == 34
-        assert sum(1 for row in matrix for x in row if x) == 12
+        assert sum(1 for column in columns for x in column.values() if x) == 12
         assert sum(1 for x in rhs if x) == 5
         assert unknowns[-1] == (3, 4, 5)
         assert walks == [(3, 4, 5)] + unknowns[:-1] and len(walks) == 5
@@ -333,10 +342,12 @@ def test_a_column_outside_the_coarsenings_raises_naming_it(monkeypatch):
         return found
 
     monkeypatch.setattr(oracle, "_PAIRINGS", Memo(wrong_pairings))
-    message = r"the column of \(1, 2\) pairs with dims \(1, 1, 1\), which the column of \(1, 1, 1\) lacks"
+    message = r"the column of \(1, 2\) pairs with dims \(1, 1, 1\), which names no unknown"
     with pytest.raises(RankDeficientPairingError, match=message) as err:
         solve_coeffs_by_pairing((1, 1, 1), 7)
     assert err.value.rank == 0
+    # the stray key has no row in the reported matrix
+    assert err.value.matrix == [[1, 9], [0, 1]]
 
 
 def test_zero_diagonal_pairing_raises(monkeypatch):
@@ -352,8 +363,8 @@ def test_zero_diagonal_pairing_raises(monkeypatch):
         patch.setattr(oracle, "_PAIRINGS", Memo(wrong_pairings))
         with pytest.raises(RankDeficientPairingError, match="zero diagonal") as err:
             solve_coeffs_by_pairing((1, 1, 1), 7)
-        assert err.value.matrix == pairing_system((1, 1, 1), 7)[1]
-        assert err.value.matrix[1][1] == 0
+        # strata (3,) and (1, 2) as rows, unknowns (3,) and (1, 2) as columns
+        assert err.value.matrix == [[1, 9], [0, 0]]
         assert err.value.rank == 0
     # the wrong column went with its table
     assert oracle._PAIRINGS == shared
@@ -426,14 +437,17 @@ def test_oracle_imports_nothing_from_ring():
 
 
 def test_pairing_entry_below_the_diagonal_raises():
-    unknowns, matrix, rhs, size = pairing_system((1, 1, 1), 8)
+    unknowns, columns, rhs, size = pairing_system((1, 1, 1), 8)
     assert unknowns == [(3,), (1, 2), (1, 1, 1)]
     # a nonzero pairing of kappa_3 with the two-component stratum (1, 2),
-    # which its single index cannot fill
-    matrix[1][0] = 1
-    with pytest.raises(RankDeficientPairingError, match="below the diagonal") as err:
-        solve_pairing_system((unknowns, matrix, rhs, size))
-    assert err.value.rank == 1
+    # which its single index cannot fill: found in the last column
+    # substituted, after the two longer unknowns
+    columns = [{**columns[0], (1, 2): 1}] + columns[1:]
+    message = r"nonzero below the diagonal in row 1 for dims \(1, 2\), column 0"
+    with pytest.raises(RankDeficientPairingError, match=message) as err:
+        solve_pairing_system((unknowns, columns, rhs, size))
+    assert err.value.rank == 2
+    assert [row[0] for row in err.value.matrix] == [1, 1, 0]
 
 
 def upper_triangular_systems(size):
@@ -452,23 +466,28 @@ def test_integer_back_substitution_matches_the_dense_reference(case):
     size = len(rhs)
     matrix = [[0] * i + [pivot] + above for i, (pivot, above) in enumerate(rows)]
     unknowns = [(j + 1,) for j in range(size)]
-    solved = solve_pairing_system((unknowns, matrix, rhs, size))
+    # column j keyed by the strata (unknowns) of its nonzero rows
+    columns = [{unknowns[i]: matrix[i][j] for i in range(size) if matrix[i][j]} for j in range(size)]
+    solved = solve_pairing_system((unknowns, columns, rhs, size))
     assert list(solved) == unknowns
     assert list(solved.values()) == solve_exact(matrix, rhs)
     assert all(type(x) is Fraction for x in solved.values())
-    # a fault in row i stops the solve with the size - 1 - i rows below it solved
-    for i in range(size):
+    # a fault in column j stops the solve with the size - 1 - j longer
+    # unknowns substituted, and reports the columns as dense rows
+    for j in range(size):
         zero = [row[:] for row in matrix]
-        zero[i][i] = 0
-        with pytest.raises(RankDeficientPairingError, match="zero diagonal") as err:
-            solve_pairing_system((unknowns, zero, rhs, size))
-        assert err.value.rank == size - 1 - i and err.value.matrix is zero
-        if i:
+        zero[j][j] = 0
+        faults = [("names no unknown", {**columns[j], (0,): 5}, matrix), ("zero diagonal", {**columns[j], unknowns[j]: 0}, zero)]
+        if j + 1 < size:
             below = [row[:] for row in matrix]
-            below[i][i - 1] = -3
-            with pytest.raises(RankDeficientPairingError, match="below the diagonal") as err:
-                solve_pairing_system((unknowns, below, rhs, size))
-            assert err.value.rank == size - 1 - i
+            below[j + 1][j] = -3
+            faults.append(("below the diagonal", {**columns[j], unknowns[j + 1]: -3}, below))
+        for message, column, dense in faults:
+            system = (unknowns, columns[:j] + [column] + columns[j + 1 :], rhs, size)
+            with pytest.raises(RankDeficientPairingError, match=message) as err:
+                solve_pairing_system(system)
+            assert err.value.rank == size - 1 - j
+            assert err.value.matrix == dense
 
 
 def test_solve_exact_on_a_known_system():

@@ -402,7 +402,7 @@ def test_a_fault_in_the_shared_first_blocks_fails_the_anchor_the_orbits_and_recu
         else:
             with pytest.raises(AssertionError):
                 orbits_are_the_labelled_shapes(length)
-    # the pairing system cannot be assembled from the faulty rows: its method
+    # the pairing solve stops at a column the faulty rows got wrong: its method
     # rows fail with the error's detail, and every row is still there
     rows = verification.run_suite("all")
     assert len(rows) == 2672
@@ -410,7 +410,7 @@ def test_a_fault_in_the_shared_first_blocks_fails_the_anchor_the_orbits_and_recu
     assert (len(rows), sum(not row["methods_agree"] for row in rows)) == (92, 44)
     broken = [row for row in rows if "pairing_error" in row]
     assert len(broken) == sum(not row["pairing_agrees"] for row in rows) == 33
-    assert broken[0]["pairing_error"] == "the column of (1, 2) pairs with dims (3,), which the column of (1, 1, 1) lacks"
+    assert broken[0]["pairing_error"] == "the column of (1, 2) pairs with dims (3,), which names no unknown"
     # recursive reads the faulty socle by another walk, and the correction,
     # which never cuts a whole block, intact
     mismatches = [mismatch for row in rows for mismatch in row.get("method_mismatches", [])]
