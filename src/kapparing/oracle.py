@@ -5,17 +5,16 @@ expansion formulas in :mod:`kapparing.ring`: psi-monomial integrals come from
 the multinomial formula, top-degree kappa integrals from the signed sum of
 psi integrals over the multiset partitions of the indices
 (``partitions._orbits``, each weighted by its count of set partitions),
-pairings against boundary strata from distributing kappa indices over
-stratum components, each component's top evaluation read from
-the socle table that :mod:`kapparing.partitions` shares, and expansion
-coefficients from the resulting exact linear system, which
-``pairing_system`` restricts to a's coarsenings and
+pairings against boundary strata from one column per monomial,
+``_PAIRINGS``, built once per process: its row of the socle-split table that
+:mod:`kapparing.partitions` shares, which does not depend on n, times the
+orders of equal components.  ``pair_kappa_stratum`` reads one entry of a
+column, and expansion coefficients come from the resulting exact linear
+system, which ``pairing_system`` restricts to a's coarsenings and
 ``solve_pairing_system`` substitutes back in integers, column by column, on
-the maps ``_PAIRINGS`` builds once per process, not copies: rows of the shared
-socle-split table, which do not depend on n.  ``pair_kappa_stratum`` pairs one
-stratum by a dynamic program over its components.  ``ck``'s split weights read the same rows, but
-``recursive`` and ``closed`` do not, so agreement with the ring module is a
-genuine cross-check, not a tautology.
+the columns themselves, not copies.  ``ck``'s split weights read the same
+rows, but ``recursive`` and ``closed`` do not, so agreement with the ring
+module is a genuine cross-check, not a tautology.
 
 A boundary stratum of the genus-zero space is a tree of components; by the
 perfect-pairing structure of its Chow ring, the pairing of a kappa-ring class
@@ -25,10 +24,8 @@ against the stratum depends only on the multiset of component dimensions.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, prod
-from operator import mul, sub
+from math import factorial, gcd, lcm, prod
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -129,36 +126,17 @@ def pair_kappa_stratum(b: Iterable[int], dims: Iterable[int]) -> Fraction:
     component: factor 1).  Zero when the total degree does not match or no
     assignment fits.
 
-    Computed by a dynamic program over the positive-dimension components
-    (zero-dimension ones receive nothing, since indices are >= 1): the state
-    is the count still unassigned of each distinct index value, and a
-    component of dimension d takes a sub-multiset of sum d, weighted by
-    prod C(count_v, take_v) (the labelled assignments giving that bucket)
-    times the bucket's top evaluation.  The sub-multisets are those of sum
-    d among the takes of at most min(count_v, d // v) copies of each value
-    v.  Every term is an integer.
+    Zero-dimension components receive nothing, since indices are >= 1, so
+    the pairing is the entry of b's column (:data:`_PAIRINGS`) at the
+    positive dimensions, or 0 where b's indices cannot fill them; the empty
+    b's column is {(): 1}.  A cold call builds b's whole column, the one
+    that a solve of b reads too.
     """
     b = kappa_monomial(b)
     dims = multiset(dims)
     if sum(b) != sum(dims):
         return Fraction(0)
-    values = sorted(set(b))
-    states = {tuple(b.count(v) for v in values): 1}
-    for dim in dims:
-        if dim == 0:
-            continue
-        following: dict[tuple[int, ...], int] = {}
-        for remaining, weight in states.items():
-            for taken in itertools.product(*(range(min(r, dim // v) + 1) for v, r in zip(values, remaining))):
-                if sum(map(mul, values, taken)) != dim:
-                    continue
-                bucket = tuple(v for v, t in zip(values, taken) for _ in range(t))
-                rest = tuple(map(sub, remaining, taken))
-                ways = prod(map(comb, remaining, taken))
-                following[rest] = following.get(rest, 0) + weight * ways * _SOCLE[bucket]
-        states = following
-    # The degrees match, so a state that filled every component has used up b.
-    return Fraction(sum(states.values()))
+    return Fraction(_PAIRINGS[b].get(tuple(dim for dim in dims if dim), 0))
 
 
 def integer_partitions(total: int, max_parts: int) -> Iterator[Multiset]:
@@ -229,10 +207,11 @@ def _partition_count(total: int, max_parts: int) -> int:
 
 
 def _pairings(mu: Multiset) -> Mapping[Multiset, int]:
-    """``pair_kappa_stratum(mu, dims)`` at every dims that mu's indices can
-    fill: mu's socle-split row at dims times prod_e m_e!, the ways its m_e
-    blocks of sum e go to the m_e distinct components of dimension e.  The
-    map is read-only, since :data:`_PAIRINGS` hands it to every caller."""
+    """mu's column: its pairing with every stratum whose positive dimensions
+    dims mu's indices can fill, mu's socle-split row at dims times prod_e
+    m_e!, the ways its m_e blocks of sum e go to the m_e distinct components
+    of dimension e.  :func:`pair_kappa_stratum` reads one entry.  The map is
+    read-only, since :data:`_PAIRINGS` hands it to every caller."""
     return MappingProxyType(
         {dims: total * prod(factorial(dims.count(e)) for e in set(dims)) for dims, total in _SOCLE_SPLITS[mu]}
     )

@@ -177,8 +177,9 @@ def _top_degree_values(a: Multiset) -> tuple[Fraction, Fraction, Fraction]:
     """The top-degree value of kappa_a by two computations that share only
     ``partitions._first_blocks``, in three columns: the ring's socle
     coefficient, the oracle's integral at n = sum(a) + 3 over the orbits and
-    the pairing against the one-component stratum.  That pairing puts all of a on its one component and reads the
-    shared socle table, so it repeats the first computation."""
+    the pairing against the one-component stratum.  That pairing reads a's
+    pairing column, whose one-block entry is the shared socle value, so it
+    repeats the first computation."""
     return socle_coeff(a), integrate_kappa_top(a, sum(a) + 3), pair_kappa_stratum(a, (sum(a),))
 
 

@@ -1,25 +1,28 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here but ``naive_pairing_system`` is deliberately written against
-the standard library only, with different algorithms than the package (the
-enumeration order from growth strings filtered out of itertools.product,
-math.comb instead of the factorial table), so a shared bug cannot hide.
+Everything here is deliberately written against the standard library only,
+with different algorithms than the package (the enumeration order from
+growth strings filtered out of itertools.product, math.comb instead of the
+factorial table), so a shared bug cannot hide; ``naive_pairing_system``
+borrows only the package's general Bareiss solver.
 ``naive_set_partitions`` inserts the last element as the package does, but
 on lists, and the tests compare it with the package as sets of partitions
-only.  ``naive_pairing_system`` is the dense form of the package's pairing
-system: it uses the package's pairing and its general Bareiss solver, so it
-checks what the sparse triangular build and solve leave out, not the
-pairing itself (``naive_pair_kappa_stratum`` does that).  ``naive_expansion``
-is the dense system again with no package code at all: assignments,
-Gauss-Jordan elimination, and the top evaluations its caller passes.
-"""
+only.  ``naive_pair_kappa_stratum`` pairs a monomial with a stratum by
+enumerating every assignment, and ``dp_pair_kappa_stratum`` by a dynamic
+program over the components, fast enough to fill whole columns.
+``naive_pairing_system`` is the dense form of the package's pairing system,
+every entry a ``dp_pair_kappa_stratum`` value, so it checks the pairing
+values as well as what the sparse triangular build and solve leave out.
+``naive_expansion`` is the dense system again with no package code at all:
+assignments, Gauss-Jordan elimination, and the top evaluations its caller
+passes."""
 
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
 
-from kapparing.oracle import pair_kappa_stratum, solve_exact
+from kapparing.oracle import solve_exact
 
 
 def naive_set_partitions(elements):
@@ -155,6 +158,39 @@ def naive_pair_kappa_stratum(b, dims, top=naive_socle):
     return total
 
 
+def dp_pair_kappa_stratum(b, dims, top=naive_socle):
+    """Stratum pairing by a dynamic program over the positive-dimension
+    components (zero-dimension ones receive nothing, since indices are
+    >= 1): the state is the count still unassigned of each distinct index
+    value, and a component of dimension d takes a sub-multiset of sum d
+    among the takes of at most min(count_v, d // v) copies of each value v,
+    weighted by prod C(count_v, take_v), the labelled assignments giving that
+    bucket, times ``top`` of the bucket.  The degrees match, so a state that
+    filled every component has used up b."""
+    b, dims = sorted(b), list(dims)
+    if sum(b) != sum(dims):
+        return Fraction(0)
+    values = sorted(set(b))
+    tops = {}
+    states = {tuple(b.count(v) for v in values): Fraction(1)}
+    for dim in dims:
+        if dim == 0:
+            continue
+        following = {}
+        for remaining, weight in states.items():
+            for taken in itertools.product(*(range(min(r, dim // v) + 1) for v, r in zip(values, remaining))):
+                if sum(v * t for v, t in zip(values, taken)) != dim:
+                    continue
+                bucket = tuple(v for v, t in zip(values, taken) for _ in range(t))
+                if bucket not in tops:
+                    tops[bucket] = top(bucket)
+                rest = tuple(r - t for r, t in zip(remaining, taken))
+                ways = math.prod(math.comb(r, t) for r, t in zip(remaining, taken))
+                following[rest] = following.get(rest, 0) + weight * ways * tops[bucket]
+        states = following
+    return sum(states.values(), Fraction(0))
+
+
 def naive_solve(matrix, rhs):
     """The unique solution of a square system, by Gauss-Jordan elimination
     over Fractions with the first nonzero pivot of each column."""
@@ -186,14 +222,14 @@ def naive_expansion(a, n, top):
 def naive_pairing_system(a, n):
     """The pairing system of kappa_a at n markings, dense: the unknowns are
     the partitions of sum(a) into at most d = n - sum(a) - 2 parts, all N**2
-    entries and all N right-hand sides are pair_kappa_stratum calls, and
+    entries and all N right-hand sides are dp_pair_kappa_stratum values, and
     solve_exact solves it.  Returns the matrix keyed by (dims, mu), the
     right-hand side keyed by dims and the solution keyed by mu."""
     total = sum(a)
     d = n - total - 2
     unknowns = [mu for length in range(min(d, total) + 1) for mu in naive_multisets(total, length, smallest=1)]
-    matrix = {(dims, mu): pair_kappa_stratum(mu, dims) for dims in unknowns for mu in unknowns}
-    rhs = {dims: pair_kappa_stratum(a, dims) for dims in unknowns}
+    matrix = {(dims, mu): dp_pair_kappa_stratum(mu, dims) for dims in unknowns for mu in unknowns}
+    rhs = {dims: dp_pair_kappa_stratum(a, dims) for dims in unknowns}
     dense = [[matrix[dims, mu] for mu in unknowns] for dims in unknowns]
     solution = solve_exact(dense, [rhs[dims] for dims in unknowns])
     return matrix, rhs, dict(zip(unknowns, solution))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kapparing import cli, oracle
+from kapparing import cli, oracle, ring
 from kapparing.partitions import Memo
 
 from bruteforce import euler_partition_counts
@@ -366,7 +366,10 @@ def test_each_verify_suite_report_is_pinned_byte_for_byte(suite, digest):
 
 
 # The seven requests of the benchmark's oracle_solve workload and one pairing,
-# pinned to the bytes they printed before the pairing DP and integer Bareiss.
+# pinned to the bytes they printed before the pairing DP and integer Bareiss;
+# the other four pairings to the bytes the component DP printed before the
+# pairing read the column table: a zero component, a degree mismatch, eight
+# distinct entries on three components, and csv.
 ORACLE_REPORTS = [
     (("solve", "--a", "3,4,5", "--marked", "18"), "2f1666e7cd0b252e33281c6bb0dc9cb9d660a6dfc0506835bd9b5fed01502cd8"),
     (("solve", "--a", "1,2,3,4", "--marked", "16"), "7652994fb3a6cd63fb1d1eeff5718e32206c3ff17d0a0a517c9a8f5ae60e3694"),
@@ -376,12 +379,45 @@ ORACLE_REPORTS = [
     (("solve", "--a", "2,2,3", "--marked", "14"), "9e921438231c098e330db8d28b6682eb3917e78fb3da2854a5189ee5f7e7ca2f"),
     (("solve", "--a", "1,2,3", "--marked", "13"), "9777d8d1bbf2bde5dbe37cee5410b556cb783f2048d6e783e93e53b4bff3d0dc"),
     (("pair", "--a", "1,1,2,2", "--dims", "1,2,3"), "ab7de2dde889d5bacd4131e1e61f18e58455730ff8488f8f272cd9b750521212"),
+    (("pair", "--a", "1,1", "--dims", "0,2"), "a704e0570f931ae8729eac35fc927b231610cfceb71ddd51b2325cf39db8b366"),
+    (("pair", "--a", "1,2", "--dims", "4"), "8592b67a831a2fddca9dda90b7917862a89a987c1cf41027284863368ac3b772"),
+    (("pair", "--a", "1,2,3,4,5,6,7,8", "--dims", "10,12,14"), "8aeab4c76a73e37621005410c8fd42c6d34234ca2ffa84cf779b1275f4e95ff1"),
+    (("pair", "--a", "1,1,2,2", "--dims", "1,2,3", "--format", "csv"), "7860bc03d38ff5374c211aa58c5fa0255d96f679ea4f2892ae810335ed8bd56d"),
 ]
 
 
 @pytest.mark.parametrize("args, digest", ORACLE_REPORTS)
 def test_oracle_reports_are_pinned_byte_for_byte(args, digest):
     assert stdout_sha256(*args) == digest
+
+
+def main_stdout(argv):
+    """What ``cli.main(argv)`` prints to stdout in this process; it must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(list(argv)) == 0
+    return out.getvalue()
+
+
+# The oracle_solve requests, sixteen and twenty 1s, and every pinned pairing
+WARM_REQUESTS = (
+    [args for args, _ in ORACLE_REPORTS if args[0] == "solve"]
+    + [("solve", "--a", ",".join(["1"] * k), "--marked", marked) for k, marked in ((16, "26"), (20, "42"))]
+    + [args for args, _ in ORACLE_REPORTS if args[0] == "pair"]
+)
+
+
+def test_requests_served_from_warm_tables_print_the_same_bytes_as_cold_ones():
+    # each cold run starts from empty memo tables, the pairing columns too;
+    # one warm process then serves every request forward, then in reverse
+    cold = []
+    for argv in WARM_REQUESTS:
+        ring.clear_coeff_caches()
+        cold.append(main_stdout(argv))
+    ring.clear_coeff_caches()
+    for order, indices in (("forward", range(len(cold))), ("reverse", reversed(range(len(cold))))):
+        for i in indices:
+            assert main_stdout(WARM_REQUESTS[i]) == cold[i], (order, WARM_REQUESTS[i])
 
 
 # Two solves pinned to the bytes they printed when the top integral walked

@@ -26,6 +26,7 @@ from kapparing.partitions import Memo, index_multisets, multiset_partitions
 from kapparing.ring import basis_coeff, kappa_product, socle_coeff
 
 from bruteforce import (
+    dp_pair_kappa_stratum,
     euler_partition_counts,
     naive_multinomial,
     naive_multisets,
@@ -319,8 +320,9 @@ def test_pairing_system_pairs_only_the_coarsenings(monkeypatch):
         unknowns, columns, rhs, size = pairing_system((3, 4, 5), 18)
         # the unknowns are the 5 coarsenings of (3, 4, 5), a last, read off
         # a's column, which is also the right-hand side; their 12 matrix
-        # nonzeros come from one walk per other unknown, with no stratum DP
-        # and none of the other 29 monomials of the full basis
+        # nonzeros come from one walk per other unknown, with no call of
+        # pair_kappa_stratum and none of the other 29 monomials of the full
+        # basis
         assert size == 34
         assert sum(1 for column in columns for x in column.values() if x) == 12
         assert sum(1 for x in rhs if x) == 5
@@ -331,6 +333,29 @@ def test_pairing_system_pairs_only_the_coarsenings(monkeypatch):
         assert len(walks) == 5
         assert dp_calls == []
     assert oracle._PAIRINGS == shared
+
+
+def test_a_stratum_pairing_reads_the_table_the_solve_reads(monkeypatch):
+    walks = []
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_PAIRINGS", counting_table(walks))
+        b = (1, 1, 2, 3)
+        # a cold pairing walks b's whole column, zero components aside
+        assert pair_kappa_stratum(b, (0, 3, 4)) == dp_pair_kappa_stratum(b, (3, 4))
+        assert walks == [b]
+        # b at other dims reads the same column
+        assert pair_kappa_stratum(b, (1, 2, 4)) == dp_pair_kappa_stratum(b, (1, 2, 4))
+        assert pair_kappa_stratum(b, (7,)) == socle_coeff(b)
+        assert walks == [b]
+        # after a solve, the pairings of its coarsenings walk nothing
+        solve_coeffs_by_pairing((2, 2, 3), 14)
+        walked = len(walks)
+        assert pair_kappa_stratum((4, 3), (0, 7)) == dp_pair_kappa_stratum((3, 4), (7,))
+        assert pair_kappa_stratum((2, 2, 3), (2, 5)) == dp_pair_kappa_stratum((2, 2, 3), (2, 5))
+        assert len(walks) == walked
+        # nor does a degree mismatch, even for a monomial never walked
+        assert pair_kappa_stratum((5, 6), (10,)) == 0
+        assert len(walks) == walked
 
 
 def test_a_column_outside_the_coarsenings_raises_naming_it(monkeypatch):
@@ -413,7 +438,7 @@ def test_pairings_walk_matches_the_stratum_pairing(mu):
     # the strata mu fills: the block sums of the set partitions of its indices
     assert set(found) == {tuple(sorted(map(sum, p))) for p in naive_set_partitions(list(mu))}
     for dims, value in found.items():
-        assert value == pair_kappa_stratum(mu, dims), (mu, dims)
+        assert value == dp_pair_kappa_stratum(mu, dims), (mu, dims)
         if len(dims) ** len(mu) <= 4096:
             assert value == naive_pair_kappa_stratum(mu, dims), (mu, dims)
 
