@@ -15,13 +15,17 @@ invalid-input signal: ``product`` and ``solve`` share one request check, and
 ``verification.SUITES`` names the suites.  The CLI checks only what no
 library call sees: ``--partition``'s JSON shape, sweep bounds.
 
+A run's sweeps share one process pool: ``verify --suite all`` always opens
+one of ``max(--jobs, 2)`` workers, the other runs one only for ``--jobs > 1``.
 Reports go to stdout as JSON (default) or CSV and are byte-deterministic for
 identical requests, including under ``--jobs > 1``; wall-clock timing and
-the cache sizes of this process (not of its pool's workers) go to stderr so
-they cannot perturb the reports.  No state outlives a run: each process
-computes its coefficient tables afresh.  Exit code 0 means success with
-every check passing, 1 a failed check or internal inconsistency (the report
-is still emitted) or a reader that closed stdout early, 2 invalid input.
+the cache sizes of this process go to stderr so they cannot perturb the
+reports.  Those sizes count only this process's tables: in a pooled run the
+sweeps fill the workers' tables instead.  No state outlives a run: each
+process computes its coefficient tables afresh.  Exit code 0 means success
+with every check passing, 1 a failed check or internal inconsistency (the
+report is still emitted) or a reader that closed stdout early, 2 invalid
+input.
 """
 
 from __future__ import annotations
@@ -108,7 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, *, jobs: bool = False):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
+            p.add_argument(
+                "--jobs", type=int, default=1,
+                help="worker processes for the sweeps, one pool per run (verify --suite all: always, max(JOBS, 2))",
+            )
 
     p_product = sub.add_parser("product", help="expand a kappa monomial product in the basis")
     p_product.add_argument("--a", required=True, help="comma-separated kappa indices, e.g. 1,1")

@@ -7,7 +7,8 @@ all of them must coincide.  A check never proves anything symbolically; it
 confirms instances, which is what the sweeps are for.  The three sums over
 set partitions (binomial product, tree sum, vanishing) are taken orbit-wise,
 over ``partitions._orbits``: one term per multiset partition, times its
-count of set partitions.
+count of set partitions.  The two k-block sums walk the orbits of at most k
+blocks and keep those of exactly k.
 
 Identity names:
 
@@ -134,7 +135,7 @@ def _check_binomial_product(a: Iterable[int], k: int) -> IdentityReport:
     a = multiset(a)
     natural(k, "k", 1, len(a))
     lhs = 0
-    for blocks, count in _orbits(a, len(a)):
+    for blocks, count in _orbits(a, k):
         if len(blocks) != k:
             continue
         term = count * multinomial(sum(blk) + 1 for blk in blocks)
@@ -154,7 +155,7 @@ def _check_tree_sum(a: Iterable[int], k: int) -> IdentityReport:
     a = multiset(a)
     natural(k, "k", 1, len(a))
     lhs = 0
-    for blocks, count in _orbits(a, len(a)):
+    for blocks, count in _orbits(a, k):
         if len(blocks) != k:
             continue
         term = count

@@ -44,7 +44,7 @@ reference the other methods are checked against, and ``refinements`` take
 ``_first_blocks(s)`` is the one cut behind the orbits and the block DP: the
 blocks that hold s's first position (Stanley, EC2 5.1).  ``Memo`` is the
 package's one memo-table type; a full one empties itself, and ``_MEMOS``
-records every one made.  The block DP's shared Memos sum over set
+records every live one.  The block DP's shared Memos sum over set
 partitions: by block count ``_SHIFTED_SUMS``, and by block sums
 ``_SOCLE_SPLITS``, whose keys ``_SPLIT_KEYS`` interns.  A row depends on
 its multiset alone, so each table builds the row of s from its own rows of
@@ -56,6 +56,7 @@ closed's chain rows cut the same first blocks.
 from __future__ import annotations
 
 import itertools
+import weakref
 from math import comb, inf
 from typing import Iterable, Iterator, Optional
 
@@ -246,20 +247,21 @@ class Memo(dict):
     limit and none stops caching for good.
 
     Used as a decorator, it turns the function into the table of its values.
-    Every table made is recorded in ``_MEMOS``, which ring's
-    clear_coeff_caches() empties.
+    Every live table is recorded in ``_MEMOS``, which ring's
+    clear_coeff_caches() empties; the registry holds it weakly, so a table
+    that its maker drops is freed with its contents.
     The tables hold deterministic exact values only, so concurrent lookups
     need no lock: at worst two threads compute the same value, and no
     interleaving can store a wrong one.  A table emptied in the middle of a
     lookup only costs its rows again: a row, once read, is a local value.
     """
 
-    __slots__ = ("compute",)
+    __slots__ = ("compute", "__weakref__")
 
     def __init__(self, compute):
         super().__init__()
         self.compute = compute
-        _MEMOS.append(self)
+        _MEMOS[id(self)] = self
 
     def __missing__(self, key):
         value = self.compute(key)
@@ -269,7 +271,9 @@ class Memo(dict):
         return value
 
 
-_MEMOS: list[Memo] = []
+# id -> live table: a Memo is a dict, unhashable and equal by contents, so it
+# is keyed by identity, not held in a WeakSet
+_MEMOS: weakref.WeakValueDictionary[int, Memo] = weakref.WeakValueDictionary()
 
 
 def _first_blocks(s: Multiset) -> list[tuple[int, Multiset, Multiset, int]]:

@@ -41,7 +41,7 @@ correction and split-weight values, the correction's moments, closed's
 chain rows and per-block polynomials and the block DP's rows in
 :mod:`kapparing.partitions` (shifted sums, socle splits) are int ``Memo``
 tables, which the loops index directly; ``clear_coeff_caches`` empties
-every ``Memo`` made.  ``Fraction`` appears only in the public functions'
+every live ``Memo``.  ``Fraction`` appears only in the public functions'
 results.
 
 The cutoff at d parts is the truncated alternating binomial sum.  The
@@ -246,7 +246,7 @@ def _SPLIT_WEIGHT(a: KappaMonomial) -> tuple[int, ...]:
 
 def clear_coeff_caches() -> None:
     """Empty every memo table of the package, the oracle's pairing columns too."""
-    for table in _MEMOS:
+    for table in _MEMOS.values():
         table.clear()
 
 

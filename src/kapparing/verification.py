@@ -13,6 +13,7 @@ recursive value: ``partial_sum`` is the ``closed`` method, and the rejected
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import random
@@ -269,14 +270,18 @@ def reconcile_case(a: Iterable[int], d: int, walk: list | None = None) -> list[d
     return rows
 
 
-def reconcile_sweep(bounds: RingSweepBounds = RingSweepBounds(), jobs: int = 1) -> tuple[list[dict], dict]:
-    """Run the truncation reconciliation across the sweep, on ``jobs`` processes.
+def reconcile_sweep(
+    bounds: RingSweepBounds = RingSweepBounds(), jobs: int = 1, pool=None
+) -> tuple[list[dict], dict]:
+    """Run the truncation reconciliation across the sweep, on ``jobs``
+    processes: ``pool`` if given (see ``run_ordered``), else a pool of its
+    own when ``jobs`` > 1.
 
     Returns (case rows, summary).  The summary names every variant that
     agrees with the recursive method on all rows; the expansion is healthy
     exactly when that list is ["partial_sum"].
     """
-    nested = run_ordered(reconcile_case, ring_sweep_cases(bounds), jobs)
+    nested = run_ordered(reconcile_case, ring_sweep_cases(bounds), jobs, pool)
     rows = [row for case_rows in nested for row in case_rows]
     return rows, summarize_reconcile(rows)
 
@@ -315,26 +320,37 @@ def identity_case_worker(name: str, params: dict) -> dict:
     return check_identity(name, **params).to_json_dict()
 
 
-def run_ordered(worker, cases, jobs: int = 1) -> list:
+def _process_pool(jobs: int):
+    """A process pool of ``jobs`` workers, capped at the CPUs.  Its workers
+    start at its first task; under the default fork start method each is a
+    copy of this process as it then stands, memo tables and limit too."""
+    import concurrent.futures
+
+    return concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
+
+
+def run_ordered(worker, cases, jobs: int = 1, pool=None) -> list:
     """``worker(*case)`` for every case, in order, on up to ``jobs`` processes.
 
     A pooled worker must be a module-level function so it can be pickled.
-    The pool starts all its workers at once, so it is capped at the cases and
-    the CPUs; any ``jobs`` > 1 still pools, so such a run always uses a child.
-    The cases go out in about four chunks per worker, not one by one.
+    ``pool`` is a pool of ``jobs`` workers that the caller opened with
+    ``_process_pool`` and hands to each of its sweeps.  Without one, any
+    ``jobs`` > 1 opens a pool for this call; its workers all start at once,
+    so it is capped at the cases and the CPUs.  Either way any ``jobs`` > 1
+    pools, so such a run always uses a child.  The cases go out in about
+    four chunks per worker, not one by one.
     """
     if jobs <= 1 or len(cases) <= 1:
         return [worker(*case) for case in cases]
-    import concurrent.futures
-
     workers = min(jobs, len(cases), os.cpu_count() or 1)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    with contextlib.nullcontext(pool) if pool is not None else _process_pool(workers) as pool:
         return list(pool.map(worker, *zip(*cases), chunksize=math.ceil(len(cases) / (4 * workers))))
 
 
-def determinism_spot_check(jobs: int = 2) -> dict:
-    """Recompute a fixed slice of identity cases through a process pool and
-    compare the serialized rows byte for byte with the in-process results."""
+def determinism_spot_check(jobs: int = 2, pool=None) -> dict:
+    """Recompute a fixed slice of identity cases on ``jobs`` processes
+    (``pool`` if given) and compare the serialized rows byte for byte with
+    the in-process results."""
     import json
 
     bounds = SweepBounds(
@@ -346,7 +362,7 @@ def determinism_spot_check(jobs: int = 2) -> dict:
     )
     cases = identity_sweep_cases(bounds)[:40]
     sequential = [identity_case_worker(*case) for case in cases]
-    pooled = run_ordered(identity_case_worker, cases, jobs=jobs)
+    pooled = run_ordered(identity_case_worker, cases, jobs, pool)
     ok = json.dumps(sequential, sort_keys=True) == json.dumps(pooled, sort_keys=True)
     return {"check": "determinism", "cases": len(cases), "jobs": jobs, "pass": ok}
 
@@ -366,43 +382,53 @@ def run_suite(
     integral), ``reconcile`` (truncation variants), ``all``.  In ``all`` the
     reconcile rows come from the ring cases' walk of the basis values, not
     from a second sweep.  An unknown suite raises ``ValueError``.
+
+    Every sweep of the call runs on one process pool: ``all`` always opens
+    one of ``max(jobs, 2)`` workers, as its ``determinism`` row recomputes
+    cases on a pool and reports that size; the other suites open one only
+    when ``jobs`` > 1.  The pool, capped at the CPUs, forks its workers at
+    its first task, after the top-degree values are in this process's
+    tables; what the workers compute stays in theirs.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    rows: list[dict] = []
-    top = {}
-    if suite in ("ring", "oracle", "all"):
-        # one socle, integral and pairing per multiset, shared by the ring's
-        # top-degree rows and the oracle's socle_three_paths rows
-        top = {a: _top_degree_values(a) for a in _ring_multisets(ring_bounds)}
-    if suite in ("identities", "all"):
-        rows.extend(run_ordered(identity_case_worker, identity_sweep_cases(identity_bounds), jobs))
-    if suite in ("ring", "all"):
-        rows.extend(pinned_product_checks())
-        cases = [(a, d, ring_bounds.genus_lifts, suite == "all") for (a, d) in ring_sweep_cases(ring_bounds)]
-        checked = run_ordered(_ring_case, cases, jobs)
-        rows.extend(row for row, _, _ in checked)
-        rows.extend(row for _, lifts, _ in checked for row in lifts)
-        for a, values in top.items():
-            rows.append(check_top_degree(a, values))
-        for a in random_round_trip_cases():
-            rows.append(check_round_trip(a))
-    if suite in ("oracle", "all"):
-        for a, (lam, integral, paired) in top.items():
-            rows.append(
-                {
-                    "check": "socle_three_paths",
-                    "a": list(a),
-                    "ring": format_rational(lam),
-                    "integral": format_rational(integral),
-                    "pairing": format_rational(paired),
-                    "pass": lam == integral == paired,
-                }
-            )
-    if suite == "reconcile":
-        rows.append({"check": "reconcile_summary", **reconcile_sweep(ring_bounds, jobs)[1]})
     if suite == "all":
-        reconciled = [row for _, _, case_rows in checked for row in case_rows]
-        rows.append({"check": "reconcile_summary", **summarize_reconcile(reconciled)})
-        rows.append(determinism_spot_check(jobs=max(jobs, 2)))
-    return rows
+        jobs = max(jobs, 2)
+    with _process_pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        rows: list[dict] = []
+        top = {}
+        if suite in ("ring", "oracle", "all"):
+            # one socle, integral and pairing per multiset, shared by the ring's
+            # top-degree rows and the oracle's socle_three_paths rows
+            top = {a: _top_degree_values(a) for a in _ring_multisets(ring_bounds)}
+        if suite in ("identities", "all"):
+            rows.extend(run_ordered(identity_case_worker, identity_sweep_cases(identity_bounds), jobs, pool))
+        if suite in ("ring", "all"):
+            rows.extend(pinned_product_checks())
+            cases = [(a, d, ring_bounds.genus_lifts, suite == "all") for (a, d) in ring_sweep_cases(ring_bounds)]
+            checked = run_ordered(_ring_case, cases, jobs, pool)
+            rows.extend(row for row, _, _ in checked)
+            rows.extend(row for _, lifts, _ in checked for row in lifts)
+            for a, values in top.items():
+                rows.append(check_top_degree(a, values))
+            for a in random_round_trip_cases():
+                rows.append(check_round_trip(a))
+        if suite in ("oracle", "all"):
+            for a, (lam, integral, paired) in top.items():
+                rows.append(
+                    {
+                        "check": "socle_three_paths",
+                        "a": list(a),
+                        "ring": format_rational(lam),
+                        "integral": format_rational(integral),
+                        "pairing": format_rational(paired),
+                        "pass": lam == integral == paired,
+                    }
+                )
+        if suite == "reconcile":
+            rows.append({"check": "reconcile_summary", **reconcile_sweep(ring_bounds, jobs, pool)[1]})
+        if suite == "all":
+            reconciled = [row for _, _, case_rows in checked for row in case_rows]
+            rows.append({"check": "reconcile_summary", **summarize_reconcile(reconciled)})
+            rows.append(determinism_spot_check(jobs, pool))
+        return rows

@@ -1,3 +1,5 @@
+import concurrent.futures
+import concurrent.futures.process
 import contextlib
 import fcntl
 import hashlib
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kapparing import cli, oracle, ring
+from kapparing import cli, oracle, ring, verification
 from kapparing.partitions import Memo
 
 from bruteforce import euler_partition_counts
@@ -31,14 +33,24 @@ def run_cli(*args):
     )
 
 
-def test_import_loads_neither_inspect_nor_dataclasses():
-    # both pull in ast, dis and tokenize, which every `kappa` start would pay for
-    code = "import sys, kapparing; print(sorted({'inspect', 'dataclasses'} & set(sys.modules)))"
+def imported_by(module, prefixes):
+    """The modules with one of ``prefixes`` that a fresh ``import module`` loads."""
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=REPO)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_import_loads_neither_inspect_nor_dataclasses():
+    # both pull in ast, dis and tokenize, which every `kappa` start would pay for
+    assert imported_by("kapparing", ("inspect", "dataclasses")) == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # a pool's modules cost a `kappa` start about 15 ms, so only a pooled sweep imports them
+    assert imported_by("kapparing.cli", ("concurrent", "multiprocessing")) == "[]"
 
 
 def test_product_pinned_example():
@@ -340,10 +352,11 @@ def stdout_sha256(*args):
     return hashlib.sha256(result.stdout).hexdigest()
 
 
+VERIFY_ALL_SHA256 = "90611f11e6d831687ea6c25e5afe5fb421a628a8221522c0124650f34791f833"
+
+
 def test_verify_all_report_is_pinned_byte_for_byte():
-    assert stdout_sha256("verify", "--suite", "all") == (
-        "90611f11e6d831687ea6c25e5afe5fb421a628a8221522c0124650f34791f833"
-    )
+    assert stdout_sha256("verify", "--suite", "all") == VERIFY_ALL_SHA256
 
 
 def test_reconcile_report_is_pinned_byte_for_byte():
@@ -397,6 +410,28 @@ def main_stdout(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(list(argv)) == 0
     return out.getvalue()
+
+
+def test_verify_all_on_its_one_pool_matches_a_serial_run(monkeypatch, serial_pool):
+    # CI compares `verify --suite all` at --jobs 2 with the default, both pooled;
+    # this is the serial side: every sweep in this process, through the stand-in
+    serial = verification.run_suite("all")
+    # one pool, of two workers or the CPUs if fewer, for the identity sweep,
+    # the ring cases and the determinism slice
+    size = min(2, os.cpu_count() or 1)
+    assert serial_pool.sizes == [size] and len(serial_pool.chunks) == 3
+    out = main_stdout(["verify", "--suite", "all"])
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+    opened = []
+
+    class CountingPool(concurrent.futures.process.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    assert verification.run_suite("all", jobs=2) == serial
+    assert opened == [size]
 
 
 # The oracle_solve requests, sixteen and twenty 1s, and every pinned pairing

@@ -1,8 +1,10 @@
 import ast
+import gc
 import itertools
 import math
 import pathlib
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -383,12 +385,28 @@ def memo_tables():
 
 def test_the_memo_registry_holds_every_table_and_one_made_later():
     # clear_coeff_caches empties the registry, so no table can be missed by a list kept by hand
-    registered = {id(table) for table in partitions._MEMOS}
+    registered = {id(table) for table in partitions._MEMOS.values()}
     assert all(id(table) in registered for table in memo_tables())
     later = partitions.Memo(lambda key: key)
-    assert later[3] == 3 and any(table is later for table in partitions._MEMOS)
+    assert later[3] == 3 and any(table is later for table in partitions._MEMOS.values())
     clear_coeff_caches()
     assert not later
+
+
+def test_a_dropped_memo_table_leaves_the_registry():
+    # the registry must not keep a table, and its contents, alive for the life of the process
+    gc.collect()
+    before = len(partitions._MEMOS)
+    dropped = partitions.Memo(lambda key: [key])
+    assert dropped[1] == [1]
+    probe = weakref.ref(dropped)
+    assert len(partitions._MEMOS) == before + 1
+    del dropped
+    gc.collect()
+    assert probe() is None and len(partitions._MEMOS) == before
+    # the package's own tables stay registered, and emptying them skips the dropped one
+    assert {id(table) for table in memo_tables()} <= set(partitions._MEMOS)
+    clear_coeff_caches()
 
 
 SOURCES = pathlib.Path(ring.__file__).parent

@@ -131,7 +131,8 @@ def test_all_reads_partial_sum_off_the_closed_column(monkeypatch):
 
 
 @pytest.mark.parametrize("suite, values", [("all", 987), ("ring", 987), ("reconcile", 658)])
-def test_each_suite_computes_each_basis_value_once(monkeypatch, suite, values):
+def test_each_suite_computes_each_basis_value_once(monkeypatch, serial_pool, suite, values):
+    # all runs its sweeps on a pool, so the spies need its work in this process
     calls, walks, sweeps = [], [], []
     basis_coeff = verification.basis_coeff
     set_partitions = verification.set_partitions
@@ -182,7 +183,7 @@ def test_per_case_checks_refuse_a_budget_with_no_basis(monkeypatch, name, d):
         PER_CASE_CHECKS[name](d)
 
 
-def test_ring_and_oracle_suites_share_one_top_degree_integral_per_multiset(monkeypatch):
+def test_ring_and_oracle_suites_share_one_top_degree_integral_per_multiset(monkeypatch, serial_pool):
     calls = []
     integrate = verification.integrate_kappa_top
 
@@ -247,34 +248,50 @@ def test_ring_suite_expands_each_genus_zero_base_once(monkeypatch):
     "jobs, cases, cpus, workers",
     [(100_000, 5, 2, 2), (100_000, 3, 64, 3), (4, 10, 64, 4), (3, 10, None, 1), (1, 5, 64, None), (2, 100, 2, 2)],
 )
-def test_run_ordered_caps_the_pool_at_the_cases_and_the_cpus(monkeypatch, jobs, cases, cpus, workers):
-    started, chunks = [], []
-
-    class RecordingPool:
-        """Records the pool size it is asked for and runs the work serially."""
-
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            chunks.append(chunksize)
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+def test_run_ordered_caps_the_pool_at_the_cases_and_the_cpus(monkeypatch, serial_pool, jobs, cases, cpus, workers):
+    # a pool run_ordered opens for itself
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert verification.run_ordered(pow, [(i, 2) for i in range(cases)], jobs) == [i * i for i in range(cases)]
     # any jobs > 1 still pools, even down to one worker
-    assert started == ([] if workers is None else [workers])
-    assert all(chunk >= 1 for chunk in chunks)
+    assert serial_pool.sizes == ([] if workers is None else [workers])
+    assert all(chunk >= 1 for chunk in serial_pool.chunks)
     if cases == 100:
         # the cases go out in chunks, not one by one
-        assert chunks[0] > 1
+        assert serial_pool.chunks[0] > 1
+    # a pool handed in takes the same chunks, and run_ordered opens none
+    opened, chunks = len(serial_pool.sizes), list(serial_pool.chunks)
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+    assert verification.run_ordered(pow, [(i, 2) for i in range(cases)], jobs, pool) == [i * i for i in range(cases)]
+    assert serial_pool.sizes[opened:] == [jobs] and serial_pool.chunks[len(chunks):] == chunks
+
+
+@pytest.mark.parametrize(
+    "suite, jobs, cpus, sizes",
+    [
+        ("all", 1, 64, [2]),
+        ("all", 1, 1, [1]),
+        ("all", 1, None, [1]),
+        ("all", 5, 64, [5]),
+        ("all", 5, 2, [2]),
+        ("ring", 1, 64, []),
+        ("ring", 3, 2, [2]),
+        ("identities", 2, 64, [2]),
+        ("reconcile", 4, 64, [4]),
+    ],
+)
+def test_run_suite_opens_one_pool_for_all_its_sweeps(monkeypatch, serial_pool, suite, jobs, cpus, sizes):
+    # all always pools, at max(jobs, 2) as its determinism row reports; the
+    # others only when jobs > 1; either way capped at the CPUs, once per call
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    bounds = verification.RingSweepBounds(max_len=2, max_sum=3, max_budget=2)
+    rows = verification.run_suite(suite, SMALL_IDENTITIES, bounds, jobs)
+    assert serial_pool.sizes == sizes
+    # one map per sweep: identities, ring cases and the determinism slice in all
+    maps = {"all": 3, "ring": 1, "identities": 1, "reconcile": 1}[suite]
+    assert len(serial_pool.chunks) == (maps if sizes else 0)
+    assert all(row["pass"] for row in rows)
+    if suite == "all":
+        assert rows[-1] == {"check": "determinism", "cases": 40, "jobs": max(jobs, 2), "pass": True}
 
 
 @pytest.fixture
@@ -282,6 +299,24 @@ def cold_tables():
     ring.clear_coeff_caches()
     yield
     ring.clear_coeff_caches()
+
+
+def test_all_at_a_memo_limit_of_64_gives_the_default_rows(monkeypatch, serial_pool, cold_tables):
+    # the CI memo-limit step's verify run, in this process: on a pool its
+    # workers, not the parent, would do the emptying, out of a spy's sight
+    default = verification.run_suite("all")
+    ring.clear_coeff_caches()
+    emptied = Counter()
+
+    def counting_clear(table):
+        emptied[id(table)] += len(table) >= partitions.COEFF_CACHE_LIMIT
+        dict.clear(table)
+
+    monkeypatch.setattr(partitions.Memo, "clear", counting_clear)
+    monkeypatch.setattr(partitions, "COEFF_CACHE_LIMIT", 64)
+    assert verification.run_suite("all") == default
+    # a serial run empties the socle table 16 times
+    assert emptied[id(partitions._SOCLE)] >= 1
 
 
 def add_one(table, key, entry):
