@@ -18,14 +18,16 @@ library call sees: ``--partition``'s JSON shape, sweep bounds.
 A run's sweeps share one process pool: ``verify --suite all`` always opens
 one of ``max(--jobs, 2)`` workers, the other runs one only for ``--jobs > 1``.
 Reports go to stdout as JSON (default) or CSV and are byte-deterministic for
-identical requests, including under ``--jobs > 1``; wall-clock timing and
-the cache sizes of this process go to stderr so they cannot perturb the
-reports.  Those sizes count only this process's tables: in a pooled run the
-sweeps fill the workers' tables instead.  No state outlives a run: each
-process computes its coefficient tables afresh.  Exit code 0 means success
-with every check passing, 1 a failed check or internal inconsistency (the
-report is still emitted) or a reader that closed stdout early, 2 invalid
-input.
+identical requests.  ``--jobs`` changes one field alone: the ``determinism``
+row of ``verify --suite all`` reports ``max(--jobs, 2)``, so ``--jobs`` 1
+and 2 print the same bytes and ``--jobs 3`` differs in that field.
+Wall-clock timing and the cache sizes of this process go to stderr so they
+cannot perturb the reports.  Those sizes count only this process's tables:
+in a pooled run the sweeps fill the workers' tables instead.  No state
+outlives a run: each process computes its coefficient tables afresh.  Exit
+code 0 means success with every check passing, 1 a failed check or internal
+inconsistency (the report is still emitted) or a reader that closed stdout
+early, 2 invalid input.
 """
 
 from __future__ import annotations

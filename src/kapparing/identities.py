@@ -34,7 +34,7 @@ from math import prod
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .numbers import binomial, factorial, falling_factorial, format_rational, multinomial
-from .partitions import _orbits, _split_sums, _stirling_row, kappa_monomial, multiset, natural
+from .partitions import _orbits, _split_sums, _stirling_row, index_multisets, kappa_monomial, multiset, natural
 from .ring import _CORRECTION, _SOCLE
 
 
@@ -282,8 +282,6 @@ def identity_sweep(bounds: SweepBounds = SweepBounds()) -> list[IdentityReport]:
 
 def identity_sweep_cases(bounds: SweepBounds = SweepBounds()) -> list[tuple[str, dict]]:
     """The (name, params) grid behind identity_sweep, exposed so runs can fan out."""
-    from .partitions import index_multisets
-
     cases: list[tuple[str, dict]] = []
     for a in index_multisets(bounds.max_len, max_sum=bounds.max_sum, max_entry=bounds.max_entry):
         for k in range(1, len(a) + 1):

@@ -14,6 +14,7 @@ recursive value: ``partial_sum`` is the ``closed`` method, and the rejected
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import os
 import random
@@ -351,8 +352,6 @@ def determinism_spot_check(jobs: int = 2, pool=None) -> dict:
     """Recompute a fixed slice of identity cases on ``jobs`` processes
     (``pool`` if given) and compare the serialized rows byte for byte with
     the in-process results."""
-    import json
-
     bounds = SweepBounds(
         max_len=2,
         max_sum=4,

@@ -8,7 +8,8 @@ Every Hypothesis property runs under one profile:
 * ``print_blob=True``: a failure prints the blob that reproduces it with
   ``@reproduce_failure``.
 
-``serial_pool`` stands in for every process pool a test opens.
+``serial_pool`` stands in for every process pool a test opens;
+``cold_tables`` empties every memo table before and after a test.
 """
 
 import concurrent.futures
@@ -16,6 +17,8 @@ import types
 
 import pytest
 from hypothesis import settings
+
+from kapparing import ring
 
 settings.register_profile("kapparing", deadline=None, print_blob=True)
 settings.load_profile("kapparing")
@@ -44,3 +47,10 @@ def serial_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return pools
+
+
+@pytest.fixture
+def cold_tables():
+    ring.clear_coeff_caches()
+    yield
+    ring.clear_coeff_caches()

@@ -9,36 +9,29 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kapparing import cli, oracle, ring, verification
+from kapparing import cli, oracle, partitions, ring, verification
 from kapparing.partitions import Memo
 
 from bruteforce import euler_partition_counts
 
 REPO = Path(__file__).resolve().parent.parent
+# a child's environment, with the package's source first on its path
+ENV = {**os.environ, "PYTHONPATH": str(REPO / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")}
 
 
 def run_cli(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "kapparing", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=REPO,
-    )
+    return subprocess.run([sys.executable, "-m", "kapparing", *args], capture_output=True, text=True, env=ENV, cwd=REPO)
 
 
 def imported_by(module, prefixes):
     """The modules with one of ``prefixes`` that a fresh ``import module`` loads."""
     code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=REPO)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV, cwd=REPO)
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
 
@@ -148,10 +141,7 @@ def test_sweep_flags_set_the_bounds_blocks(flags, identities, ring):
     # each flag moves only its own fields of the default bounds; --max-len caps the tree and vanishing lengths
     reports = {}
     for command in (["verify", "--suite", "oracle"], ["reconcile"]):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            assert cli.main(command + flags) == 0
-        reports[command[0]] = json.loads(out.getvalue())["bounds"]
+        reports[command[0]] = json.loads(main_stdout(command + flags))["bounds"]
     expected_ring = {**RING_DEFAULTS, **ring}
     assert reports["verify"] == {"identities": {**IDENTITY_DEFAULTS, **identities}, "ring": expected_ring}
     assert reports["reconcile"] == expected_ring
@@ -167,31 +157,43 @@ def test_cache_sizes_on_stderr_are_labelled_as_this_process(jobs):
     assert result.stdout == run_cli("reconcile", "--max-sum", "4", "--max-len", "3").stdout
 
 
+def run_main(argv):
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def test_invalid_input_exits_2():
+    # one request through a real interpreter, so a real exit status stays covered
     assert run_cli("product", "--a", "1,x", "--marked", "5").returncode == 2
-    assert run_cli("product", "--a", "0,1", "--marked", "5").returncode == 2
+    assert run_main(["product", "--a", "0,1", "--marked", "5"])[0] == 2
     # the pairing route rejects a bad index even where the basis is empty
-    assert run_cli("product", "--a", "0,1", "--marked", "1", "--method", "pairing").returncode == 2
+    assert run_main(["product", "--a", "0,1", "--marked", "1", "--method", "pairing"])[0] == 2
     # both routes check a product request alike: the same message for a bad genus or marking count
     for bad in (("--genus", "-1", "--marked", "9"), ("--marked", "-1"), ("--genus", "1", "--marked", "-3")):
-        by_pairing = run_cli("product", "--a", "1,1", *bad, "--method", "pairing")
-        assert by_pairing.returncode == 2 and by_pairing.stdout == ""
-        assert by_pairing.stderr == run_cli("product", "--a", "1,1", *bad, "--method", "ck").stderr, bad
-    # solve checks its request by the same rule as product
-    by_solve = run_cli("solve", "--a", "1,2,3", "--marked", "-1")
-    assert by_solve.returncode == 2 and by_solve.stdout == ""
-    assert by_solve.stderr == run_cli("product", "--a", "1,2,3", "--marked", "-1").stderr
-    assert run_cli("xcoeff", "--a", "1,1", "--partition", "[[0]]", "--d", "2").returncode == 2
-    assert run_cli("xcoeff", "--a", "1,1", "--partition", "[[0],[1]]", "--d", "0").returncode == 2
-    assert run_cli("solve", "--a", "1,1", "--marked", "4").returncode == 2
-    assert run_cli("pair", "--a", "1,1", "--dims", "-1,3").returncode == 2
-    assert run_cli("nonsense").returncode == 2
+        by_pairing = run_main(["product", "--a", "1,1", *bad, "--method", "pairing"])
+        assert by_pairing[:2] == (2, "")
+        assert by_pairing[2] == run_main(["product", "--a", "1,1", *bad, "--method", "ck"])[2], bad
+    # solve checks its request by the same rule as product: the same exit code, stdout and stderr
+    by_solve = run_main(["solve", "--a", "1,2,3", "--marked", "-1"])
+    assert by_solve[:2] == (2, "")
+    assert by_solve == run_main(["product", "--a", "1,2,3", "--marked", "-1"])
+    assert run_main(["xcoeff", "--a", "1,1", "--partition", "[[0]]", "--d", "2"])[0] == 2
+    assert run_main(["xcoeff", "--a", "1,1", "--partition", "[[0],[1]]", "--d", "0"])[0] == 2
+    assert run_main(["solve", "--a", "1,1", "--marked", "4"])[0] == 2
+    assert run_main(["pair", "--a", "1,1", "--dims", "-1,3"])[0] == 2
+    assert run_main(["nonsense"])[0] == 2
     # the coefficient cache file and its --cache flag are gone
-    assert run_cli("product", "--a", "1,1", "--marked", "5", "--cache", "x").returncode == 2
+    assert run_main(["product", "--a", "1,1", "--marked", "5", "--cache", "x"])[0] == 2
     for partition in ('[["a"],[1]]', "[[0],[null]]", "[[0],[1.0]]", "[[0],[[1]]]", "[[0],[true]]"):
-        result = run_cli("xcoeff", "--a", "1,1", "--d", "2", "--partition", partition)
-        assert result.returncode == 2, (partition, result.stderr)
-        assert "Traceback" not in result.stderr
+        code, _, err = run_main(["xcoeff", "--a", "1,1", "--d", "2", "--partition", partition])
+        assert code == 2, (partition, err)
+        assert "Traceback" not in err
     for args in (
         ("verify", "--suite", "ring", "--max-len", "-1"),
         ("verify", "--suite", "ring", "--max-sum", "0"),
@@ -200,7 +202,7 @@ def test_invalid_input_exits_2():
         ("reconcile", "--max-sum", "-2"),
         ("reconcile", "--jobs", "0"),
     ):
-        assert run_cli(*args).returncode == 2, args
+        assert run_main(args)[0] == 2, args
 
 
 def _is_int(text):
@@ -270,14 +272,9 @@ MALFORMED_ARGV = st.one_of(
 @settings(max_examples=200)
 @given(MALFORMED_ARGV)
 def test_malformed_arguments_exit_2(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code == 2, (argv, out.getvalue(), err.getvalue())
-    assert out.getvalue() == ""
+    code, out, err = run_main(argv)
+    assert code == 2, (argv, out, err)
+    assert out == ""
 
 
 def test_deeply_nested_partition_exits_2():
@@ -345,9 +342,7 @@ def test_expand_products_script_prints_the_readme_line():
 
 
 def stdout_sha256(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run([sys.executable, "-m", "kapparing", *args], capture_output=True, env=env, cwd=REPO)
+    result = subprocess.run([sys.executable, "-m", "kapparing", *args], capture_output=True, env=ENV, cwd=REPO)
     assert result.returncode == 0, result.stderr
     return hashlib.sha256(result.stdout).hexdigest()
 
@@ -406,15 +401,14 @@ def test_oracle_reports_are_pinned_byte_for_byte(args, digest):
 
 def main_stdout(argv):
     """What ``cli.main(argv)`` prints to stdout in this process; it must exit 0."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert cli.main(list(argv)) == 0
-    return out.getvalue()
+    code, out, err = run_main(argv)
+    assert code == 0, err
+    return out
 
 
 def test_verify_all_on_its_one_pool_matches_a_serial_run(monkeypatch, serial_pool):
-    # CI compares `verify --suite all` at --jobs 2 with the default, both pooled;
-    # this is the serial side: every sweep in this process, through the stand-in
+    # CLI_PAIRS compares `verify --suite all` at --jobs 2 with the default, both
+    # pooled; this is the serial side: every sweep in this process, through the stand-in
     serial = verification.run_suite("all")
     # one pool, of two workers or the CPUs if fewer, for the identity sweep,
     # the ring cases and the determinism slice
@@ -453,6 +447,117 @@ def test_requests_served_from_warm_tables_print_the_same_bytes_as_cold_ones():
     for order, indices in (("forward", range(len(cold))), ("reverse", reversed(range(len(cold))))):
         for i in indices:
             assert main_stdout(WARM_REQUESTS[i]) == cold[i], (order, WARM_REQUESTS[i])
+
+
+class Pair(NamedTuple):
+    """Two requests that print the same bytes, stdout if both exit 0 and stderr
+    if both exit 2; with no right side only the left's exit code counts."""
+
+    left: str
+    right: Optional[str] = None
+    code: int = 0
+    limit: Optional[int] = None  # partitions.COEFF_CACHE_LIMIT for the left side
+    rename: Optional[tuple] = None  # (old, new) in both stdouts, which differ without it
+
+
+def by_methods(request, methods, reference="ck"):
+    """``product request`` by each of ``methods`` against ``reference``, as csv."""
+    product = "product {} --method {} --format csv".format
+    return {f"{request} by {m} and {reference}": Pair(product(request, m), product(request, reference)) for m in methods}
+
+
+NINE_DISTINCT = "1,2,3,4,5,6,7,8,9"
+TWELVE_1S = ",".join("1" * 12)
+
+CLI_PAIRS = {
+    # A pooled run, its cases handed out in chunks, prints a serial run's bytes.
+    # verify --suite all pools at every --jobs, so its row compares two pools;
+    # test_verify_all_on_its_one_pool_matches_a_serial_run is its serial side.
+    **{f"{command} --jobs 2": Pair(f"{command} --jobs 2", command)
+       for command in ("verify --suite all", "verify --suite ring", "verify --suite reconcile", "reconcile")},
+    # the determinism row reports the pool asked for, max(--jobs, 2), so
+    # --jobs 3 differs from the default in that field alone
+    "verify --suite all --jobs 3": Pair("verify --suite all --jobs 3", "verify --suite all", rename=('"jobs": 3', '"jobs": 2')),
+    # Memo tables that empty themselves again and again print the default bytes.
+    # The verify sweep needs 416 shifted rows, 415 socle values, 128 correction
+    # values and their 128 moments, so at a limit of 64 a serial run empties
+    # them 34, 16, 5 and 5 times (test_all_at_a_memo_limit_of_64_gives_the_default_rows);
+    # here the pool's forked workers inherit the limit and do the emptying (in
+    # measured runs one worker 34, 16 and 4 or 5 times, the parent never).
+    "verify --suite all at a limit of 64": Pair("verify --suite all", "verify --suite all", limit=64),
+    # reconcile, whose closed values and single_binomial cutoff both read ring's
+    # chain rows, fills no table past 26 entries, so it runs at a limit of 8: its
+    # 24 chain rows empty 16 times and the 23 closed polynomials built from them 9 times
+    "reconcile at a limit of 8": Pair("reconcile", "reconcile", limit=8),
+    # genus one at d = 4: the reindexing n -> n + 2g feeds the one product loop
+    **by_methods("--a 1,1,1,1,1,1,1,1,1 --marked 14", ("closed", "recursive")),
+    **by_methods("--a 1,1,1,2,2,2,3,3,3 --marked 23", ("closed", "recursive")),
+    **by_methods("--a 1,1,2,2,3,3 --genus 1 --marked 16", ("closed", "recursive")),
+    # distinct values, where no two blocks share a value multiset: closed's
+    # chain rows and recursive's labelled walk against the socle-split rows that
+    # ck's split weights and the pairing columns both read; the pairing solve
+    # shares only that table with ck
+    **by_methods("--a 1,2,3,4,5,6,7,8 --marked 41", ("closed", "recursive", "pairing")),
+    # twelve 1s at d = 3 and d = 7: ck and closed walk 19 and 65 orbits, the
+    # pairing solve shares only the socle-split rows with ck; recursive is left
+    # out, as it still walks all Bell(12) labelled partitions
+    **by_methods(f"--a {TWELVE_1S} --marked 17", ("closed", "pairing")),
+    **by_methods(f"--a {TWELVE_1S} --marked 21", ("closed", "pairing")),
+    # nine distinct entries at full budget (n = 1000): the pairing solve
+    # substitutes on all 3,744 columns the table holds, against closed's chain rows
+    **by_methods(f"--a {NINE_DISTINCT} --marked 1000", ("pairing",), reference="closed"),
+    # ck and closed share one truncated-product kernel, each with its own
+    # per-block polynomials; its degree cap min(d, len(a)) is d = 3 on ten
+    # distinct entries and d = 10 on twenty 1s
+    **by_methods("--a 1,2,3,4,5,6,7,8,9,10 --marked 60", ("closed",)),
+    **by_methods(f"--a {','.join('1' * 20)} --marked 32", ("closed",)),
+    # d = 3: ck's split weights read the correction of every sub-multiset of
+    # nine distinct entries, closed reads none; the json names its method
+    **by_methods(f"--a {NINE_DISTINCT} --marked 50", ("ck",), reference="closed"),
+    "correction json": Pair(f"product --a {NINE_DISTINCT} --marked 50 --method ck",
+                            f"product --a {NINE_DISTINCT} --marked 50 --method closed",
+                            rename=('"method": "closed"', '"method": "ck"')),
+    # xcoeff exits 1 unless every method gives the same coefficient
+    "xcoeff nine 1s": Pair("xcoeff --a 1,1,1,1,1,1,1,1,1 --partition [[0,1,2,3,4,5,6,7,8]] --d 3"),
+    "xcoeff 1,1,1,2,2,2,3,3,3": Pair("xcoeff --a 1,1,1,2,2,2,3,3,3 --partition [[0,1,2,3,4,5,6,7,8]] --d 3"),
+    # basis_coeff trusts only values the package built itself, never a --partition
+    "partition canonicalised": Pair("xcoeff --a 1,2,3 --partition [[2,0],[1]] --d 2",
+                                    "xcoeff --a 1,2,3 --partition [[0,2],[1]] --d 2"),
+    "partition validated": Pair("xcoeff --a 1,2,3 --partition [[0,true],[2]] --d 2", code=2),
+    # n + 2g = 9 either way: the reindexing feeds the pairing solve and the product loop alike
+    **by_methods("--a 1,1,2 --genus 1 --marked 7", ("pairing",)),
+    **by_methods("--a 1,1,2 --genus 2 --marked 5", ("pairing",)),
+    "negative genus": Pair("product --a 1,1,2 --genus -1 --marked 9 --method pairing",
+                           "product --a 1,1,2 --genus -1 --marked 9 --method ck", code=2),
+    # exits 1 on any failing socle_three_paths row: the shared socle table, which
+    # the pairings read, against the integral over the orbits on 113 multisets
+    "oracle suite": Pair("verify --suite oracle --max-len 6 --max-sum 12"),
+}
+
+
+@pytest.mark.parametrize("pair", CLI_PAIRS.values(), ids=list(CLI_PAIRS))
+def test_cli_pairs_print_the_same_bytes(monkeypatch, cold_tables, pair):
+    # each side starts from empty tables, as a fresh process does; the --jobs
+    # and memo-limit rows run on a real pool, whose forked workers inherit the limit
+    def cold(argv, limit=None):
+        ring.clear_coeff_caches()
+        with monkeypatch.context() as patch:
+            if limit:
+                patch.setattr(partitions, "COEFF_CACHE_LIMIT", limit)
+            return run_main(argv.split())
+
+    left = cold(pair.left, pair.limit)
+    assert left[0] == pair.code, left
+    if pair.right is None:
+        return
+    right = cold(pair.right)
+    assert right[0] == pair.code, right
+    # stdout on success; stderr on exit 2, where success would print its timing
+    mine, theirs = (side[1 if pair.code == 0 else 2] for side in (left, right))
+    if pair.rename:
+        assert mine != theirs
+        mine, theirs = mine.replace(*pair.rename), theirs.replace(*pair.rename)
+    assert mine == theirs
 
 
 # Two solves pinned to the bytes they printed when the top integral walked
@@ -570,10 +675,8 @@ def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_traceback():
     # is still writing when the reader closes it, whatever the timing
     read_end, write_end = os.pipe()
     fcntl.fcntl(read_end, fcntl.F_SETPIPE_SZ, 4096)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     argv = [sys.executable, "-m", "kapparing", "solve", "--a", ",".join("1" * 16), "--marked", "26"]
-    proc = subprocess.Popen(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=REPO)
+    proc = subprocess.Popen(argv, stdout=write_end, stderr=subprocess.PIPE, env=ENV, cwd=REPO)
     os.close(write_end)
     assert len(os.read(read_end, 100)) == 100
     os.close(read_end)

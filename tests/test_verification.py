@@ -294,15 +294,8 @@ def test_run_suite_opens_one_pool_for_all_its_sweeps(monkeypatch, serial_pool, s
         assert rows[-1] == {"check": "determinism", "cases": 40, "jobs": max(jobs, 2), "pass": True}
 
 
-@pytest.fixture
-def cold_tables():
-    ring.clear_coeff_caches()
-    yield
-    ring.clear_coeff_caches()
-
-
 def test_all_at_a_memo_limit_of_64_gives_the_default_rows(monkeypatch, serial_pool, cold_tables):
-    # the CI memo-limit step's verify run, in this process: on a pool its
+    # CLI_PAIRS' memo-limit verify run, in this process: on a pool its
     # workers, not the parent, would do the emptying, out of a spy's sight
     default = verification.run_suite("all")
     ring.clear_coeff_caches()
