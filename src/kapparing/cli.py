@@ -294,7 +294,10 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse printed a usage error (2) or --help (0)
+        return exc.code
     handler, rows_key = COMMANDS[args.command]
     started = time.monotonic()
     try:

@@ -21,7 +21,9 @@ Identity names:
   0 for n >= 2.
 * ``vanishing``            - sum over set partitions of correction times
   socle coefficients is 0 for multisets of size >= 2 and 1 for singletons.
-* ``ff_multinomial``       - the multinomial theorem for falling factorials.
+* ``ff_multinomial``       - the multinomial theorem for falling factorials,
+  its sum over the compositions of n taken by first part: C(n, k) times
+  (x_1 falling k) times the same sum over the other xs for n - k.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import heapq
 import itertools
 import operator
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .numbers import binomial, factorial, falling_factorial, format_rational, multinomial
@@ -209,32 +211,24 @@ def _check_ff_multinomial(xs: Iterable[int], n: int) -> IdentityReport:
     lhs = Fraction(falling_factorial(sum(xs), n))
     # each x's falling factorials of orders 0..n, built once per row
     falling = [list(itertools.accumulate((x - i for i in range(n)), operator.mul, initial=1)) for x in xs]
-    rhs = 0
-    for ks in _compositions(n, len(xs)):
-        term = multinomial(ks)
-        for row, k in zip(falling, ks):
-            term *= row[k]
-        rhs += term
     return IdentityReport(
         identity="ff_multinomial",
         params={"xs": list(xs), "n": n},
         lhs=lhs,
-        rhs=Fraction(rhs),
+        rhs=Fraction(_falling_multinomial_sum(falling, n) if falling else int(n == 0)),
     )
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Every tuple of ``parts`` naturals summing to ``total``, in
-    lexicographic order: stars and bars, with the parts - 1 bars at the
-    ``cuts`` among total + parts - 1 slots, which combinations yields in
-    the same order."""
-    if parts == 0:
-        return iter([()] if total == 0 else [])
-    slots = total + parts - 1
-    return (
-        tuple(right - left - 1 for left, right in zip((-1,) + cuts, cuts + (slots,)))
-        for cuts in itertools.combinations(range(slots), parts - 1)
-    )
+def _falling_multinomial_sum(rows: list[list[int]], left: int) -> int:
+    """The sum over compositions k of left into len(rows) parts of
+    multinomial(k) * prod(row[k_i]), one term per composition, by first part;
+    the last row takes what is left."""
+    if len(rows) == 1:
+        return rows[0][left]
+    first, rest = rows[0], rows[1:]
+    # what the other rows sum to for each amount left to them: the last row itself
+    tail = rest[0] if len(rest) == 1 else [_falling_multinomial_sum(rest, m) for m in range(left + 1)]
+    return sum(comb(left, k) * first[k] * tail[left - k] for k in range(left + 1))
 
 
 _CHECKS = {

@@ -83,6 +83,8 @@ def alt_binomial_partial_sum(m: int, lo: int, hi: int) -> int:
 
 
 def format_rational(x: Union[int, Fraction]) -> str:
-    """Serialize as "num/den" with a positive denominator, e.g. "-5/1"."""
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    """Serialize an int or a Fraction as "num/den" with a positive denominator,
+    e.g. "-5/1"; a bool, a float or anything else is a ValueError."""
+    if isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool)):
+        return f"{x.numerator}/{x.denominator}"
+    raise ValueError(f"format_rational: must be an int or a Fraction, got {x!r}")

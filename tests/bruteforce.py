@@ -15,7 +15,9 @@ every entry a ``dp_pair_kappa_stratum`` value, so it checks the pairing
 values as well as what the sparse triangular build and solve leave out.
 ``naive_expansion`` is the dense system again with no package code at all:
 assignments, Gauss-Jordan elimination, and the top evaluations its caller
-passes."""
+passes.  ``naive_ff_multinomial`` sums the falling-factorial multinomial
+theorem term by term over ``compositions``, which the package's sum by
+first part does not enumerate."""
 
 import itertools
 import math
@@ -297,3 +299,26 @@ def naive_tree_sum_oracle(a, k):
         if code.count(0) == k - 1:
             total += math.prod(values[c] for c in code)
     return total
+
+
+def compositions(total, parts):
+    """Every tuple of ``parts`` naturals summing to ``total``, in
+    lexicographic order: stars and bars, with the parts - 1 bars at the
+    ``cuts`` among total + parts - 1 slots, which combinations yields in
+    the same order."""
+    if parts == 0:
+        return iter([()] if total == 0 else [])
+    slots = total + parts - 1
+    return (
+        tuple(right - left - 1 for left, right in zip((-1,) + cuts, cuts + (slots,)))
+        for cuts in itertools.combinations(range(slots), parts - 1)
+    )
+
+
+def naive_ff_multinomial(xs, n):
+    """The sum over compositions k of n into len(xs) parts of
+    multinomial(k) * prod(x (x-1) ... (x-k_i+1)), one term per composition."""
+    return sum(
+        naive_multinomial(ks) * math.prod(math.prod(range(x, x - k, -1)) for x, k in zip(xs, ks))
+        for ks in compositions(n, len(xs))
+    )

@@ -161,10 +161,7 @@ def run_main(argv):
     """(exit code, stdout, stderr) of ``cli.main(argv)`` in this process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 
@@ -187,9 +184,9 @@ def test_invalid_input_exits_2():
     assert run_main(["xcoeff", "--a", "1,1", "--partition", "[[0],[1]]", "--d", "0"])[0] == 2
     assert run_main(["solve", "--a", "1,1", "--marked", "4"])[0] == 2
     assert run_main(["pair", "--a", "1,1", "--dims", "-1,3"])[0] == 2
-    assert run_main(["nonsense"])[0] == 2
     # the coefficient cache file and its --cache flag are gone
     assert run_main(["product", "--a", "1,1", "--marked", "5", "--cache", "x"])[0] == 2
+    assert run_main(["product", "--a", "1,1"])[0] == 2
     for partition in ('[["a"],[1]]', "[[0],[null]]", "[[0],[1.0]]", "[[0],[[1]]]", "[[0],[true]]"):
         code, _, err = run_main(["xcoeff", "--a", "1,1", "--d", "2", "--partition", partition])
         assert code == 2, (partition, err)
@@ -203,6 +200,17 @@ def test_invalid_input_exits_2():
         ("reconcile", "--jobs", "0"),
     ):
         assert run_main(args)[0] == 2, args
+
+
+def test_argparse_errors_are_returned_not_raised():
+    # main returns the parser's exit status, with the stderr a real process prints
+    code, out, err = run_main(["nonsense"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: kappa ") and "'nonsense'" in err
+    result = run_cli("nonsense")
+    assert (result.returncode, result.stderr) == (code, err)
+    code, out, err = run_main(["--help"])
+    assert (code, err) == (0, "") and out.startswith("usage: kappa ")
 
 
 def _is_int(text):

@@ -14,11 +14,10 @@ from kapparing.identities import (
     prufer_decode,
     tree_sum_oracle,
 )
-from kapparing import identities
 from kapparing.partitions import index_multisets
 from kapparing.ring import correction_coeff, socle_coeff
 
-from bruteforce import naive_multinomial, naive_set_partitions, naive_tree_sum_oracle
+from bruteforce import compositions, naive_ff_multinomial, naive_multinomial, naive_set_partitions, naive_tree_sum_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +135,7 @@ def test_compositions_match_the_recursion_in_order():
     for total in range(9):
         for parts in range(5):
             expected = list(_recursive_compositions(total, parts))
-            assert list(identities._compositions(total, parts)) == expected, (total, parts)
+            assert list(compositions(total, parts)) == expected, (total, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +173,26 @@ def test_ff_multinomial_instances():
     assert check_identity("ff_multinomial", xs=[3, -2], n=5).passed
     assert check_identity("ff_multinomial", xs=[2, -1, 2], n=4).passed
     assert check_identity("ff_multinomial", xs=[0, 0], n=0).passed
+
+
+FF_GRID = [
+    (xs, n)
+    for xs in itertools.chain(
+        itertools.product(range(-6, 7), repeat=1),
+        itertools.product(range(-6, 7), repeat=2),
+        itertools.product(range(-6, 7, 3), repeat=3),
+        itertools.product((-6, -1, 0, 5), repeat=4),
+    )
+    for n in range(10)
+] + [((), 0), ((), 2)]  # no variables: the one empty composition at n = 0, none after
+
+
+def test_ff_multinomial_sum_by_first_part_matches_the_term_by_term_sum():
+    for xs, n in FF_GRID:
+        report = check_identity("ff_multinomial", xs=list(xs), n=n)
+        assert report.rhs == naive_ff_multinomial(xs, n), (xs, n)
+        assert report.lhs == math.prod(range(sum(xs), sum(xs) - n, -1)), (xs, n)
+        assert report.passed, (xs, n)
 
 
 def test_check_identity_rejects_bad_requests():

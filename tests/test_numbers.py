@@ -147,6 +147,17 @@ def test_rational_formatting():
     assert format_rational(Fraction(5)) == "5/1"
     assert format_rational(Fraction(-5, 1)) == "-5/1"
     assert format_rational(Fraction(2, -4)) == "-1/2"
+    assert format_rational(-5) == "-5/1"
+    assert format_rational(0) == "0/1"
+    assert format_rational(10**30) == f"{10**30}/1"
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, "1/2", "3", True, False, None], ids=repr)
+def test_rational_formatting_takes_only_an_int_or_a_fraction(value):
+    # a float would print its binary expansion (0.1 as 3602879701896397/36028797018963968)
+    # and a bool would read as 1/1 or 0/1 in an exact report
+    with pytest.raises(ValueError, match=r"^format_rational: must be an int or a Fraction, got "):
+        format_rational(value)
 
 
 @given(st.integers(-10**9, 10**9), st.integers(1, 10**6))
