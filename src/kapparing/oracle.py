@@ -5,16 +5,17 @@ expansion formulas in :mod:`kapparing.ring`: psi-monomial integrals come from
 the multinomial formula, top-degree kappa integrals from the signed sum of
 psi integrals over the multiset partitions of the indices
 (``partitions._orbits``, each weighted by its count of set partitions),
-pairings against boundary strata from one column per monomial,
-``_PAIRINGS``, built once per process: its row of the socle-split table that
-:mod:`kapparing.partitions` shares, which does not depend on n, times the
-orders of equal components.  ``pair_kappa_stratum`` reads one entry of a
-column, and expansion coefficients come from the resulting exact linear
-system, which ``pairing_system`` restricts to a's coarsenings and
-``solve_pairing_system`` substitutes back in integers, column by column, on
-the columns themselves, not copies.  ``ck``'s split weights read the same
-rows, but ``recursive`` and ``closed`` do not, so agreement with the ring
-module is a genuine cross-check, not a tautology.
+pairings against boundary strata from the socle-split table that
+:mod:`kapparing.partitions` shares (the oracle owns no table), whose row of
+a monomial does not depend on n: a pairing is one entry of the row times
+the orders of the stratum's equal components, as ``pair_kappa_stratum``
+reads it.  Expansion coefficients come from the resulting exact linear
+system, which ``pairing_system`` restricts to a's coarsenings.  An order
+factor depends only on the stratum, so dropping it keeps the solution and
+leaves a unit upper-triangular system: ``solve_pairing_system``
+substitutes back in integers, on the rows themselves, not copies.  ``ck``'s
+split weights read the same rows, but ``recursive`` and ``closed`` do not,
+so agreement with the ring module is a genuine cross-check, not a tautology.
 
 A boundary stratum of the genus-zero space is a tree of components; by the
 perfect-pairing structure of its Chow ring, the pairing of a kappa-ring class
@@ -24,14 +25,14 @@ against the stratum depends only on the multiset of component dimensions.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from math import factorial, lcm, prod
+from typing import Iterable, Iterator, Sequence
 
 from .numbers import multinomial
-from .partitions import Memo, Multiset, SetPartition, block_sums, ground_size, multiset, natural
-from .partitions import _SOCLE, _SOCLE_SPLITS, _orbits, _product_request, kappa_monomial
+from .partitions import Multiset, SetPartition, block_sums, ground_size, multiset, natural
+from .partitions import _PARTITION_COUNTS, _SOCLE, _SOCLE_SPLITS, _orbits, _product_request, kappa_monomial
 
 DimensionSequence = Multiset
 
@@ -41,11 +42,11 @@ class RankDeficientPairingError(RuntimeError):
 
     At desk scale this would contradict the perfect-pairing premise, so it is
     surfaced loudly together with the offending matrix instead of being
-    papered over with a pseudo-inverse.  ``matrix`` is the solver's input as
-    rows, which :func:`solve_pairing_system` lays out from its columns only
-    once it fails, and ``rank`` the number of unknowns the solver determined:
-    the pivots :func:`solve_exact` found, or the columns the pairing solve
-    had substituted when it stopped (all of them when a residual fails).
+    papered over with a pseudo-inverse.  ``matrix`` holds the pairings as
+    rows, laid out by :func:`solve_pairing_system` only once it fails, and
+    ``rank`` the number of unknowns the solver determined: the pivots
+    :func:`solve_exact` found, or those the pairing solve had substituted
+    when it stopped (all of them when a residual fails).
     """
 
     def __init__(self, message: str, matrix: Sequence[Sequence[int | Fraction]], rank: int):
@@ -127,16 +128,25 @@ def pair_kappa_stratum(b: Iterable[int], dims: Iterable[int]) -> Fraction:
     assignment fits.
 
     Zero-dimension components receive nothing, since indices are >= 1, so
-    the pairing is the entry of b's column (:data:`_PAIRINGS`) at the
-    positive dimensions, or 0 where b's indices cannot fill them; the empty
-    b's column is {(): 1}.  A cold call builds b's whole column, the one
-    that a solve of b reads too.
+    the pairing is b's socle-split row entry at the positive dimensions,
+    or 0 where b's indices cannot fill them, times that stratum's
+    :func:`_orders`; the empty b's row is (((), 1),).  A cold call builds
+    b's whole row, the one that a solve of b reads too.
     """
     b = kappa_monomial(b)
     dims = multiset(dims)
     if sum(b) != sum(dims):
         return Fraction(0)
-    return Fraction(_PAIRINGS[b].get(tuple(dim for dim in dims if dim), 0))
+    filled, row = tuple(dim for dim in dims if dim), _SOCLE_SPLITS[b]
+    # the row is in (length, lex) order
+    i = bisect_left(row, (len(filled), filled), key=lambda pair: (len(pair[0]), pair[0]))
+    return Fraction(row[i][1] * _orders(filled) if i < len(row) and row[i][0] == filled else 0)
+
+
+def _orders(dims: Multiset) -> int:
+    """prod_e m_e!, the ways a split's m_e blocks of sum e go to the m_e
+    components of dimension e: the pairing is a row entry at dims times this."""
+    return prod(factorial(dims.count(e)) for e in set(dims))
 
 
 def integer_partitions(total: int, max_parts: int) -> Iterator[Multiset]:
@@ -164,8 +174,8 @@ def dimension_sequences(total: int, length: int) -> Iterator[DimensionSequence]:
     return (multiset((0,) * (length - len(p)) + p) for p in integer_partitions(total, length))
 
 
-def pairing_system(a: Iterable[int], markings: int) -> tuple[list[Multiset], list[Mapping[Multiset, int]], list[int], int]:
-    """The exact linear system (unknowns, columns, rhs, size) that determines
+def pairing_system(a: Iterable[int], markings: int) -> tuple[list[Multiset], list[tuple], list[int], int]:
+    """The exact linear system (unknowns, rows, rhs, size) that determines
     a's expansion at n = ``markings`` points, checked by ``_product_request``.
 
     The basis monomials are the partitions of sum(a) into at most d parts, d
@@ -175,49 +185,28 @@ def pairing_system(a: Iterable[int], markings: int) -> tuple[list[Multiset], lis
     the pairing of a.  In (length, lex) order this full system is square, of
     ``size`` p(sum(a), <= d), which stops growing with d once d >= sum(a).
 
-    Only a's coarsenings with at most d parts (the keys of a's column,
-    :data:`_PAIRINGS`) are kept as unknowns and rows.  Column mu is nonzero
-    only at mu's coarsenings, the right-hand side only at a's, and the
-    diagonal is prod_v c_v! (c_v copies of index v), never 0.  Every
-    coarsening of mu other than mu is shorter, so the full matrix is upper
-    triangular of rank ``size``, and back substitution sets every unknown
-    outside a's coarsenings to 0 while its row reads 0 = 0: the restricted
-    system has the full system's solution.  ``columns[j]`` is the map
-    ``_PAIRINGS[unknowns[j]]`` itself, not a copy, and ``rhs`` is read off
-    a's column; :func:`solve_pairing_system` checks that they fit.
+    Only a's coarsenings with at most d parts are kept as unknowns and
+    strata: a prefix of a's socle-split row, in (length, lex) order, whose
+    entries there are the right-hand side.  Unknown mu pairs only with
+    mu's coarsenings, all shorter than mu but mu itself, so the full matrix
+    is upper triangular of rank ``size``; back substitution sets every
+    unknown outside a's coarsenings to 0 while its equation reads 0 = 0,
+    so the restricted system has the full system's solution.  A pairing
+    with stratum dims is a row entry times :func:`_orders` of dims, one
+    factor on both sides of dims' equation, which the system drops:
+    ``rows[j]`` is the row ``_SOCLE_SPLITS[unknowns[j]]`` itself, not a
+    copy, ending at its own entry, 1.  :func:`solve_pairing_system` checks
+    that they fit.
     """
     a, _, d = _product_request(a, 0, markings)
     if d < 1:
         raise ValueError(f"degree budget d={d} leaves no basis to solve for")
-    paired = _PAIRINGS[a]
-    unknowns = sorted((mu for mu in paired if len(mu) <= d), key=lambda mu: (len(mu), mu))
-    columns = [_PAIRINGS[mu] for mu in unknowns]
-    rhs = [paired[dims] for dims in unknowns]
-    return unknowns, columns, rhs, _partition_count(sum(a), d)
-
-
-def _partition_count(total: int, max_parts: int) -> int:
-    """p(total, <= max_parts), counted as its conjugates, the partitions of
-    total into parts <= max_parts, adding one part size at a time."""
-    ways = [1] + [0] * total
-    for part in range(1, min(max_parts, total) + 1):
-        for s in range(part, total + 1):
-            ways[s] += ways[s - part]
-    return ways[total]
-
-
-def _pairings(mu: Multiset) -> Mapping[Multiset, int]:
-    """mu's column: its pairing with every stratum whose positive dimensions
-    dims mu's indices can fill, mu's socle-split row at dims times prod_e
-    m_e!, the ways its m_e blocks of sum e go to the m_e distinct components
-    of dimension e.  :func:`pair_kappa_stratum` reads one entry.  The map is
-    read-only, since :data:`_PAIRINGS` hands it to every caller."""
-    return MappingProxyType(
-        {dims: total * prod(factorial(dims.count(e)) for e in set(dims)) for dims, total in _SOCLE_SPLITS[mu]}
-    )
-
-
-_PAIRINGS = Memo(_pairings)
+    paired = _SOCLE_SPLITS[a]
+    if d < len(a):
+        paired = paired[: bisect_right(paired, d, key=lambda pair: len(pair[0]))]
+    unknowns = [dims for dims, _ in paired]
+    rows = [_SOCLE_SPLITS[mu] for mu in unknowns]
+    return unknowns, rows, [w for _, w in paired], _PARTITION_COUNTS[sum(a), min(d, sum(a))]
 
 
 def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
@@ -296,54 +285,49 @@ def solve_coeffs_by_pairing(a: Iterable[int], markings: int) -> dict[Multiset, F
 
 
 def solve_pairing_system(system: tuple) -> dict[Multiset, Fraction]:
-    """Solve the system ``(unknowns, columns, rhs, size)`` that
+    """Solve the system ``(unknowns, rows, rhs, size)`` that
     :func:`pairing_system` returns, which carries everything the solve reads.
 
-    Row i is the stratum named by unknown i and column j maps the strata it
-    pairs with to their pairings.  In (length, lex) order the system is
-    upper triangular with diagonal prod_v c_v!, so it is solved column by
-    column from the longest unknown down, in integers: unknown j is num[j] /
-    common, row j's residual (rhs_j * common less the solved columns'
-    terms) and the diagonal lose their gcd, and the rest of the diagonal
-    scales common, the solved numerators and the residuals.  A zero
-    diagonal, a column key that names no unknown or sits below the diagonal
-    with a nonzero value, and a nonzero final residual break the premise
-    that the pairing is perfect and raise RankDeficientPairingError.  The
-    returned map is keyed by the unknowns, sorted.
+    Equation i is the stratum named by unknown i, and ``rows[j]`` holds
+    unknown j's coefficients as pairs (stratum, value).  In (length, lex)
+    order the system is upper triangular with diagonal 1, so it is solved
+    from the longest unknown down, in integers: unknown j is what is left
+    of rhs_j once the longer unknowns' terms are taken off.  A zero
+    diagonal or one that is not 1, a key that names no unknown or sits
+    below the diagonal with a nonzero value, and a nonzero final residual
+    break the premise that the pairing is perfect and raise
+    RankDeficientPairingError.  The returned map is keyed by the unknowns,
+    sorted.
     """
-    unknowns, columns, rhs, _ = system
+    unknowns, rows, rhs, _ = system
     size = len(unknowns)
     position = {mu: i for i, mu in enumerate(unknowns)}
 
     def fault(detail: str, solved: int) -> RankDeficientPairingError:
-        matrix = [[column.get(dims, 0) for column in columns] for dims in unknowns]
+        matrix = [[dict(row).get(dims, 0) * _orders(dims) for row in rows] for dims in unknowns]
         return RankDeficientPairingError(detail, matrix, solved)
 
     residual = list(rhs)
-    num = [0] * size
-    common = 1
+    solution = [0] * size
     for j in range(size - 1, -1, -1):
-        mu, column = unknowns[j], columns[j]
-        solved = size - 1 - j
-        pivot = column.get(mu, 0)
+        mu, row, solved = unknowns[j], rows[j], size - 1 - j
+        # a row in (length, lex) order ends at its own key
+        own, pivot = row[-1] if row else (mu, 0)
+        if own != mu:
+            pivot = dict(row).get(mu, 0)
         if not pivot:
             raise fault(f"zero diagonal in row {j} for dims {mu}", solved)
-        g = gcd(residual[j], pivot)
-        num[j], left = residual[j] // g, pivot // g
-        if left != 1:
-            for k in range(j + 1, size):
-                num[k] *= left
-            for i in range(j + 1):
-                residual[i] *= left
-            common *= left
-        for dims, value in column.items():
+        if pivot != 1:
+            raise fault(f"diagonal {pivot} in row {j} for dims {mu} is not 1", solved)
+        x = solution[j] = residual[j]
+        for dims, value in row:
             i = position.get(dims)
             if i is None:
                 raise fault(f"the column of {mu} pairs with dims {dims}, which names no unknown", solved)
             if i > j and value:
                 raise fault(f"nonzero below the diagonal in row {i} for dims {dims}, column {j}", solved)
-            residual[i] -= value * num[j]
+            residual[i] -= value * x
     for i, left_over in enumerate(residual):
         if left_over:
             raise fault(f"nonzero residual in row {i} for dims {unknowns[i]}", size)
-    return dict(sorted(zip(unknowns, (Fraction(x, common) for x in num))))
+    return dict(sorted(zip(unknowns, map(Fraction, solution))))

@@ -50,7 +50,8 @@ partitions: by block count ``_SHIFTED_SUMS``, and by block sums
 its multiset alone, so each table builds the row of s from its own rows of
 s minus each first block, once per process.  ``_SOCLE`` sums the first;
 ``_SOCLE_SPLITS`` weighs a block by it.  ring's correction table and
-closed's chain rows cut the same first blocks.
+closed's chain rows cut the same first blocks.  ``_PARTITION_COUNTS`` holds
+p(total, <= m), the pairing system's full basis size.
 """
 
 from __future__ import annotations
@@ -364,8 +365,9 @@ def _shifted_row(s: Multiset) -> tuple[int, ...]:
 
 def _socle_split_row(s: Multiset) -> tuple[tuple[Multiset, int], ...]:
     """The pairs (sums, w): w sums prod _SOCLE[B] over the set partitions of
-    s's positions with sorted block sums ``sums``.  ck's split weights and
-    the oracle's pairing columns read these rows."""
+    s's positions with sorted block sums ``sums``, in (length, lex) order,
+    so the last is (s, 1), the singletons, each of socle 1.  ck's split
+    weights and the oracle's pairing system read these rows."""
     if not s:
         return (((), 1),)
     out = {}
@@ -374,7 +376,7 @@ def _socle_split_row(s: Multiset) -> tuple[tuple[Multiset, int], ...]:
         for sums, w in _SOCLE_SPLITS[rest]:
             key = _SPLIT_KEYS[tuple(sorted(sums + (block_sum,)))]
             out[key] = out.get(key, 0) + weight * w
-    return tuple(out.items())
+    return tuple(sorted(out.items(), key=lambda pair: (len(pair[0]), pair[0])))
 
 
 # The block DP's shared tables, and the socle, the signed sum of the shifted row
@@ -384,6 +386,19 @@ _SOCLE_SPLITS = Memo(_socle_split_row)
 # One object per distinct block-sum key of the socle-split rows: a cold
 # solve of twenty 1s stores 248,537 keys, of which 2,714 are distinct
 _SPLIT_KEYS = Memo(lambda key: key)
+
+
+@Memo
+def _PARTITION_COUNTS(key: tuple[int, int]) -> int:
+    """p(total, <= max_parts) by key (total, max_parts), counted as its
+    conjugates, the partitions of total into parts <= max_parts, adding one
+    part size at a time."""
+    total, max_parts = key
+    ways = [1] + [0] * total
+    for part in range(1, min(max_parts, total) + 1):
+        for s in range(part, total + 1):
+            ways[s] += ways[s - part]
+    return ways[total]
 
 
 def _split_sums(split: Iterable[tuple]) -> Multiset:

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kapparing import cli, oracle, partitions, ring, verification
-from kapparing.partitions import Memo
 
 from bruteforce import euler_partition_counts
 
@@ -646,17 +645,14 @@ solve,rank_deficient_pairing,"zero diagonal in row 1 for dims (1, 2)",0,"[[""1/1
         (["product", "--a", "1,1,1", "--marked", "7", "--method", "pairing"], RANK_DEFICIENT_JSON % "product"),
     ],
 )
-def test_a_rank_deficient_pairing_report_is_pinned_byte_for_byte(monkeypatch, capsys, argv, expected):
+def test_a_rank_deficient_pairing_report_is_pinned_byte_for_byte(cold_tables, capsys, argv, expected):
     # a zero pairing of kappa_1 kappa_2 with its own stratum: the report
     # names the row, the unknowns solved (none: (1, 2) is solved first) and
-    # the system as dense rows, strata by unknowns in (length, lex) order
-    def wrong_pairings(mu):
-        found = dict(oracle._pairings(mu))
-        if mu == (1, 2):
-            found[mu] = 0
-        return found
-
-    monkeypatch.setattr(oracle, "_PAIRINGS", Memo(wrong_pairings))
+    # the system as dense rows of pairings, strata by unknowns in (length,
+    # lex) order
+    row = dict(partitions._SOCLE_SPLITS[(1, 2)])
+    row[(1, 2)] = 0
+    partitions._SOCLE_SPLITS[(1, 2)] = tuple(row.items())
     assert cli.main(argv) == 1
     assert capsys.readouterr().out == expected
 

@@ -22,7 +22,7 @@ from kapparing.oracle import (
     solve_exact,
     solve_pairing_system,
 )
-from kapparing.partitions import Memo, index_multisets, multiset_partitions
+from kapparing.partitions import index_multisets, multiset_partitions
 from kapparing.ring import basis_coeff, kappa_product, socle_coeff
 
 from bruteforce import (
@@ -184,7 +184,7 @@ def test_integer_partitions_enumeration():
 @pytest.mark.parametrize("total", range(13))
 def test_partition_count_matches_the_enumeration_and_euler(total):
     for max_parts in range(14):
-        count = oracle._partition_count(total, max_parts)
+        count = partitions._PARTITION_COUNTS[total, max_parts]
         assert count == len(list(integer_partitions(total, max_parts))), (total, max_parts)
         if max_parts >= total:
             assert count == euler_partition_counts(total)[total]
@@ -211,8 +211,8 @@ def test_solve_requires_room_for_a_basis():
 
 
 def test_pairing_system_is_square():
-    unknowns, columns, rhs, size = pairing_system((1, 1, 2), 9)
-    # row i is the stratum named by unknown i; here every stratum of d = 3
+    unknowns, rows, rhs, size = pairing_system((1, 1, 2), 9)
+    # equation i is the stratum named by unknown i; here every stratum of d = 3
     # components, named by its positive dimensions, coarsens a
     assert {tuple(v for v in dims if v) for dims in dimension_sequences(4, 3)} == set(unknowns)
     assert size == len(list(dimension_sequences(4, 3))) == 4
@@ -222,7 +222,7 @@ def test_pairing_system_is_square():
 
 def test_pairing_system_never_builds_the_full_basis():
     # the full system has 1,958 unknowns; a's coarsenings are 7 of them
-    unknowns, columns, rhs, size = pairing_system((5,) * 5, 52)
+    unknowns, rows, rhs, size = pairing_system((5,) * 5, 52)
     assert unknowns == [(25,), (5, 20), (10, 15), (5, 5, 15), (5, 10, 10), (5, 5, 5, 10), (5,) * 5]
     assert len(rhs) == 7
     assert size == 1958
@@ -230,10 +230,15 @@ def test_pairing_system_never_builds_the_full_basis():
 
 @pytest.mark.parametrize("a, n", [((1, 1, 2), 9), ((5,) * 5, 52), ((3, 4, 5), 18), ((1, 1, 2, 2, 3), 21), ((1,) * 6, 9)])
 def test_the_system_hands_out_the_columns_the_table_holds(a, n):
-    # one column per unknown, each the table's own read-only map, not a copy
-    unknowns, columns, _, _ = pairing_system(a, n)
-    assert len(columns) == len(unknowns)
-    assert all(columns[j] is oracle._PAIRINGS[mu] for j, mu in enumerate(unknowns))
+    # one row per unknown, each the socle-split table's own tuple, not a copy
+    unknowns, rows, _, _ = pairing_system(a, n)
+    assert len(rows) == len(unknowns)
+    assert all(rows[j] is partitions._SOCLE_SPLITS[mu] for j, mu in enumerate(unknowns))
+
+
+def orders(dims):
+    """prod_e m_e!, the orders of a stratum's equal components."""
+    return math.prod(math.factorial(dims.count(v)) for v in set(dims))
 
 
 @pytest.mark.parametrize("a", list(index_multisets(3, max_sum=5)))
@@ -252,16 +257,18 @@ def test_solver_agrees_with_the_product_expansion(a, d):
 def test_sparse_system_and_triangular_solve_match_the_dense_reference(a):
     for d in range(1, len(a) + 2):
         n = sum(a) + d + 2
-        unknowns, columns, rhs, size = system = pairing_system(a, n)
+        unknowns, rows, rhs, size = system = pairing_system(a, n)
         dense_matrix, dense_rhs, dense_solution = naive_pairing_system(a, n)
         assert size == len(dense_solution)
-        # the restricted system is the dense one at a's coarsenings, and no
-        # column pairs with a stratum outside them
-        assert {(dims, mu): columns[j].get(dims, 0) for dims in unknowns for j, mu in enumerate(unknowns)} == {
+        # the restricted system, each equation times its stratum's orders, is
+        # the dense one at a's coarsenings, and no row pairs with a stratum
+        # outside them
+        pairings = {(dims, mu): w * orders(dims) for mu, row in zip(unknowns, rows) for dims, w in row}
+        assert {(dims, mu): pairings.get((dims, mu), 0) for dims in unknowns for mu in unknowns} == {
             (dims, mu): dense_matrix[dims, mu] for dims in unknowns for mu in unknowns
         }
-        assert set().union(*columns) <= set(unknowns)
-        assert dict(zip(unknowns, rhs)) == {dims: dense_rhs[dims] for dims in unknowns}
+        assert {dims for row in rows for dims, _ in row} <= set(unknowns)
+        assert [w * orders(dims) for dims, w in zip(unknowns, rhs)] == [dense_rhs[dims] for dims in unknowns]
         # and has the dense solution there, which is 0 everywhere else
         assert solve_pairing_system(system) == {mu: dense_solution[mu] for mu in sorted(unknowns)}
         assert {mu: c for mu, c in dense_solution.items() if mu not in unknowns and c} == {}
@@ -293,80 +300,85 @@ def test_solve_pairing_system_takes_the_system_alone():
 
 
 def test_pairing_matrix_is_upper_triangular_with_factorial_diagonal():
-    unknowns, columns, _, _ = pairing_system((1, 1, 2, 2, 3), 21)
+    unknowns, rows, _, _ = pairing_system((1, 1, 2, 2, 3), 21)
     assert unknowns == sorted(unknowns, key=lambda mu: (len(mu), mu))
     for j, mu in enumerate(unknowns):
-        # column j pairs only with strata at positions up to its own
-        assert all(unknowns.index(dims) <= j for dims in columns[j])
-        assert columns[j][mu] == math.prod(math.factorial(mu.count(v)) for v in set(mu))
+        # unknown j pairs only with strata at positions up to its own
+        assert all(unknowns.index(dims) <= j for dims, _ in rows[j])
+        # its row ends at its own entry, 1, and the pairing there is the orders
+        assert rows[j][-1] == (mu, 1)
+        assert pair_kappa_stratum(mu, mu) == orders(mu) == math.prod(math.factorial(mu.count(v)) for v in set(mu))
 
 
-def counting_table(walks):
-    """A fresh column table that logs each monomial it walks."""
+@pytest.fixture
+def row_builds(monkeypatch, cold_tables):
+    """The monomials whose socle-split rows are built, in order, from cold
+    tables: each build is a call of the shared table's compute."""
+    builds = []
+    build = partitions._SOCLE_SPLITS.compute
 
-    def walk(mu):
-        walks.append(mu)
-        return oracle._pairings(mu)
+    def counting_build(mu):
+        builds.append(mu)
+        return build(mu)
 
-    return Memo(walk)
-
-
-def test_pairing_system_pairs_only_the_coarsenings(monkeypatch):
-    walks, dp_calls = [], []
-    shared = dict(oracle._PAIRINGS)
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_PAIRINGS", counting_table(walks))
-        patch.setattr(oracle, "pair_kappa_stratum", lambda *args: dp_calls.append(args))
-        unknowns, columns, rhs, size = pairing_system((3, 4, 5), 18)
-        # the unknowns are the 5 coarsenings of (3, 4, 5), a last, read off
-        # a's column, which is also the right-hand side; their 12 matrix
-        # nonzeros come from one walk per other unknown, with no call of
-        # pair_kappa_stratum and none of the other 29 monomials of the full
-        # basis
-        assert size == 34
-        assert sum(1 for column in columns for x in column.values() if x) == 12
-        assert sum(1 for x in rhs if x) == 5
-        assert unknowns[-1] == (3, 4, 5)
-        assert walks == [(3, 4, 5)] + unknowns[:-1] and len(walks) == 5
-        # a column does not depend on n: one more marking walks nothing
-        pairing_system((3, 4, 5), 19)
-        assert len(walks) == 5
-        assert dp_calls == []
-    assert oracle._PAIRINGS == shared
+    monkeypatch.setattr(partitions._SOCLE_SPLITS, "compute", counting_build)
+    return builds
 
 
-def test_a_stratum_pairing_reads_the_table_the_solve_reads(monkeypatch):
-    walks = []
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_PAIRINGS", counting_table(walks))
-        b = (1, 1, 2, 3)
-        # a cold pairing walks b's whole column, zero components aside
-        assert pair_kappa_stratum(b, (0, 3, 4)) == dp_pair_kappa_stratum(b, (3, 4))
-        assert walks == [b]
-        # b at other dims reads the same column
-        assert pair_kappa_stratum(b, (1, 2, 4)) == dp_pair_kappa_stratum(b, (1, 2, 4))
-        assert pair_kappa_stratum(b, (7,)) == socle_coeff(b)
-        assert walks == [b]
-        # after a solve, the pairings of its coarsenings walk nothing
-        solve_coeffs_by_pairing((2, 2, 3), 14)
-        walked = len(walks)
-        assert pair_kappa_stratum((4, 3), (0, 7)) == dp_pair_kappa_stratum((3, 4), (7,))
-        assert pair_kappa_stratum((2, 2, 3), (2, 5)) == dp_pair_kappa_stratum((2, 2, 3), (2, 5))
-        assert len(walks) == walked
-        # nor does a degree mismatch, even for a monomial never walked
-        assert pair_kappa_stratum((5, 6), (10,)) == 0
-        assert len(walks) == walked
+def test_pairing_system_pairs_only_the_coarsenings(monkeypatch, row_builds):
+    dp_calls = []
+    monkeypatch.setattr(oracle, "pair_kappa_stratum", lambda *args: dp_calls.append(args))
+    unknowns, rows, rhs, size = pairing_system((3, 4, 5), 18)
+    # the unknowns are the 5 coarsenings of (3, 4, 5), a last, read off a's
+    # row, which is also the right-hand side; their 12 matrix nonzeros come
+    # from one row build per other unknown, with no call of
+    # pair_kappa_stratum and none of the other 29 monomials of the full
+    # basis; the rows of lower degree are the block DP's rests
+    assert size == 34
+    assert sum(1 for row in rows for _, x in row if x) == 12
+    assert sum(1 for x in rhs if x) == 5
+    assert unknowns[-1] == (3, 4, 5)
+    assert [mu for mu in row_builds if sum(mu) == 12] == [(3, 4, 5)] + unknowns[:-1]
+    assert len(row_builds) == len(set(row_builds)) == 12
+    # a row does not depend on n: one more marking builds nothing
+    pairing_system((3, 4, 5), 19)
+    assert len(row_builds) == 12
+    assert dp_calls == []
 
 
-def test_a_column_outside_the_coarsenings_raises_naming_it(monkeypatch):
-    def wrong_pairings(mu):
-        found = dict(oracle._pairings(mu))
-        if mu == (1, 2):
-            # (1, 1, 1) at 7 markings keeps the strata (3,) and (1, 2) only
-            found[(1, 1, 1)] = 1
-        return found
+def test_a_stratum_pairing_reads_the_table_the_solve_reads(row_builds):
+    b = (1, 1, 2, 3)
+    # a cold pairing builds b's whole row, zero components aside, and no
+    # other row of b's degree
+    assert pair_kappa_stratum(b, (0, 3, 4)) == dp_pair_kappa_stratum(b, (3, 4))
+    assert [mu for mu in row_builds if sum(mu) == sum(b)] == [b]
+    built = len(row_builds)
+    # b at other dims reads the same row
+    assert pair_kappa_stratum(b, (1, 2, 4)) == dp_pair_kappa_stratum(b, (1, 2, 4))
+    assert pair_kappa_stratum(b, (7,)) == socle_coeff(b)
+    assert len(row_builds) == built
+    # after a solve, the pairings of its coarsenings build nothing
+    solve_coeffs_by_pairing((2, 2, 3), 14)
+    built = len(row_builds)
+    assert pair_kappa_stratum((4, 3), (0, 7)) == dp_pair_kappa_stratum((3, 4), (7,))
+    assert pair_kappa_stratum((2, 2, 3), (2, 5)) == dp_pair_kappa_stratum((2, 2, 3), (2, 5))
+    assert len(row_builds) == built
+    # nor does a degree mismatch, even for a monomial never built
+    assert pair_kappa_stratum((5, 6), (10,)) == 0
+    assert len(row_builds) == built
 
-    monkeypatch.setattr(oracle, "_PAIRINGS", Memo(wrong_pairings))
+
+def put_wrong_row(mu, edit):
+    """Put mu's socle-split row, changed in place by ``edit`` as a dict,
+    into the shared table; a test that calls it empties the tables after."""
+    row = dict(partitions._SOCLE_SPLITS[mu])
+    edit(row)
+    partitions._SOCLE_SPLITS[mu] = tuple(row.items())
+
+
+def test_a_column_outside_the_coarsenings_raises_naming_it(cold_tables):
+    # (1, 1, 1) at 7 markings keeps the strata (3,) and (1, 2) only
+    put_wrong_row((1, 2), lambda row: row.update({(1, 1, 1): 1}))
     message = r"the column of \(1, 2\) pairs with dims \(1, 1, 1\), which names no unknown"
     with pytest.raises(RankDeficientPairingError, match=message) as err:
         solve_coeffs_by_pairing((1, 1, 1), 7)
@@ -375,25 +387,28 @@ def test_a_column_outside_the_coarsenings_raises_naming_it(monkeypatch):
     assert err.value.matrix == [[1, 9], [0, 1]]
 
 
-def test_zero_diagonal_pairing_raises(monkeypatch):
-    shared = dict(oracle._PAIRINGS)
-
-    def wrong_pairings(mu):
-        found = dict(oracle._pairings(mu))
-        if mu == (1, 2):
-            found[mu] = 0
-        return found
-
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_PAIRINGS", Memo(wrong_pairings))
-        with pytest.raises(RankDeficientPairingError, match="zero diagonal") as err:
-            solve_coeffs_by_pairing((1, 1, 1), 7)
-        # strata (3,) and (1, 2) as rows, unknowns (3,) and (1, 2) as columns
-        assert err.value.matrix == [[1, 9], [0, 0]]
-        assert err.value.rank == 0
-    # the wrong column went with its table
-    assert oracle._PAIRINGS == shared
+def test_zero_diagonal_pairing_raises(cold_tables):
+    put_wrong_row((1, 2), lambda row: row.update({(1, 2): 0}))
+    with pytest.raises(RankDeficientPairingError, match=r"zero diagonal in row 1 for dims \(1, 2\)") as err:
+        solve_coeffs_by_pairing((1, 1, 1), 7)
+    # strata (3,) and (1, 2) as rows, unknowns (3,) and (1, 2) as columns
+    assert err.value.matrix == [[1, 9], [0, 0]]
+    assert err.value.rank == 0
+    # the wrong row goes with the tables
+    ring.clear_coeff_caches()
     assert solve_coeffs_by_pairing((1, 1, 1), 7) == {(1, 2): 15, (3,): -74}
+
+
+@pytest.mark.parametrize("pivot", [2, -1, -2, 6])
+def test_a_diagonal_other_than_one_raises(cold_tables, pivot):
+    # (1, 1) at 6 markings solves for (2,) and (1, 1), whose own entry, 1,
+    # stands in the stratum (1, 1), of orders 2
+    put_wrong_row((1, 1), lambda row: row.update({(1, 1): pivot}))
+    message = rf"diagonal {pivot} in row 1 for dims \(1, 1\) is not 1"
+    with pytest.raises(RankDeficientPairingError, match=message) as err:
+        solve_coeffs_by_pairing((1, 1), 6)
+    assert err.value.rank == 0
+    assert err.value.matrix == [[1, 5], [0, 2 * pivot]]
 
 
 # The seven (a, n) requests of the benchmark's oracle_solve workload.
@@ -408,37 +423,48 @@ SOLVE_REQUESTS = [
 ]
 
 
-def test_each_column_is_walked_once_per_process(monkeypatch):
-    walks = []
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_PAIRINGS", counting_table(walks))
-        a = (1, 1, 2, 3)
-        for d in range(1, 5):
-            solve_coeffs_by_pairing(a, sum(a) + d + 2)
-        # every coarsening once, a too, though it is the right-hand side at
-        # every d and an unknown at d = 4
-        coarsenings = {tuple(sorted(sum(a[i] for i in blk) for blk in p)) for p in naive_set_partitions(range(len(a)))}
-        assert sorted(walks) == sorted(coarsenings)
-        for b, n in SOLVE_REQUESTS:
-            solve_coeffs_by_pairing(b, n)
-        walked = len(walks)
-        assert walked > len(coarsenings)
-        # a second pass, in the other order, walks nothing
-        for b, n in reversed(SOLVE_REQUESTS):
-            solve_coeffs_by_pairing(b, n)
-        assert len(walks) == walked
-        # a column handed out of the table cannot be edited in it
-        with pytest.raises(TypeError):
-            oracle._PAIRINGS[a][a] = 0
+@pytest.mark.parametrize("a, n", SOLVE_REQUESTS)
+def test_the_benchmark_solves_match_the_dense_reference(a, n):
+    # the dense system pairs every basis monomial with every stratum by the
+    # component DP, orders of equal components included, and solves by
+    # Bareiss; the triangular solve must give its nonzero coefficients, on
+    # the very requests whose speed the benchmark measures
+    _, _, dense_solution = naive_pairing_system(a, n)
+    solved = solve_coeffs_by_pairing(a, n)
+    assert {mu: c for mu, c in dense_solution.items() if c} == {mu: c for mu, c in solved.items() if c}
+    assert set(solved) <= set(dense_solution)
+
+
+def test_each_column_is_walked_once_per_process(row_builds):
+    a = (1, 1, 2, 3)
+    for d in range(1, 5):
+        solve_coeffs_by_pairing(a, sum(a) + d + 2)
+    # every coarsening once, a too, though it is the right-hand side at
+    # every d and an unknown at d = 4; every other row built is of lower degree
+    coarsenings = {tuple(sorted(sum(a[i] for i in blk) for blk in p)) for p in naive_set_partitions(range(len(a)))}
+    assert sorted(mu for mu in row_builds if sum(mu) == sum(a)) == sorted(coarsenings)
+    assert len(row_builds) == len(set(row_builds))
+    before = len(row_builds)
+    for b, n in SOLVE_REQUESTS:
+        solve_coeffs_by_pairing(b, n)
+    built = len(row_builds)
+    assert built > before and built == len(set(row_builds))
+    # a second pass, in the other order, builds nothing
+    for b, n in reversed(SOLVE_REQUESTS):
+        solve_coeffs_by_pairing(b, n)
+    assert len(row_builds) == built
+    # a row handed out of the table cannot be edited in it
+    with pytest.raises(TypeError):
+        partitions._SOCLE_SPLITS[a][-1] = (a, 0)
 
 
 @pytest.mark.parametrize("mu", list(index_multisets(6, max_sum=9)))
 def test_pairings_walk_matches_the_stratum_pairing(mu):
-    found = oracle._pairings(mu)
+    found = {dims: w * orders(dims) for dims, w in partitions._SOCLE_SPLITS[mu]}
     # the strata mu fills: the block sums of the set partitions of its indices
     assert set(found) == {tuple(sorted(map(sum, p))) for p in naive_set_partitions(list(mu))}
     for dims, value in found.items():
-        assert value == dp_pair_kappa_stratum(mu, dims), (mu, dims)
+        assert value == pair_kappa_stratum(mu, dims) == dp_pair_kappa_stratum(mu, dims), (mu, dims)
         if len(dims) ** len(mu) <= 4096:
             assert value == naive_pair_kappa_stratum(mu, dims), (mu, dims)
 
@@ -446,7 +472,7 @@ def test_pairings_walk_matches_the_stratum_pairing(mu):
 def test_pairings_count_the_orders_of_equal_components():
     # 15 pairings of six kappa_1s, top((1, 1)) = 5 on each of the three
     # components of dimension 2, and 3! ways to put the pairs on them
-    assert oracle._pairings((1,) * 6)[(2, 2, 2)] == 15 * 5**3 * math.factorial(3)
+    assert pair_kappa_stratum((1,) * 6, (2, 2, 2)) == 15 * 5**3 * math.factorial(3)
 
 
 def test_oracle_imports_nothing_from_ring():
@@ -457,58 +483,66 @@ def test_oracle_imports_nothing_from_ring():
             imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
-    assert "partitions.Memo" in imported
+    assert "partitions._SOCLE_SPLITS" in imported
     assert [name for name in imported if "ring" in name.split(".")] == []
 
 
 def test_pairing_entry_below_the_diagonal_raises():
-    unknowns, columns, rhs, size = pairing_system((1, 1, 1), 8)
+    unknowns, rows, rhs, size = pairing_system((1, 1, 1), 8)
     assert unknowns == [(3,), (1, 2), (1, 1, 1)]
     # a nonzero pairing of kappa_3 with the two-component stratum (1, 2),
-    # which its single index cannot fill: found in the last column
+    # which its single index cannot fill: found in the last unknown
     # substituted, after the two longer unknowns
-    columns = [{**columns[0], (1, 2): 1}] + columns[1:]
+    rows = [rows[0] + (((1, 2), 1),)] + rows[1:]
     message = r"nonzero below the diagonal in row 1 for dims \(1, 2\), column 0"
     with pytest.raises(RankDeficientPairingError, match=message) as err:
-        solve_pairing_system((unknowns, columns, rhs, size))
+        solve_pairing_system((unknowns, rows, rhs, size))
     assert err.value.rank == 2
     assert [row[0] for row in err.value.matrix] == [1, 1, 0]
 
 
 def upper_triangular_systems(size):
-    """(rows, rhs) of a size x size upper-triangular integer system: row i is
-    its diagonal entry, of absolute value >= 2, and its signed entries above
-    the diagonal."""
+    """(above, rhs) of a size x size unit upper-triangular integer system:
+    above[i] holds row i's signed entries right of its diagonal 1."""
     entry = st.integers(-40, 40)
-    diagonal = st.integers(2, 40).flatmap(lambda x: st.sampled_from((x, -x)))
-    rows = [st.tuples(diagonal, st.lists(entry, min_size=size - 1 - i, max_size=size - 1 - i)) for i in range(size)]
-    return st.tuples(st.tuples(*rows), st.lists(entry, min_size=size, max_size=size))
+    above = [st.lists(entry, min_size=size - 1 - i, max_size=size - 1 - i) for i in range(size)]
+    return st.tuples(st.tuples(*above), st.lists(entry, min_size=size, max_size=size))
 
 
-@given(st.integers(1, 7).flatmap(upper_triangular_systems))
-def test_integer_back_substitution_matches_the_dense_reference(case):
-    rows, rhs = case
+@given(
+    st.integers(1, 7).flatmap(upper_triangular_systems),
+    st.integers(2, 40).flatmap(lambda x: st.sampled_from((x, -x))),
+)
+def test_integer_back_substitution_matches_the_dense_reference(case, pivot):
+    above, rhs = case
     size = len(rhs)
-    matrix = [[0] * i + [pivot] + above for i, (pivot, above) in enumerate(rows)]
+    matrix = [[0] * i + [1] + entries for i, entries in enumerate(above)]
     unknowns = [(j + 1,) for j in range(size)]
-    # column j keyed by the strata (unknowns) of its nonzero rows
-    columns = [{unknowns[i]: matrix[i][j] for i in range(size) if matrix[i][j]} for j in range(size)]
-    solved = solve_pairing_system((unknowns, columns, rhs, size))
+    # unknown j's row: (stratum, entry) at its nonzero equations, in order,
+    # so its own entry, 1, comes last
+    rows = [tuple((unknowns[i], matrix[i][j]) for i in range(j + 1) if matrix[i][j]) for j in range(size)]
+    solved = solve_pairing_system((unknowns, rows, rhs, size))
     assert list(solved) == unknowns
     assert list(solved.values()) == solve_exact(matrix, rhs)
     assert all(type(x) is Fraction for x in solved.values())
-    # a fault in column j stops the solve with the size - 1 - j longer
-    # unknowns substituted, and reports the columns as dense rows
+    # a fault in unknown j's row stops the solve with the size - 1 - j
+    # longer unknowns substituted, and reports the rows as dense equations
     for j in range(size):
-        zero = [row[:] for row in matrix]
-        zero[j][j] = 0
-        faults = [("names no unknown", {**columns[j], (0,): 5}, matrix), ("zero diagonal", {**columns[j], unknowns[j]: 0}, zero)]
+        own = rows[j][:-1]
+        zero, scaled = [row[:] for row in matrix], [row[:] for row in matrix]
+        zero[j][j], scaled[j][j] = 0, pivot
+        faults = [
+            ("names no unknown", rows[j] + (((0,), 5),), matrix),
+            ("zero diagonal", own + ((unknowns[j], 0),), zero),
+            ("zero diagonal", own, zero),
+            ("is not 1", own + ((unknowns[j], pivot),), scaled),
+        ]
         if j + 1 < size:
             below = [row[:] for row in matrix]
             below[j + 1][j] = -3
-            faults.append(("below the diagonal", {**columns[j], unknowns[j + 1]: -3}, below))
-        for message, column, dense in faults:
-            system = (unknowns, columns[:j] + [column] + columns[j + 1 :], rhs, size)
+            faults.append(("below the diagonal", rows[j] + ((unknowns[j + 1], -3),), below))
+        for message, row, dense in faults:
+            system = (unknowns, rows[:j] + [row] + rows[j + 1 :], rhs, size)
             with pytest.raises(RankDeficientPairingError, match=message) as err:
                 solve_pairing_system(system)
             assert err.value.rank == size - 1 - j

@@ -408,6 +408,26 @@ def test_socle_split_rows_match_the_labelled_sums_by_block_sums(cases):
         assert len(dict(row)) == len(row) and dict(row) == walked, a
 
 
+@pytest.mark.parametrize("cases", [list(index_multisets(6, max_sum=12)), [(1,) * 10]])
+def test_socle_split_rows_are_in_length_lex_order_and_end_at_their_own_key(cold_tables, cases):
+    # the pairing system takes its unknowns as a prefix of a's row and
+    # solves with diagonal 1, without sorting or looking the diagonal up
+    for a in cases:
+        row = partitions._SOCLE_SPLITS[a]
+        keys = [sums for sums, _ in row]
+        assert keys == sorted(set(keys), key=lambda sums: (len(sums), sums)), a
+        assert row[-1] == (a, 1), a
+
+
+@pytest.mark.parametrize("a, n", [((1, 1, 2, 2, 3), 15), ((1,) * 10, 16), ((3, 4, 5), 100)])
+def test_a_cold_solve_hands_out_the_rows_the_table_holds(cold_tables, a, n):
+    oracle.solve_coeffs_by_pairing(a, n)
+    unknowns, rows, rhs, _ = oracle.pairing_system(a, n)
+    assert all(rows[j] is partitions._SOCLE_SPLITS[mu] for j, mu in enumerate(unknowns))
+    d = n - sum(a) - 2
+    assert list(zip(unknowns, rhs)) == [pair for pair in partitions._SOCLE_SPLITS[a] if len(pair[0]) <= d]
+
+
 def test_a_cold_solve_stores_one_object_per_distinct_socle_split_key():
     ring.clear_coeff_caches()
     try:

@@ -364,9 +364,15 @@ def test_clear_coeff_caches_empties_every_memo():
     assert split_weight((1, 1, 2), 2) == split_weight([2, 1, 1], 2)
     basis_coeff(((0, 1, 2),), (1, 1, 2), 2, method="closed")
     oracle.solve_coeffs_by_pairing((1, 1, 2), 8)
-    # every Memo of the package, the socle table that is the oracle's tops counted once
+    # every Memo of the package, the socle table that is the oracle's tops
+    # counted once: four block-DP tables and the partition counts in
+    # partitions, five in ring, none in the oracle
     tables = {id(table): table for table in memo_tables()}.values()
     assert len(tables) == 10 and oracle._TOP_CACHE is ring._SOCLE
+    def memos(module):
+        return {id(table) for table in vars(module).values() if isinstance(table, partitions.Memo)}
+
+    assert memos(oracle) <= memos(partitions)
     assert any(table is ring._MOMENT for table in tables)
     assert all(tables)
     snapshot = snapshot_coeff_caches()

@@ -371,14 +371,23 @@ def test_a_fault_in_the_shared_kernel_fails_ck_and_closed_against_recursive(monk
 
 
 def test_a_fault_in_the_socle_split_row_fails_ck_and_the_pairing_against_recursive(cold_tables):
-    # ck's split weights and the pairing columns both read the two-block
+    # ck's split weights and the pairing system both read the two-block
     # entry of (1, 2)'s row; recursive and closed do not, so ck must
-    # disagree with them, and the pairing solve with the closed aggregate
+    # disagree with them, and the pairing solve with the closed aggregate.
+    # The entry is (1, 2)'s own, the system's diagonal, so every solve with
+    # an unknown whose row was built from it raises: 18 rows fail, a
+    # superset of the 15 that a solve which rescaled its diagonal failed
     add_one_at(partitions._SOCLE_SPLITS, (1, 2), (1, 2))
     rows = [row for row in verification.run_suite("all") if not row["pass"]]
-    assert Counter(row.get("check", row.get("identity")) for row in rows) == {"method_agreement": 15}
+    assert Counter(row.get("check", row.get("identity")) for row in rows) == {"method_agreement": 18}
     assert sum(not row["methods_agree"] for row in rows) == 13
-    assert sum(not row["pairing_agrees"] for row in rows) == 4
+    assert sum(not row["pairing_agrees"] for row in rows) == 13
+    assert sum("is not 1" in row.get("pairing_error", "") for row in rows) == 11
+    failed = {(tuple(row["a"]), row["d"]) for row in rows}
+    rescaled = {((1, 2), 2), ((1, 2), 3), ((1, 2), 4), ((1, 1, 1), 2), ((1, 1, 2), 3), ((1, 1, 2), 4), ((1, 2, 2), 3),
+                ((1, 2, 2), 4), ((1, 2, 3), 3), ((1, 2, 3), 4), ((1, 1, 1, 1), 3), ((1, 1, 1, 2), 3),
+                ((1, 1, 1, 2), 4), ((1, 1, 2, 2), 3), ((1, 1, 2, 2), 4)}
+    assert rescaled < failed and len(failed) == 18
     for row in rows:
         for mismatch in row.get("method_mismatches", []):
             assert mismatch["recursive"] == mismatch["closed"] != mismatch["ck"]
