@@ -15,15 +15,15 @@ invalid-input signal: ``product`` and ``solve`` share one request check, and
 ``verification.SUITES`` names the suites.  The CLI checks only what no
 library call sees: ``--partition``'s JSON shape, sweep bounds.
 
-A run's sweeps share one process pool: ``verify --suite all`` always opens
-one of ``max(--jobs, 2)`` workers, the other runs one only for ``--jobs > 1``.
+A run forks its sweep workers once, capped at the CPUs: ``verify --suite all``
+always ``max(--jobs, 2)``, the other runs only for ``--jobs > 1``.
 Reports go to stdout as JSON (default) or CSV and are byte-deterministic for
 identical requests.  ``--jobs`` changes one field alone: the ``determinism``
 row of ``verify --suite all`` reports ``max(--jobs, 2)``, so ``--jobs`` 1
 and 2 print the same bytes and ``--jobs 3`` differs in that field.
 Wall-clock timing and the cache sizes of this process go to stderr so they
 cannot perturb the reports.  Those sizes count only this process's tables:
-in a pooled run the sweeps fill the workers' tables instead.  No state
+in a forked run the sweeps fill the workers' tables instead.  No state
 outlives a run: each process computes its coefficient tables afresh.  Exit
 code 0 means success with every check passing, 1 a failed check or internal
 inconsistency (the report is still emitted) or a reader that closed stdout
@@ -40,6 +40,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional
 
 from .identities import SweepBounds
@@ -76,9 +77,28 @@ def parse_partition_arg(text: str):
     return canonical_partition(blocks)
 
 
+def _to_json(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2)`` at nesting ``depth``, by joins, not json's
+    pure-Python indent path; types a report never holds go to ``json.dumps``."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        items, ends = [_to_json(item, depth + 1) for item in value], "[]"
+    elif isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        items, ends = [_encode_str(key) + ": " + _to_json(item, depth + 1) for key, item in value.items()], "{}"
+    else:
+        return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+    inner = "\n" + "  " * (depth + 1)
+    return ends[0] + inner + ("," + inner).join(items) + inner[:-2] + ends[1] if items else ends
+
+
 def emit(report: dict, fmt: str, rows_key: Optional[str] = None) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2))
+        sys.stdout.write(_to_json(report))
         sys.stdout.write("\n")
         return
     if fmt == "csv":
@@ -116,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         if jobs:
             p.add_argument(
                 "--jobs", type=int, default=1,
-                help="worker processes for the sweeps, one pool per run (verify --suite all: always, max(JOBS, 2))",
+                help="worker processes for the sweeps, forked once per run (verify --suite all: always, max(JOBS, 2))",
             )
 
     p_product = sub.add_parser("product", help="expand a kappa monomial product in the basis")

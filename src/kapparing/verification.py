@@ -13,9 +13,8 @@ recursive value: ``partial_sum`` is the ``closed`` method, and the rejected
 
 from __future__ import annotations
 
-import contextlib
+import itertools
 import json
-import math
 import os
 import random
 from fractions import Fraction
@@ -48,6 +47,8 @@ from .ring import (
 
 TRUNCATION_VARIANTS = ("partial_sum", "single_binomial")
 SUITES = ("identities", "ring", "oracle", "reconcile", "all")
+# the identity grid whose first 40 cases the determinism row recomputes
+_SPOT_BOUNDS = SweepBounds(max_len=2, max_sum=4, tree_max_len=2, vanishing_max_len=2, stirling_max_n=4)
 
 
 class RingSweepBounds(NamedTuple):
@@ -271,18 +272,15 @@ def reconcile_case(a: Iterable[int], d: int, walk: list | None = None) -> list[d
     return rows
 
 
-def reconcile_sweep(
-    bounds: RingSweepBounds = RingSweepBounds(), jobs: int = 1, pool=None
-) -> tuple[list[dict], dict]:
+def reconcile_sweep(bounds: RingSweepBounds = RingSweepBounds(), jobs: int = 1) -> tuple[list[dict], dict]:
     """Run the truncation reconciliation across the sweep, on ``jobs``
-    processes: ``pool`` if given (see ``run_ordered``), else a pool of its
-    own when ``jobs`` > 1.
+    processes (see ``run_ordered``).
 
     Returns (case rows, summary).  The summary names every variant that
     agrees with the recursive method on all rows; the expansion is healthy
     exactly when that list is ["partial_sum"].
     """
-    nested = run_ordered(reconcile_case, ring_sweep_cases(bounds), jobs, pool)
+    nested = run_ordered(reconcile_case, ring_sweep_cases(bounds), jobs)
     rows = [row for case_rows in nested for row in case_rows]
     return rows, summarize_reconcile(rows)
 
@@ -321,48 +319,86 @@ def identity_case_worker(name: str, params: dict) -> dict:
     return check_identity(name, **params).to_json_dict()
 
 
-def _process_pool(jobs: int):
-    """A process pool of ``jobs`` workers, capped at the CPUs.  Its workers
-    start at its first task; under the default fork start method each is a
-    copy of this process as it then stands, memo tables and limit too."""
-    import concurrent.futures
-
-    return concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
+def _call(fn, *args):
+    """The worker of ``run_suite``'s one fan-out, whose cases each name their function."""
+    return fn(*args)
 
 
-def run_ordered(worker, cases, jobs: int = 1, pool=None) -> list:
+def _send(out, worker, share: list, streams: list) -> None:
+    """In a forked child: write its share's results, or the exception a case
+    raised, to ``out`` as one pickle, and end at once, flushing none of the
+    parent's buffers; a child that cannot send ends with status 1."""
+    import pickle
+
+    try:
+        for stream in streams:  # the parent's ends of the pipes
+            stream.close()
+        try:
+            payload = True, [worker(*case) for case in share]
+        except Exception as exc:
+            payload = False, exc
+        out.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+        out.flush()
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _forked(worker, shares: list[list]) -> list[list]:
+    """``[worker(*case) for case in share]`` for each share, computed in a child
+    forked from this process as it then stands, memo tables and limit too.
+    Every child is waited for; then a case's exception is raised here, and a
+    child that ended without sending raises ``RuntimeError``."""
+    import pickle
+
+    streams, pids = [], []
+    try:
+        for share in shares:
+            read, write = os.pipe()
+            streams.append(open(read, "rb"))
+            with open(write, "wb") as out:
+                pid = os.fork()
+                if pid == 0:
+                    _send(out, worker, share, streams)
+            pids.append(pid)
+        sent = [stream.read() for stream in streams]
+    finally:
+        for stream in streams:
+            stream.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    results = []
+    for data, status in zip(sent, statuses):
+        if status:
+            raise RuntimeError(f"a worker exited with status {os.waitstatus_to_exitcode(status)} before sending its results")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def run_ordered(worker, cases, jobs: int = 1) -> list:
     """``worker(*case)`` for every case, in order, on up to ``jobs`` processes.
 
-    A pooled worker must be a module-level function so it can be pickled.
-    ``pool`` is a pool of ``jobs`` workers that the caller opened with
-    ``_process_pool`` and hands to each of its sweeps.  Without one, any
-    ``jobs`` > 1 opens a pool for this call; its workers all start at once,
-    so it is capped at the cases and the CPUs.  Either way any ``jobs`` > 1
-    pools, so such a run always uses a child.  The cases go out in about
-    four chunks per worker, not one by one.
+    At ``jobs`` <= 1, or where ``os.fork`` does not exist, the cases run in
+    this process.  Otherwise it forks ``workers = min(jobs, len(cases), CPUs)``
+    children once, even down to one, and child i computes ``cases[i::workers]``
+    (see ``_forked``), keeping its memo tables from one case to the next.
     """
-    if jobs <= 1 or len(cases) <= 1:
+    if jobs <= 1 or not hasattr(os, "fork"):
         return [worker(*case) for case in cases]
     workers = min(jobs, len(cases), os.cpu_count() or 1)
-    with contextlib.nullcontext(pool) if pool is not None else _process_pool(workers) as pool:
-        return list(pool.map(worker, *zip(*cases), chunksize=math.ceil(len(cases) / (4 * workers))))
+    results = [None] * len(cases)
+    for i, share in enumerate(_forked(worker, [cases[i::workers] for i in range(workers)])):
+        results[i::workers] = share
+    return results
 
 
-def determinism_spot_check(jobs: int = 2, pool=None) -> dict:
-    """Recompute a fixed slice of identity cases on ``jobs`` processes
-    (``pool`` if given) and compare the serialized rows byte for byte with
-    the in-process results."""
-    bounds = SweepBounds(
-        max_len=2,
-        max_sum=4,
-        tree_max_len=2,
-        vanishing_max_len=2,
-        stirling_max_n=4,
-    )
-    cases = identity_sweep_cases(bounds)[:40]
+def determinism_spot_check(cases: list, forked: list, jobs: int) -> dict:
+    """Compare ``forked``, the rows that the identity ``cases`` gave on ``jobs``
+    processes, byte for byte with their rows computed in this process."""
     sequential = [identity_case_worker(*case) for case in cases]
-    pooled = run_ordered(identity_case_worker, cases, jobs, pool)
-    ok = json.dumps(sequential, sort_keys=True) == json.dumps(pooled, sort_keys=True)
+    ok = json.dumps(sequential, sort_keys=True) == json.dumps(forked, sort_keys=True)
     return {"check": "determinism", "cases": len(cases), "jobs": jobs, "pass": ok}
 
 
@@ -382,52 +418,54 @@ def run_suite(
     reconcile rows come from the ring cases' walk of the basis values, not
     from a second sweep.  An unknown suite raises ``ValueError``.
 
-    Every sweep of the call runs on one process pool: ``all`` always opens
-    one of ``max(jobs, 2)`` workers, as its ``determinism`` row recomputes
-    cases on a pool and reports that size; the other suites open one only
-    when ``jobs`` > 1.  The pool, capped at the CPUs, forks its workers at
-    its first task, after the top-degree values are in this process's
-    tables; what the workers compute stays in theirs.
+    Every sweep of the call goes to one ``run_ordered`` call, which forks
+    once: in ``all`` always, to ``max(jobs, 2)`` workers, the number its
+    ``determinism`` row reports; in the others only when ``jobs`` > 1.  The
+    children fork after the top-degree values are in this process's tables;
+    what they compute stays in theirs.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    if suite == "reconcile":
+        return [{"check": "reconcile_summary", **reconcile_sweep(ring_bounds, jobs)[1]}]
     if suite == "all":
         jobs = max(jobs, 2)
-    with _process_pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
-        rows: list[dict] = []
-        top = {}
-        if suite in ("ring", "oracle", "all"):
-            # one socle, integral and pairing per multiset, shared by the ring's
-            # top-degree rows and the oracle's socle_three_paths rows
-            top = {a: _top_degree_values(a) for a in _ring_multisets(ring_bounds)}
-        if suite in ("identities", "all"):
-            rows.extend(run_ordered(identity_case_worker, identity_sweep_cases(identity_bounds), jobs, pool))
-        if suite in ("ring", "all"):
-            rows.extend(pinned_product_checks())
-            cases = [(a, d, ring_bounds.genus_lifts, suite == "all") for (a, d) in ring_sweep_cases(ring_bounds)]
-            checked = run_ordered(_ring_case, cases, jobs, pool)
-            rows.extend(row for row, _, _ in checked)
-            rows.extend(row for _, lifts, _ in checked for row in lifts)
-            for a, values in top.items():
-                rows.append(check_top_degree(a, values))
-            for a in random_round_trip_cases():
-                rows.append(check_round_trip(a))
-        if suite in ("oracle", "all"):
-            for a, (lam, integral, paired) in top.items():
-                rows.append(
-                    {
-                        "check": "socle_three_paths",
-                        "a": list(a),
-                        "ring": format_rational(lam),
-                        "integral": format_rational(integral),
-                        "pairing": format_rational(paired),
-                        "pass": lam == integral == paired,
-                    }
-                )
-        if suite == "reconcile":
-            rows.append({"check": "reconcile_summary", **reconcile_sweep(ring_bounds, jobs, pool)[1]})
-        if suite == "all":
-            reconciled = [row for _, _, case_rows in checked for row in case_rows]
-            rows.append({"check": "reconcile_summary", **summarize_reconcile(reconciled)})
-            rows.append(determinism_spot_check(jobs, pool))
-        return rows
+    top = {}
+    if suite in ("ring", "oracle", "all"):
+        # one socle, integral and pairing per multiset, shared by the ring's
+        # top-degree rows and the oracle's socle_three_paths rows
+        top = {a: _top_degree_values(a) for a in _ring_multisets(ring_bounds)}
+    identity_cases = identity_sweep_cases(identity_bounds) if suite in ("identities", "all") else []
+    ring_cases = ring_sweep_cases(ring_bounds) if suite in ("ring", "all") else []
+    spot_cases = identity_sweep_cases(_SPOT_BOUNDS)[:40] if suite == "all" else []
+    tasks = [(identity_case_worker, *case) for case in identity_cases]
+    tasks += [(_ring_case, a, d, ring_bounds.genus_lifts, suite == "all") for a, d in ring_cases]
+    tasks += [(identity_case_worker, *case) for case in spot_cases]
+    done = iter(run_ordered(_call, tasks, jobs))
+    rows: list[dict] = list(itertools.islice(done, len(identity_cases)))
+    if suite in ("ring", "all"):
+        rows.extend(pinned_product_checks())
+        checked = list(itertools.islice(done, len(ring_cases)))
+        rows.extend(row for row, _, _ in checked)
+        rows.extend(row for _, lifts, _ in checked for row in lifts)
+        for a, values in top.items():
+            rows.append(check_top_degree(a, values))
+        for a in random_round_trip_cases():
+            rows.append(check_round_trip(a))
+    if suite in ("oracle", "all"):
+        for a, (lam, integral, paired) in top.items():
+            rows.append(
+                {
+                    "check": "socle_three_paths",
+                    "a": list(a),
+                    "ring": format_rational(lam),
+                    "integral": format_rational(integral),
+                    "pairing": format_rational(paired),
+                    "pass": lam == integral == paired,
+                }
+            )
+    if suite == "all":
+        reconciled = [row for _, _, case_rows in checked for row in case_rows]
+        rows.append({"check": "reconcile_summary", **summarize_reconcile(reconciled)})
+        rows.append(determinism_spot_check(spot_cases, list(done), jobs))
+    return rows

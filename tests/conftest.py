@@ -8,45 +8,33 @@ Every Hypothesis property runs under one profile:
 * ``print_blob=True``: a failure prints the blob that reproduces it with
   ``@reproduce_failure``.
 
-``serial_pool`` stands in for every process pool a test opens;
+``serial_fork`` stands in for the children that ``run_ordered`` forks;
 ``cold_tables`` empties every memo table before and after a test.
 """
-
-import concurrent.futures
-import types
 
 import pytest
 from hypothesis import settings
 
-from kapparing import ring
+from kapparing import ring, verification
 
 settings.register_profile("kapparing", deadline=None, print_blob=True)
 settings.load_profile("kapparing")
 
 
 @pytest.fixture
-def serial_pool(monkeypatch):
-    """Replace ``ProcessPoolExecutor`` with a pool that runs its work serially
-    in this process, where a spy sees every call and a memo limit set here
-    holds; returns the size of each pool opened and each ``map``'s chunk size."""
-    pools = types.SimpleNamespace(sizes=[], chunks=[])
+def serial_fork(monkeypatch):
+    """Replace ``verification._forked`` with a stand-in that computes each
+    child's share of the cases serially in this process, where a spy sees
+    every call and a memo limit set here holds; returns the worker count
+    of each fan-out, in order."""
+    fan_outs = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            pools.sizes.append(max_workers)
+    def serial(worker, shares):
+        fan_outs.append(len(shares))
+        return [[worker(*case) for case in share] for share in shares]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            pools.chunks.append(chunksize)
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return pools
+    monkeypatch.setattr(verification, "_forked", serial)
+    return fan_outs
 
 
 @pytest.fixture

@@ -1,5 +1,3 @@
-import concurrent.futures
-import concurrent.futures.process
 import contextlib
 import fcntl
 import hashlib
@@ -27,9 +25,10 @@ def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "kapparing", *args], capture_output=True, text=True, env=ENV, cwd=REPO)
 
 
-def imported_by(module, prefixes):
-    """The modules with one of ``prefixes`` that a fresh ``import module`` loads."""
-    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))"
+def imported_by(module, prefixes, then=""):
+    """The modules with one of ``prefixes`` that a fresh interpreter has loaded
+    after ``import module`` and the statements ``then``."""
+    code = f"import sys, {module}\n{then}\nprint(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV, cwd=REPO)
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
@@ -41,8 +40,18 @@ def test_import_loads_neither_inspect_nor_dataclasses():
 
 
 def test_cli_import_loads_no_process_pool():
-    # a pool's modules cost a `kappa` start about 15 ms, so only a pooled sweep imports them
-    assert imported_by("kapparing.cli", ("concurrent", "multiprocessing")) == "[]"
+    # a pool's modules cost a `kappa` start about 15 ms, and the sweeps fork
+    # their children without them, so not even a forked verify run loads them
+    prefixes = ("concurrent", "multiprocessing")
+    assert imported_by("kapparing.cli", prefixes) == "[]"
+    verify = (
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = kapparing.cli.main(['verify', '--suite', 'all', '--jobs', '2'])\n"
+        "if code:\n"
+        "    sys.exit(f'verify exited {code}')"
+    )
+    assert imported_by("kapparing.cli", prefixes, then=verify) == "[]"
 
 
 def test_product_pinned_example():
@@ -148,7 +157,7 @@ def test_sweep_flags_set_the_bounds_blocks(flags, identities, ring):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cache_sizes_on_stderr_are_labelled_as_this_process(jobs):
-    # a pool's workers fill their own tables, which the parent's count omits
+    # forked children fill their own tables, which the parent's count omits
     result = run_cli("reconcile", "--max-sum", "4", "--max-len", "3", "--jobs", jobs)
     assert result.returncode == 0, result.stderr
     last = result.stderr.strip().splitlines()[-1]
@@ -334,6 +343,35 @@ def test_repeated_runs_are_byte_identical():
     assert first.stdout == second.stdout
 
 
+# What a report can hold and more: every JSON scalar, strings that need
+# escapes, ints past 64 bits, floats json.dumps writes as NaN or Infinity
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.text(alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u20ac\u2028\U0001f600', max_size=8)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    # a dict with a non-str key goes to json.dumps whole, re-indented to its depth
+    | st.dictionaries(st.text(max_size=4) | st.integers() | st.booleans() | st.none() | st.floats(), inner,
+                      min_size=1, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(JSON_VALUES)
+def test_the_report_writer_prints_the_bytes_of_json_dumps_at_indent_2(value):
+    assert cli._to_json(value) == json.dumps(value, indent=2)
+
+
 def test_csv_output_has_header_and_rows():
     result = run_cli("product", "--a", "1,1,1", "--marked", "7", "--format", "csv")
     lines = result.stdout.splitlines()
@@ -413,26 +451,21 @@ def main_stdout(argv):
     return out
 
 
-def test_verify_all_on_its_one_pool_matches_a_serial_run(monkeypatch, serial_pool):
+def test_verify_all_on_its_one_pool_matches_a_serial_run(monkeypatch, serial_fork):
     # CLI_PAIRS compares `verify --suite all` at --jobs 2 with the default, both
-    # pooled; this is the serial side: every sweep in this process, through the stand-in
+    # forked; this is the serial side: every sweep in this process, through the stand-in
     serial = verification.run_suite("all")
-    # one pool, of two workers or the CPUs if fewer, for the identity sweep,
+    # one fan-out, to two workers or the CPUs if fewer, for the identity sweep,
     # the ring cases and the determinism slice
     size = min(2, os.cpu_count() or 1)
-    assert serial_pool.sizes == [size] and len(serial_pool.chunks) == 3
+    assert serial_fork == [size]
     out = main_stdout(["verify", "--suite", "all"])
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
-    opened = []
-
-    class CountingPool(concurrent.futures.process.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.undo()
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
     assert verification.run_suite("all", jobs=2) == serial
-    assert opened == [size]
+    assert len(forked) == size
 
 
 # The oracle_solve requests, sixteen and twenty 1s, and every pinned pairing
@@ -477,20 +510,20 @@ NINE_DISTINCT = "1,2,3,4,5,6,7,8,9"
 TWELVE_1S = ",".join("1" * 12)
 
 CLI_PAIRS = {
-    # A pooled run, its cases handed out in chunks, prints a serial run's bytes.
-    # verify --suite all pools at every --jobs, so its row compares two pools;
-    # test_verify_all_on_its_one_pool_matches_a_serial_run is its serial side.
+    # A forked run, each child computing every other case, prints a serial run's
+    # bytes. verify --suite all forks at every --jobs, so its row compares two
+    # forked runs; test_verify_all_on_its_one_pool_matches_a_serial_run is its serial side.
     **{f"{command} --jobs 2": Pair(f"{command} --jobs 2", command)
        for command in ("verify --suite all", "verify --suite ring", "verify --suite reconcile", "reconcile")},
-    # the determinism row reports the pool asked for, max(--jobs, 2), so
+    # the determinism row reports the workers asked for, max(--jobs, 2), so
     # --jobs 3 differs from the default in that field alone
     "verify --suite all --jobs 3": Pair("verify --suite all --jobs 3", "verify --suite all", rename=('"jobs": 3', '"jobs": 2')),
     # Memo tables that empty themselves again and again print the default bytes.
     # The verify sweep needs 416 shifted rows, 415 socle values, 128 correction
     # values and their 128 moments, so at a limit of 64 a serial run empties
     # them 34, 16, 5 and 5 times (test_all_at_a_memo_limit_of_64_gives_the_default_rows);
-    # here the pool's forked workers inherit the limit and do the emptying (in
-    # measured runs one worker 34, 16 and 4 or 5 times, the parent never).
+    # here the two forked children inherit the limit and each empties its own
+    # tables (in measured runs each child 19, 9 and 2 or 3 times, the parent never).
     "verify --suite all at a limit of 64": Pair("verify --suite all", "verify --suite all", limit=64),
     # reconcile, whose closed values and single_binomial cutoff both read ring's
     # chain rows, fills no table past 26 entries, so it runs at a limit of 8: its
@@ -545,7 +578,7 @@ CLI_PAIRS = {
 @pytest.mark.parametrize("pair", CLI_PAIRS.values(), ids=list(CLI_PAIRS))
 def test_cli_pairs_print_the_same_bytes(monkeypatch, cold_tables, pair):
     # each side starts from empty tables, as a fresh process does; the --jobs
-    # and memo-limit rows run on a real pool, whose forked workers inherit the limit
+    # and memo-limit rows fork real children, which inherit the limit
     def cold(argv, limit=None):
         ring.clear_coeff_caches()
         with monkeypatch.context() as patch:

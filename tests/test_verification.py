@@ -1,5 +1,8 @@
-import concurrent.futures
+import contextlib
 import os
+import signal
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -104,7 +107,7 @@ def test_reconcile_sweep_is_the_same_on_one_or_two_processes_and_in_run_suite():
         expected = {"check": "reconcile_summary", **summary}
         (suite_row,) = verification.run_suite("reconcile", ring_bounds=bounds)
         assert suite_row == expected
-        # all reads its reconcile rows off the ring cases' walk, pooled or not
+        # all reads its reconcile rows off the ring cases' walk, forked or not
         for jobs in (1, 2):
             rows_all = verification.run_suite("all", SMALL_IDENTITIES, bounds, jobs)
             assert [row for row in rows_all if row.get("check") == "reconcile_summary"] == [expected], (bounds, jobs)
@@ -131,8 +134,8 @@ def test_all_reads_partial_sum_off_the_closed_column(monkeypatch):
 
 
 @pytest.mark.parametrize("suite, values", [("all", 987), ("ring", 987), ("reconcile", 658)])
-def test_each_suite_computes_each_basis_value_once(monkeypatch, serial_pool, suite, values):
-    # all runs its sweeps on a pool, so the spies need its work in this process
+def test_each_suite_computes_each_basis_value_once(monkeypatch, serial_fork, suite, values):
+    # all always forks for its sweeps, so the spies need its work in this process
     calls, walks, sweeps = [], [], []
     basis_coeff = verification.basis_coeff
     set_partitions = verification.set_partitions
@@ -183,7 +186,7 @@ def test_per_case_checks_refuse_a_budget_with_no_basis(monkeypatch, name, d):
         PER_CASE_CHECKS[name](d)
 
 
-def test_ring_and_oracle_suites_share_one_top_degree_integral_per_multiset(monkeypatch, serial_pool):
+def test_ring_and_oracle_suites_share_one_top_degree_integral_per_multiset(monkeypatch, serial_fork):
     calls = []
     integrate = verification.integrate_kappa_top
 
@@ -248,21 +251,87 @@ def test_ring_suite_expands_each_genus_zero_base_once(monkeypatch):
     "jobs, cases, cpus, workers",
     [(100_000, 5, 2, 2), (100_000, 3, 64, 3), (4, 10, 64, 4), (3, 10, None, 1), (1, 5, 64, None), (2, 100, 2, 2)],
 )
-def test_run_ordered_caps_the_pool_at_the_cases_and_the_cpus(monkeypatch, serial_pool, jobs, cases, cpus, workers):
-    # a pool run_ordered opens for itself
+def test_run_ordered_caps_the_pool_at_the_cases_and_the_cpus(monkeypatch, serial_fork, jobs, cases, cpus, workers):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert verification.run_ordered(pow, [(i, 2) for i in range(cases)], jobs) == [i * i for i in range(cases)]
-    # any jobs > 1 still pools, even down to one worker
-    assert serial_pool.sizes == ([] if workers is None else [workers])
-    assert all(chunk >= 1 for chunk in serial_pool.chunks)
-    if cases == 100:
-        # the cases go out in chunks, not one by one
-        assert serial_pool.chunks[0] > 1
-    # a pool handed in takes the same chunks, and run_ordered opens none
-    opened, chunks = len(serial_pool.sizes), list(serial_pool.chunks)
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
-    assert verification.run_ordered(pow, [(i, 2) for i in range(cases)], jobs, pool) == [i * i for i in range(cases)]
-    assert serial_pool.sizes[opened:] == [jobs] and serial_pool.chunks[len(chunks):] == chunks
+    seen = []
+
+    def square(i):
+        seen.append(i)
+        return i * i
+
+    assert verification.run_ordered(square, [(i,) for i in range(cases)], jobs) == [i * i for i in range(cases)]
+    # any jobs > 1 still forks, even down to one worker
+    assert serial_fork == ([] if workers is None else [workers])
+    # child k computes cases k, k + workers, k + 2 * workers, ...
+    assert seen == [i for k in range(workers or 1) for i in range(k, cases, workers or 1)]
+
+
+def test_run_ordered_runs_in_process_where_there_is_no_fork(monkeypatch, serial_fork):
+    monkeypatch.delattr(os, "fork")
+    assert verification.run_ordered(pow, [(i, 2) for i in range(5)], 4) == [i * i for i in range(5)]
+    assert serial_fork == []
+
+
+def fail_at_three(i):
+    if i == 3:
+        raise ValueError(f"case {i} failed")
+    return i
+
+
+def exit_at_one(i):
+    if i == 1:
+        os._exit(3)
+    return i
+
+
+def open_descriptors():
+    """How many file descriptors this process holds, or None without /proc."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize(
+    "worker, raised",
+    [
+        (abs, contextlib.nullcontext()),
+        (fail_at_three, pytest.raises(ValueError, match="^case 3 failed$")),
+        (exit_at_one, pytest.raises(RuntimeError, match="exited with status 3 before sending its results")),
+    ],
+)
+def test_a_fan_out_reaps_every_child_and_closes_every_pipe(worker, raised):
+    # real forks: a case's exception, or a child that ends without sending,
+    # reaches the caller once every child has ended, and leaves nothing open
+    def hung(signum, frame):
+        raise TimeoutError("run_ordered still waiting after 60 s")
+
+    descriptors = open_descriptors()
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with raised:
+            assert verification.run_ordered(worker, [(i,) for i in range(6)], 2) == list(range(6))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if descriptors is not None:
+        assert open_descriptors() == descriptors
+
+
+def test_unflushed_stdout_comes_out_once_not_once_per_child():
+    code = (
+        "import sys\n"
+        "from kapparing import verification\n"
+        "sys.stdout.write('written before the fork\\n')\n"
+        "print(verification.run_ordered(abs, [(-1,), (-2,), (-3,)], 2))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    # PYTHONUNBUFFERED would flush the text before the fork and hide a child that flushes it again
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "written before the fork\n[1, 2, 3]\n"
 
 
 @pytest.mark.parametrize(
@@ -279,24 +348,23 @@ def test_run_ordered_caps_the_pool_at_the_cases_and_the_cpus(monkeypatch, serial
         ("reconcile", 4, 64, [4]),
     ],
 )
-def test_run_suite_opens_one_pool_for_all_its_sweeps(monkeypatch, serial_pool, suite, jobs, cpus, sizes):
-    # all always pools, at max(jobs, 2) as its determinism row reports; the
-    # others only when jobs > 1; either way capped at the CPUs, once per call
+def test_run_suite_opens_one_pool_for_all_its_sweeps(monkeypatch, serial_fork, suite, jobs, cpus, sizes):
+    # all always forks, to max(jobs, 2) as its determinism row reports; the
+    # others only when jobs > 1; either way capped at the CPUs, and once per
+    # call: the identities, the ring cases and the determinism slice of all
+    # go to one fan-out
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     bounds = verification.RingSweepBounds(max_len=2, max_sum=3, max_budget=2)
     rows = verification.run_suite(suite, SMALL_IDENTITIES, bounds, jobs)
-    assert serial_pool.sizes == sizes
-    # one map per sweep: identities, ring cases and the determinism slice in all
-    maps = {"all": 3, "ring": 1, "identities": 1, "reconcile": 1}[suite]
-    assert len(serial_pool.chunks) == (maps if sizes else 0)
+    assert serial_fork == sizes
     assert all(row["pass"] for row in rows)
     if suite == "all":
         assert rows[-1] == {"check": "determinism", "cases": 40, "jobs": max(jobs, 2), "pass": True}
 
 
-def test_all_at_a_memo_limit_of_64_gives_the_default_rows(monkeypatch, serial_pool, cold_tables):
-    # CLI_PAIRS' memo-limit verify run, in this process: on a pool its
-    # workers, not the parent, would do the emptying, out of a spy's sight
+def test_all_at_a_memo_limit_of_64_gives_the_default_rows(monkeypatch, serial_fork, cold_tables):
+    # CLI_PAIRS' memo-limit verify run, in this process: forked children,
+    # not the parent, would do the emptying, out of a spy's sight
     default = verification.run_suite("all")
     ring.clear_coeff_caches()
     emptied = Counter()
