@@ -82,9 +82,15 @@ def alt_binomial_partial_sum(m: int, lo: int, hi: int) -> int:
     return (-1) ** hi * binomial(m - 1, hi - lo)
 
 
+def _exact(x: Union[int, Fraction], where: str) -> Union[int, Fraction]:
+    """x if it is an int, never a bool, or a Fraction, the package's one rule
+    for an exact rational; anything else is a ValueError naming ``where``."""
+    if isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool)):
+        return x
+    raise ValueError(f"{where}: must be an int or a Fraction, got {x!r}")
+
+
 def format_rational(x: Union[int, Fraction]) -> str:
     """Serialize an int or a Fraction as "num/den" with a positive denominator,
     e.g. "-5/1"; a bool, a float or anything else is a ValueError."""
-    if isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool)):
-        return f"{x.numerator}/{x.denominator}"
-    raise ValueError(f"format_rational: must be an int or a Fraction, got {x!r}")
+    return "{0.numerator}/{0.denominator}".format(_exact(x, "format_rational"))

@@ -42,7 +42,9 @@ chain rows and per-block polynomials and the block DP's rows in
 :mod:`kapparing.partitions` (shifted sums, socle splits) are int ``Memo``
 tables, which the loops index directly; ``clear_coeff_caches`` empties
 every live ``Memo``.  ``Fraction`` appears only in the public functions'
-results.
+results: ``basis_coeff`` hands a ``_Shape``'s int to ``kappa_product``, whose
+sums, like ``faber_expand``'s and ``kappa_to_psi``'s, get one Fraction per
+monomial from the trusted ``_Combination._from_sums``.
 
 The cutoff at d parts is the truncated alternating binomial sum.  The
 rejected ``single_binomial`` cutoff does not multiply over blocks; only the
@@ -56,7 +58,7 @@ from fractions import Fraction
 from math import comb, prod
 from typing import Iterable, Mapping, Optional, Union
 
-from .numbers import factorial, format_rational, multinomial
+from .numbers import _exact, factorial, format_rational, multinomial
 from .partitions import (
     _MEMOS,
     _SHIFTED_SUMS,
@@ -86,9 +88,9 @@ class _Shape(tuple):
     """The shape of a basis partition: its blocks' value multisets, each
     canonical, as ``kappa_product``'s walk of a checked request yields them,
     with at most d blocks.  ``basis_coeff`` reads a p of exactly this type
-    as final, checking neither it nor the method and d.  Values of it go to
-    ``basis_coeff`` only: no public function returns one, and no memo table
-    keeps one."""
+    as final, checking neither it nor the method and d, and returns the
+    kernel's int, not a Fraction.  Values of it go to ``basis_coeff`` only:
+    no public function returns one, and no memo table keeps one."""
 
     __slots__ = ()
 
@@ -96,18 +98,26 @@ class _Shape(tuple):
 class _Combination:
     """A finite formal sum of monomial keys with exact rational coefficients.
 
-    Keys equal up to order name one monomial, so their coefficients add up.
+    Keys equal up to order name one monomial, so their coefficients add up;
+    each is an int or a Fraction, and a bool, float or str a ValueError.
     Zero coefficients are never stored; equality is term-by-term.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Mapping[Multiset, Union[int, Fraction]]] = None):
-        summed: dict[Multiset, Fraction] = {}
+        summed: dict[Multiset, Union[int, Fraction]] = {}
         for key, coeff in (terms or {}).items():
-            key, coeff = multiset(key), Fraction(coeff)
-            summed[key] = summed[key] + coeff if key in summed else coeff
-        self.terms = {key: coeff for key, coeff in summed.items() if coeff}
+            key, coeff = multiset(key), _exact(coeff, "coefficient")
+            summed[key] = summed.get(key, 0) + coeff
+        self.terms = {key: Fraction(coeff) for key, coeff in summed.items() if coeff}
+
+    @classmethod
+    def _from_sums(cls, sums: Mapping[Multiset, Union[int, Fraction]]):
+        """The nonzero sums, one Fraction each, of the package's own canonical keys, unchecked."""
+        combination = cls.__new__(cls)
+        combination.terms = {key: Fraction(coeff) for key, coeff in sums.items() if coeff}
+        return combination
 
     @classmethod
     def zero(cls):
@@ -130,8 +140,8 @@ class _Combination:
             return NotImplemented
         combined = dict(self.terms)
         for key, coeff in other.terms.items():
-            combined[key] = combined.get(key, Fraction(0)) + coeff
-        return type(self)(combined)
+            combined[key] = combined.get(key, 0) + coeff
+        return type(self)._from_sums(combined)
 
     def __sub__(self, other):
         if type(self) is not type(other):
@@ -139,8 +149,8 @@ class _Combination:
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        return type(self)({key: scalar * coeff for key, coeff in self.terms.items()})
+        scalar = _exact(scalar, "scalar")
+        return type(self)._from_sums({key: scalar * coeff for key, coeff in self.terms.items()})
 
     def sorted_terms(self) -> list[tuple[Multiset, Fraction]]:
         """Terms ordered by (length descending, lexicographic)."""
@@ -168,7 +178,7 @@ class KappaPoly(_Combination):
 
     @classmethod
     def monomial(cls, indices: Iterable[int], coeff: Union[int, Fraction] = 1) -> "KappaPoly":
-        return cls({kappa_monomial(indices): Fraction(coeff)})
+        return cls({kappa_monomial(indices): coeff})
 
 
 class PsiPoly(_Combination):
@@ -269,7 +279,7 @@ def faber_expand(q: Iterable[int]) -> KappaPoly:
     for blocks, count in _orbits(q, len(q)):
         key = _split_sums(blocks)
         terms[key] = terms.get(key, 0) + count * prod(factorial(len(blk) - 1) for blk in blocks)
-    return KappaPoly(terms)
+    return KappaPoly._from_sums(terms)
 
 
 def kappa_to_psi(a: Iterable[int]) -> PsiPoly:
@@ -283,7 +293,7 @@ def kappa_to_psi(a: Iterable[int]) -> PsiPoly:
     for blocks, count in _orbits(a, len(a)):
         key = _split_sums(blocks)
         terms[key] = terms.get(key, 0) + (-count if (len(a) + len(blocks)) % 2 else count)
-    return PsiPoly(terms)
+    return PsiPoly._from_sums(terms)
 
 
 def split_weight(a: Iterable[int], k: int) -> Fraction:
@@ -397,7 +407,8 @@ def basis_coeff(p: SetPartition, a: Iterable[int], d: int, method: str = "closed
 
     ``d`` is the degree budget (basis monomials have at most d indices);
     partitions with more than d blocks are outside the basis and rejected.
-    All methods return the same value.
+    All methods return the same value, a Fraction; for a ``_Shape`` p it is
+    the kernel's int, which ``kappa_product`` sums.
     """
     if type(p) is _Shape:
         # kappa_product's walk hands the shape itself, of the request it checked
@@ -412,9 +423,9 @@ def basis_coeff(p: SetPartition, a: Iterable[int], d: int, method: str = "closed
         shape = tuple(tuple(a[i] for i in blk) for blk in p)
         if len(shape) > natural(d, "d", 1):
             raise ValueError(f"partition has {len(shape)} blocks, outside the basis range d={d}")
-    if method == "closed":
-        return Fraction(_coeff_closed(shape, d))
-    return Fraction((_coeff_recursive if method == "recursive" else _coeff_ck)(shape, d))
+    kernel = _coeff_closed if method == "closed" else _coeff_recursive if method == "recursive" else _coeff_ck
+    value = kernel(shape, d)
+    return value if type(p) is _Shape else Fraction(value)
 
 
 def kappa_product(
@@ -437,7 +448,7 @@ def kappa_product(
     reference, walks ``_splits(a)``, the set partitions of a's positions in
     ``set_partitions`` order; ``ck`` and ``closed`` add count * basis_coeff(p)
     over the orbits of ``_orbits(a, d)``: 19 terms for twelve 1s at d = 3,
-    where Bell(12) is 4,213,597.
+    where Bell(12) is 4,213,597.  It sums ints, one Fraction per monomial.
     """
     _check_method(method)
     a, _, d = _product_request(a, genus, markings)
@@ -447,14 +458,12 @@ def kappa_product(
         walk = ((blocks, 1) for blocks in _splits(a) if len(blocks) <= d)
     else:
         walk = _orbits(a, d)
-    terms: dict[Multiset, Fraction] = {}
+    terms: dict[Multiset, int] = {}
     for blocks, count in walk:
         key = _split_sums(blocks)
         # a checked request's walk yields canonical shapes of at most d blocks: basis_coeff trusts them
-        term = basis_coeff(_Shape(blocks), a, d, method=method)
-        # a Fraction product costs microseconds, and distinct values have count 1
-        terms[key] = terms.get(key, 0) + (term if count == 1 else count * term)
-    return KappaPoly(terms)
+        terms[key] = terms.get(key, 0) + count * basis_coeff(_Shape(blocks), a, d, method=method)
+    return KappaPoly._from_sums(terms)
 
 
 def reduce_to_basis(poly: KappaPoly, genus: int, markings: int, method: str = "closed") -> KappaPoly:

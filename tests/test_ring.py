@@ -1,5 +1,6 @@
 import ast
 import gc
+import hashlib
 import itertools
 import math
 import pathlib
@@ -71,6 +72,21 @@ def test_kappa_poly_json_rows_are_sorted_by_length_then_lex():
     rows = poly.to_json_rows()
     assert [row["monomial"] for row in rows] == [[1, 1, 1], [1, 2], [1, 3], [3]]
     assert rows[0]["coefficient"] == "3/1"
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, True, False, "1/3", "3", None], ids=repr)
+def test_polynomials_take_only_int_or_fraction_coefficients(value):
+    # a float would keep its binary expansion (0.1 as 3602879701896397/36028797018963968),
+    # a str would be parsed and a bool would read as 1 or 0
+    poly = KappaPoly.monomial((1,), Fraction(1, 3))
+    for make in (lambda: KappaPoly({(1,): value}), lambda: PsiPoly({(2, 1): value}),
+                 lambda: KappaPoly.monomial((1,), value)):
+        with pytest.raises(ValueError, match=r"^coefficient: must be an int or a Fraction, got "):
+            make()
+    with pytest.raises(ValueError, match=r"^scalar: must be an int or a Fraction, got "):
+        value * poly
+    assert poly.terms == {(1,): Fraction(1, 3)}
+    assert (-3) * poly == Fraction(-3) * poly == KappaPoly({(1,): -1})
 
 
 def test_kappa_and_psi_polys_never_compare_equal():
@@ -168,6 +184,55 @@ def test_orbit_walked_products_equal_the_labelled_recursive_product(d):
         for method in ("ck", "closed"):
             for genus in (0, 1):
                 assert kappa_product(a, genus, sum(a) + d + 2 - 2 * genus, method=method) == labelled, (a, method)
+
+
+@pytest.mark.parametrize("genus", [0, 1])
+def test_every_method_matches_the_pairing_solve_on_small_multisets(genus):
+    # every method sums its terms in one int accumulation, so comparing the
+    # methods cannot see a fault there; the pairing solve shares none of it
+    for a in index_multisets(5, max_sum=9):
+        for d in range(1, 5):
+            n = sum(a) + d + 2
+            solved = KappaPoly(oracle.solve_coeffs_by_pairing(a, n))
+            for method in METHODS:
+                assert kappa_product(a, genus, n - 2 * genus, method=method) == solved, (a, d, method)
+
+
+# SHA-256 over the grid below of each product's sorted (key, numerator,
+# denominator, type name) rows, computed when the product still summed Fractions
+PRODUCT_GRID_SHA256 = "c579ddd0d9ea63aede4f70805a056ccb0823e83e631833ca29c3163e3c370f7a"
+
+
+def test_the_product_grid_hashes_to_its_pinned_digest():
+    digest, count = hashlib.sha256(), 0
+    for a in index_multisets(6, max_sum=10):
+        for d in range(1, 6):
+            for genus in (0, 1):
+                for method in METHODS:
+                    poly = kappa_product(a, genus, sum(a) + d + 2 - 2 * genus, method=method)
+                    rows = sorted((key, c.numerator, c.denominator, type(c).__name__) for key, c in poly.terms.items())
+                    digest.update(repr(rows).encode())
+                    count += 1
+    assert count == 3720
+    assert digest.hexdigest() == PRODUCT_GRID_SHA256
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_kappa_product_makes_one_fraction_per_monomial(monkeypatch, method):
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(ring, "Fraction", counting)
+    for a, genus in [((1, 2, 3, 4, 5, 6), 0), ((1, 2, 3, 4, 5, 6), 1), ((1,) * 7, 0)]:
+        made.clear()
+        poly = kappa_product(a, genus, sum(a) + 3 + 2 - 2 * genus, method=method)
+        # one Fraction per surviving monomial, each made from the int sum
+        assert len(made) == len(poly.terms) > 1, (a, genus)
+        assert all(len(args) == 1 and type(args[0]) is int for args in made)
+        assert sorted(args[0] for args in made) == sorted(poly.terms.values())
 
 
 @pytest.mark.parametrize("method", ["ck", "closed"])
@@ -611,7 +676,13 @@ def test_kernel_tables_hold_ints_and_public_values_are_fractions():
     clear_coeff_caches()
     a = (1, 1, 2, 3)
     for method in METHODS:
-        assert type(basis_coeff(((0, 1), (2, 3)), a, 3, method=method)) is Fraction
+        value = basis_coeff(((0, 1), (2, 3)), a, 3, method=method)
+        assert type(value) is Fraction
+        # the product's own shape gets the kernel's int, which the product sums
+        trusted = basis_coeff(ring._Shape(((1, 1), (2, 3))), a, 3, method=method)
+        assert type(trusted) is int and trusted == value
+        poly = kappa_product(a, 0, sum(a) + 3 + 2, method=method)
+        assert poly.terms and all(type(c) is Fraction and c for c in poly.terms.values())
     assert type(socle_coeff(a)) is Fraction
     assert type(correction_coeff(a)) is Fraction
     assert type(correction_coeff(())) is Fraction
